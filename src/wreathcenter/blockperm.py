@@ -62,57 +62,39 @@ def cycle_type(images) -> Partition:
     return pt.as_partition(lengths)
 
 
-def cycles_of_mapping(mapping: dict) -> list[list[int]]:
-    """Disjoint cycles of a bijection given as a dict, smallest points first."""
-    seen = set()
-    cycles = []
-    for start in sorted(mapping):
-        if start in seen:
-            continue
-        cycle = []
-        x = start
-        while x not in seen:
-            seen.add(x)
-            cycle.append(x)
-            x = mapping[x]
-        cycles.append(cycle)
-    return cycles
+def type_from_images(k: int, blocks, images) -> PartitionFamily:
+    """Type of the block permutation that `images` carries on `blocks`.
 
-
-def type_from_mapping(k: int, blocks, mapping: dict) -> PartitionFamily:
-    """Type of a block permutation given as a point mapping over whole blocks.
-
-    Walks the blocks in increasing order; for each unconsumed block it
-    collects the cycles meeting it, reads off the intersection pattern rho,
-    marks as consumed the m blocks those cycles span, and records a part m
-    in the component at rho.
+    `images` is a 1-based image tuple; only the points of `blocks` are read,
+    so it may be wider than they are.  Walks the blocks in increasing order.
+    A block whose first point has been visited belongs to an earlier
+    cluster.  Otherwise the cycles through its points are walked: how many
+    points each has in the block gives the pattern rho, and the blocks they
+    visit give the part m recorded in the component at rho.
     """
-    blocks = sorted(blocks)
-    cycles = cycles_of_mapping(mapping)
-    cycle_index = {}
-    for idx, cycle in enumerate(cycles):
-        for p in cycle:
-            cycle_index[p] = idx
-
-    consumed = set()
+    seen = [False] * (len(images) + 1)
     parts = defaultdict(list)
-    for b in blocks:
-        if b in consumed:
+    for b in sorted(blocks):
+        first = (b - 1) * k + 1
+        if seen[first]:
             continue
-        meeting = defaultdict(int)
-        for p in block_points(b, k):
-            meeting[cycle_index[p]] += 1
-        rho = pt.as_partition(meeting.values())
+        meeting = []
         span = set()
         total_points = 0
-        for idx in meeting:
-            total_points += len(cycles[idx])
-            for p in cycles[idx]:
-                span.add(block_of(p, k))
+        for p in range(first, first + k):
+            if seen[p]:
+                continue
+            inside, x = 0, p
+            while not seen[x]:
+                seen[x] = True
+                span.add((x - 1) // k)
+                inside += first <= x < first + k
+                total_points += 1
+                x = images[x - 1]
+            meeting.append(inside)
         if total_points != k * len(span):
             raise ValueError("cycles of a block permutation must cover whole blocks")
-        consumed.update(span)
-        parts[rho].append(len(span))
+        parts[pt.as_partition(meeting)].append(len(span))
     return PartitionFamily(k, {rho: pt.as_partition(ms) for rho, ms in parts.items()})
 
 
@@ -157,8 +139,7 @@ class BlockPermutation:
         return tuple(block_of(self.images[(i - 1) * k], k) for i in range(1, self.n + 1))
 
     def type_of(self) -> PartitionFamily:
-        mapping = dict(enumerate(self.images, start=1))
-        return type_from_mapping(self.k, range(1, self.n + 1), mapping)
+        return type_from_images(self.k, range(1, self.n + 1), self.images)
 
     def to_text(self) -> str:
         return "(" + ",".join(str(y) for y in self.images) + ")"
@@ -282,20 +263,18 @@ def _cluster_assignments(slots, pool):
     yield from rec(0, tuple(sorted(pool)), 0)
 
 
-def _cluster_mapping(k, cycle, locals_, closing):
-    mapping = {}
+def _write_cluster(images, k, cycle, locals_, closing):
     m = len(cycle)
     for j in range(m):
         src = (cycle[j] - 1) * k
         dst = (cycle[(j + 1) % m] - 1) * k
         local = locals_[j] if j < m - 1 else closing
         for i in range(k):
-            mapping[src + i + 1] = dst + local[i] + 1
-    return mapping
+            images[src + i] = dst + local[i] + 1
 
 
-def _cluster_mappings(k, rho, cluster_blocks):
-    """All ways to realize one cluster with pattern rho on the given blocks."""
+def _cluster_choices(k, rho, cluster_blocks):
+    """All (cycle, locals, closing) realizing one cluster with pattern rho on the given blocks."""
     b0, rest = cluster_blocks[0], cluster_blocks[1:]
     all_locals = tuple(permutations(range(k)))
     closings = _perms_of_type(k, rho)
@@ -307,62 +286,62 @@ def _cluster_mappings(k, rho, cluster_blocks):
                 composite = _compose_local(t, composite)
             inv = _invert_local(composite)
             for c in closings:
-                yield _cluster_mapping(k, cycle, locals_, _compose_local(c, inv))
+                yield cycle, locals_, _compose_local(c, inv)
 
 
 def class_mappings_on_blocks(fam: PartitionFamily, blocks):
-    """Point mappings of every element with type `fam` on the given blocks."""
+    """Every element with type `fam` on the given blocks, as image tuples.
+
+    Each tuple covers [k * max(blocks)] and is the identity off `blocks`.
+    """
     blocks = tuple(sorted(blocks))
     if fam.size != len(blocks):
         raise SizeMismatch(f"family of size {fam.size} needs {fam.size} blocks, got {len(blocks)}")
     slots = _family_slots(fam)
     k = fam.k
+    images = list(range(1, k * max(blocks, default=0) + 1))
 
-    def rec(index, clusters, acc):
+    def rec(index, clusters):
         if index == len(slots):
-            yield dict(acc)
+            yield tuple(images)
             return
         rho, _ = slots[index]
-        # pieces of one cluster share a key set, so later choices overwrite
-        # earlier ones in acc and no undo is needed
-        for piece in _cluster_mappings(k, rho, clusters[index]):
-            acc.update(piece)
-            yield from rec(index + 1, clusters, acc)
+        # choices for one cluster write the same points, so later choices
+        # overwrite earlier ones and no undo is needed
+        for cycle, locals_, closing in _cluster_choices(k, rho, clusters[index]):
+            _write_cluster(images, k, cycle, locals_, closing)
+            yield from rec(index + 1, clusters)
 
     for clusters in _cluster_assignments(slots, blocks):
-        yield from rec(0, clusters, {})
+        yield from rec(0, clusters)
 
 
-def representative_mapping_on_blocks(fam: PartitionFamily, blocks) -> dict:
-    """A fixed class member: consecutive clusters, translations along each cycle."""
+def representative_mapping_on_blocks(fam: PartitionFamily, blocks) -> tuple[int, ...]:
+    """A fixed class member: consecutive clusters, translations along each cycle.
+
+    The image tuple covers [k * max(blocks)] and is the identity off `blocks`.
+    """
     blocks = tuple(sorted(blocks))
     if fam.size != len(blocks):
         raise SizeMismatch(f"family of size {fam.size} needs {fam.size} blocks, got {len(blocks)}")
     k = fam.k
-    mapping = {}
+    images = list(range(1, k * max(blocks, default=0) + 1))
     at = 0
     identity_local = tuple(range(k))
     for rho, m in _family_slots(fam):
         cycle = blocks[at : at + m]
         at += m
         locals_ = (identity_local,) * (m - 1)
-        mapping.update(_cluster_mapping(k, cycle, locals_, canonical_perm_of_type(k, rho)))
-    return mapping
-
-
-def _mapping_to_block_permutation(k, n, mapping) -> BlockPermutation:
-    images = list(range(1, k * n + 1))
-    for x, y in mapping.items():
-        images[x - 1] = y
-    return BlockPermutation(k, n, tuple(images), _checked=True)
+        _write_cluster(images, k, cycle, locals_, canonical_perm_of_type(k, rho))
+    return tuple(images)
 
 
 def class_representative(fam: PartitionFamily, n: int) -> BlockPermutation:
     """A fixed element of the conjugacy class labelled by `fam` (requires size n)."""
     if fam.size != n:
         raise SizeMismatch(f"family has size {fam.size}, expected {n}")
-    mapping = representative_mapping_on_blocks(fam, range(1, n + 1))
-    return _mapping_to_block_permutation(fam.k, n, mapping)
+    images = representative_mapping_on_blocks(fam, range(1, n + 1))
+    return BlockPermutation(fam.k, n, images, _checked=True)
 
 
 def enumerate_class(
@@ -386,8 +365,8 @@ def enumerate_class(
             if omega.type_of() == fam:
                 yield omega
     elif strategy == "direct":
-        for mapping in class_mappings_on_blocks(fam, range(1, n + 1)):
-            yield _mapping_to_block_permutation(fam.k, n, mapping)
+        for images in class_mappings_on_blocks(fam, range(1, n + 1)):
+            yield BlockPermutation(fam.k, n, images, _checked=True)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 

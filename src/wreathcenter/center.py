@@ -16,7 +16,6 @@ are the binomial-basis coefficients that make every group-level structure
 constant a polynomial in n.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from math import comb
 
 from . import blockperm as bp
@@ -109,7 +108,6 @@ def multiply_group(
     n: int,
     budget: int = DEFAULT_BUDGET,
     verify_representative: bool = False,
-    threads: int = 1,
 ) -> ClassSumVector:
     """Product of two class sums in the group of k-block permutations of [kn].
 
@@ -128,8 +126,6 @@ def multiply_group(
     iterate, match = (right, left) if swap else (left, right)
     inverses = [x.inverse() for x in bp.enumerate_class(iterate, n, budget=budget)]
 
-    targets = families_with_size(k, n)
-
     def coefficient(gamma):
         rep = bp.class_representative(gamma, n)
         counts = [_pair_count(rep, inverses, match, swap)]
@@ -145,15 +141,9 @@ def multiply_group(
                 raise InvariantViolation(
                     f"coefficient at {format_family(gamma)} depends on the representative"
                 )
-        return gamma, counts[0]
+        return counts[0]
 
-    if threads > 1 and len(targets) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(coefficient, targets))
-    else:
-        results = [coefficient(gamma) for gamma in targets]
-
-    terms = {gamma: c for gamma, c in results if c}
+    terms = {gamma: coefficient(gamma) for gamma in families_with_size(k, n)}
     vector = ClassSumVector(k, terms, n=n)
     _check_group_mass(vector, left, right, n)
     return vector

@@ -17,7 +17,7 @@ from math import comb, factorial
 from . import partitions as pt
 from .blockperm import DEFAULT_BUDGET
 from .center import multiply_universal
-from .errors import SizeMismatch
+from .errors import InvariantViolation, SizeMismatch
 from .families import PartitionFamily, big_z
 from .partitions import Partition, falling_factorial
 
@@ -92,7 +92,8 @@ def dim_irrep(rho: Partition) -> int:
         for j in range(row):
             hooks *= (row - j) + (col_heights[j] - i) - 1
     dim, remainder = divmod(factorial(sum(rho)), hooks)
-    assert remainder == 0
+    if remainder:
+        raise InvariantViolation("hook product must divide the factorial exactly")
     return dim
 
 
@@ -186,7 +187,8 @@ def hyperoct_dim(rho: Bipartition) -> int:
     num = factorial(n) * dim_irrep(rho1) * dim_irrep(rho2)
     den = factorial(sum(rho1)) * factorial(sum(rho2))
     dim, remainder = divmod(num, den)
-    assert remainder == 0
+    if remainder:
+        raise InvariantViolation("induced dimension must be an integer")
     return dim
 
 

@@ -132,7 +132,6 @@ def _build_parser() -> _Parser:
             p.add_argument("--right", required=True)
         p.add_argument("--json", action="store_true")
         p.add_argument("--cache", default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--max-group-size", type=int, default=DEFAULT_BUDGET)
         p.add_argument("--verify-representative", action="store_true")
 
@@ -172,10 +171,6 @@ def _check_n(args):
         raise UsageError("n must be a nonnegative integer")
 
 
-def _threads(args) -> int:
-    return args.threads if args.threads else (os.cpu_count() or 1)
-
-
 def _cmd_classes(args, cache):
     _check_n(args)
     rows = [
@@ -197,7 +192,6 @@ def _group_rows(args, cache, left, right):
         args.n,
         budget=args.max_group_size,
         verify_representative=args.verify_representative,
-        threads=_threads(args),
     )
     rows = {format_family(fam): coeff for fam, coeff in vector.terms.items()}
     cache.put_group(args.k, args.n, lt, rt, rows)

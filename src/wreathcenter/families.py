@@ -10,7 +10,7 @@ from functools import cache
 from math import comb, factorial
 
 from . import partitions as pt
-from .errors import SizeMismatch, TooSmall
+from .errors import InvariantViolation, SizeMismatch, TooSmall
 from .partitions import Partition
 
 __all__ = [
@@ -167,7 +167,8 @@ def class_size(fam: PartitionFamily, n: int) -> int:
         raise SizeMismatch(f"family has size {fam.size}, expected {n}")
     total = factorial(n) * factorial(fam.k) ** n
     q, r = divmod(total, big_z(fam))
-    assert r == 0, "class size formula must divide the group order exactly"
+    if r:
+        raise InvariantViolation("class size formula must divide the group order exactly")
     return q
 
 

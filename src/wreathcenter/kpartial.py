@@ -6,9 +6,15 @@ corresponding points.  Products extend both factors by the identity to the
 union of domains, so the set of all of them is a semigroup whose orbit
 sums span the universal algebra projecting onto every group-algebra
 center.
+
+Every element is stored as its domain and one padded image tuple: the
+1-based images of all points of [k * max(domain)], with the identity on
+the blocks outside the domain.  Extending by the identity is then padding
+the tuple, and a product is a composition of two padded tuples, exactly
+as for `BlockPermutation`.
 """
 
-from itertools import chain, combinations
+from itertools import combinations
 from math import factorial
 
 from . import partitions as pt
@@ -19,56 +25,51 @@ from .blockperm import (
     block_points,
     class_mappings_on_blocks,
     class_size,
+    conjugate,
     enumerate_group,
     group_order,
+    is_block_permutation,
     representative_mapping_on_blocks,
-    type_from_mapping,
+    type_from_images,
 )
 from .errors import BudgetExceeded, DimensionMismatch, DomainNotCovered, SizeMismatch
 from .families import PartitionFamily, binomial_pad_factor, pad_family
 
 
 class KPartialPermutation:
-    """A pair (blocks, perm); points of the domain are listed in increasing order."""
+    """A pair (blocks, perm) stored as a padded image tuple.
 
-    __slots__ = ("k", "blocks", "images", "_map")
+    The constructor takes the images of the domain points in increasing
+    order.  The `images` attribute holds the images of every point of
+    [k * max(blocks)]: perm on the domain, the identity on each block
+    outside it.
+    """
 
-    def __init__(self, k: int, blocks, images, _checked: bool = False):
+    __slots__ = ("k", "blocks", "images")
+
+    def __init__(self, k: int, blocks, images):
         blocks = tuple(sorted(set(blocks)))
         images = tuple(images)
-        if not _checked:
-            points = tuple(chain.from_iterable(block_points(b, k) for b in blocks))
-            if sorted(images) != sorted(points):
-                raise ValueError("images must be a bijection of the domain points")
-            mapping = dict(zip(points, images))
-            for b in blocks:
-                targets = {block_of(mapping[p], k) for p in block_points(b, k)}
-                if len(targets) != 1 or next(iter(targets)) not in blocks:
-                    raise ValueError("perm must send each domain block onto a domain block")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_map", None)
+        if blocks and blocks[0] < 1:
+            raise ValueError("domain blocks must be positive integers")
+        points = [x for b in blocks for x in block_points(b, k)]
+        if sorted(images) != points:
+            raise ValueError("images must be a bijection of the domain points")
+        padded = list(range(1, k * max(blocks, default=0) + 1))
+        for x, y in zip(points, images):
+            padded[x - 1] = y
+        if not is_block_permutation(padded, k):
+            raise ValueError("perm must send each domain block onto a domain block")
+        _init(self, k, blocks, tuple(padded))
 
     @classmethod
     def empty(cls, k: int) -> "KPartialPermutation":
         """The semigroup identity: the trivial permutation of the empty set."""
-        return cls(k, (), (), _checked=True)
-
-    @classmethod
-    def from_mapping(cls, k: int, blocks, mapping: dict, _checked: bool = False):
-        blocks = tuple(sorted(set(blocks)))
-        points = chain.from_iterable(block_points(b, k) for b in blocks)
-        return cls(k, blocks, (mapping.get(p, p) for p in points), _checked=_checked)
+        return _padded(k, (), ())
 
     @property
     def points(self) -> tuple[int, ...]:
-        return tuple(chain.from_iterable(block_points(b, self.k) for b in self.blocks))
-
-    def mapping(self) -> dict:
-        if self._map is None:
-            object.__setattr__(self, "_map", dict(zip(self.points, self.images)))
-        return self._map
+        return tuple(x for b in self.blocks for x in block_points(b, self.k))
 
     def __setattr__(self, name, value):
         raise AttributeError("KPartialPermutation is immutable")
@@ -86,7 +87,7 @@ class KPartialPermutation:
 
     def to_text(self) -> str:
         blocks = "[" + ",".join(str(b) for b in self.blocks) + "]"
-        images = "(" + ",".join(str(y) for y in self.images) + ")"
+        images = "(" + ",".join(str(self.images[x - 1]) for x in self.points) + ")"
         return f"{{blocks:{blocks}; k:{self.k}; images:{images}}}"
 
     @classmethod
@@ -110,52 +111,58 @@ class KPartialPermutation:
         return product(self, other)
 
 
+def _init(p, k, blocks, images):
+    object.__setattr__(p, "k", k)
+    object.__setattr__(p, "blocks", blocks)
+    object.__setattr__(p, "images", images)
+
+
+def _padded(k: int, blocks: tuple, images: tuple) -> KPartialPermutation:
+    """An element from sorted blocks and an already padded image tuple, unchecked."""
+    p = object.__new__(KPartialPermutation)
+    _init(p, k, blocks, images)
+    return p
+
+
+def _pad(images: tuple, width: int) -> tuple:
+    return images + tuple(range(len(images) + 1, width + 1))
+
+
 def product(p: KPartialPermutation, q: KPartialPermutation) -> KPartialPermutation:
     """Compose after extending both factors by the identity to the union of domains."""
     if p.k != q.k:
         raise DimensionMismatch("factors must share the same block size k")
-    blocks = sorted(set(p.blocks) | set(q.blocks))
-    pm, qm = p.mapping(), q.mapping()
-    mapping = {}
-    for b in blocks:
-        for x in block_points(b, p.k):
-            y = qm.get(x, x)
-            mapping[x] = pm.get(y, y)
-    return KPartialPermutation.from_mapping(p.k, blocks, mapping, _checked=True)
+    width = max(len(p.images), len(q.images))
+    outer, inner = _pad(p.images, width), _pad(q.images, width)
+    blocks = tuple(sorted(set(p.blocks).union(q.blocks)))
+    return _padded(p.k, blocks, tuple(outer[y - 1] for y in inner))
 
 
 def support(p: KPartialPermutation) -> tuple[int, ...]:
     """Blocks of the domain on which the permutation moves at least one point."""
-    mapping = p.mapping()
     return tuple(
-        b for b in p.blocks if any(mapping[x] != x for x in block_points(b, p.k))
+        b for b in p.blocks if any(p.images[x - 1] != x for x in block_points(b, p.k))
     )
 
 
 def act(sigma: BlockPermutation, p: KPartialPermutation) -> KPartialPermutation:
     """Conjugation action: (domain, perm) goes to (sigma(domain), sigma perm sigma^-1)."""
-    if sigma.k != p.k:
-        raise DimensionMismatch("action requires the same block size k")
-    if p.blocks and p.blocks[-1] > sigma.n:
-        raise DomainNotCovered(f"element of [{sigma.k * sigma.n}] cannot act on blocks {p.blocks}")
-    mapping = {sigma(x): sigma(y) for x, y in p.mapping().items()}
-    blocks = {block_of(x, p.k) for x in mapping}
-    return KPartialPermutation.from_mapping(p.k, blocks, mapping, _checked=True)
+    moved = conjugate(sigma, extend(p, sigma.n))
+    k = p.k
+    blocks = tuple(sorted(block_of(sigma((b - 1) * k + 1), k) for b in p.blocks))
+    return _padded(k, blocks, moved.images[: k * max(blocks, default=0)])
 
 
 def extend(p: KPartialPermutation, n: int) -> BlockPermutation:
     """The block permutation of [kn] agreeing with p on its domain, identity elsewhere."""
     if p.blocks and p.blocks[-1] > n:
         raise DomainNotCovered(f"domain blocks {p.blocks} do not fit in [{n}]")
-    images = list(range(1, p.k * n + 1))
-    for x, y in p.mapping().items():
-        images[x - 1] = y
-    return BlockPermutation(p.k, n, tuple(images), _checked=True)
+    return BlockPermutation(p.k, n, _pad(p.images, p.k * n), _checked=True)
 
 
 def kp_type(p: KPartialPermutation) -> PartitionFamily:
     """Type of the carried permutation; total size equals the number of domain blocks."""
-    return type_from_mapping(p.k, p.blocks, p.mapping())
+    return type_from_images(p.k, p.blocks, p.images)
 
 
 def partial_class_size(fam: PartitionFamily, n: int) -> int:
@@ -186,8 +193,8 @@ def universal_class_members(
     if total > budget:
         raise BudgetExceeded(total, budget, "partial class enumeration")
     for blocks in combinations(range(1, n + 1), fam.size):
-        for mapping in class_mappings_on_blocks(fam, blocks):
-            yield KPartialPermutation.from_mapping(fam.k, blocks, mapping, _checked=True)
+        for images in class_mappings_on_blocks(fam, blocks):
+            yield _padded(fam.k, blocks, images)
 
 
 def partial_class_representative(fam: PartitionFamily, n: int) -> KPartialPermutation:
@@ -195,8 +202,7 @@ def partial_class_representative(fam: PartitionFamily, n: int) -> KPartialPermut
     if fam.size > n:
         raise SizeMismatch(f"family of size {fam.size} does not fit in [{n}]")
     blocks = tuple(range(1, fam.size + 1))
-    mapping = representative_mapping_on_blocks(fam, blocks)
-    return KPartialPermutation.from_mapping(fam.k, blocks, mapping, _checked=True)
+    return _padded(fam.k, blocks, representative_mapping_on_blocks(fam, blocks))
 
 
 def enumerate_kpartial(k: int, n: int, budget: int = DEFAULT_BUDGET):
@@ -213,16 +219,10 @@ def enumerate_kpartial(k: int, n: int, budget: int = DEFAULT_BUDGET):
 
 def _all_on_blocks(k: int, blocks):
     """Relabel the full group on len(blocks) blocks onto the chosen block indices."""
-    if not blocks:
-        yield KPartialPermutation.empty(k)
-        return
-    r = len(blocks)
-    for omega in enumerate_group(k, r):
-        mapping = {}
-        for local_block in range(1, r + 1):
-            src_base = (blocks[local_block - 1] - 1) * k
-            for i in range(1, k + 1):
-                y = omega((local_block - 1) * k + i)
-                dst_base = (blocks[block_of(y, k) - 1] - 1) * k
-                mapping[src_base + i] = dst_base + (y - 1) % k + 1
-        yield KPartialPermutation.from_mapping(k, blocks, mapping, _checked=True)
+    # local point z (0-based) stands for point z % k + 1 of block blocks[z // k]
+    to_global = [(blocks[z // k] - 1) * k + z % k + 1 for z in range(k * len(blocks))]
+    for omega in enumerate_group(k, len(blocks)):
+        images = list(range(1, k * max(blocks, default=0) + 1))
+        for x, y in zip(to_global, omega.images):
+            images[x - 1] = to_global[y - 1]
+        yield _padded(k, blocks, tuple(images))

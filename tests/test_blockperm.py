@@ -81,6 +81,12 @@ def test_type_of_two_block_grouping():
     assert w.type_of() == fam(2, (3, 2, 1), (2,))
 
 
+def test_type_rejects_cycles_that_split_blocks():
+    # (1,3)(2,5)(4,8): the cycles through block 1 meet blocks 2 and 3 in one point each
+    with pytest.raises(ValueError):
+        bp.type_from_images(2, range(1, 5), (3, 5, 1, 8, 2, 6, 7, 4))
+
+
 def test_composition_order_vs_worked_factorizations():
     # (1,2)(3)(7,8,9) arises as each of these right-to-left products
     target = from_cycles(3, 3, (1, 2), (7, 8, 9))

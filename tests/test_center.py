@@ -198,11 +198,6 @@ def test_representative_independence_flag():
     assert u1 == u2
 
 
-def test_threads_give_identical_results():
-    left = fam(2, (1, 1, 1), (2,))
-    assert ct.multiply_group(left, left, 5, threads=4) == ct.multiply_group(left, left, 5)
-
-
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         ct.multiply_universal(fam(1, (2,)), fam(1, (2,)), budget=2)

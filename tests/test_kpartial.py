@@ -24,6 +24,8 @@ def test_validation():
         KPartialPermutation(2, (1,), (1, 3))  # image outside the domain
     with pytest.raises(ValueError):
         KPartialPermutation(2, (1, 2), (1, 3, 2, 4))  # splits a block
+    with pytest.raises(ValueError):
+        KPartialPermutation(1, (0,), (0,))  # block indices start at 1
 
 
 def test_identity_element():
@@ -83,8 +85,9 @@ def test_extend():
 
 
 def test_extend_type_is_padded_type():
-    for p in kp.enumerate_kpartial(2, 3):
-        assert kp.extend(p, 3).type_of() == pad_family(kp.kp_type(p), 3)
+    for k, n in [(2, 3), (3, 2)]:
+        for p in kp.enumerate_kpartial(k, n):
+            assert kp.extend(p, n).type_of() == pad_family(kp.kp_type(p), n)
 
 
 def test_act_basics():
@@ -106,34 +109,53 @@ def test_orbit_of_single_identity_block():
 
 
 def test_extension_is_multiplicative():
-    pool = list(kp.enumerate_kpartial(2, 2))
-    for p in pool:
-        for q in pool:
-            assert kp.extend(kp.product(p, q), 2) == kp.extend(p, 2) * kp.extend(q, 2)
+    for k, n in [(2, 2), (3, 2)]:
+        pool = list(kp.enumerate_kpartial(k, n))
+        for p in pool:
+            for q in pool:
+                assert kp.extend(kp.product(p, q), n) == kp.extend(p, n) * kp.extend(q, n)
+
+
+def test_product_of_domains_with_different_maximum_blocks():
+    p = KPartialPermutation(3, (1,), (2, 3, 1))  # a 3-cycle inside block 1
+    q = KPartialPermutation(3, (1, 3), (7, 8, 9, 1, 2, 3))  # swaps blocks 1 and 3
+    pq, qp = kp.product(p, q), kp.product(q, p)
+    assert pq == KPartialPermutation(3, (1, 3), (7, 8, 9, 2, 3, 1))
+    assert qp == KPartialPermutation(3, (1, 3), (8, 9, 7, 1, 2, 3))
+    assert pq.images == (7, 8, 9, 4, 5, 6, 2, 3, 1)
+    assert kp.kp_type(pq) == kp.kp_type(qp) == fam(3, (), (), (2,))
+    r = KPartialPermutation(3, (2,), (5, 4, 6))  # wider than p, disjoint from it
+    assert kp.product(p, r) == kp.product(r, p) == KPartialPermutation(
+        3, (1, 2), (2, 3, 1, 5, 4, 6)
+    )
+    for a, b in [(p, q), (q, p), (p, r), (r, q)]:
+        assert kp.extend(kp.product(a, b), 4) == kp.extend(a, 4) * kp.extend(b, 4)
 
 
 def test_action_equivariance():
-    pool = list(kp.enumerate_kpartial(2, 2))
-    for sigma in bp.enumerate_group(2, 2):
-        for p in pool:
-            lhs = kp.extend(kp.act(sigma, p), 2)
-            assert lhs == sigma * kp.extend(p, 2) * sigma.inverse()
+    for k, n in [(2, 2), (3, 2)]:
+        pool = list(kp.enumerate_kpartial(k, n))
+        for sigma in bp.enumerate_group(k, n):
+            for p in pool:
+                lhs = kp.extend(kp.act(sigma, p), n)
+                assert lhs == sigma * kp.extend(p, n) * sigma.inverse()
 
 
 def test_orbits_are_size_and_type_classes():
-    pool = list(kp.enumerate_kpartial(2, 2))
-    group = list(bp.enumerate_group(2, 2))
-    seen = set()
-    for p in pool:
-        if p in seen:
-            continue
-        orbit = {kp.act(sigma, p) for sigma in group}
-        seen |= orbit
-        label = (len(p.blocks), kp.kp_type(p))
-        same_label = {
-            q for q in pool if (len(q.blocks), kp.kp_type(q)) == label
-        }
-        assert orbit == same_label
+    for k, n in [(2, 2), (3, 2)]:
+        pool = list(kp.enumerate_kpartial(k, n))
+        group = list(bp.enumerate_group(k, n))
+        seen = set()
+        for p in pool:
+            if p in seen:
+                continue
+            orbit = {kp.act(sigma, p) for sigma in group}
+            seen |= orbit
+            label = (len(p.blocks), kp.kp_type(p))
+            same_label = {
+                q for q in pool if (len(q.blocks), kp.kp_type(q)) == label
+            }
+            assert orbit == same_label
 
 
 def test_partial_class_size():
