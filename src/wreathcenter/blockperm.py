@@ -370,17 +370,3 @@ def enumerate_class(
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-
-def twist_element(k: int, n: int) -> BlockPermutation:
-    """A fixed, generically nontrivial element used to re-check representatives."""
-    if n == 0:
-        return BlockPermutation.identity(k, n)
-    images = []
-    for i in range(1, n + 1):
-        target = i % n + 1
-        base = (target - 1) * k
-        fill = list(range(k))
-        if k >= 2 and i == 1:
-            fill[0], fill[1] = fill[1], fill[0]
-        images.extend(base + b + 1 for b in fill)
-    return BlockPermutation(k, n, tuple(images), _checked=True)

@@ -1,12 +1,18 @@
 """Products of conjugacy-class sums, exactly.
 
-Two routes are implemented and kept independent:
+One engine computes every product.  Conjugation permutes each input orbit
+and preserves products, so for a fixed x in the larger orbit A,
 
-  * multiply_group counts pairs inside the finite group of k-block
-    permutations of [kn];
-  * multiply_universal counts pairs of k-partial permutations at the
-    smallest faithful stage N = |left| + |right|, which is enough because a
-    product moves at most that many blocks.
+    c_gamma * |C_gamma| = |A| * #{y in B : type(x y) = gamma}.
+
+The engine enumerates the smaller orbit B once against a fixed
+representative of A and tallies the product types.  It runs on one of two
+layers:
+
+  * multiply_group uses block permutations of [kn] (the blockperm route);
+  * multiply_universal uses k-partial permutations at the smallest
+    faithful stage N = |left| + |right| (the kpartial route), which is
+    enough because a product moves at most that many blocks.
 
 Projecting the universal product down to a group recovers the group
 product (for proper inputs on the nose; in general up to the binomial
@@ -21,12 +27,11 @@ from math import comb
 from . import blockperm as bp
 from . import kpartial as kp
 from .blockperm import DEFAULT_BUDGET
-from .errors import BudgetExceeded, InvariantViolation, NotProper, SizeMismatch
+from .errors import InvariantViolation, NotProper, SizeMismatch
 from .families import (
     PartitionFamily,
     binomial_pad_factor,
     class_size,
-    families_with_size,
     format_family,
     pad_family,
 )
@@ -36,6 +41,7 @@ __all__ = [
     "PolynomialStructure",
     "multiply_group",
     "multiply_universal",
+    "check_mass",
     "project",
     "polynomial_structure",
     "deg",
@@ -109,61 +115,22 @@ def multiply_group(
     budget: int = DEFAULT_BUDGET,
     verify_representative: bool = False,
 ) -> ClassSumVector:
-    """Product of two class sums in the group of k-block permutations of [kn].
-
-    For each target class a representative z is fixed and the coefficient
-    is the number of x in the left class with x^-1 z in the right class.
-    Only the smaller input class is ever enumerated.
-    """
+    """Product of two class sums in the group of k-block permutations of [kn]."""
     if left.k != right.k:
         raise SizeMismatch("families must share the same k")
     if left.size != n or right.size != n:
         raise SizeMismatch("group products need both families of size exactly n")
-    k = left.k
-
-    # x y = z  <=>  x^-1 z = y  <=>  z y^-1 = x: iterate over the cheaper side.
-    swap = class_size(right, n) < class_size(left, n)
-    iterate, match = (right, left) if swap else (left, right)
-    inverses = [x.inverse() for x in bp.enumerate_class(iterate, n, budget=budget)]
-
-    def coefficient(gamma):
-        rep = bp.class_representative(gamma, n)
-        counts = [_pair_count(rep, inverses, match, swap)]
-        if verify_representative and class_size(gamma, n) > 1:
-            twist = bp.twist_element(k, n)
-            other = bp.conjugate(twist, rep)
-            if other == rep:
-                other = next(
-                    w for w in bp.enumerate_class(gamma, n, budget=budget) if w != rep
-                )
-            counts.append(_pair_count(other, inverses, match, swap))
-            if counts[0] != counts[1]:
-                raise InvariantViolation(
-                    f"coefficient at {format_family(gamma)} depends on the representative"
-                )
-        return counts[0]
-
-    terms = {gamma: coefficient(gamma) for gamma in families_with_size(k, n)}
-    vector = ClassSumVector(k, terms, n=n)
-    _check_group_mass(vector, left, right, n)
-    return vector
-
-
-def _pair_count(rep, inverses, match, swap):
-    if swap:
-        # count y with z y^-1 in the left class
-        return sum(1 for inv in inverses if (rep * inv).type_of() == match)
-    # count x with x^-1 z in the right class
-    return sum(1 for inv in inverses if (inv * rep).type_of() == match)
-
-
-def _check_group_mass(vector, left, right, n):
-    total = sum(c * class_size(fam, n) for fam, c in vector.terms.items())
-    expected = class_size(left, n) * class_size(right, n)
-    if total != expected:
-        raise InvariantViolation(
-            f"group product mass {total} != |C_left|*|C_right| = {expected}"
-        )
+    return _multiply(
+        left,
+        right,
+        n,
+        lambda fam: class_size(fam, n),
+        lambda fam, limit: bp.enumerate_class(fam, n, budget=limit),
+        lambda fam: bp.class_representative(fam, n),
+        bp.BlockPermutation.type_of,
+        budget,
+        verify_representative,
+    )
 
 
 def multiply_universal(
@@ -172,53 +139,81 @@ def multiply_universal(
     budget: int = DEFAULT_BUDGET,
     verify_representative: bool = False,
 ) -> ClassSumVector:
-    """Product of two orbit sums in the universal algebra.
-
-    Computed at stage N = |left| + |right|: all pairs from the two partial
-    classes are multiplied and the coefficient of a target label is the
-    number of pairs hitting a fixed representative of it.  A mass check
-    guarantees no product escaped the candidate labels.
-    """
+    """Product of two orbit sums in the universal algebra, at stage |left| + |right|."""
     if left.k != right.k:
         raise SizeMismatch("families must share the same k")
-    k = left.k
-    n_stage = left.size + right.size
+    stage = left.size + right.size
+    return _multiply(
+        left,
+        right,
+        None,
+        lambda fam: kp.partial_class_size(fam, stage),
+        lambda fam, limit: kp.universal_class_members(fam, stage, budget=limit),
+        lambda fam: kp.partial_class_representative(fam, stage),
+        kp.kp_type,
+        budget,
+        verify_representative,
+    )
 
-    left_size = kp.partial_class_size(left, n_stage)
-    right_size = kp.partial_class_size(right, n_stage)
-    if left_size * right_size > budget:
-        raise BudgetExceeded(left_size * right_size, budget, "universal pair enumeration")
 
-    lefts = list(kp.universal_class_members(left, n_stage, budget=budget))
-    rights = list(kp.universal_class_members(right, n_stage, budget=budget))
+def _multiply(left, right, n, size, members, representative, type_of, budget, verify_representative):
+    """The product engine shared by both layers; `n` is None in the universal algebra.
 
-    counter: dict = {}
-    for x in lefts:
-        for y in rights:
-            key = kp.product(x, y)
-            counter[key] = counter.get(key, 0) + 1
+    x is a fixed representative of the larger input orbit A and y runs
+    over the smaller orbit B, so the work is |B| products and type
+    extractions, and `budget` bounds |B|.  The coefficient of gamma is
+    |A| * T_gamma / |C_gamma|, where T_gamma counts the products of type
+    gamma.
+    """
+    fix_left = size(left) >= size(right)
+    fixed, varied = (left, right) if fix_left else (right, left)
+    fixed_size = size(fixed)
+
+    def tally(x):
+        counts = {}
+        for y in members(varied, budget):
+            gamma = type_of(x * y) if fix_left else type_of(y * x)
+            counts[gamma] = counts.get(gamma, 0) + 1
+        return counts
+
+    rep = representative(fixed)
+    counts = tally(rep)
+    if verify_representative:
+        # the larger orbit is walked only up to its second member
+        other = next((x for x in members(fixed, fixed_size) if x != rep), None)
+        if other is not None and tally(other) != counts:
+            raise InvariantViolation("product types depend on the representative")
 
     terms = {}
-    mass = 0
-    for s in range(n_stage + 1):
-        for gamma in families_with_size(k, s):
-            rep = kp.partial_class_representative(gamma, n_stage)
-            c = counter.get(rep, 0)
-            if verify_representative:
-                for member in kp.universal_class_members(gamma, n_stage, budget=budget):
-                    if counter.get(member, 0) != c:
-                        raise InvariantViolation(
-                            f"coefficient at {format_family(gamma)} depends on the representative"
-                        )
-            if c:
-                terms[gamma] = c
-                mass += c * kp.partial_class_size(gamma, n_stage)
+    for gamma, count in counts.items():
+        coeff, rest = divmod(fixed_size * count, size(gamma))
+        if rest:
+            raise InvariantViolation(
+                f"coefficient at {format_family(gamma)} is not an integer"
+            )
+        terms[gamma] = coeff
+    vector = ClassSumVector(left.k, terms, n=n)
+    check_mass(vector, left, right)
+    return vector
 
-    if mass != len(lefts) * len(rights):
+
+def check_mass(vector: ClassSumVector, left: PartitionFamily, right: PartitionFamily):
+    """Raise InvariantViolation unless sum of c_gamma * |C_gamma| = |C_left| * |C_right|.
+
+    Group vectors are sized in their group, universal vectors at stage
+    |left| + |right|.
+    """
+    if vector.n is None:
+        stage = left.size + right.size
+        size = lambda fam: kp.partial_class_size(fam, stage)
+    else:
+        size = lambda fam: class_size(fam, vector.n)
+    mass = sum(c * size(fam) for fam, c in vector.terms.items())
+    expected = size(left) * size(right)
+    if mass != expected:
         raise InvariantViolation(
-            f"universal product mass {mass} != {len(lefts) * len(rights)}"
+            f"{vector.context} product mass {mass} != |C_left|*|C_right| = {expected}"
         )
-    return ClassSumVector(k, terms, n=None)
 
 
 def project(vector: ClassSumVector, n: int) -> ClassSumVector:

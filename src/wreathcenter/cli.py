@@ -185,6 +185,8 @@ def _group_rows(args, cache, left, right):
     lt, rt = format_family(left), format_family(right)
     cached = cache.get_group(args.k, args.n, lt, rt)
     if cached is not None:
+        terms = {parse_family(gamma, args.k): coeff for gamma, coeff in cached.items()}
+        ct.check_mass(ct.ClassSumVector(args.k, terms, n=args.n), left, right)
         return cached
     vector = ct.multiply_group(
         left,
@@ -221,6 +223,7 @@ def _poly_rows(args, cache, left, right):
     lt, rt = format_family(left), format_family(right)
     cached = cache.get_poly(args.k, lt, rt)
     if cached is not None:
+        ct.check_mass(ct.ClassSumVector(args.k, _poly_terms(cached, args.k)), left, right)
         return cached
     structure = ct.polynomial_structure(left, right, budget=args.max_group_size)
     rows = {
@@ -247,16 +250,19 @@ def _cmd_poly(args, cache):
     return records, [{"gamma": g, "r": r, "coeff": c} for (g, r), c in items]
 
 
+def _poly_terms(rows: dict, k: int) -> dict:
+    """Universal terms from polynomial rows: r extra 1-parts go back into the all-ones component."""
+    terms = {}
+    ones = (1,) * k
+    for (gamma_text, r), coeff in rows.items():
+        gamma = parse_family(gamma_text, k)
+        terms[gamma.replace(ones, gamma.ones_component + (1,) * r)] = coeff
+    return terms
+
+
 def _universal_terms(args, cache, left, right):
     if left.is_proper() and right.is_proper():
-        rows = _poly_rows(args, cache, left, right)
-        terms = {}
-        ones = (1,) * args.k
-        for (gamma_text, r), coeff in rows.items():
-            gamma = parse_family(gamma_text, args.k)
-            key = gamma.replace(ones, gamma.ones_component + (1,) * r)
-            terms[key] = coeff
-        return terms
+        return _poly_terms(_poly_rows(args, cache, left, right), args.k)
     vector = ct.multiply_universal(
         left,
         right,

@@ -1,7 +1,7 @@
 import pytest
 
 from wreathcenter import center as ct
-from wreathcenter.errors import BudgetExceeded, NotProper, SizeMismatch
+from wreathcenter.errors import BudgetExceeded, InvariantViolation, NotProper, SizeMismatch
 from wreathcenter.families import PartitionFamily, families_with_size, pad_family
 
 
@@ -41,16 +41,16 @@ def test_group_product_matches_full_expansion():
     from collections import Counter
     from wreathcenter import blockperm as bp
 
-    n = 3
-    for left in families_with_size(2, n):
-        for right in families_with_size(2, n):
-            xs = list(bp.enumerate_class(left, n))
-            ys = list(bp.enumerate_class(right, n))
-            convolution = Counter(x * y for x in xs for y in ys)
-            v = ct.multiply_group(left, right, n)
-            for gamma in families_with_size(2, n):
-                rep = bp.class_representative(gamma, n)
-                assert v.coefficient(gamma) == convolution[rep]
+    for k, n in [(2, 3), (1, 4), (3, 2)]:
+        for left in families_with_size(k, n):
+            for right in families_with_size(k, n):
+                xs = list(bp.enumerate_class(left, n))
+                ys = list(bp.enumerate_class(right, n))
+                convolution = Counter(x * y for x in xs for y in ys)
+                v = ct.multiply_group(left, right, n)
+                for gamma in families_with_size(k, n):
+                    rep = bp.class_representative(gamma, n)
+                    assert v.coefficient(gamma) == convolution[rep]
 
 
 def test_universal_product_examples():
@@ -69,6 +69,74 @@ def test_universal_product_examples():
         fam(3, (1,), (1,), ()): 2,
         fam(3, (), (1,), (1,)): 3,
     }
+
+
+def test_universal_product_matches_all_pairs():
+    # every pair multiplied and read at the target representative, as an oracle
+    from collections import Counter
+    from wreathcenter import kpartial as kp
+
+    for k in (1, 2, 3):
+        fams = [f for s in range(3) for f in families_with_size(k, s)]
+        for left in fams:
+            for right in fams:
+                stage = left.size + right.size
+                if stage > 3:
+                    continue
+                pairs = Counter(
+                    kp.product(x, y)
+                    for x in kp.universal_class_members(left, stage)
+                    for y in kp.universal_class_members(right, stage)
+                )
+                v = ct.multiply_universal(left, right)
+                for gamma in [g for s in range(stage + 1) for g in families_with_size(k, s)]:
+                    rep = kp.partial_class_representative(gamma, stage)
+                    assert v.coefficient(gamma) == pairs[rep]
+
+
+def test_mislabelled_product_is_caught(monkeypatch):
+    from wreathcenter import kpartial as kp
+
+    lam = fam(1, (2,))
+    true_type = kp.kp_type
+
+    def mislabel_once(wrong_of):
+        done = []
+
+        def kp_type(p):
+            gamma = true_type(p)
+            if gamma in wrong_of and not done:
+                done.append(p)
+                return wrong_of[gamma]
+            return gamma
+
+        monkeypatch.setattr(kp, "kp_type", kp_type)
+
+    # T_(3) drops from 4 to 3: 6 * 3 / |C_(3)| = 18 / 8 is not an integer
+    mislabel_once({fam(1, (3,)): fam(1, (2, 2))})
+    with pytest.raises(InvariantViolation):
+        ct.multiply_universal(lam, lam)
+    # moving the one (2,2) product to (1,1) keeps every quotient integral
+    # and the mass unchanged; only a second representative sees it
+    mislabel_once({fam(1, (2, 2)): fam(1, (1, 1))})
+    assert ct.multiply_universal(lam, lam).terms == {fam(1, (1, 1)): 2, fam(1, (3,)): 3}
+    mislabel_once({fam(1, (2, 2)): fam(1, (1, 1))})
+    with pytest.raises(InvariantViolation):
+        ct.multiply_universal(lam, lam, verify_representative=True)
+
+
+def test_budget_bounds_the_smaller_orbit():
+    lam = fam(1, (2, 1, 1))
+    assert ct.multiply_group(lam, lam, 4, budget=6) == ct.multiply_group(lam, lam, 4)
+    with pytest.raises(BudgetExceeded) as info:
+        ct.multiply_group(lam, lam, 4, budget=5)
+    assert info.value.needed == 6
+    # at stage 5 the orbit of (2) has 10 members and the orbit of (3) has 20
+    left, right = fam(1, (2,)), fam(1, (3,))
+    assert ct.multiply_universal(left, right, budget=10) == ct.multiply_universal(left, right)
+    with pytest.raises(BudgetExceeded) as info:
+        ct.multiply_universal(left, right, budget=9)
+    assert info.value.needed == 10
 
 
 def test_universal_empty_is_a_unit():

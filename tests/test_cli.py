@@ -211,3 +211,51 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     )
     assert code == 0
     assert cache.exists()
+
+
+TRANSPOSITIONS_N4 = [
+    "multiply",
+    "--k", "1", "--n", "4",
+    "--left", "{[1]:[2,1,1]}",
+    "--right", "{[1]:[2,1,1]}",
+]
+
+
+def test_truncated_group_record_is_rejected(capsys, tmp_path):
+    cache = tmp_path / "coeffs.cache"
+    code, cold, _ = call(capsys, *TRANSPOSITIONS_N4, "--cache", str(cache))
+    assert code == 0
+    assert len(cold.splitlines()) == 3
+    cache.write_text(cache.read_text(encoding="utf-8").splitlines(True)[0], encoding="utf-8")
+    code, out, err = call(capsys, *TRANSPOSITIONS_N4, "--cache", str(cache))
+    assert code == 3
+    assert out == ""
+    assert "error: invariant-violation" in err
+
+
+def test_edited_group_coefficient_is_rejected(capsys, tmp_path):
+    cache = tmp_path / "coeffs.cache"
+    code, _, _ = call(capsys, *TRANSPOSITIONS_N4, "--cache", str(cache))
+    assert code == 0
+    content = cache.read_text(encoding="utf-8")
+    assert "{[1]:[1,1,1,1]}; 6\n" in content
+    cache.write_text(content.replace("{[1]:[1,1,1,1]}; 6\n", "{[1]:[1,1,1,1]}; 7\n"), encoding="utf-8")
+    code, out, err = call(capsys, *TRANSPOSITIONS_N4, "--cache", str(cache))
+    assert code == 3
+    assert out == ""
+    assert "error: invariant-violation" in err
+
+
+def test_truncated_poly_record_is_rejected(capsys, tmp_path):
+    cache = tmp_path / "coeffs.cache"
+    argv = ["--k", "1", "--left", "{[1]:[2]}", "--right", "{[1]:[2]}", "--cache", str(cache)]
+    code, _, _ = call(capsys, "poly", *argv)
+    assert code == 0
+    # the last record is the row {} with r = 2, i.e. the universal term {[1]:[1,1]}
+    lines = cache.read_text(encoding="utf-8").splitlines(True)
+    assert split_fields(lines[-1])[3:5] == ["{}", "2"]
+    cache.write_text("".join(lines[:-1]), encoding="utf-8")
+    code, out, err = call(capsys, "universal", *argv)
+    assert code == 3
+    assert out == ""
+    assert "error: invariant-violation" in err
