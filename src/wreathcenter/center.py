@@ -1,6 +1,6 @@
 """Products of conjugacy-class sums, exactly.
 
-One engine computes every product.  Conjugation permutes each input orbit
+One engine computes most products.  Conjugation permutes each input orbit
 and preserves products, so for a fixed x in the larger orbit A,
 
     c_gamma * |C_gamma| = |A| * #{y in B : type(x y) = gamma}.
@@ -14,6 +14,16 @@ layers:
     faithful stage N = |left| + |right| (the kpartial route), which is
     enough because a product moves at most that many blocks.
 
+For k = 1, 2 a group product may instead be counted by characters.  The
+Frobenius formula
+
+    c_gamma = |C_A| |C_B| / |G| * sum_chi chi(A) chi(B) chi(gamma) / chi(1)
+
+reads every coefficient off the character table at (k, n), which has
+#classes ** 2 entries.  multiply_group takes that route whenever the
+smaller class has more members than the table has entries, so it always
+counts the fewer things.
+
 Projecting the universal product down to a group recovers the group
 product (for proper inputs on the nose; in general up to the binomial
 multiplicities picked up by the extension map).  The universal
@@ -22,16 +32,20 @@ are the binomial-basis coefficients that make every group-level structure
 constant a polynomial in n.
 """
 
+from functools import cache
 from math import comb
+from operator import mul
 
 from . import blockperm as bp
+from . import characters as ch
 from . import kpartial as kp
 from .blockperm import DEFAULT_BUDGET
-from .errors import InvariantViolation, NotProper, SizeMismatch
+from .errors import BudgetExceeded, InvariantViolation, NotProper, SizeMismatch
 from .families import (
     PartitionFamily,
     binomial_pad_factor,
     class_size,
+    families_with_size,
     format_family,
     pad_family,
 )
@@ -115,11 +129,32 @@ def multiply_group(
     budget: int = DEFAULT_BUDGET,
     verify_representative: bool = False,
 ) -> ClassSumVector:
-    """Product of two class sums in the group of k-block permutations of [kn]."""
+    """Product of two class sums in the group of k-block permutations of [kn].
+
+    For k = 1, 2 the product is counted by characters when the smaller
+    class has more members than the character table has entries; otherwise,
+    and always with verify_representative, the smaller class is enumerated.
+    `budget` bounds the count of the route taken.
+    """
     if left.k != right.k:
         raise SizeMismatch("families must share the same k")
     if left.size != n or right.size != n:
         raise SizeMismatch("group products need both families of size exactly n")
+    if left.k <= 2 and not verify_representative:
+        entries = _class_count(left.k, n) ** 2
+        if min(class_size(left, n), class_size(right, n)) > entries:
+            if entries > budget:
+                raise BudgetExceeded(entries, budget, "character table")
+            return _group_by_characters(left, right, n)
+    return _group_by_enumeration(left, right, n, budget, verify_representative)
+
+
+@cache
+def _class_count(k: int, n: int) -> int:
+    return len(families_with_size(k, n))
+
+
+def _group_by_enumeration(left, right, n, budget, verify_representative):
     return _multiply(
         left,
         right,
@@ -131,6 +166,26 @@ def multiply_group(
         budget,
         verify_representative,
     )
+
+
+def _group_by_characters(left, right, n):
+    """The Frobenius formula over the cached character table, in integers.
+
+    c_gamma = |C_left| |C_right| * S_gamma / |G|^2, where S_gamma sums
+    chi(left) chi(right) chi(gamma) |G| / chi(1) over the irreducible
+    characters chi.
+    """
+    order, weights, columns = ch.character_table(left.k, n)
+    factors = [a * b * w for a, b, w in zip(columns[left], columns[right], weights)]
+    scale = class_size(left, n) * class_size(right, n)
+    terms = {}
+    for gamma, column in columns.items():
+        total = sum(map(mul, factors, column))
+        if total:
+            terms[gamma] = _exact_quotient(scale * total, order * order, gamma)
+    vector = ClassSumVector(left.k, terms, n=n)
+    check_mass(vector, left, right)
+    return vector
 
 
 def multiply_universal(
@@ -184,17 +239,23 @@ def _multiply(left, right, n, size, members, representative, type_of, budget, ve
         if other is not None and tally(other) != counts:
             raise InvariantViolation("product types depend on the representative")
 
-    terms = {}
-    for gamma, count in counts.items():
-        coeff, rest = divmod(fixed_size * count, size(gamma))
-        if rest:
-            raise InvariantViolation(
-                f"coefficient at {format_family(gamma)} is not an integer"
-            )
-        terms[gamma] = coeff
+    terms = {
+        gamma: _exact_quotient(fixed_size * count, size(gamma), gamma)
+        for gamma, count in counts.items()
+    }
     vector = ClassSumVector(left.k, terms, n=n)
     check_mass(vector, left, right)
     return vector
+
+
+def _exact_quotient(numerator, denominator, gamma):
+    """The coefficient at gamma, which must be a nonnegative integer."""
+    coeff, rest = divmod(numerator, denominator)
+    if rest or coeff < 0:
+        raise InvariantViolation(
+            f"coefficient at {format_family(gamma)} is not a nonnegative integer"
+        )
+    return coeff
 
 
 def check_mass(vector: ClassSumVector, left: PartitionFamily, right: PartitionFamily):

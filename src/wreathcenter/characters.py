@@ -1,24 +1,27 @@
 """Character machinery for the one-block (k=1) and two-block (k=2) cases.
 
-Symmetric group characters are computed with the border-strip recursion
-over first-column hook lengths; signed-pair characters for the k=2 group
-reduce to sums of products of two symmetric group characters over sign
-vectors.  Shifted Schur and shifted power-sum values are exact rationals
-built from falling factorials, dimensions, and skew tableau counts; the
-transport map sending a class label to a scaled shifted power sum is
-verified to be multiplicative pointwise.
+Symmetric group characters follow the Murnaghan-Nakayama rule: border
+strips are removed over first-column hook lengths.  Characters of the
+signed-pair group (k=2) follow its signed version, which removes each
+cycle as a border strip from one of the two partitions of the label.
+`character_table` lays either table out for the Frobenius formula that
+`center.multiply_group` uses on large classes.  Shifted Schur and shifted
+power-sum values are exact rationals built from falling factorials,
+dimensions, and skew tableau counts; the transport map sending a class
+label to a scaled shifted power sum is verified to be multiplicative
+pointwise.
 """
 
 from fractions import Fraction
 from functools import cache
-from itertools import product as iproduct
 from math import comb, factorial
+from types import MappingProxyType
 
+from . import center
 from . import partitions as pt
-from .blockperm import DEFAULT_BUDGET
-from .center import multiply_universal
+from .blockperm import DEFAULT_BUDGET, group_order
 from .errors import InvariantViolation, SizeMismatch
-from .families import PartitionFamily, big_z
+from .families import PartitionFamily, big_z, families_with_size
 from .partitions import Partition, falling_factorial
 
 __all__ = [
@@ -29,6 +32,7 @@ __all__ = [
     "shifted_power_sum_eval",
     "hyperoct_character",
     "hyperoct_dim",
+    "character_table",
     "shifted_power_sum_eval2",
     "verify_iso",
     "bipartitions_of",
@@ -57,28 +61,36 @@ def _shape_from_beta(beta) -> Partition:
 
 
 @cache
+def _border_strips(shape: Partition, t: int) -> tuple[tuple[int, Partition], ...]:
+    """Every border strip of length t in `shape`, as (sign, what remains).
+
+    A strip is a beta-number b with b - t free; its height is the number of
+    occupied slots jumped over, and its sign is (-1) ** height.
+    """
+    beta = set(_beta_set(shape))
+    strips = []
+    for b in _beta_set(shape):
+        if b - t < 0 or b - t in beta:
+            continue
+        height = sum(1 for c in beta if b - t < c < b)
+        strips.append(((-1) ** height, _shape_from_beta((beta - {b}) | {b - t})))
+    return tuple(strips)
+
+
+@cache
 def sym_character(rho: Partition, delta: Partition) -> int:
     """Irreducible character of the symmetric group at a cycle type.
 
     Both arguments are partitions of the same integer: `rho` labels the
     representation, `delta` the class.  Strips of length delta[0] are
-    removed in all possible ways; a removal is a beta-number b with b - t
-    free, and its sign is the number of occupied slots jumped over.
+    removed in all possible ways (the Murnaghan-Nakayama rule).
     """
     if sum(rho) != sum(delta):
         raise SizeMismatch(f"|{rho}| != |{delta}|")
     if not delta:
         return 1
     t, rest = delta[0], delta[1:]
-    beta = set(_beta_set(rho))
-    total = 0
-    for b in beta:
-        if b - t < 0 or b - t in beta:
-            continue
-        height = sum(1 for c in beta if b - t < c < b)
-        new_beta = (beta - {b}) | {b - t}
-        total += (-1) ** height * sym_character(_shape_from_beta(new_beta), rest)
-    return total
+    return sum(sign * sym_character(smaller, rest) for sign, smaller in _border_strips(rho, t))
 
 
 @cache
@@ -153,30 +165,26 @@ def bipartitions_of(n: int) -> tuple[Bipartition, ...]:
 def hyperoct_character(rho: Bipartition, delta: Bipartition) -> int:
     """Irreducible character of the signed-pair group at a two-part class label.
 
-    Sums over sign vectors on the parts of both class components; the
-    positive parts feed the first symmetric group character, the negative
-    parts the second, and each minus sign on the second component flips
-    the sign of the summand.  Summands whose part totals do not match the
-    label sizes vanish.
+    The signed Murnaghan-Nakayama rule: one cycle of the class, of length
+    t, is removed as a border strip of length t from either partition of
+    `rho`, with sign (-1) ** height.  A strip taken from the second
+    partition for a cycle of the second class component (a negative
+    cycle) is negated.
     """
     (rho1, rho2), (delta1, delta2) = rho, delta
     if sum(rho1) + sum(rho2) != sum(delta1) + sum(delta2):
         raise SizeMismatch("character label and class label must have equal sizes")
+    if delta2:
+        t, rest, flip = delta2[0], (delta1, delta2[1:]), -1
+    elif delta1:
+        t, rest, flip = delta1[0], (delta1[1:], delta2), 1
+    else:
+        return 1
     total = 0
-    for u in iproduct((1, -1), repeat=len(delta1)):
-        for v in iproduct((1, -1), repeat=len(delta2)):
-            alpha = [p for p, s in zip(delta1, u) if s == 1]
-            alpha += [p for p, s in zip(delta2, v) if s == 1]
-            beta = [p for p, s in zip(delta1, u) if s == -1]
-            beta += [p for p, s in zip(delta2, v) if s == -1]
-            if sum(alpha) != sum(rho1) or sum(beta) != sum(rho2):
-                continue
-            sign = (-1) ** sum(1 for s in v if s == -1)
-            total += (
-                sign
-                * sym_character(rho1, pt.as_partition(alpha))
-                * sym_character(rho2, pt.as_partition(beta))
-            )
+    for sign, smaller in _border_strips(rho1, t):
+        total += sign * hyperoct_character((smaller, rho2), rest)
+    for sign, smaller in _border_strips(rho2, t):
+        total += flip * sign * hyperoct_character((rho1, smaller), rest)
     return total
 
 
@@ -190,6 +198,38 @@ def hyperoct_dim(rho: Bipartition) -> int:
     if remainder:
         raise InvariantViolation("induced dimension must be an integer")
     return dim
+
+
+@cache
+def character_table(k: int, n: int):
+    """The character table of the k-block group on [kn], for k = 1, 2.
+
+    Returns (order, weights, columns): the group order; |G| / chi(1) for
+    each irreducible character chi, in a fixed order; and a read-only
+    mapping from each class family of size n, in `families_with_size`
+    order, to the tuple of chi values at that class in the same order.
+    """
+    if k == 1:
+        irreps = pt.partitions_of(n)
+        value = lambda rho, fam: sym_character(rho, fam.components[0])
+        dim = dim_irrep
+    elif k == 2:
+        irreps = bipartitions_of(n)
+        value = lambda rho, fam: hyperoct_character(rho, _as_bipartition(fam))
+        dim = hyperoct_dim
+    else:
+        raise ValueError("character tables are available for k = 1 and k = 2 only")
+    order = group_order(k, n)
+    weights = []
+    for rho in irreps:
+        weight, remainder = divmod(order, dim(rho))
+        if remainder:
+            raise InvariantViolation("a character degree must divide the group order")
+        weights.append(weight)
+    columns = {
+        fam: tuple(value(rho, fam) for rho in irreps) for fam in families_with_size(k, n)
+    }
+    return order, tuple(weights), MappingProxyType(columns)
 
 
 def _pad_bipartition(delta: Bipartition, n: int) -> Bipartition:
@@ -283,7 +323,7 @@ def verify_iso(
         raise SizeMismatch("family k does not match the requested k")
     if eval_points is None:
         eval_points = default_eval_points(k, left.size + right.size + 2)
-    expansion = multiply_universal(left, right, budget=budget)
+    expansion = center.multiply_universal(left, right, budget=budget)
     for point in eval_points:
         lhs = transport_value(left, point) * transport_value(right, point)
         rhs = sum(

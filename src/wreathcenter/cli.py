@@ -43,19 +43,24 @@ class UsageError(Exception):
 
 def split_fields(line: str) -> list[str]:
     """Split a record on top-level semicolons; families contain nested ones."""
-    fields, depth, cur = [], 0, []
-    for chr_ in line:
-        if chr_ == "{":
-            depth += 1
-        elif chr_ == "}":
-            depth -= 1
-        if chr_ == ";" and depth == 0:
-            fields.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(chr_)
-    fields.append("".join(cur).strip())
+    fields, pending, depth = [], [], 0
+    for piece in line.split(";"):
+        pending.append(piece)
+        depth += piece.count("{") - piece.count("}")
+        if depth == 0:
+            fields.append(";".join(pending).strip())
+            pending = []
+    if pending:
+        fields.append(";".join(pending).strip())
     return fields
+
+
+def _digest(text: str) -> str:
+    # imported on first use: hashlib loads OpenSSL, a few milliseconds of
+    # start-up that commands which never touch a cache need not pay
+    import hashlib
+
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class Cache:
@@ -63,43 +68,83 @@ class Cache:
 
     Group rows: `k; n; left; right; gamma; coeff`.
     Polynomial rows: `k; left; right; gamma; r; coeff`.
-    Duplicate lines are collapsed on load; a key is served from the cache
-    only if it was written before, so replays are byte-identical.
+    Each product is one record, appended by a single write.  Its first line
+    starts with a header field `#<rows>:<sha256>` holding the number of
+    rows and the sha256 of the row lines (each with its newline, header
+    field left out).  A key whose rows come without a header, in a record
+    whose count or digest does not match, or in records that disagree is
+    rejected: looking it up raises InvariantViolation.  Identical records
+    are collapsed on load; a key is served from the cache only if it was
+    written before, so replays are byte-identical.
     """
 
     def __init__(self, path: str | None):
         self.path = path
         self.group: dict = {}
         self.poly: dict = {}
+        self.rejected: dict = {}
         if path and os.path.exists(path):
             with open(path, encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if line:
-                        self._ingest(line)
+                self._load(handle)
 
-    def _ingest(self, line: str):
+    def _load(self, handle):
+        record = None  # [header, table, key, row lines with newlines, rows]
+        for line in handle:
+            line = line.strip()
+            header = ""
+            if line.startswith("#"):
+                header, _, line = line.partition("; ")
+            parsed = self._parse(line)
+            if parsed is None:
+                continue
+            table, key, target, coeff = parsed
+            if header:
+                self._close(record)
+                record = [header, table, key, [], {}]
+            elif record is None or record[2] != key:
+                self._close(record)
+                record = None
+                self.rejected[key] = "has rows without a record header"
+                continue
+            record[3].append(line + "\n")
+            record[4][target] = coeff
+        self._close(record)
+
+    def _parse(self, line: str):
+        """(table, key, target, coeff) of one row, or None if it is not a row."""
         fields = split_fields(line)
         if len(fields) != 6:
-            return
+            return None
         if fields[1].startswith("{"):
             k, left, right, gamma, r, coeff = fields
-            key = (int(k), left, right)
-            self.poly.setdefault(key, {})[(gamma, int(r))] = int(coeff)
-        else:
-            k, n, left, right, gamma, coeff = fields
-            key = (int(k), int(n), left, right)
-            self.group.setdefault(key, {})[gamma] = int(coeff)
+            return self.poly, (int(k), left, right), (gamma, int(r)), int(coeff)
+        k, n, left, right, gamma, coeff = fields
+        return self.group, (int(k), int(n), left, right), gamma, int(coeff)
+
+    def _close(self, record):
+        if record is None:
+            return
+        header, table, key, lines, rows = record
+        if header != f"#{len(lines)}:{_digest(''.join(lines))}":
+            self.rejected[key] = "does not match its record header"
+        elif table.setdefault(key, rows) != rows:
+            self.rejected[key] = "has records that disagree"
+
+    def _get(self, table, key):
+        if key in self.rejected:
+            raise InvariantViolation(f"cache record {key} {self.rejected[key]}")
+        return table.get(key)
 
     def _append(self, lines):
-        if not self.path:
+        lines = list(lines)
+        if not self.path or not lines:
             return
+        text = "".join(line + "\n" for line in lines)
         with open(self.path, "a", encoding="utf-8") as handle:
-            for line in lines:
-                handle.write(line + "\n")
+            handle.write(f"#{len(lines)}:{_digest(text)}; {text}")
 
     def get_group(self, k, n, left, right):
-        return self.group.get((k, n, left, right))
+        return self._get(self.group, (k, n, left, right))
 
     def put_group(self, k, n, left, right, rows: dict):
         self.group[(k, n, left, right)] = rows
@@ -109,7 +154,7 @@ class Cache:
         )
 
     def get_poly(self, k, left, right):
-        return self.poly.get((k, left, right))
+        return self._get(self.poly, (k, left, right))
 
     def put_poly(self, k, left, right, rows: dict):
         self.poly[(k, left, right)] = rows

@@ -271,3 +271,49 @@ def test_budget_exceeded():
         ct.multiply_universal(fam(1, (2,)), fam(1, (2,)), budget=2)
     with pytest.raises(BudgetExceeded):
         ct.multiply_group(fam(1, (2, 1, 1)), fam(1, (2, 1, 1)), 4, budget=1)
+
+
+def test_character_route_matches_enumeration():
+    # both routes called directly: on these small groups the rule enumerates
+    for k, sizes in [(1, range(1, 7)), (2, range(1, 5))]:
+        for n in sizes:
+            fams = families_with_size(k, n)
+            for i, left in enumerate(fams):
+                for right in fams[i:]:
+                    enumerated = ct._group_by_enumeration(left, right, n, 10**6, False)
+                    assert ct._group_by_characters(left, right, n) == enumerated
+
+
+def test_route_rule_and_budget():
+    # |C_(5,1)| = 144 at n = 6 exceeds the 11**2 = 121 entries of the S_6 table
+    lam = fam(1, (5, 1))
+    by_characters = ct.multiply_group(lam, lam, 6, budget=121)
+    assert by_characters == ct._group_by_enumeration(lam, lam, 6, 144, False)
+    with pytest.raises(BudgetExceeded) as info:
+        ct.multiply_group(lam, lam, 6, budget=120)
+    assert info.value.needed == 121
+    # a second representative exists only for enumeration
+    assert ct.multiply_group(lam, lam, 6, budget=144, verify_representative=True) == by_characters
+    with pytest.raises(BudgetExceeded) as info:
+        ct.multiply_group(lam, lam, 6, budget=143, verify_representative=True)
+    assert info.value.needed == 144
+
+
+def test_wrong_character_value_is_caught(monkeypatch):
+    from wreathcenter import characters as ch
+
+    true_character = ch.sym_character
+
+    def sym_character(rho, delta):
+        return true_character(rho, delta) + ((rho, delta) == ((4, 2), (3, 3)))
+
+    lam = fam(1, (5, 1))
+    monkeypatch.setattr(ch, "sym_character", sym_character)
+    ch.character_table.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation):
+            ct.multiply_group(lam, lam, 6)
+    finally:
+        monkeypatch.undo()
+        ch.character_table.cache_clear()
+    assert ct.multiply_group(lam, lam, 6).coefficient(fam(1, (3, 3))) == 54

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -140,6 +141,51 @@ def test_signed_character_identity_column_and_orthogonality():
                 )
                 expected = big_z(fam(2, *delta)) if delta == eps else 0
                 assert total == expected
+
+
+def sign_vector_character(rho, delta):
+    """The signed-pair character as a sum over sign vectors on the cycles.
+
+    Positive cycles feed the first symmetric group character, negative ones
+    the second, and each negative cycle of the second class component flips
+    the sign of the summand.
+    """
+    (rho1, rho2), (delta1, delta2) = rho, delta
+    total = 0
+    for u in product((1, -1), repeat=len(delta1)):
+        for v in product((1, -1), repeat=len(delta2)):
+            alpha = [p for p, s in zip(delta1 + delta2, u + v) if s == 1]
+            beta = [p for p, s in zip(delta1 + delta2, u + v) if s == -1]
+            if sum(alpha) != sum(rho1) or sum(beta) != sum(rho2):
+                continue
+            total += (
+                (-1) ** v.count(-1)
+                * ch.sym_character(rho1, pt.as_partition(alpha))
+                * ch.sym_character(rho2, pt.as_partition(beta))
+            )
+    return total
+
+
+def test_signed_character_matches_sign_vector_sum():
+    for n in range(7):
+        labels = ch.bipartitions_of(n)
+        for rho in labels:
+            for delta in labels:
+                assert ch.hyperoct_character(rho, delta) == sign_vector_character(rho, delta)
+
+
+def test_character_table_layout():
+    for k, n in [(1, 4), (2, 3)]:
+        order, weights, columns = ch.character_table(k, n)
+        assert order == factorial(k) ** n * factorial(n)
+        identity = PartitionFamily.identity(k, n)
+        # the identity column holds the degrees, and order / degree is the weight
+        assert [order // d for d in columns[identity]] == list(weights)
+        # column orthogonality: sum of chi(delta)^2 is the centralizer order
+        for delta, column in columns.items():
+            assert sum(v * v for v in column) == big_z(delta)
+    with pytest.raises(ValueError):
+        ch.character_table(3, 2)
 
 
 def test_hyperoct_dim():

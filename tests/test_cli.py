@@ -259,3 +259,46 @@ def test_truncated_poly_record_is_rejected(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert "error: invariant-violation" in err
+
+
+def test_mass_preserving_edit_is_rejected(capsys, tmp_path):
+    # rows 6/2/3 edited to 3/3/3 keep the mass 3*1 + 3*3 + 3*8 = 36 = 6*6
+    cache = tmp_path / "coeffs.cache"
+    code, _, _ = call(capsys, *TRANSPOSITIONS_N4, "--cache", str(cache))
+    assert code == 0
+    content = cache.read_text(encoding="utf-8")
+    edited = content.replace("{[1]:[1,1,1,1]}; 6\n", "{[1]:[1,1,1,1]}; 3\n")
+    edited = edited.replace("{[1]:[2,2]}; 2\n", "{[1]:[2,2]}; 3\n")
+    assert edited.count("; 3\n") == 3
+    cache.write_text(edited, encoding="utf-8")
+    code, out, err = call(capsys, *TRANSPOSITIONS_N4, "--cache", str(cache))
+    assert code == 3
+    assert out == ""
+    assert "error: invariant-violation" in err
+
+
+def test_rows_without_a_header_are_rejected(capsys, tmp_path):
+    cache = tmp_path / "coeffs.cache"
+    code, cold, _ = call(capsys, *TRANSPOSITIONS_N4, "--cache", str(cache))
+    assert code == 0
+    # the records as the cache wrote them before it carried headers
+    cache.write_text(cold, encoding="utf-8")
+    code, out, err = call(capsys, *TRANSPOSITIONS_N4, "--cache", str(cache))
+    assert code == 3
+    assert out == ""
+    assert "error: invariant-violation" in err
+
+
+def test_disagreeing_records_are_rejected(capsys, tmp_path):
+    from wreathcenter.cli import Cache
+
+    path = str(tmp_path / "coeffs.cache")
+    Cache(path).put_group(1, 2, "{[1]:[2]}", "{[1]:[2]}", {"{[1]:[1,1]}": 1})
+    Cache(path).put_group(1, 2, "{[1]:[2]}", "{[1]:[2]}", {"{[1]:[1,1]}": 2})
+    code, out, err = call(
+        capsys, "multiply", "--k", "1", "--n", "2",
+        "--left", "{[1]:[2]}", "--right", "{[1]:[2]}", "--cache", path,
+    )
+    assert code == 3
+    assert out == ""
+    assert "disagree" in err
