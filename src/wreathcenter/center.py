@@ -349,6 +349,7 @@ def polynomial_structure(
     left: PartitionFamily,
     right: PartitionFamily,
     budget: int = DEFAULT_BUDGET,
+    verify_representative: bool = False,
 ) -> PolynomialStructure:
     """Decompose the universal product into proper targets and 1-part counts.
 
@@ -356,11 +357,14 @@ def polynomial_structure(
     1-parts in the all-ones component; the label's coefficient becomes the
     row at (proper family, r).  The row sum over r weighted by binomials in
     n reproduces the group coefficient for every n, including the constant
-    r = 0 term.
+    r = 0 term.  `budget` and `verify_representative` act on the universal
+    product as in multiply_universal.
     """
     if not left.is_proper() or not right.is_proper():
         raise NotProper("polynomial structure requires proper input families")
-    universal = multiply_universal(left, right, budget=budget)
+    universal = multiply_universal(
+        left, right, budget=budget, verify_representative=verify_representative
+    )
     rows = {}
     ones = (1,) * left.k
     for fam, coeff in universal.terms.items():

@@ -1,9 +1,13 @@
 """Command-line surface and the persistent coefficient cache.
 
-Commands: classes, multiply, universal, poly, chartable, verify.  Output
-is line-oriented records by default, a JSON array with --json.  Exit
-codes: 1 for usage/parse errors, 2 when a budget is exceeded, 3 when an
-internal invariant check fails.
+Commands: classes, multiply, universal, poly, chartable, verify.  Each
+takes --k and --json plus only the flags it acts on.  multiply, universal
+and poly share one product path, the only one that opens the cache: rows
+come from the cache (parsed once, mass-checked) or are computed and
+appended, then are filtered by --gamma, sorted and printed.  Output is
+line-oriented records by default, a JSON array with --json.  Exit codes:
+1 for usage/parse errors and unusable cache paths, 2 when a budget is
+exceeded, 3 when an internal invariant check fails.
 """
 
 import argparse
@@ -167,33 +171,30 @@ class Cache:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="wreathcenter", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, need_n=False, need_pair=False):
+    pair_product = {"pair", "budget", "product"}
+    # every command takes --k and --json, and only the other flags it acts on
+    for name, help_text, flags in (
+        ("classes", "list conjugacy classes with sizes", {"n"}),
+        ("multiply", "product of two class sums in the group", {"n"} | pair_product),
+        ("universal", "product of two orbit sums in the universal algebra", pair_product),
+        ("poly", "binomial-basis rows of a product of proper families", pair_product),
+        ("chartable", "character table records", {"n"}),
+        ("verify", "pointwise multiplicativity of the transport map", {"pair", "budget"}),
+    ):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--k", type=int, required=True)
-        if need_n:
+        if "n" in flags:
             p.add_argument("--n", type=int, required=True)
-        if need_pair:
+        if "pair" in flags:
             p.add_argument("--left", required=True)
             p.add_argument("--right", required=True)
         p.add_argument("--json", action="store_true")
-        p.add_argument("--cache", default=None)
-        p.add_argument("--max-group-size", type=int, default=DEFAULT_BUDGET)
-        p.add_argument("--verify-representative", action="store_true")
-
-    common(sub.add_parser("classes", help="list conjugacy classes with sizes"), need_n=True)
-    mult = sub.add_parser("multiply", help="product of two class sums in the group")
-    common(mult, need_n=True, need_pair=True)
-    mult.add_argument("--gamma", default=None)
-    univ = sub.add_parser("universal", help="product of two orbit sums in the universal algebra")
-    common(univ, need_pair=True)
-    univ.add_argument("--gamma", default=None)
-    poly = sub.add_parser("poly", help="binomial-basis rows of a product of proper families")
-    common(poly, need_pair=True)
-    poly.add_argument("--gamma", default=None)
-    chartable = sub.add_parser("chartable", help="character table records")
-    common(chartable, need_n=True)
-    verify = sub.add_parser("verify", help="pointwise multiplicativity of the transport map")
-    common(verify, need_pair=True)
+        if "budget" in flags:
+            p.add_argument("--max-group-size", type=int, default=DEFAULT_BUDGET)
+        if "product" in flags:
+            p.add_argument("--cache", default=None)
+            p.add_argument("--verify-representative", action="store_true")
+            p.add_argument("--gamma", default=None)
     return parser
 
 
@@ -216,7 +217,7 @@ def _check_n(args):
         raise UsageError("n must be a nonnegative integer")
 
 
-def _cmd_classes(args, cache):
+def _cmd_classes(args):
     _check_n(args)
     rows = [
         (format_family(fam), class_size(fam, args.n))
@@ -226,110 +227,91 @@ def _cmd_classes(args, cache):
     return records, [{"family": fam, "size": size} for fam, size in rows]
 
 
-def _group_rows(args, cache, left, right):
-    lt, rt = format_family(left), format_family(right)
-    cached = cache.get_group(args.k, args.n, lt, rt)
-    if cached is not None:
-        terms = {parse_family(gamma, args.k): coeff for gamma, coeff in cached.items()}
-        ct.check_mass(ct.ClassSumVector(args.k, terms, n=args.n), left, right)
-        return cached
-    vector = ct.multiply_group(
-        left,
-        right,
-        args.n,
-        budget=args.max_group_size,
-        verify_representative=args.verify_representative,
-    )
-    rows = {format_family(fam): coeff for fam, coeff in vector.terms.items()}
-    cache.put_group(args.k, args.n, lt, rt, rows)
-    return rows
-
-
-def _sorted_by_family(rows: dict, k: int):
-    return sorted(rows.items(), key=lambda item: parse_family(item[0], k).sort_key())
-
-
-def _cmd_multiply(args, cache):
-    _check_n(args)
+def _cmd_product(args):
+    """multiply, universal, poly: rows keyed (gamma,) or (gamma, r), filtered, sorted, printed."""
+    if args.command == "multiply":
+        _check_n(args)
     left, right = _parse_pair(args)
-    if left.size != args.n or right.size != args.n:
+    proper = left.is_proper() and right.is_proper()
+    if args.command == "multiply" and (left.size != args.n or right.size != args.n):
         raise UsageError("multiply requires families of size exactly n")
-    rows = _group_rows(args, cache, left, right)
-    items = _sorted_by_family(rows, args.k)
-    if args.gamma:
-        wanted = format_family(parse_family(args.gamma, args.k))
-        items = [(g, c) for g, c in items if g == wanted]
-    lt, rt = format_family(left), format_family(right)
-    records = [f"{args.k}; {args.n}; {lt}; {rt}; {g}; {c}" for g, c in items]
-    return records, [{"gamma": g, "coeff": c} for g, c in items]
-
-
-def _poly_rows(args, cache, left, right):
-    lt, rt = format_family(left), format_family(right)
-    cached = cache.get_poly(args.k, lt, rt)
-    if cached is not None:
-        ct.check_mass(ct.ClassSumVector(args.k, _poly_terms(cached, args.k)), left, right)
-        return cached
-    structure = ct.polynomial_structure(left, right, budget=args.max_group_size)
-    rows = {
-        (format_family(gamma), r): coeff
-        for (gamma, r), coeff in structure.rows.items()
-    }
-    cache.put_poly(args.k, lt, rt, rows)
-    return rows
-
-
-def _cmd_poly(args, cache):
-    left, right = _parse_pair(args)
-    if not (left.is_proper() and right.is_proper()):
+    if args.command == "poly" and not proper:
         raise UsageError("poly requires proper families (no 1-parts in the all-ones component)")
-    rows = _poly_rows(args, cache, left, right)
-    items = sorted(
-        rows.items(), key=lambda item: (parse_family(item[0][0], args.k).sort_key(), item[0][1])
-    )
-    if args.gamma:
-        wanted = format_family(parse_family(args.gamma, args.k))
-        items = [((g, r), c) for (g, r), c in items if g == wanted]
     lt, rt = format_family(left), format_family(right)
-    records = [f"{args.k}; {lt}; {rt}; {g}; {r}; {c}" for (g, r), c in items]
-    return records, [{"gamma": g, "r": r, "coeff": c} for (g, r), c in items]
+    if args.command == "universal" and not proper:
+        vector = ct.multiply_universal(
+            left,
+            right,
+            budget=args.max_group_size,
+            verify_representative=args.verify_representative,
+        )
+        rows = {(gamma,): coeff for gamma, coeff in vector.terms.items()}
+    else:
+        path = args.cache or os.environ.get(CACHE_ENV)
+        try:
+            rows = _cached_rows(args, Cache(path), left, right, lt, rt)
+        except OSError as exc:
+            raise UsageError(f"unusable cache: {exc}") from exc
+        if args.command == "universal":
+            rows = {(gamma,): coeff for gamma, coeff in _poly_terms(rows, args.k).items()}
+
+    def order(item):
+        (gamma, *r), _ = item
+        return (gamma.size if args.command == "universal" else 0, gamma.sort_key(), *r)
+
+    items = sorted(rows.items(), key=order)
+    if args.gamma:
+        wanted = parse_family(args.gamma, args.k)
+        items = [item for item in items if item[0][0] == wanted]
+    head = [args.k, args.n, lt, rt] if args.command == "multiply" else [args.k, lt, rt]
+    records, json_records = [], []
+    for (gamma, *r), coeff in items:
+        fields = {"gamma": format_family(gamma), **dict(zip(["r"], r)), "coeff": coeff}
+        records.append("; ".join(map(str, head + list(fields.values()))))
+        json_records.append(fields)
+    return records, json_records
+
+
+def _cached_rows(args, cache, left, right, lt, rt):
+    """Group rows {(gamma,): coeff} for multiply, polynomial rows {(gamma, r): coeff} otherwise.
+
+    A hit is parsed from its text once and passes the mass check; a miss is
+    computed, appended to the cache as text and returned as computed.
+    """
+    budget, verify = args.max_group_size, args.verify_representative
+    if args.command == "multiply":
+        cached = cache.get_group(args.k, args.n, lt, rt)
+        if cached is None:
+            terms = ct.multiply_group(
+                left, right, args.n, budget=budget, verify_representative=verify
+            ).terms
+            cache.put_group(args.k, args.n, lt, rt, {format_family(g): c for g, c in terms.items()})
+        else:
+            terms = {parse_family(g, args.k): c for g, c in cached.items()}
+            ct.check_mass(ct.ClassSumVector(args.k, terms, n=args.n), left, right)
+        return {(gamma,): coeff for gamma, coeff in terms.items()}
+    cached = cache.get_poly(args.k, lt, rt)
+    if cached is None:
+        rows = ct.polynomial_structure(
+            left, right, budget=budget, verify_representative=verify
+        ).rows
+        cache.put_poly(args.k, lt, rt, {(format_family(g), r): c for (g, r), c in rows.items()})
+    else:
+        rows = {(parse_family(g, args.k), r): c for (g, r), c in cached.items()}
+        ct.check_mass(ct.ClassSumVector(args.k, _poly_terms(rows, args.k)), left, right)
+    return rows
 
 
 def _poly_terms(rows: dict, k: int) -> dict:
     """Universal terms from polynomial rows: r extra 1-parts go back into the all-ones component."""
-    terms = {}
     ones = (1,) * k
-    for (gamma_text, r), coeff in rows.items():
-        gamma = parse_family(gamma_text, k)
-        terms[gamma.replace(ones, gamma.ones_component + (1,) * r)] = coeff
-    return terms
+    return {
+        gamma.replace(ones, gamma.ones_component + (1,) * r): coeff
+        for (gamma, r), coeff in rows.items()
+    }
 
 
-def _universal_terms(args, cache, left, right):
-    if left.is_proper() and right.is_proper():
-        return _poly_terms(_poly_rows(args, cache, left, right), args.k)
-    vector = ct.multiply_universal(
-        left,
-        right,
-        budget=args.max_group_size,
-        verify_representative=args.verify_representative,
-    )
-    return vector.terms
-
-
-def _cmd_universal(args, cache):
-    left, right = _parse_pair(args)
-    terms = _universal_terms(args, cache, left, right)
-    items = sorted(terms.items(), key=lambda item: (item[0].size, item[0].sort_key()))
-    if args.gamma:
-        wanted = parse_family(args.gamma, args.k)
-        items = [(g, c) for g, c in items if g == wanted]
-    lt, rt = format_family(left), format_family(right)
-    records = [f"{args.k}; {lt}; {rt}; {format_family(g)}; {c}" for g, c in items]
-    return records, [{"gamma": format_family(g), "coeff": c} for g, c in items]
-
-
-def _cmd_chartable(args, cache):
+def _cmd_chartable(args):
     _check_n(args)
     n = args.n
     if args.k == 1:
@@ -352,36 +334,26 @@ def _cmd_chartable(args, cache):
     return records, json_records
 
 
-def _cmd_verify(args, cache):
+def _cmd_verify(args):
     if args.k not in (1, 2):
         raise UsageError("verify supports k = 1 and k = 2 only")
     left, right = _parse_pair(args)
     ok = ch.verify_iso(args.k, left, right, budget=args.max_group_size)
     lt, rt = format_family(left), format_family(right)
-    records = [f"{args.k}; {lt}; {rt}; {'true' if ok else 'false'}"]
-    return records, {"verified": ok}, ok
+    return [f"{args.k}; {lt}; {rt}; {'true' if ok else 'false'}"], {"verified": ok}
+
+
+COMMANDS = {"classes": _cmd_classes, "chartable": _cmd_chartable, "verify": _cmd_verify}
 
 
 def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cache = Cache(args.cache or os.environ.get(CACHE_ENV))
-        if args.command == "classes":
-            records, json_records = _cmd_classes(args, cache)
-        elif args.command == "multiply":
-            records, json_records = _cmd_multiply(args, cache)
-        elif args.command == "universal":
-            records, json_records = _cmd_universal(args, cache)
-        elif args.command == "poly":
-            records, json_records = _cmd_poly(args, cache)
-        elif args.command == "chartable":
-            records, json_records = _cmd_chartable(args, cache)
-        else:
-            records, json_records, ok = _cmd_verify(args, cache)
-            _emit(args, records, json_records)
-            return EXIT_OK if ok else EXIT_INVARIANT
+        records, json_records = COMMANDS.get(args.command, _cmd_product)(args)
         _emit(args, records, json_records)
+        if args.command == "verify" and not json_records["verified"]:
+            return EXIT_INVARIANT
         return EXIT_OK
     except (UsageError, ValueError) as exc:
         print(f"error: usage; {exc}", file=sys.stderr)

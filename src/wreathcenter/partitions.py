@@ -31,19 +31,6 @@ def is_partition(parts) -> bool:
     return all(a >= b for a, b in zip(parts, parts[1:])) and all(p >= 1 for p in parts)
 
 
-def size(p: Partition) -> int:
-    return sum(p)
-
-
-def length(p: Partition) -> int:
-    return len(p)
-
-
-def multiplicity(p: Partition, i: int) -> int:
-    """Number of parts of `p` equal to `i`."""
-    return p.count(i)
-
-
 def union(a: Partition, b: Partition) -> Partition:
     """Multiset union: multiplicities add."""
     return as_partition(a + b)
@@ -73,9 +60,9 @@ def proper_part(a: Partition) -> Partition:
 
 def pad_to(a: Partition, n: int) -> Partition:
     """Extend `a` to a partition of `n` by appending parts equal to 1."""
-    if n < size(a):
-        raise TooSmall(f"cannot pad {a} (size {size(a)}) to size {n}")
-    return a + (1,) * (n - size(a))
+    if n < sum(a):
+        raise TooSmall(f"cannot pad {a} (size {sum(a)}) to size {n}")
+    return a + (1,) * (n - sum(a))
 
 
 def z_of(a: Partition) -> int:

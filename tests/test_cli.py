@@ -150,6 +150,23 @@ def test_json_output_matches_records(capsys):
     assert [(r["gamma"], r["coeff"]) for r in parsed] == [
         (r[3], int(r[4])) for r in text_rows
     ]
+    # multiply and poly print through the same emitter: each JSON object
+    # holds the fields that end its text record, in the same order
+    for argv, fields in (
+        (["multiply", "--k", "1", "--n", "4", "--left", "{[1]:[2,1,1]}", "--right", "{[1]:[2,1,1]}"],
+         ["gamma", "coeff"]),
+        (["poly", "--k", "1", "--left", "{[1]:[2]}", "--right", "{[1]:[2]}"],
+         ["gamma", "r", "coeff"]),
+    ):
+        _, out_text, _ = call(capsys, *argv)
+        _, out_json, _ = call(capsys, *argv, "--json")
+        parsed = json.loads(out_json)
+        text_rows = [split_fields(line) for line in out_text.strip().splitlines()]
+        assert len(parsed) == len(text_rows) == 3
+        assert [list(r) for r in parsed] == [fields] * 3
+        assert [[str(r[f]) for f in fields] for r in parsed] == [
+            r[-len(fields):] for r in text_rows
+        ]
 
 
 def test_cache_replay_is_byte_identical(capsys, tmp_path):
@@ -302,3 +319,68 @@ def test_disagreeing_records_are_rejected(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert "disagree" in err
+
+
+def mislabel_one_22_product(monkeypatch):
+    """Make kp.kp_type call the first (2,2) product at k = 1 a (1,1) one.
+
+    Every quotient stays integral and the mass is kept; only a recount at a
+    second representative sees the error.
+    """
+    from wreathcenter import kpartial as kp
+    from wreathcenter.families import PartitionFamily
+
+    true_type = kp.kp_type
+    wrong, right = PartitionFamily(1, {(1,): (2, 2)}), PartitionFamily(1, {(1,): (1, 1)})
+    done = []
+
+    def kp_type(p):
+        gamma = true_type(p)
+        if gamma == wrong and not done:
+            done.append(p)
+            return right
+        return gamma
+
+    monkeypatch.setattr(kp, "kp_type", kp_type)
+
+
+def test_verify_representative_recounts_poly_and_universal(capsys, monkeypatch):
+    monkeypatch.delenv("WREATH_CACHE", raising=False)
+    pair = ["--k", "1", "--left", "{[1]:[2]}", "--right", "{[1]:[2]}"]
+    for command in ("poly", "universal"):
+        mislabel_one_22_product(monkeypatch)
+        code, out, err = call(capsys, command, *pair, "--verify-representative")
+        assert code == 3
+        assert out == ""
+        assert "error: invariant-violation" in err
+    # control: without the flag every other check passes, so exit 3 above is the recount
+    mislabel_one_22_product(monkeypatch)
+    code, out, _ = call(capsys, "universal", *pair)
+    assert code == 0
+    assert "{[1]:[2,2]}" not in out
+
+
+def test_unusable_cache_path_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    for path in (tmp_path, tmp_path / "missing" / "coeffs.cache"):
+        code, out, err = call(capsys, *TRANSPOSITIONS_N4, "--cache", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: usage; ")
+    # commands that never read the cache never open it
+    monkeypatch.setenv("WREATH_CACHE", str(tmp_path))
+    code, out, _ = call(capsys, "classes", "--k", "1", "--n", "2")
+    assert code == 0
+    assert out
+
+
+def test_each_command_takes_only_its_flags(capsys):
+    pair = ["--left", "{[1]:[2]}", "--right", "{[1]:[3]}"]
+    for argv in (
+        ["classes", "--k", "1", "--n", "2", "--cache", "x"],
+        ["chartable", "--k", "1", "--n", "2", "--max-group-size", "0"],
+        ["verify", "--k", "1", *pair, "--verify-representative"],
+    ):
+        code, out, err = call(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: usage")
