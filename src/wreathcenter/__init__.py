@@ -10,7 +10,8 @@ The package computes, over arbitrary-precision integers and rationals:
     universal algebra spanned by orbit sums of k-partial permutations;
   * the binomial-basis rows that make every group-level structure
     coefficient a polynomial in n with nonnegative integer coefficients;
-  * symmetric group and signed-pair (k = 2) characters, shifted Schur and
+  * symmetric group characters, the character table of the k-block group
+    for every k (signed-pair characters at k = 2), shifted Schur and
     shifted power-sum evaluations, and a pointwise check that the
     transport map onto shifted power sums is multiplicative.
 """

@@ -1,15 +1,20 @@
-"""Character machinery for the one-block (k=1) and two-block (k=2) cases.
+"""Characters of the k-block groups, and the shifted symmetric functions they evaluate.
 
 Symmetric group characters follow the Murnaghan-Nakayama rule: border
-strips are removed over first-column hook lengths.  Characters of the
-signed-pair group (k=2) follow its signed version, which removes each
-cycle as a border strip from one of the two partitions of the label.
-`character_table` lays either table out for the Frobenius formula that
-`center.multiply_group` uses on large classes.  Shifted Schur and shifted
-power-sum values are exact rationals built from falling factorials,
-dimensions, and skew tableau counts; the transport map sending a class
-label to a scaled shifted power sum is verified to be multiplicative
-pointwise.
+strips are removed over first-column hook lengths.  The irreducibles of
+the k-block group on [kn] are labelled by families of partitions, one
+partition per irreducible of S_k, and their values follow the wreath
+Murnaghan-Nakayama rule: each cycle of the class, with its length t and
+its S_k class rho, is removed as a border strip of length t from one
+partition of the label, weighted by the strip's sign and by the value at
+rho of that partition's S_k irreducible (Macdonald, Symmetric Functions
+and Hall Polynomials, 2nd ed., Ch. I App. B).  `character_table` lays
+the values out for the Frobenius formula that `center.multiply_group`
+uses; the signed-pair characters of k = 2 are its `hyperoct_character`
+view.  Shifted Schur and shifted power-sum values are exact rationals
+built from falling factorials, dimensions, and skew tableau counts; the
+transport map sending a class label to a scaled shifted power sum is
+verified to be multiplicative pointwise for k = 1, 2.
 """
 
 from fractions import Fraction
@@ -21,7 +26,7 @@ from . import center
 from . import partitions as pt
 from .blockperm import DEFAULT_BUDGET, group_order
 from .errors import InvariantViolation, SizeMismatch
-from .families import PartitionFamily, big_z, families_with_size
+from .families import PartitionFamily, big_z, families_with_size, index_partitions
 from .partitions import Partition, falling_factorial
 
 __all__ = [
@@ -32,7 +37,10 @@ __all__ = [
     "shifted_power_sum_eval",
     "hyperoct_character",
     "hyperoct_dim",
+    "wreath_character",
+    "wreath_dim",
     "character_table",
+    "has_character_table",
     "shifted_power_sum_eval2",
     "verify_iso",
     "bipartitions_of",
@@ -161,75 +169,162 @@ def bipartitions_of(n: int) -> tuple[Bipartition, ...]:
     return tuple(out)
 
 
-@cache
-def hyperoct_character(rho: Bipartition, delta: Bipartition) -> int:
-    """Irreducible character of the signed-pair group at a two-part class label.
+def wreath_dim(irrep: PartitionFamily) -> int:
+    """Degree of the irreducible character labelled by a family of size n.
 
-    The signed Murnaghan-Nakayama rule: one cycle of the class, of length
-    t, is removed as a border strip of length t from either partition of
-    `rho`, with sign (-1) ** height.  A strip taken from the second
-    partition for a cycle of the second class component (a negative
-    cycle) is negated.
+    n! * prod over keys tau of dim(tau) ** |irrep(tau)| * dim irrep(tau) / |irrep(tau)|!
     """
-    (rho1, rho2), (delta1, delta2) = rho, delta
-    if sum(rho1) + sum(rho2) != sum(delta1) + sum(delta2):
-        raise SizeMismatch("character label and class label must have equal sizes")
-    if delta2:
-        t, rest, flip = delta2[0], (delta1, delta2[1:]), -1
-    elif delta1:
-        t, rest, flip = delta1[0], (delta1[1:], delta2), 1
-    else:
-        return 1
-    total = 0
-    for sign, smaller in _border_strips(rho1, t):
-        total += sign * hyperoct_character((smaller, rho2), rest)
-    for sign, smaller in _border_strips(rho2, t):
-        total += flip * sign * hyperoct_character((rho1, smaller), rest)
-    return total
+    return _degree(irrep.k, irrep.components)
 
 
-def hyperoct_dim(rho: Bipartition) -> int:
-    """Dimension of the irreducible module labelled by a pair of partitions."""
-    rho1, rho2 = rho
-    n = sum(rho1) + sum(rho2)
-    num = factorial(n) * dim_irrep(rho1) * dim_irrep(rho2)
-    den = factorial(sum(rho1)) * factorial(sum(rho2))
+def _degree(k: int, lam) -> int:
+    num, den = factorial(sum(map(sum, lam))), 1
+    for tau, comp in zip(index_partitions(k), lam):
+        num *= dim_irrep(tau) ** sum(comp) * dim_irrep(comp)
+        den *= factorial(sum(comp))
     dim, remainder = divmod(num, den)
     if remainder:
         raise InvariantViolation("induced dimension must be an integer")
     return dim
 
 
-@cache
-def character_table(k: int, n: int):
-    """The character table of the k-block group on [kn], for k = 1, 2.
+def _cycles(components) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A class's cycle lengths, longest first, and the slots of their S_k classes."""
+    cycles = sorted(((m, slot) for slot, comp in enumerate(components) for m in comp), reverse=True)
+    return tuple(m for m, _ in cycles), tuple(slot for _, slot in cycles)
 
-    Returns (order, weights, columns): the group order; |G| / chi(1) for
-    each irreducible character chi, in a fixed order; and a read-only
-    mapping from each class family of size n, in `families_with_size`
-    order, to the tuple of chi values at that class in the same order.
+
+def _wreath_value(lam, lengths, classes, sk_chi, memo) -> int:
+    """chi^lam at the remaining cycles, by the wreath Murnaghan-Nakayama rule.
+
+    `lam` holds the irreducible's partitions in slot order; cycle i has
+    length lengths[i] and S_k class at slot classes[i]; and `sk_chi[s][r]`
+    is the value of slot s's S_k irreducible at the S_k class of slot r.
+    The first cycle, of length t, is removed as a border strip of length t
+    from some lam[s], weighted by (-1) ** height * sk_chi[s][r].  Once a
+    single slot s is non-empty every strip comes from it, so the value is
+    the product of its S_k values times the symmetric group character of
+    lam[s] at the cycle lengths.
     """
-    if k == 1:
-        irreps = pt.partitions_of(n)
-        value = lambda rho, fam: sym_character(rho, fam.components[0])
-        dim = dim_irrep
-    elif k == 2:
-        irreps = bipartitions_of(n)
-        value = lambda rho, fam: hyperoct_character(rho, _as_bipartition(fam))
-        dim = hyperoct_dim
-    else:
-        raise ValueError("character tables are available for k = 1 and k = 2 only")
+    filled = [s for s, comp in enumerate(lam) if comp]
+    if len(filled) <= 1:
+        value = 1
+        if filled:
+            row = sk_chi[filled[0]]
+            for r in classes:
+                value *= row[r]
+            if value:
+                value *= sym_character(lam[filled[0]], lengths)
+        return value
+    key = (lam, lengths, classes)
+    value = memo.get(key)
+    if value is None:
+        t, r, rest = lengths[0], classes[0], (lengths[1:], classes[1:])
+        value = 0
+        for s in filled:
+            chi = sk_chi[s][r]
+            for sign, smaller in _border_strips(lam[s], t) if chi else ():
+                smaller_lam = lam[:s] + (smaller,) + lam[s + 1 :]
+                value += sign * chi * _wreath_value(smaller_lam, *rest, sk_chi, memo)
+        memo[key] = value
+    return value
+
+
+def _sk_chi(k: int) -> list[list[int]]:
+    """sk_chi[s][r]: the S_k irreducible of slot s at the S_k class of slot r.
+
+    The irreducible of the slot at key tau is chi^tau times the sign.
+    """
+    keys = index_partitions(k)
+    return [[(-1) ** (k - len(rho)) * sym_character(tau, rho) for rho in keys] for tau in keys]
+
+
+def _build_table(k: int, n: int):
+    sk_chi = _sk_chi(k)
+    fams = families_with_size(k, n)
+    memo: dict = {}  # shared by the whole build and dropped with it
+    columns = {}
+    for fam in fams:
+        lengths, classes = _cycles(fam.components)
+        columns[fam] = tuple(
+            _wreath_value(irrep.components, lengths, classes, sk_chi, memo) for irrep in fams
+        )
+    dims = tuple(wreath_dim(irrep) for irrep in fams)
+    if columns[PartitionFamily.identity(k, n)] != dims:
+        raise InvariantViolation(f"the identity column of the ({k}, {n}) table is not the degrees")
     order = group_order(k, n)
     weights = []
-    for rho in irreps:
-        weight, remainder = divmod(order, dim(rho))
+    for dim in dims:
+        w, remainder = divmod(order, dim)
         if remainder:
             raise InvariantViolation("a character degree must divide the group order")
-        weights.append(weight)
-    columns = {
-        fam: tuple(value(rho, fam) for rho in irreps) for fam in families_with_size(k, n)
-    }
+        weights.append(w)
     return order, tuple(weights), MappingProxyType(columns)
+
+
+_tables: dict = {}
+
+
+def character_table(k: int, n: int):
+    """The character table of the k-block group on [kn], for any k.
+
+    Returns (order, weights, columns): the group order; |G| / chi(1) for
+    each irreducible character chi; and a read-only mapping from each class
+    family of size n, in `families_with_size` order, to the tuple of chi
+    values at that class.  Irreducibles are labelled by the families of
+    size n too, in the same order: the component at key tau belongs to the
+    S_k irreducible chi^tau times the sign, so the key (1^k) carries the
+    trivial character (at k = 2, `hyperoct_character`'s first partition).
+
+    A table is built on first use and kept for the life of the process;
+    `character_table.cache_clear()` drops every kept table.
+    """
+    table = _tables.get((k, n))
+    if table is None:
+        table = _tables[k, n] = _build_table(k, n)
+    return table
+
+
+character_table.cache_clear = _tables.clear
+
+
+def has_character_table(k: int, n: int) -> bool:
+    """True when character_table(k, n) is built, so reading it costs no build."""
+    return (k, n) in _tables
+
+
+def wreath_character(irrep: PartitionFamily, cls: PartitionFamily) -> int:
+    """Value of the irreducible labelled `irrep` at the class `cls`.
+
+    Both are families of the same k and size n, labelled as in
+    character_table.  The value is computed on its own, with a memo that
+    lives for this call; character_table computes a whole table at once.
+    """
+    if irrep.k != cls.k:
+        raise SizeMismatch("character label and class label must have the same k")
+    return _character(cls.k, irrep.components, cls.components)
+
+
+def _character(k: int, lam, components) -> int:
+    if sum(map(sum, lam)) != sum(map(sum, components)):
+        raise SizeMismatch("character label and class label must have equal sizes")
+    return _wreath_value(lam, *_cycles(components), _sk_chi(k), {})
+
+
+@cache
+def hyperoct_character(rho: Bipartition, delta: Bipartition) -> int:
+    """Irreducible character of the signed-pair group at a two-part class label.
+
+    The k = 2 case of wreath_character with both labels given as pairs of
+    partitions: rho is (trivial-character partition, sign-character
+    partition), and delta is (positive cycles, negative cycles).
+    """
+    return _character(2, rho, delta)
+
+
+def hyperoct_dim(rho: Bipartition) -> int:
+    """Dimension of the irreducible module labelled by a pair of partitions."""
+    return _degree(2, rho)
 
 
 def _pad_bipartition(delta: Bipartition, n: int) -> Bipartition:

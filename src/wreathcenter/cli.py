@@ -67,6 +67,13 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _integer(text: str) -> int | None:
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 class Cache:
     """Append-only record store for group-product and polynomial rows.
 
@@ -115,15 +122,22 @@ class Cache:
         self._close(record)
 
     def _parse(self, line: str):
-        """(table, key, target, coeff) of one row, or None if it is not a row."""
+        """(table, key, target, coeff) of one row, or None if it is not a row.
+
+        A numeric field that is not an integer reads as None: such a key
+        matches no lookup, and a record with such a target or coefficient
+        is rejected.
+        """
         fields = split_fields(line)
         if len(fields) != 6:
             return None
         if fields[1].startswith("{"):
             k, left, right, gamma, r, coeff = fields
-            return self.poly, (int(k), left, right), (gamma, int(r)), int(coeff)
+            r = _integer(r)
+            coeff = None if r is None else _integer(coeff)
+            return self.poly, (_integer(k), left, right), (gamma, r), coeff
         k, n, left, right, gamma, coeff = fields
-        return self.group, (int(k), int(n), left, right), gamma, int(coeff)
+        return self.group, (_integer(k), _integer(n), left, right), gamma, _integer(coeff)
 
     def _close(self, record):
         if record is None:
@@ -131,6 +145,8 @@ class Cache:
         header, table, key, lines, rows = record
         if header != f"#{len(lines)}:{_digest(''.join(lines))}":
             self.rejected[key] = "does not match its record header"
+        elif None in rows.values():
+            self.rejected[key] = "has a row whose numeric fields are not integers"
         elif table.setdefault(key, rows) != rows:
             self.rejected[key] = "has records that disagree"
 
@@ -312,23 +328,30 @@ def _poly_terms(rows: dict, k: int) -> dict:
 
 
 def _cmd_chartable(args):
+    """Every character value, irreducible by class, both labelled as in character_table.
+
+    k = 1 labels are bare partitions and k = 2 labels come in
+    bipartitions_of order; k >= 3 labels are families in
+    families_with_size order.
+    """
     _check_n(args)
-    n = args.n
-    if args.k == 1:
-        labels = [(pt.format_partition(p), p) for p in pt.partitions_of(n)]
-        value = lambda rho, delta: ch.sym_character(rho, delta)
-    elif args.k == 2:
-        labels = [
-            (format_family(PartitionFamily.from_components(2, pair)), pair)
-            for pair in ch.bipartitions_of(n)
-        ]
-        value = lambda rho, delta: ch.hyperoct_character(rho, delta)
+    k, n = args.k, args.n
+    if k == 1:
+        labels = [(pt.format_partition(p), PartitionFamily(1, {(1,): p})) for p in pt.partitions_of(n)]
     else:
-        raise UsageError("chartable supports k = 1 and k = 2 only")
+        if k == 2:
+            fams = [PartitionFamily.from_components(2, pair) for pair in ch.bipartitions_of(n)]
+        else:
+            fams = families_with_size(k, n)
+        labels = [(format_family(fam), fam) for fam in fams]
+    _, _, columns = ch.character_table(k, n)
+    # irreducibles are listed in the order of the classes
+    position = {fam: i for i, fam in enumerate(columns)}
     records, json_records = [], []
     for rho_text, rho in labels:
+        i = position[rho]
         for delta_text, delta in labels:
-            val = value(rho, delta)
+            val = columns[delta][i]
             records.append(f"{n}; {rho_text}; {delta_text}; {val}")
             json_records.append({"rho": rho_text, "delta": delta_text, "value": val})
     return records, json_records

@@ -1,8 +1,10 @@
+from collections import Counter
+
 import pytest
 
 from wreathcenter import center as ct
 from wreathcenter.errors import BudgetExceeded, InvariantViolation, NotProper, SizeMismatch
-from wreathcenter.families import PartitionFamily, families_with_size, pad_family
+from wreathcenter.families import PartitionFamily, class_size, families_with_size, pad_family
 
 
 def fam(k, *components):
@@ -274,14 +276,63 @@ def test_budget_exceeded():
 
 
 def test_character_route_matches_enumeration():
-    # both routes called directly: on these small groups the rule enumerates
-    for k, sizes in [(1, range(1, 7)), (2, range(1, 5))]:
+    # both routes called directly, on every unordered pair, or at (3, 4) on
+    # those whose smaller class has at most 50 members
+    cases = [(1, range(1, 7), None), (2, range(1, 5), None), (3, range(1, 4), None)]
+    cases += [(4, range(1, 3), None), (3, (4,), 50)]
+    for k, sizes, most in cases:
         for n in sizes:
             fams = families_with_size(k, n)
             for i, left in enumerate(fams):
                 for right in fams[i:]:
+                    if most and min(class_size(left, n), class_size(right, n)) > most:
+                        continue
                     enumerated = ct._group_by_enumeration(left, right, n, 10**6, False)
                     assert ct._group_by_characters(left, right, n) == enumerated
+
+
+def test_route_charges_the_table_build(monkeypatch):
+    from wreathcenter import characters as ch
+
+    monkeypatch.setattr(ct, "_enumerated", Counter())
+    ch.character_table.cache_clear()
+    # a cold one-off product of a 1-member class enumerates: the (3, 5)
+    # table has 108 ** 2 entries
+    ident, gamma = PartitionFamily.identity(3, 5), fam(3, (1, 1), (2,), (1,))
+    assert ct.multiply_group(ident, gamma, 5).terms == {gamma: 1}
+    assert not ch.has_character_table(3, 5)
+    # repeated products at (3, 3) enumerate until the next enumeration
+    # would bring their cost past the cost of building the table
+    left, right = fam(3, (2, 1), (), ()), fam(3, (), (1,), (1, 1))
+    expected = ct._group_by_enumeration(left, right, 3, 10**6, False)
+    element_cost = class_size(left, 3) * ct._ELEMENT_COST
+    build_cost = len(families_with_size(3, 3)) ** 2 * (1 + ct._BUILD_COST)
+    built_at = None
+    for product in range(10):
+        assert ct.multiply_group(left, right, 3) == expected
+        if built_at is None and ch.has_character_table(3, 3):
+            built_at = product
+    assert built_at >= 1
+    assert built_at * element_cost <= build_cost < (built_at + 1) * element_cost
+    assert ct._enumerated[3, 3] == built_at * class_size(left, 3)
+
+
+def test_budget_falls_back_to_the_route_that_fits(monkeypatch):
+    from wreathcenter import characters as ch
+
+    left, right = fam(3, (), (1, 1), (1,)), fam(3, (1,), (2,), ())
+    ch.character_table(3, 3)
+    smaller, entries = class_size(left, 3), len(families_with_size(3, 3)) ** 2
+    assert entries < smaller * ct._ELEMENT_COST and smaller < entries
+    by_characters = ct.multiply_group(left, right, 3)
+    calls = []
+    monkeypatch.setattr(ct, "_group_by_characters", lambda *args: calls.append(args))
+    # characters are cheaper, but only enumeration fits the budget
+    assert ct.multiply_group(left, right, 3, budget=smaller) == by_characters
+    assert calls == []
+    with pytest.raises(BudgetExceeded) as info:
+        ct.multiply_group(left, right, 3, budget=smaller - 1)
+    assert info.value.needed == smaller
 
 
 def test_route_rule_and_budget():

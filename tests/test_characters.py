@@ -1,13 +1,13 @@
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
 from wreathcenter import characters as ch
 from wreathcenter import partitions as pt
 from wreathcenter.errors import SizeMismatch
-from wreathcenter.families import PartitionFamily, big_z
+from wreathcenter.families import PartitionFamily, big_z, families_with_size
 
 
 def fam(k, *components):
@@ -175,7 +175,7 @@ def test_signed_character_matches_sign_vector_sum():
 
 
 def test_character_table_layout():
-    for k, n in [(1, 4), (2, 3)]:
+    for k, n in [(1, 4), (2, 3), (3, 2)]:
         order, weights, columns = ch.character_table(k, n)
         assert order == factorial(k) ** n * factorial(n)
         identity = PartitionFamily.identity(k, n)
@@ -184,8 +184,45 @@ def test_character_table_layout():
         # column orthogonality: sum of chi(delta)^2 is the centralizer order
         for delta, column in columns.items():
             assert sum(v * v for v in column) == big_z(delta)
-    with pytest.raises(ValueError):
-        ch.character_table(3, 2)
+
+
+def test_general_character_table():
+    for k, sizes in [(3, range(5)), (4, range(4))]:
+        for n in sizes:
+            order, weights, columns = ch.character_table(k, n)
+            assert order == factorial(k) ** n * factorial(n)
+            irreps = families_with_size(k, n)
+            degrees = [ch.wreath_dim(irrep) for irrep in irreps]
+            assert sum(d * d for d in degrees) == order
+            assert list(columns[PartitionFamily.identity(k, n)]) == degrees
+            assert [order // d for d in degrees] == list(weights)
+            for delta, column in columns.items():
+                assert sum(v * v for v in column) == big_z(delta)
+
+
+def test_general_character_table_labels():
+    # the linear characters pin the labels: key (1^k) carries the trivial
+    # character of S_k and key (k) its sign
+    for k, n in [(2, 3), (3, 3), (4, 2)]:
+        ones, top = (1,) * k, (k,)
+        for delta in families_with_size(k, n):
+            parts = [(rho, m) for rho, comp in delta.items() for m in comp]
+            block_sign = prod((-1) ** (m - 1) for _, m in parts)
+            base_sign = prod((-1) ** (k - len(rho)) for rho, _ in parts)
+            assert ch.wreath_character(PartitionFamily(k, {ones: (n,)}), delta) == 1
+            assert ch.wreath_character(PartitionFamily(k, {ones: (1,) * n}), delta) == block_sign
+            assert ch.wreath_character(PartitionFamily(k, {top: (n,)}), delta) == base_sign
+            assert ch.wreath_character(PartitionFamily(k, {top: (1,) * n}), delta) == (
+                block_sign * base_sign
+            )
+    # at k = 1 every value is the symmetric group character
+    for delta in families_with_size(1, 5):
+        for lam in families_with_size(1, 5):
+            assert ch.wreath_character(lam, delta) == ch.sym_character(
+                lam.components[0], delta.components[0]
+            )
+    with pytest.raises(SizeMismatch):
+        ch.wreath_character(fam(3, (1,), (), ()), fam(3, (1, 1), (), ()))
 
 
 def test_hyperoct_dim():

@@ -130,6 +130,21 @@ def test_chartable_k2(capsys):
     assert values[("{[2]:[1]}", "{[2]:[1]}")] == -1
 
 
+def test_chartable_k3(capsys):
+    from wreathcenter.families import PartitionFamily, families_with_size, format_family
+
+    code, out, _ = call(capsys, "chartable", "--k", "3", "--n", "2")
+    assert code == 0
+    rows = [split_fields(line) for line in out.strip().splitlines()]
+    labels = [format_family(f) for f in families_with_size(3, 2)]
+    assert [(r[0], r[1], r[2]) for r in rows] == [("2", a, b) for a in labels for b in labels]
+    table = {(r[1], r[2]): int(r[3]) for r in rows}
+    # the trivial character, and the degrees in the identity column
+    assert all(table[("{[1,1,1]:[2]}", b)] == 1 for b in labels)
+    identity = format_family(PartitionFamily.identity(3, 2))
+    assert sum(table[(a, identity)] ** 2 for a in labels) == 6 ** 2 * 2
+
+
 def test_verify_command(capsys):
     code, out, _ = call(
         capsys, "verify", "--k", "1", "--left", "{[1]:[2]}", "--right", "{[1]:[3]}"
@@ -319,6 +334,26 @@ def test_disagreeing_records_are_rejected(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert "disagree" in err
+
+
+def test_malformed_row_rejects_only_its_record(capsys, tmp_path):
+    from wreathcenter.cli import Cache
+
+    path = tmp_path / "coeffs.cache"
+    # a row whose k is not an integer, a valid record, and a record whose
+    # coefficient is not an integer
+    path.write_text("x; 1; {[1]:[2]}; {[1]:[2]}; {[1]:[1,1]}; 1\n", encoding="utf-8")
+    Cache(str(path)).put_group(1, 2, "{[1]:[2]}", "{[1]:[2]}", {"{[1]:[1,1]}": 1})
+    Cache(str(path)).put_group(1, 3, "{[1]:[3]}", "{[1]:[3]}", {"{[1]:[1,1,1]}": "2.0"})
+
+    def square(n, fam):
+        argv = ["multiply", "--k", "1", "--n", str(n), "--left", fam, "--right", fam]
+        return call(capsys, *argv, "--cache", str(path))
+
+    assert square(2, "{[1]:[2]}") == (0, "1; 2; {[1]:[2]}; {[1]:[2]}; {[1]:[1,1]}; 1\n", "")
+    code, out, err = square(3, "{[1]:[3]}")
+    assert (code, out) == (3, "")
+    assert "not integers" in err
 
 
 def mislabel_one_22_product(monkeypatch):
