@@ -18,8 +18,8 @@ from itertools import combinations, permutations, product
 from math import factorial
 
 from . import partitions as pt
-from .errors import BudgetExceeded, DimensionMismatch, SizeMismatch
-from .families import PartitionFamily, class_size
+from .errors import BudgetExceeded, DimensionMismatch, InvariantViolation, SizeMismatch
+from .families import PartitionFamily, class_size, index_partitions
 from .partitions import Partition
 
 DEFAULT_BUDGET = 10_000_000
@@ -70,7 +70,8 @@ def type_from_images(k: int, blocks, images) -> PartitionFamily:
     A block whose first point has been visited belongs to an earlier
     cluster.  Otherwise the cycles through its points are walked: how many
     points each has in the block gives the pattern rho, and the blocks they
-    visit give the part m recorded in the component at rho.
+    visit give the part m recorded in the component at rho.  The label is
+    the shared one of `PartitionFamily._of`.
     """
     seen = [False] * (len(images) + 1)
     parts = defaultdict(list)
@@ -94,8 +95,22 @@ def type_from_images(k: int, blocks, images) -> PartitionFamily:
             meeting.append(inside)
         if total_points != k * len(span):
             raise ValueError("cycles of a block permutation must cover whole blocks")
-        parts[pt.as_partition(meeting)].append(len(span))
-    return PartitionFamily(k, {rho: pt.as_partition(ms) for rho, ms in parts.items()})
+        meeting.sort(reverse=True)
+        parts[tuple(meeting)].append(len(span))
+    slots = _component_slots(k)
+    components = [()] * len(slots)
+    for rho, ms in parts.items():
+        if rho not in slots:
+            raise InvariantViolation(f"meeting pattern {rho} is not a partition of {k}")
+        ms.sort(reverse=True)
+        components[slots[rho]] = tuple(ms)
+    return PartitionFamily._of(k, tuple(components))
+
+
+@cache
+def _component_slots(k: int) -> dict:
+    """Position of each partition of k among a family's components."""
+    return {rho: i for i, rho in enumerate(index_partitions(k))}
 
 
 class BlockPermutation:

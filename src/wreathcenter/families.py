@@ -4,6 +4,13 @@ A family assigns one partition to every partition of k; families with
 total size n label the conjugacy classes of the group of k-block
 permutations of [kn].  Components default to the empty partition, and a
 family is stored normalized so equality and hashing are structural.
+
+A family carries its total size and its hash, both computed once when it
+is built.  Type extraction builds labels with `PartitionFamily._of`, which
+skips validation and returns one shared object per label, so the many
+elements of one class yield one label object between them.  `big_z` is
+kept per label, so the memory of both grows with the distinct labels seen
+and is bounded by the number of families of the sizes in use.
 """
 
 from functools import cache
@@ -40,7 +47,7 @@ def index_partitions(k: int) -> tuple[Partition, ...]:
 class PartitionFamily:
     """An assignment of a partition to every partition of k."""
 
-    __slots__ = ("k", "components")
+    __slots__ = ("k", "components", "size", "_hash")
 
     def __init__(self, k: int, assignment=None):
         """Build a family from a mapping {partition of k: partition}.
@@ -58,8 +65,20 @@ class PartitionFamily:
                 if key not in comps:
                     raise ValueError(f"{key} is not a partition of {k}")
                 comps[key] = pt.as_partition(value)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "components", tuple(comps[key] for key in keys))
+        _init(self, k, tuple(comps[key] for key in keys))
+
+    @classmethod
+    def _of(cls, k: int, components: tuple) -> "PartitionFamily":
+        """The shared family with these components, unchecked.
+
+        `components` must already be partitions in index_partitions(k) order.
+        """
+        fam = _LABELS.get((k, components))
+        if fam is None:
+            fam = object.__new__(cls)
+            _init(fam, k, components)
+            _LABELS[k, components] = fam
+        return fam
 
     @classmethod
     def from_components(cls, k: int, components) -> "PartitionFamily":
@@ -94,10 +113,6 @@ class PartitionFamily:
         """Number of 1-parts in the all-ones component."""
         return self.ones_component.count(1)
 
-    @property
-    def size(self) -> int:
-        return sum(sum(c) for c in self.components)
-
     def is_proper(self) -> bool:
         return pt.is_proper(self.ones_component)
 
@@ -125,10 +140,21 @@ class PartitionFamily:
         )
 
     def __hash__(self):
-        return hash((self.k, self.components))
+        return self._hash
 
     def __repr__(self):
         return f"PartitionFamily(k={self.k}, {format_family(self)!r})"
+
+
+def _init(fam, k, components):
+    object.__setattr__(fam, "k", k)
+    object.__setattr__(fam, "components", components)
+    object.__setattr__(fam, "size", sum(map(sum, components)))
+    object.__setattr__(fam, "_hash", hash((k, components)))
+
+
+# the shared labels of PartitionFamily._of, keyed by (k, components)
+_LABELS: dict = {}
 
 
 def family_size(fam: PartitionFamily) -> int:
@@ -149,11 +175,12 @@ def pad_family(fam: PartitionFamily, n: int) -> PartitionFamily:
     return fam.replace((1,) * fam.k, padded)
 
 
+@cache
 def big_z(fam: PartitionFamily) -> int:
     """Centralizer order factor: product over keys rho of z(component) * z(rho)^len(component).
 
     The conjugacy class labelled by a family of size n has exactly
-    n! * (k!)^n / big_z elements.
+    n! * (k!)^n / big_z elements.  Computed once per label.
     """
     z = 1
     for rho, comp in fam.items():

@@ -15,7 +15,7 @@ as for `BlockPermutation`.
 """
 
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 from . import partitions as pt
 from .blockperm import (
@@ -24,7 +24,6 @@ from .blockperm import (
     block_of,
     block_points,
     class_mappings_on_blocks,
-    class_size,
     conjugate,
     enumerate_group,
     group_order,
@@ -33,7 +32,7 @@ from .blockperm import (
     type_from_images,
 )
 from .errors import BudgetExceeded, DimensionMismatch, DomainNotCovered, SizeMismatch
-from .families import PartitionFamily, binomial_pad_factor, pad_family
+from .families import PartitionFamily, class_size
 
 
 class KPartialPermutation:
@@ -168,12 +167,13 @@ def kp_type(p: KPartialPermutation) -> PartitionFamily:
 def partial_class_size(fam: PartitionFamily, n: int) -> int:
     """Number of k-partial permutations of n in the orbit labelled by `fam`.
 
-    Returns 0 when the family is too large to fit, which makes projection
-    formulas total.
+    A member is a choice of |fam| domain blocks and a permutation of type
+    `fam` on them: C(n, |fam|) * class_size(fam, |fam|).  Returns 0 when the
+    family is too large to fit, which makes projection formulas total.
     """
     if fam.size > n:
         return 0
-    return binomial_pad_factor(fam, n) * class_size(pad_family(fam, n), n)
+    return comb(n, fam.size) * class_size(fam, fam.size)
 
 
 def count_all(k: int, n: int) -> int:

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from wreathcenter import blockperm as bp
 from wreathcenter.errors import BudgetExceeded, SizeMismatch
-from wreathcenter.families import PartitionFamily, class_size, families_with_size
+from wreathcenter.families import PartitionFamily, class_size, families_with_size, parse_family
 
 
 def fam(k, *components):
@@ -85,6 +85,18 @@ def test_type_rejects_cycles_that_split_blocks():
     # (1,3)(2,5)(4,8): the cycles through block 1 meet blocks 2 and 3 in one point each
     with pytest.raises(ValueError):
         bp.type_from_images(2, range(1, 5), (3, 5, 1, 8, 2, 6, 7, 4))
+
+
+def test_type_extraction_shares_one_label_per_class():
+    f = parse_family("{[1,1,1]:[1]; [2,1]:[2]; [3]:[1]}", 3)
+    first, second = list(bp.enumerate_class(f, 4))[:2]
+    assert first != second
+    label = first.type_of()
+    assert label is second.type_of()
+    assert label is bp.type_from_images(3, (1, 2, 3, 4), second.images)
+    built = PartitionFamily(3, {(1, 1, 1): (1,), (2, 1): (2,), (3,): (1,)})
+    assert label == built and hash(label) == hash(built)
+    assert label == f and hash(label) == hash(f)
 
 
 def test_composition_order_vs_worked_factorizations():

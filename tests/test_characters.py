@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import factorial, prod
@@ -7,7 +8,7 @@ import pytest
 from wreathcenter import characters as ch
 from wreathcenter import partitions as pt
 from wreathcenter.errors import SizeMismatch
-from wreathcenter.families import PartitionFamily, big_z, families_with_size
+from wreathcenter.families import PartitionFamily, big_z, families_with_size, parse_family
 
 
 def fam(k, *components):
@@ -266,6 +267,27 @@ def test_verify_iso_basic():
     assert ch.verify_iso(2, fam(2, (1,), ()), fam(2, (1,), (1,)))
     with pytest.raises(ValueError):
         ch.verify_iso(3, fam(3, (), (), (1,)), fam(3, (), (), (1,)))
+
+
+def test_verify_iso_computes_each_big_z_once(monkeypatch):
+    transported = Counter()
+    real = ch.transport_value
+
+    def counting(fam, point):
+        transported[fam] += 1
+        return real(fam, point)
+
+    monkeypatch.setattr(ch, "transport_value", counting)
+    left = parse_family("{[1,1]:[1]; [2]:[1]}", 2)
+    right = parse_family("{[2]:[1]}", 2)
+    big_z.cache_clear()
+    assert ch.verify_iso(2, left, right)
+    info = big_z.cache_info()
+    # the product touches only the labels it transports, and every label's
+    # big_z is computed on its first use and read from the memo afterwards
+    assert len(transported) == 5
+    assert info.misses == info.currsize == len(transported)
+    assert info.hits >= sum(transported.values()) - len(transported)
 
 
 def test_verify_iso_all_proper_pairs():

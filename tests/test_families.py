@@ -4,8 +4,9 @@ from math import comb, factorial
 import pytest
 
 from wreathcenter import blockperm as bp
+from wreathcenter import families
 from wreathcenter import partitions as pt
-from wreathcenter.errors import SizeMismatch, TooSmall
+from wreathcenter.errors import InvariantViolation, SizeMismatch, TooSmall
 from wreathcenter.families import (
     PartitionFamily,
     big_z,
@@ -91,6 +92,43 @@ def test_class_size_against_enumeration():
     f = fam(2, (1, 1, 1), (2,))
     buckets5 = Counter(w.type_of() for w in bp.enumerate_group(2, 5))
     assert buckets5[f] == class_size(f, 5)
+
+
+def test_labels_carry_size_and_hash_immutably():
+    f = fam(3, (1, 1), (2,), (2, 1))
+    assert f.size == 7 and hash(f) == hash(fam(3, (1, 1), (2,), (2, 1)))
+    with pytest.raises(AttributeError):
+        f.size = 1
+    with pytest.raises(AttributeError):
+        f.components = ()
+
+
+def test_class_size_checks_survive_the_big_z_memo(monkeypatch):
+    f = fam(2, (2, 1), (3,))
+    big_z(f)
+    big_z(f)
+    assert big_z.cache_info().hits >= 1
+    with pytest.raises(SizeMismatch):
+        class_size(f, 5)
+    assert class_size(f, 6) == factorial(6) * 2**6 // big_z(f)
+    # the divisibility check still runs on every call
+    monkeypatch.setattr(families, "big_z", lambda fam: 7)
+    with pytest.raises(InvariantViolation):
+        class_size(f, 6)
+
+
+def test_shared_labels_do_not_loosen_the_constructor():
+    shared = PartitionFamily._of(2, ((1,), (2,)))
+    assert shared is PartitionFamily._of(2, ((1,), (2,)))
+    assert shared == fam(2, (1,), (2,)) and hash(shared) == hash(fam(2, (1,), (2,)))
+    with pytest.raises(ValueError):
+        PartitionFamily(2, {(3,): (1,)})
+    with pytest.raises(ValueError):
+        PartitionFamily(2, {(2, 1): (1,)})
+    with pytest.raises(ValueError):
+        PartitionFamily.from_components(2, ((1,),))
+    with pytest.raises(ValueError):
+        PartitionFamily(0)
 
 
 def test_families_with_size():

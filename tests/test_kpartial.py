@@ -5,7 +5,13 @@ import pytest
 from wreathcenter import blockperm as bp
 from wreathcenter import kpartial as kp
 from wreathcenter.errors import DomainNotCovered, SizeMismatch
-from wreathcenter.families import PartitionFamily, class_size, families_with_size, pad_family
+from wreathcenter.families import (
+    PartitionFamily,
+    binomial_pad_factor,
+    class_size,
+    families_with_size,
+    pad_family,
+)
 from wreathcenter.kpartial import KPartialPermutation
 
 
@@ -169,6 +175,18 @@ def test_partial_class_size():
     assert buckets[fam(2, (), (1,))] == kp.partial_class_size(fam(2, (), (1,)), 3)
     for f, count in buckets.items():
         assert count == kp.partial_class_size(f, 3)
+
+
+def test_partial_class_size_matches_padded_formula():
+    # C(n, |fam|) * |C_fam| against the padding multiplicity times the padded class
+    for k, most in [(1, 4), (2, 4), (3, 4), (4, 3)]:
+        for size in range(most + 1):
+            for f in families_with_size(k, size):
+                for n in range(size, size + 4):
+                    padded = binomial_pad_factor(f, n) * class_size(pad_family(f, n), n)
+                    assert kp.partial_class_size(f, n) == padded
+                for n in range(size):
+                    assert kp.partial_class_size(f, n) == 0
 
 
 def test_count_all():
