@@ -4,7 +4,8 @@ Symmetric group characters (k=1) and signed-pair characters (k=2) give
 exact rational evaluations of shifted power sums on partitions and on
 pairs of partitions.  Sending each class label to its scaled shifted
 power sum turns class-sum products into pointwise products of functions,
-and the multiplication tables on the two sides agree exactly.
+and the multiplication tables on the two sides agree exactly.  The same
+check runs at any k, with points labelled by families of partitions.
 """
 
 from wreathcenter import PartitionFamily, format_partition, sym_character, verify_iso
@@ -50,3 +51,6 @@ print("transport multiplicativity, k=2, on C{[2]:[2]} squared:", verify_iso(2, t
 point = ((2,), (1,))
 product_value = transport_value(two, point) ** 2
 print(f"  e.g. the transported square evaluated at {point} is {product_value}")
+
+three = fam(3, (), (1,), ())
+print("transport multiplicativity, k=3, on C{[2,1]:[1]} squared:", verify_iso(3, three, three))

@@ -12,8 +12,8 @@ The package computes, over arbitrary-precision integers and rationals:
     coefficient a polynomial in n with nonnegative integer coefficients;
   * symmetric group characters, the character table of the k-block group
     for every k (signed-pair characters at k = 2), shifted Schur and
-    shifted power-sum evaluations, and a pointwise check that the
-    transport map onto shifted power sums is multiplicative.
+    shifted power-sum evaluations, and a pointwise check, at every k,
+    that the transport map onto shifted power sums is multiplicative.
 """
 
 from .blockperm import (

@@ -167,6 +167,9 @@ class BlockPermutation:
     def __setattr__(self, name, value):
         raise AttributeError("BlockPermutation is immutable")
 
+    def __reduce__(self):
+        return BlockPermutation, (self.k, self.n, self.images, True)
+
     def __eq__(self, other):
         return (
             isinstance(other, BlockPermutation)

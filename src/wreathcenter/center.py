@@ -99,6 +99,9 @@ class ClassSumVector:
     def __setattr__(self, name, value):
         raise AttributeError("ClassSumVector is immutable")
 
+    def __reduce__(self):
+        return ClassSumVector, (self.k, self.terms, self.n)
+
     def __eq__(self, other):
         return (
             isinstance(other, ClassSumVector)
@@ -357,6 +360,9 @@ class PolynomialStructure:
 
     def __setattr__(self, name, value):
         raise AttributeError("PolynomialStructure is immutable")
+
+    def __reduce__(self):
+        return PolynomialStructure, (self.k, self.left, self.right, self.rows)
 
     def targets(self):
         return sorted({gamma for gamma, _ in self.rows}, key=PartitionFamily.sort_key)

@@ -9,12 +9,12 @@ its S_k class rho, is removed as a border strip of length t from one
 partition of the label, weighted by the strip's sign and by the value at
 rho of that partition's S_k irreducible (Macdonald, Symmetric Functions
 and Hall Polynomials, 2nd ed., Ch. I App. B).  `character_table` lays
-the values out for the Frobenius formula that `center.multiply_group`
-uses; the signed-pair characters of k = 2 are its `hyperoct_character`
-view.  Shifted Schur and shifted power-sum values are exact rationals
-built from falling factorials, dimensions, and skew tableau counts; the
-transport map sending a class label to a scaled shifted power sum is
-verified to be multiplicative pointwise for k = 1, 2.
+the values out for the Frobenius formula of `center.multiply_group`;
+`hyperoct_character` is the k = 2 view.  Shifted Schur and power-sum
+values are exact rationals.  The shifted power sum of a class label, on
+one alphabet per irreducible of S_k, is a normalized wreath character at
+a family; sending each label to its scaled power sum is verified to be
+multiplicative pointwise, for every k.
 """
 
 from fractions import Fraction
@@ -25,8 +25,8 @@ from types import MappingProxyType
 from . import center
 from . import partitions as pt
 from .blockperm import DEFAULT_BUDGET, group_order
-from .errors import InvariantViolation, SizeMismatch
-from .families import PartitionFamily, big_z, families_with_size, index_partitions
+from .errors import BudgetExceeded, InvariantViolation, SizeMismatch
+from .families import PartitionFamily, big_z, families_with_size, index_partitions, pad_family
 from .partitions import Partition, falling_factorial
 
 __all__ = [
@@ -150,13 +150,7 @@ def shifted_schur_eval(rho: Partition, lam: Partition) -> Fraction:
 
 def shifted_power_sum_eval(delta: Partition, lam: Partition) -> Fraction:
     """Value of the shifted power sum indexed by delta at the point lam."""
-    n, r = sum(lam), sum(delta)
-    if r > n:
-        return Fraction(0)
-    padded = pt.pad_to(delta, n)
-    return Fraction(
-        falling_factorial(n, r) * sym_character(lam, padded), dim_irrep(lam)
-    )
+    return _power_sum(_as_point(1, delta), _as_point(1, lam))
 
 
 def bipartitions_of(n: int) -> tuple[Bipartition, ...]:
@@ -169,17 +163,14 @@ def bipartitions_of(n: int) -> tuple[Bipartition, ...]:
     return tuple(out)
 
 
+@cache
 def wreath_dim(irrep: PartitionFamily) -> int:
     """Degree of the irreducible character labelled by a family of size n.
 
     n! * prod over keys tau of dim(tau) ** |irrep(tau)| * dim irrep(tau) / |irrep(tau)|!
     """
-    return _degree(irrep.k, irrep.components)
-
-
-def _degree(k: int, lam) -> int:
-    num, den = factorial(sum(map(sum, lam))), 1
-    for tau, comp in zip(index_partitions(k), lam):
+    num, den = factorial(irrep.size), 1
+    for tau, comp in irrep.items():
         num *= dim_irrep(tau) ** sum(comp) * dim_irrep(comp)
         den *= factorial(sum(comp))
     dim, remainder = divmod(num, den)
@@ -230,6 +221,7 @@ def _wreath_value(lam, lengths, classes, sk_chi, memo) -> int:
     return value
 
 
+@cache
 def _sk_chi(k: int) -> list[list[int]]:
     """sk_chi[s][r]: the S_k irreducible of slot s at the S_k class of slot r.
 
@@ -293,22 +285,17 @@ def has_character_table(k: int, n: int) -> bool:
     return (k, n) in _tables
 
 
+@cache
 def wreath_character(irrep: PartitionFamily, cls: PartitionFamily) -> int:
     """Value of the irreducible labelled `irrep` at the class `cls`.
 
     Both are families of the same k and size n, labelled as in
-    character_table.  The value is computed on its own, with a memo that
-    lives for this call; character_table computes a whole table at once.
+    character_table.  Each value is computed on its own and kept for the
+    life of the process; character_table computes a whole table at once.
     """
-    if irrep.k != cls.k:
-        raise SizeMismatch("character label and class label must have the same k")
-    return _character(cls.k, irrep.components, cls.components)
-
-
-def _character(k: int, lam, components) -> int:
-    if sum(map(sum, lam)) != sum(map(sum, components)):
-        raise SizeMismatch("character label and class label must have equal sizes")
-    return _wreath_value(lam, *_cycles(components), _sk_chi(k), {})
+    if (irrep.k, irrep.size) != (cls.k, cls.size):
+        raise SizeMismatch("character label and class label must have the same k and size")
+    return _wreath_value(irrep.components, *_cycles(cls.components), _sk_chi(cls.k), {})
 
 
 @cache
@@ -319,30 +306,17 @@ def hyperoct_character(rho: Bipartition, delta: Bipartition) -> int:
     partitions: rho is (trivial-character partition, sign-character
     partition), and delta is (positive cycles, negative cycles).
     """
-    return _character(2, rho, delta)
+    return wreath_character(_as_point(2, rho), _as_point(2, delta))
 
 
 def hyperoct_dim(rho: Bipartition) -> int:
     """Dimension of the irreducible module labelled by a pair of partitions."""
-    return _degree(2, rho)
-
-
-def _pad_bipartition(delta: Bipartition, n: int) -> Bipartition:
-    """Extend a pair of partitions to total size n by adding 1-parts to the first."""
-    delta1, delta2 = delta
-    return (pt.pad_to(delta1, n - sum(delta2)), delta2)
+    return wreath_dim(_as_point(2, rho))
 
 
 def shifted_power_sum_eval2(delta: Bipartition, rho: Bipartition) -> Fraction:
     """Two-alphabet shifted power sum indexed by delta, evaluated at the pair rho."""
-    r = sum(delta[0]) + sum(delta[1])
-    n = sum(rho[0]) + sum(rho[1])
-    if r > n:
-        return Fraction(0)
-    padded = _pad_bipartition(delta, n)
-    return Fraction(
-        falling_factorial(n, r) * hyperoct_character(rho, padded), hyperoct_dim(rho)
-    )
+    return _power_sum(_as_point(2, delta), _as_point(2, rho))
 
 
 def shifted_power_sum_eval2_branching(delta: Bipartition, rho: Bipartition) -> Fraction:
@@ -371,32 +345,43 @@ def shifted_power_sum_eval2_branching(delta: Bipartition, rho: Bipartition) -> F
     return Fraction(falling_factorial(n, r) * char_sum, hyperoct_dim(rho))
 
 
-def _as_bipartition(fam: PartitionFamily) -> Bipartition:
-    return (fam.component((1, 1)), fam.component((2,)))
+def _as_point(k: int, point) -> PartitionFamily:
+    """A family, from itself, its components in index order, or a bare partition at k = 1."""
+    if isinstance(point, PartitionFamily):
+        return point
+    if all(isinstance(part, int) for part in point):
+        point = (point,)
+    return PartitionFamily.from_components(k, point)
+
+
+def _power_sum(label: PartitionFamily, point: PartitionFamily) -> Fraction:
+    """The shifted power sum indexed by `label`, on p(k) alphabets, at `point`.
+
+    With r = |label| and n = |point|: n_(r) * chi^point(pad(label, n)) / dim(point), or 0 if r > n.
+    """
+    n, r = point.size, label.size
+    if r > n:
+        return Fraction(0)
+    return Fraction(
+        falling_factorial(n, r) * wreath_character(point, pad_family(label, n)),
+        wreath_dim(point),
+    )
 
 
 def transport_value(fam: PartitionFamily, point) -> Fraction:
     """Image of a class label under the transport map, evaluated at a point.
 
-    The label goes to (k!)^size / big_z times the shifted power sum of the
-    matching flavor; points are partitions for k=1 and pairs of partitions
-    for k=2.
+    The label goes to (k!)^size / big_z times the shifted power sum it
+    indexes.  The point is a family of the label's k, or its components:
+    a pair of partitions at k = 2, a bare partition at k = 1.
     """
-    k = fam.k
-    scale = Fraction(factorial(k) ** fam.size, big_z(fam))
-    if k == 1:
-        return scale * shifted_power_sum_eval(fam.component((1,)), point)
-    if k == 2:
-        return scale * shifted_power_sum_eval2(_as_bipartition(fam), tuple(point))
-    raise ValueError("transport evaluation is available for k = 1 and k = 2 only")
+    scale = Fraction(factorial(fam.k) ** fam.size, big_z(fam))
+    return scale * _power_sum(fam, _as_point(fam.k, point))
 
 
-def default_eval_points(k: int, bound: int):
-    if k == 1:
-        return [lam for m in range(bound + 1) for lam in pt.partitions_of(m)]
-    if k == 2:
-        return [pair for m in range(bound + 1) for pair in bipartitions_of(m)]
-    raise ValueError("evaluation points are defined for k = 1 and k = 2 only")
+def default_eval_points(k: int, bound: int) -> list[PartitionFamily]:
+    """Every family of size at most bound: the irreducibles of the groups up to [k * bound]."""
+    return [point for m in range(bound + 1) for point in families_with_size(k, m)]
 
 
 def verify_iso(
@@ -410,21 +395,22 @@ def verify_iso(
 
     The product of the two labels is expanded with multiply_universal; at
     every evaluation point the product of the transported inputs must equal
-    the transported expansion.  All arithmetic is exact.
+    the transported expansion.  All arithmetic is exact.  The budget bounds
+    the product and, before any is made, the transport evaluations: one per
+    expansion term and one per input at every point.
     """
-    if k not in (1, 2):
-        raise ValueError("verify_iso supports k = 1 and k = 2 only")
     if left.k != k or right.k != k:
         raise SizeMismatch("family k does not match the requested k")
     if eval_points is None:
         eval_points = default_eval_points(k, left.size + right.size + 2)
+    points = [_as_point(k, point) for point in eval_points]
     expansion = center.multiply_universal(left, right, budget=budget)
-    for point in eval_points:
+    needed = len(points) * (len(expansion.terms) + 2)
+    if needed > budget:
+        raise BudgetExceeded(needed, budget, "transport evaluations")
+    for point in points:
         lhs = transport_value(left, point) * transport_value(right, point)
-        rhs = sum(
-            (coeff * transport_value(fam, point) for fam, coeff in expansion.terms.items()),
-            Fraction(0),
-        )
+        rhs = sum(coeff * transport_value(fam, point) for fam, coeff in expansion.terms.items())
         if lhs != rhs:
             return False
     return True

@@ -358,8 +358,6 @@ def _cmd_chartable(args):
 
 
 def _cmd_verify(args):
-    if args.k not in (1, 2):
-        raise UsageError("verify supports k = 1 and k = 2 only")
     left, right = _parse_pair(args)
     ok = ch.verify_iso(args.k, left, right, budget=args.max_group_size)
     lt, rt = format_family(left), format_family(right)

@@ -6,11 +6,11 @@ permutations of [kn].  Components default to the empty partition, and a
 family is stored normalized so equality and hashing are structural.
 
 A family carries its total size and its hash, both computed once when it
-is built.  Type extraction builds labels with `PartitionFamily._of`, which
-skips validation and returns one shared object per label, so the many
-elements of one class yield one label object between them.  `big_z` is
-kept per label, so the memory of both grows with the distinct labels seen
-and is bounded by the number of families of the sizes in use.
+is built.  Type extraction, `pad_family`, `families_with_size` and
+unpickling build labels with `PartitionFamily._of`: one shared object per
+label, unvalidated, so the elements of one class share one label object.
+`big_z` is kept per label; the memory of both grows with the distinct
+labels seen, bounded by the number of families of the sizes in use.
 """
 
 from functools import cache
@@ -132,6 +132,9 @@ class PartitionFamily:
     def __setattr__(self, name, value):
         raise AttributeError("PartitionFamily is immutable")
 
+    def __reduce__(self):
+        return PartitionFamily._of, (self.k, self.components)
+
     def __eq__(self, other):
         return (
             isinstance(other, PartitionFamily)
@@ -168,11 +171,11 @@ def is_proper_family(fam: PartitionFamily) -> bool:
 
 
 def pad_family(fam: PartitionFamily, n: int) -> PartitionFamily:
-    """Grow the family to total size n by adding 1-parts to the all-ones component."""
+    """Grow the family to total size n by appending 1-parts to the all-ones component."""
     if n < fam.size:
         raise TooSmall(f"cannot pad family of size {fam.size} to size {n}")
-    padded = pt.union(fam.ones_component, (1,) * (n - fam.size))
-    return fam.replace((1,) * fam.k, padded)
+    padded = fam.ones_component + (1,) * (n - fam.size)
+    return PartitionFamily._of(fam.k, (padded,) + fam.components[1:])
 
 
 @cache
@@ -221,7 +224,7 @@ def families_with_size(k: int, n: int, proper_only: bool = False):
                 for rest in gen(slot + 1, remaining - s):
                     yield (p,) + rest
 
-    out = [PartitionFamily.from_components(k, comps) for comps in gen(0, n)]
+    out = [PartitionFamily._of(k, comps) for comps in gen(0, n)]
     if proper_only:
         out = [fam for fam in out if fam.is_proper()]
     out.sort(key=PartitionFamily.sort_key)

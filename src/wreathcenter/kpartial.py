@@ -73,6 +73,9 @@ class KPartialPermutation:
     def __setattr__(self, name, value):
         raise AttributeError("KPartialPermutation is immutable")
 
+    def __reduce__(self):
+        return _padded, (self.k, self.blocks, self.images)
+
     def __eq__(self, other):
         return (
             isinstance(other, KPartialPermutation)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 
 import pytest
@@ -368,3 +370,28 @@ def test_wrong_character_value_is_caught(monkeypatch):
         monkeypatch.undo()
         ch.character_table.cache_clear()
     assert ct.multiply_group(lam, lam, 6).coefficient(fam(1, (3, 3))) == 54
+
+
+def test_immutable_types_pickle_and_copy():
+    from wreathcenter.blockperm import BlockPermutation
+    from wreathcenter.kpartial import KPartialPermutation
+
+    label = BlockPermutation(2, 2, (3, 4, 2, 1)).type_of()
+    built = fam(2, (2,), (1,))
+    values = [
+        label,
+        built,
+        BlockPermutation(2, 2, (3, 4, 2, 1)),
+        KPartialPermutation(2, [1, 3], (5, 6, 2, 1)),
+        ct.multiply_universal(built, built),
+        ct.multiply_group(label, label, 2),
+        ct.polynomial_structure(built, built),
+    ]
+    for value in values:
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(twin) is type(value)
+            assert twin == value
+    # a label comes back as the shared object type extraction returns
+    for twin in (pickle.loads(pickle.dumps(label)), copy.copy(label), copy.deepcopy(label)):
+        assert twin is label
+    assert pickle.loads(pickle.dumps(built)) is PartitionFamily._of(2, built.components)

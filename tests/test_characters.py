@@ -5,9 +5,10 @@ from math import factorial, prod
 
 import pytest
 
+from wreathcenter import center as ct
 from wreathcenter import characters as ch
 from wreathcenter import partitions as pt
-from wreathcenter.errors import SizeMismatch
+from wreathcenter.errors import BudgetExceeded, SizeMismatch
 from wreathcenter.families import PartitionFamily, big_z, families_with_size, parse_family
 
 
@@ -262,11 +263,93 @@ def test_transport_scale():
     )
 
 
+def padded(delta, n):
+    """A partition, or the first partition of a pair, grown to total size n by 1-parts."""
+    if delta and isinstance(delta[0], tuple):
+        return (padded(delta[0], n - sum(delta[1])), delta[1])
+    return delta + (1,) * (n - sum(delta))
+
+
+def test_transport_matches_closed_forms():
+    # the k = 1 and k = 2 closed forms, written out independently of the
+    # family formula: 1/z * n_(r) * chi(pad) / dim, and 2^r / big_z times
+    # the same ratio over the sign-vector character
+    for delta in all_partitions_upto(4):
+        r = sum(delta)
+        for lam in all_partitions_upto(6):
+            n = sum(lam)
+            expected = 0
+            if r <= n:
+                expected = Fraction(
+                    pt.falling_factorial(n, r) * ch.sym_character(lam, padded(delta, n)),
+                    pt.z_of(delta) * ch.dim_irrep(lam),
+                )
+            assert ch.transport_value(fam(1, delta), lam) == expected
+    points = [rho for m in range(7) for rho in ch.bipartitions_of(m)]
+    for delta in (pair for m in range(5) for pair in ch.bipartitions_of(m)):
+        label, r = fam(2, *delta), sum(map(sum, delta))
+        for rho in points:
+            n = sum(map(sum, rho))
+            expected = 0
+            if r <= n:
+                expected = Fraction(
+                    2**r * pt.falling_factorial(n, r) * sign_vector_character(rho, padded(delta, n)),
+                    big_z(label) * ch.hyperoct_dim(rho),
+                )
+            assert ch.transport_value(label, rho) == expected
+
+
+def rank(rows):
+    """Rank of a matrix over the rationals, by Gaussian elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    done = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(done, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[done], rows[pivot] = rows[pivot], rows[done]
+        for i in range(done + 1, len(rows)):
+            factor = rows[i][col] / rows[done][col]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[done])]
+        done += 1
+    return done
+
+
+def test_transport_is_injective():
+    # labels of size <= N against points of size <= N: labels larger than a
+    # point vanish there, and labels of a point's size give its character
+    # values up to nonzero scales, so the matrix has full rank
+    for k, bound in ((1, 5), (2, 3), (3, 2)):
+        fams = ch.default_eval_points(k, bound)
+        matrix = [[ch.transport_value(label, point) for point in fams] for label in fams]
+        assert rank(matrix) == len(fams)
+
+
+def test_verify_iso_budget_bounds_transport_evaluations(monkeypatch):
+    left = right = fam(3, (), (1,), ())
+    points = ch.default_eval_points(3, 4)
+    terms = ct.multiply_universal(left, right).terms
+    needed = len(points) * (len(terms) + 2)
+    evaluated = Counter()
+    real = ch.transport_value
+
+    def counting(label, point):
+        evaluated[label] += 1
+        return real(label, point)
+
+    monkeypatch.setattr(ch, "transport_value", counting)
+    with pytest.raises(BudgetExceeded) as info:
+        ch.verify_iso(3, left, right, budget=needed - 1)
+    assert (info.value.needed, info.value.what) == (needed, "transport evaluations")
+    assert not evaluated
+    assert ch.verify_iso(3, left, right, budget=needed)
+    assert sum(evaluated.values()) == needed
+
+
 def test_verify_iso_basic():
     assert ch.verify_iso(1, fam(1, (2,)), fam(1, (2,)))
     assert ch.verify_iso(2, fam(2, (1,), ()), fam(2, (1,), (1,)))
-    with pytest.raises(ValueError):
-        ch.verify_iso(3, fam(3, (), (), (1,)), fam(3, (), (), (1,)))
+    assert ch.verify_iso(3, fam(3, (), (), (1,)), fam(3, (), (), (1,)))
 
 
 def test_verify_iso_computes_each_big_z_once(monkeypatch):
@@ -293,13 +376,13 @@ def test_verify_iso_computes_each_big_z_once(monkeypatch):
 def test_verify_iso_all_proper_pairs():
     from wreathcenter.families import families_with_size
 
-    for k in (1, 2):
+    for k, bound in ((1, 4), (2, 4), (3, 3)):
         fams = [
-            f for s in range(5) for f in families_with_size(k, s, proper_only=True)
+            f for s in range(bound + 1) for f in families_with_size(k, s, proper_only=True)
         ]
         for left in fams:
             for right in fams:
-                if left.size + right.size <= 4:
+                if left.size + right.size <= bound:
                     assert ch.verify_iso(k, left, right)
 
 

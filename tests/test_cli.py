@@ -2,9 +2,11 @@ import json
 import subprocess
 import sys
 
+from wreathcenter import center as ct
 from wreathcenter import characters as ch
 from wreathcenter import partitions as pt
 from wreathcenter.cli import run, split_fields
+from wreathcenter.families import parse_family
 
 
 def call(capsys, *argv):
@@ -146,11 +148,24 @@ def test_chartable_k3(capsys):
 
 
 def test_verify_command(capsys):
-    code, out, _ = call(
-        capsys, "verify", "--k", "1", "--left", "{[1]:[2]}", "--right", "{[1]:[3]}"
+    for k, left, right in (("1", "{[1]:[2]}", "{[1]:[3]}"), ("3", "{[2,1]:[2]}", "{[3]:[1]}")):
+        code, out, _ = call(capsys, "verify", "--k", k, "--left", left, "--right", right)
+        assert code == 0
+        assert out.strip().endswith("true")
+
+
+def test_verify_budget_bounds_transport_evaluations(capsys):
+    # one evaluation per expansion term and one per input at every point
+    pair = ["--left", "{[2,1]:[2]}", "--right", "{[3]:[1]}"]
+    left, right = (parse_family(text, 3) for text in pair[1::2])
+    terms = ct.multiply_universal(left, right).terms
+    needed = len(ch.default_eval_points(3, 5)) * (len(terms) + 2)
+    code, out, err = call(capsys, "verify", "--k", "3", *pair, "--max-group-size", str(needed - 1))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: budget-exceeded; needed={needed}; budget={needed - 1}; what=transport evaluations\n"
     )
-    assert code == 0
-    assert out.strip().endswith("true")
 
 
 def test_json_output_matches_records(capsys):
