@@ -12,7 +12,7 @@ conjugate exactly when their types agree, and the class sizes come out of
 `families.class_size`.
 """
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import cache
 from itertools import combinations, permutations, product
 from math import factorial
@@ -241,46 +241,6 @@ def _perms_of_type(k: int, rho: Partition) -> tuple[tuple[int, ...], ...]:
     return tuple(p for p in permutations(range(k)) if _local_cycle_type(p) == rho)
 
 
-@cache
-def canonical_perm_of_type(k: int, rho: Partition) -> tuple[int, ...]:
-    """A fixed 0-based permutation of [k] with cycle type rho (consecutive cycles)."""
-    perm = list(range(k))
-    offset = 0
-    for part in rho:
-        for i in range(part):
-            perm[offset + i] = offset + (i + 1) % part
-        offset += part
-    return tuple(perm)
-
-
-def _family_slots(fam: PartitionFamily):
-    """One (rho, m) slot per cluster, in the canonical component order."""
-    return [(rho, m) for rho, comp in fam.items() for m in comp]
-
-
-def _cluster_assignments(slots, pool):
-    """Set partitions of `pool` into labelled clusters of the slot sizes.
-
-    Clusters of identical slots are forced to have increasing minima so each
-    unordered assignment is produced exactly once.
-    """
-
-    def rec(i, available, prev_min):
-        if i == len(slots):
-            yield ()
-            return
-        _, m = slots[i]
-        lower = prev_min if i > 0 and slots[i - 1] == slots[i] else 0
-        for combo in combinations(available, m):
-            if combo[0] <= lower:
-                continue
-            remaining = tuple(b for b in available if b not in combo)
-            for rest in rec(i + 1, remaining, combo[0]):
-                yield (combo,) + rest
-
-    yield from rec(0, tuple(sorted(pool)), 0)
-
-
 def _write_cluster(images, k, cycle, locals_, closing):
     m = len(cycle)
     for j in range(m):
@@ -311,54 +271,44 @@ def class_mappings_on_blocks(fam: PartitionFamily, blocks):
     """Every element with type `fam` on the given blocks, as image tuples.
 
     Each tuple covers [k * max(blocks)] and is the identity off `blocks`.
+    The smallest block not yet placed opens the next cluster: every kind
+    (rho, m) of cluster the family still needs is tried there, with every
+    choice of its other m - 1 blocks, so each element is built once and no
+    branch is a dead end.
     """
     blocks = tuple(sorted(blocks))
     if fam.size != len(blocks):
         raise SizeMismatch(f"family of size {fam.size} needs {fam.size} blocks, got {len(blocks)}")
-    slots = _family_slots(fam)
     k = fam.k
+    needed = Counter((rho, m) for rho, comp in fam.items() for m in comp)
     images = list(range(1, k * max(blocks, default=0) + 1))
 
-    def rec(index, clusters):
-        if index == len(slots):
+    def rec(available):
+        if not available:
             yield tuple(images)
             return
-        rho, _ = slots[index]
-        # choices for one cluster write the same points, so later choices
-        # overwrite earlier ones and no undo is needed
-        for cycle, locals_, closing in _cluster_choices(k, rho, clusters[index]):
-            _write_cluster(images, k, cycle, locals_, closing)
-            yield from rec(index + 1, clusters)
+        first, rest = available[0], available[1:]
+        for (rho, m), count in needed.items():
+            if not count:
+                continue
+            needed[rho, m] -= 1
+            for others in combinations(rest, m - 1):
+                remaining = tuple(b for b in rest if b not in others)
+                # the clusters on one path cover every block, so each yield
+                # has overwritten whatever an earlier path wrote
+                for cycle, locals_, closing in _cluster_choices(k, rho, (first,) + others):
+                    _write_cluster(images, k, cycle, locals_, closing)
+                    yield from rec(remaining)
+            needed[rho, m] += 1
 
-    for clusters in _cluster_assignments(slots, blocks):
-        yield from rec(0, clusters)
-
-
-def representative_mapping_on_blocks(fam: PartitionFamily, blocks) -> tuple[int, ...]:
-    """A fixed class member: consecutive clusters, translations along each cycle.
-
-    The image tuple covers [k * max(blocks)] and is the identity off `blocks`.
-    """
-    blocks = tuple(sorted(blocks))
-    if fam.size != len(blocks):
-        raise SizeMismatch(f"family of size {fam.size} needs {fam.size} blocks, got {len(blocks)}")
-    k = fam.k
-    images = list(range(1, k * max(blocks, default=0) + 1))
-    at = 0
-    identity_local = tuple(range(k))
-    for rho, m in _family_slots(fam):
-        cycle = blocks[at : at + m]
-        at += m
-        locals_ = (identity_local,) * (m - 1)
-        _write_cluster(images, k, cycle, locals_, canonical_perm_of_type(k, rho))
-    return tuple(images)
+    yield from rec(blocks)
 
 
 def class_representative(fam: PartitionFamily, n: int) -> BlockPermutation:
-    """A fixed element of the conjugacy class labelled by `fam` (requires size n)."""
+    """The first member that class_mappings_on_blocks builds on blocks 1..n (requires size n)."""
     if fam.size != n:
         raise SizeMismatch(f"family has size {fam.size}, expected {n}")
-    images = representative_mapping_on_blocks(fam, range(1, n + 1))
+    images = next(class_mappings_on_blocks(fam, range(1, n + 1)))
     return BlockPermutation(fam.k, n, images, _checked=True)
 
 

@@ -50,6 +50,7 @@ from .families import (
     format_family,
     pad_family,
 )
+from .partitions import proper_part
 
 __all__ = [
     "ClassSumVector",
@@ -417,7 +418,6 @@ def polynomial_structure(
     rows = {}
     ones = (1,) * left.k
     for fam, coeff in universal.terms.items():
-        r = fam.m1
-        stripped = fam.replace(ones, tuple(p for p in fam.ones_component if p != 1))
-        rows[(stripped, r)] = rows.get((stripped, r), 0) + coeff
+        key = (fam.replace(ones, proper_part(fam.ones_component)), fam.m1)
+        rows[key] = rows.get(key, 0) + coeff
     return PolynomialStructure(left.k, left, right, rows)

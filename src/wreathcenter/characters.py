@@ -13,8 +13,8 @@ the values out for the Frobenius formula of `center.multiply_group`;
 `hyperoct_character` is the k = 2 view.  Shifted Schur and power-sum
 values are exact rationals.  The shifted power sum of a class label, on
 one alphabet per irreducible of S_k, is a normalized wreath character at
-a family; sending each label to its scaled power sum is verified to be
-multiplicative pointwise, for every k.
+a family; sending each label to its scaled power sum gives an integer at
+every family, and is verified to be multiplicative pointwise, for every k.
 """
 
 from fractions import Fraction
@@ -368,15 +368,27 @@ def _power_sum(label: PartitionFamily, point: PartitionFamily) -> Fraction:
     )
 
 
-def transport_value(fam: PartitionFamily, point) -> Fraction:
-    """Image of a class label under the transport map, evaluated at a point.
+def transport_value(fam: PartitionFamily, point) -> int:
+    """Image of a class label under the transport map at a point: an integer.
 
-    The label goes to (k!)^size / big_z times the shifted power sum it
-    indexes.  The point is a family of the label's k, or its components:
-    a pair of partitions at k = 2, a bare partition at k = 1.
+    The label goes to (k!)^r / big_z(fam) times its shifted power sum, which
+    at a point of size n is n_(r) chi^point(pad(fam, n)) / dim point, or 0
+    if r > n (r = |fam|).  The value is the scalar by which the orbit sum of
+    the label acts on the irreducible `point`, so a remainder raises
+    InvariantViolation.  The point is a family of the label's k, or its
+    components: a pair of partitions at k = 2, a bare partition at k = 1.
     """
-    scale = Fraction(factorial(fam.k) ** fam.size, big_z(fam))
-    return scale * _power_sum(fam, _as_point(fam.k, point))
+    point = _as_point(fam.k, point)
+    z, n, r = big_z(fam), point.size, fam.size
+    if r > n:
+        return 0
+    value, remainder = divmod(
+        factorial(fam.k) ** r * falling_factorial(n, r) * wreath_character(point, pad_family(fam, n)),
+        z * wreath_dim(point),
+    )
+    if remainder:
+        raise InvariantViolation(f"transport value of {fam} at {point} is not an integer")
+    return value
 
 
 def default_eval_points(k: int, bound: int) -> list[PartitionFamily]:

@@ -25,6 +25,7 @@ from .families import (
     class_size,
     families_with_size,
     format_family,
+    pad_family,
     parse_family,
 )
 
@@ -269,7 +270,7 @@ def _cmd_product(args):
         except OSError as exc:
             raise UsageError(f"unusable cache: {exc}") from exc
         if args.command == "universal":
-            rows = {(gamma,): coeff for gamma, coeff in _poly_terms(rows, args.k).items()}
+            rows = {(gamma,): coeff for gamma, coeff in _poly_terms(rows).items()}
 
     def order(item):
         (gamma, *r), _ = item
@@ -314,17 +315,13 @@ def _cached_rows(args, cache, left, right, lt, rt):
         cache.put_poly(args.k, lt, rt, {(format_family(g), r): c for (g, r), c in rows.items()})
     else:
         rows = {(parse_family(g, args.k), r): c for (g, r), c in cached.items()}
-        ct.check_mass(ct.ClassSumVector(args.k, _poly_terms(rows, args.k)), left, right)
+        ct.check_mass(ct.ClassSumVector(args.k, _poly_terms(rows)), left, right)
     return rows
 
 
-def _poly_terms(rows: dict, k: int) -> dict:
+def _poly_terms(rows: dict) -> dict:
     """Universal terms from polynomial rows: r extra 1-parts go back into the all-ones component."""
-    ones = (1,) * k
-    return {
-        gamma.replace(ones, gamma.ones_component + (1,) * r): coeff
-        for (gamma, r), coeff in rows.items()
-    }
+    return {pad_family(gamma, gamma.size + r): coeff for (gamma, r), coeff in rows.items()}
 
 
 def _cmd_chartable(args):

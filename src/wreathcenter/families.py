@@ -208,6 +208,8 @@ def families_with_size(k: int, n: int, proper_only: bool = False):
     With proper_only, restrict to families whose all-ones component has no
     1-parts.  Output is sorted by the canonical component order.
     """
+    if k < 1:
+        raise ValueError("k must be a positive integer")
     keys = index_partitions(k)
 
     def gen(slot, remaining):

@@ -12,6 +12,12 @@ Every element is stored as its domain and one padded image tuple: the
 the blocks outside the domain.  Extending by the identity is then padding
 the tuple, and a product is a composition of two padded tuples, exactly
 as for `BlockPermutation`.
+
+An orbit of the conjugation action is one class of the k-block group on
+m blocks placed on every m-subset of the blocks: its members are built
+once on blocks 1..m and carried onto each m-subset by the order-preserving
+relabelling of blocks.  The semigroup oracle `enumerate_kpartial` carries
+whole groups the same way.
 """
 
 from itertools import combinations
@@ -28,7 +34,6 @@ from .blockperm import (
     enumerate_group,
     group_order,
     is_block_permutation,
-    representative_mapping_on_blocks,
     type_from_images,
 )
 from .errors import BudgetExceeded, DimensionMismatch, DomainNotCovered, SizeMismatch
@@ -186,26 +191,51 @@ def count_all(k: int, n: int) -> int:
     )
 
 
+def _relabellings(k: int, m: int, n: int):
+    """For every m-subset of the blocks of [n]: the subset and its relabelling map.
+
+    The map sends local point z (0-based) of blocks 1..m to point z % k + 1
+    of block blocks[z // k], so block order is preserved.
+    """
+    for blocks in combinations(range(1, n + 1), m):
+        yield blocks, [(blocks[z // k] - 1) * k + z % k + 1 for z in range(k * m)]
+
+
+def _relabel(k: int, blocks, to_global, local) -> KPartialPermutation:
+    """The element carried on `blocks` by a 1-based image tuple `local` on blocks 1..m."""
+    images = list(range(1, k * max(blocks, default=0) + 1))
+    for x, y in zip(to_global, local):
+        images[x - 1] = to_global[y - 1]
+    return _padded(k, blocks, tuple(images))
+
+
 def universal_class_members(
     fam: PartitionFamily, n: int, budget: int = DEFAULT_BUDGET
 ):
-    """All k-partial permutations of n with type `fam` and exactly |fam| domain blocks."""
+    """All k-partial permutations of n with type `fam` and exactly |fam| domain blocks.
+
+    The orbit is the class of `fam` built once on blocks 1..|fam|, each
+    member relabelled onto every |fam|-subset of the blocks of [n]; only the
+    relabelling maps are held.
+    """
     if fam.size > n:
         raise SizeMismatch(f"family of size {fam.size} does not fit in [{n}]")
     total = partial_class_size(fam, n)
     if total > budget:
         raise BudgetExceeded(total, budget, "partial class enumeration")
-    for blocks in combinations(range(1, n + 1), fam.size):
-        for images in class_mappings_on_blocks(fam, blocks):
-            yield _padded(fam.k, blocks, images)
+    k, m = fam.k, fam.size
+    maps = list(_relabellings(k, m, n))
+    for local in class_mappings_on_blocks(fam, range(1, m + 1)):
+        for blocks, to_global in maps:
+            yield _relabel(k, blocks, to_global, local)
 
 
 def partial_class_representative(fam: PartitionFamily, n: int) -> KPartialPermutation:
-    """A fixed member of the orbit labelled by `fam`, carried on the first |fam| blocks."""
+    """The first member that class_mappings_on_blocks builds on blocks 1..|fam|."""
     if fam.size > n:
         raise SizeMismatch(f"family of size {fam.size} does not fit in [{n}]")
     blocks = tuple(range(1, fam.size + 1))
-    return _padded(fam.k, blocks, representative_mapping_on_blocks(fam, blocks))
+    return _padded(fam.k, blocks, next(class_mappings_on_blocks(fam, blocks)))
 
 
 def enumerate_kpartial(k: int, n: int, budget: int = DEFAULT_BUDGET):
@@ -216,16 +246,6 @@ def enumerate_kpartial(k: int, n: int, budget: int = DEFAULT_BUDGET):
     for r in range(n + 1):
         if group_order(k, r) > budget:
             raise BudgetExceeded(group_order(k, r), budget, "partial permutation enumeration")
-        for blocks in combinations(range(1, n + 1), r):
-            yield from _all_on_blocks(k, blocks)
-
-
-def _all_on_blocks(k: int, blocks):
-    """Relabel the full group on len(blocks) blocks onto the chosen block indices."""
-    # local point z (0-based) stands for point z % k + 1 of block blocks[z // k]
-    to_global = [(blocks[z // k] - 1) * k + z % k + 1 for z in range(k * len(blocks))]
-    for omega in enumerate_group(k, len(blocks)):
-        images = list(range(1, k * max(blocks, default=0) + 1))
-        for x, y in zip(to_global, omega.images):
-            images[x - 1] = to_global[y - 1]
-        yield _padded(k, blocks, tuple(images))
+        for blocks, to_global in _relabellings(k, r, n):
+            for omega in enumerate_group(k, r):
+                yield _relabel(k, blocks, to_global, omega.images)

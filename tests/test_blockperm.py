@@ -182,7 +182,7 @@ def test_equal_type_means_conjugate():
 
 
 def test_enumerate_class_counts_and_strategies():
-    for k, n in [(1, 3), (2, 2), (2, 3), (3, 2)]:
+    for k, n in [(1, 3), (1, 5), (2, 2), (2, 3), (2, 4), (3, 2)]:
         for f in families_with_size(k, n):
             direct = list(bp.enumerate_class(f, n, strategy="direct"))
             assert len(direct) == len(set(direct)) == class_size(f, n)
@@ -206,7 +206,9 @@ def test_enumerate_class_errors():
 def test_class_representative():
     for k, n in [(1, 4), (2, 3), (3, 3)]:
         for f in families_with_size(k, n):
-            assert bp.class_representative(f, n).type_of() == f
+            rep = bp.class_representative(f, n)
+            assert rep.type_of() == f
+            assert rep.images == next(bp.class_mappings_on_blocks(f, range(1, n + 1)))
 
 
 def test_class_sizes_match_formula_up_to_k3_n4():

@@ -8,7 +8,7 @@ import pytest
 from wreathcenter import center as ct
 from wreathcenter import characters as ch
 from wreathcenter import partitions as pt
-from wreathcenter.errors import BudgetExceeded, SizeMismatch
+from wreathcenter.errors import BudgetExceeded, InvariantViolation, SizeMismatch
 from wreathcenter.families import PartitionFamily, big_z, families_with_size, parse_family
 
 
@@ -322,7 +322,16 @@ def test_transport_is_injective():
     for k, bound in ((1, 5), (2, 3), (3, 2)):
         fams = ch.default_eval_points(k, bound)
         matrix = [[ch.transport_value(label, point) for point in fams] for label in fams]
+        assert all(type(value) is int for row in matrix for value in row)
         assert rank(matrix) == len(fams)
+
+
+def test_transport_remainder_is_caught(monkeypatch):
+    # one wrong character value leaves (k!)^r n_(r) chi / (big_z dim) fractional
+    real = ch.wreath_character
+    monkeypatch.setattr(ch, "wreath_character", lambda irrep, cls: real(irrep, cls) + 1)
+    with pytest.raises(InvariantViolation):
+        ch.transport_value(fam(1, (2,)), (2, 1))
 
 
 def test_verify_iso_budget_bounds_transport_evaluations(monkeypatch):

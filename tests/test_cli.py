@@ -95,6 +95,13 @@ def test_parse_error_exit_code(capsys):
     assert code == 1
     code, _, _ = call(capsys, "poly", "--k", "1", "--left", "{[1]:[2,1]}", "--right", "{[1]:[2]}")
     assert code == 1
+    for argv in (
+        ("classes", "--k", "0", "--n", "2"),
+        ("classes", "--k", "-1", "--n", "1"),
+        ("verify", "--k", "0", "--left", "{}", "--right", "{}"),
+    ):
+        code, out, _ = call(capsys, *argv)
+        assert (code, out) == (1, "")
 
 
 def test_budget_exit_code(capsys):

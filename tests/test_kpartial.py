@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -208,21 +209,31 @@ def test_universal_class_members():
     transpositions = list(kp.universal_class_members(fam(1, (2,)), 3))
     assert len(transpositions) == 3
     assert all(kp.kp_type(p) == fam(1, (2,)) for p in transpositions)
-    for k, n in [(1, 3), (2, 2), (2, 3)]:
+    for k, n in [(1, 3), (2, 2), (2, 3), (3, 2)]:
         for r in range(n + 1):
             for f in families_with_size(k, r):
                 members = list(kp.universal_class_members(f, n))
                 assert len(members) == len(set(members)) == kp.partial_class_size(f, n)
+                # the class built on blocks 1..r and relabelled onto each
+                # block subset is the class built directly on that subset
+                on_blocks = {}
+                for p in members:
+                    on_blocks.setdefault(p.blocks, set()).add(p.images)
+                for blocks in combinations(range(1, n + 1), r):
+                    assert on_blocks.pop(blocks) == set(bp.class_mappings_on_blocks(f, blocks))
+                assert not on_blocks
     with pytest.raises(SizeMismatch):
         list(kp.universal_class_members(fam(2, (2,), (1,)), 2))
 
 
 def test_partial_representative():
-    for r in range(4):
-        for f in families_with_size(2, r):
-            rep = kp.partial_class_representative(f, 4)
-            assert kp.kp_type(rep) == f
-            assert len(rep.blocks) == f.size
+    for k in (1, 2, 3):
+        for r in range(4):
+            for f in families_with_size(k, r):
+                rep = kp.partial_class_representative(f, 4)
+                assert kp.kp_type(rep) == f
+                assert len(rep.blocks) == f.size
+                assert rep == next(kp.universal_class_members(f, 4))
 
 
 def test_text_roundtrip():
