@@ -15,11 +15,10 @@ conjugate exactly when their types agree, and the class sizes come out of
 from collections import Counter, defaultdict
 from functools import cache
 from itertools import combinations, permutations, product
-from math import factorial
 
 from . import partitions as pt
 from .errors import BudgetExceeded, DimensionMismatch, InvariantViolation, SizeMismatch
-from .families import PartitionFamily, class_size, index_partitions
+from .families import PartitionFamily, class_size, group_order, index_partitions
 from .partitions import Partition
 
 DEFAULT_BUDGET = 10_000_000
@@ -187,10 +186,6 @@ class BlockPermutation:
 def conjugate(sigma: BlockPermutation, omega: BlockPermutation) -> BlockPermutation:
     """sigma * omega * sigma^-1; preserves the type."""
     return sigma * omega * sigma.inverse()
-
-
-def group_order(k: int, n: int) -> int:
-    return factorial(k) ** n * factorial(n)
 
 
 def enumerate_group(k: int, n: int, budget: int = DEFAULT_BUDGET):

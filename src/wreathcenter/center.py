@@ -41,7 +41,7 @@ from . import blockperm as bp
 from . import characters as ch
 from . import kpartial as kp
 from .blockperm import DEFAULT_BUDGET
-from .errors import BudgetExceeded, InvariantViolation, NotProper, SizeMismatch
+from .errors import BudgetExceeded, InvariantViolation, NotProper, SizeMismatch, exact_quotient
 from .families import (
     PartitionFamily,
     binomial_pad_factor,
@@ -229,7 +229,7 @@ def _group_by_characters(left, right, n):
     for gamma, column in columns.items():
         total = sum(map(mul, factors, column))
         if total:
-            terms[gamma] = _exact_quotient(scale * total, order * order, gamma)
+            terms[gamma] = exact_quotient(scale * total, order * order, gamma)
     vector = ClassSumVector(left.k, terms, n=n)
     check_mass(vector, left, right)
     return vector
@@ -287,7 +287,7 @@ def _multiply(left, right, n, size, members, representative, type_of, budget, ve
             raise InvariantViolation("product types depend on the representative")
 
     terms = {
-        gamma: _exact_quotient(fixed_size * count, size(gamma), gamma)
+        gamma: exact_quotient(fixed_size * count, size(gamma), gamma)
         for gamma, count in counts.items()
     }
     vector = ClassSumVector(left.k, terms, n=n)
@@ -295,28 +295,24 @@ def _multiply(left, right, n, size, members, representative, type_of, budget, ve
     return vector
 
 
-def _exact_quotient(numerator, denominator, gamma):
-    """The coefficient at gamma, which must be a nonnegative integer."""
-    coeff, rest = divmod(numerator, denominator)
-    if rest or coeff < 0:
-        raise InvariantViolation(
-            f"coefficient at {format_family(gamma)} is not a nonnegative integer"
-        )
-    return coeff
-
-
 def check_mass(vector: ClassSumVector, left: PartitionFamily, right: PartitionFamily):
-    """Raise InvariantViolation unless sum of c_gamma * |C_gamma| = |C_left| * |C_right|.
+    """Raise InvariantViolation unless each c_gamma > 0 with |C_gamma| > 0, and the masses agree.
 
-    Group vectors are sized in their group, universal vectors at stage
-    |left| + |right|.
+    Masses: sum of c_gamma * |C_gamma| = |C_left| * |C_right|, at stage |left| + |right| for
+    universal vectors.  Every computed product and every cache hit passes this check.
     """
     if vector.n is None:
         stage = left.size + right.size
         size = lambda fam: kp.partial_class_size(fam, stage)
     else:
         size = lambda fam: class_size(fam, vector.n)
-    mass = sum(c * size(fam) for fam, c in vector.terms.items())
+    mass = 0
+    for fam, c in vector.terms.items():
+        members = size(fam)
+        if c < 0 or not members:
+            where = format_family(fam)
+            raise InvariantViolation(f"{vector.context} product cannot have c = {c} at {where}")
+        mass += c * members
     expected = size(left) * size(right)
     if mass != expected:
         raise InvariantViolation(
@@ -372,9 +368,10 @@ class PolynomialStructure:
         return sorted(self.rows.items(), key=lambda item: (item[0][0].sort_key(), item[0][1]))
 
     def evaluate(self, gamma: PartitionFamily, n: int) -> int:
-        """Coefficient of the padded target in the group product over [kn]."""
+        """Coefficient of the class pad(gamma, n) over [kn], read at gamma's proper part."""
         if n < gamma.size:
             raise SizeMismatch(f"evaluation needs n >= {gamma.size}")
+        gamma = _proper_family(gamma)
         return sum(
             coeff * comb(n - gamma.size, r)
             for (g, r), coeff in self.rows.items()
@@ -416,8 +413,12 @@ def polynomial_structure(
         left, right, budget=budget, verify_representative=verify_representative
     )
     rows = {}
-    ones = (1,) * left.k
     for fam, coeff in universal.terms.items():
-        key = (fam.replace(ones, proper_part(fam.ones_component)), fam.m1)
+        key = (_proper_family(fam), fam.m1)
         rows[key] = rows.get(key, 0) + coeff
     return PolynomialStructure(left.k, left, right, rows)
+
+
+def _proper_family(fam: PartitionFamily) -> PartitionFamily:
+    """The family with the 1-parts of its all-ones component removed."""
+    return fam.replace((1,) * fam.k, proper_part(fam.ones_component))

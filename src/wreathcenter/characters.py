@@ -25,7 +25,7 @@ from types import MappingProxyType
 from . import center
 from . import partitions as pt
 from .blockperm import DEFAULT_BUDGET, group_order
-from .errors import BudgetExceeded, InvariantViolation, SizeMismatch
+from .errors import BudgetExceeded, InvariantViolation, SizeMismatch, exact_quotient
 from .families import PartitionFamily, big_z, families_with_size, index_partitions, pad_family
 from .partitions import Partition, falling_factorial
 
@@ -111,10 +111,7 @@ def dim_irrep(rho: Partition) -> int:
     for i, row in enumerate(rho):
         for j in range(row):
             hooks *= (row - j) + (col_heights[j] - i) - 1
-    dim, remainder = divmod(factorial(sum(rho)), hooks)
-    if remainder:
-        raise InvariantViolation("hook product must divide the factorial exactly")
-    return dim
+    return exact_quotient(factorial(sum(rho)), hooks, "hook length formula")
 
 
 @cache
@@ -173,10 +170,7 @@ def wreath_dim(irrep: PartitionFamily) -> int:
     for tau, comp in irrep.items():
         num *= dim_irrep(tau) ** sum(comp) * dim_irrep(comp)
         den *= factorial(sum(comp))
-    dim, remainder = divmod(num, den)
-    if remainder:
-        raise InvariantViolation("induced dimension must be an integer")
-    return dim
+    return exact_quotient(num, den, "induced dimension")
 
 
 def _cycles(components) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -245,13 +239,8 @@ def _build_table(k: int, n: int):
     if columns[PartitionFamily.identity(k, n)] != dims:
         raise InvariantViolation(f"the identity column of the ({k}, {n}) table is not the degrees")
     order = group_order(k, n)
-    weights = []
-    for dim in dims:
-        w, remainder = divmod(order, dim)
-        if remainder:
-            raise InvariantViolation("a character degree must divide the group order")
-        weights.append(w)
-    return order, tuple(weights), MappingProxyType(columns)
+    weights = tuple(exact_quotient(order, dim, "|G| / chi(1)") for dim in dims)
+    return order, weights, MappingProxyType(columns)
 
 
 _tables: dict = {}
@@ -357,15 +346,10 @@ def _as_point(k: int, point) -> PartitionFamily:
 def _power_sum(label: PartitionFamily, point: PartitionFamily) -> Fraction:
     """The shifted power sum indexed by `label`, on p(k) alphabets, at `point`.
 
-    With r = |label| and n = |point|: n_(r) * chi^point(pad(label, n)) / dim(point), or 0 if r > n.
+    With r = |label| and n = |point|: n_(r) * chi^point(pad(label, n)) / dim(point), or 0 if
+    r > n.  That is the transport value divided by its scale (k!)^r / big_z(label).
     """
-    n, r = point.size, label.size
-    if r > n:
-        return Fraction(0)
-    return Fraction(
-        falling_factorial(n, r) * wreath_character(point, pad_family(label, n)),
-        wreath_dim(point),
-    )
+    return Fraction(big_z(label) * transport_value(label, point), factorial(label.k) ** label.size)
 
 
 def transport_value(fam: PartitionFamily, point) -> int:
@@ -382,13 +366,11 @@ def transport_value(fam: PartitionFamily, point) -> int:
     z, n, r = big_z(fam), point.size, fam.size
     if r > n:
         return 0
-    value, remainder = divmod(
+    return exact_quotient(
         factorial(fam.k) ** r * falling_factorial(n, r) * wreath_character(point, pad_family(fam, n)),
         z * wreath_dim(point),
+        fam,
     )
-    if remainder:
-        raise InvariantViolation(f"transport value of {fam} at {point} is not an integer")
-    return value
 
 
 def default_eval_points(k: int, bound: int) -> list[PartitionFamily]:

@@ -3,8 +3,8 @@
 Commands: classes, multiply, universal, poly, chartable, verify.  Each
 takes --k and --json plus only the flags it acts on.  multiply, universal
 and poly share one product path, the only one that opens the cache: rows
-come from the cache (parsed once, mass-checked) or are computed and
-appended, then are filtered by --gamma, sorted and printed.  Output is
+come from the cache (parsed once, then product-checked) or are computed
+and appended, then are filtered by --gamma, sorted and printed.  Output is
 line-oriented records by default, a JSON array with --json.  Exit codes:
 1 for usage/parse errors and unusable cache paths, 2 when a budget is
 exceeded, 3 when an internal invariant check fails.
@@ -19,7 +19,7 @@ from . import center as ct
 from . import characters as ch
 from . import partitions as pt
 from .blockperm import DEFAULT_BUDGET
-from .errors import BudgetExceeded, InvariantViolation, WreathError
+from .errors import BudgetExceeded, InvariantViolation, NotProper, WreathError
 from .families import (
     PartitionFamily,
     class_size,
@@ -229,13 +229,7 @@ def _parse_pair(args):
     return left, right
 
 
-def _check_n(args):
-    if args.n < 0:
-        raise UsageError("n must be a nonnegative integer")
-
-
 def _cmd_classes(args):
-    _check_n(args)
     rows = [
         (format_family(fam), class_size(fam, args.n))
         for fam in families_with_size(args.k, args.n)
@@ -246,27 +240,22 @@ def _cmd_classes(args):
 
 def _cmd_product(args):
     """multiply, universal, poly: rows keyed (gamma,) or (gamma, r), filtered, sorted, printed."""
-    if args.command == "multiply":
-        _check_n(args)
     left, right = _parse_pair(args)
-    proper = left.is_proper() and right.is_proper()
-    if args.command == "multiply" and (left.size != args.n or right.size != args.n):
+    wanted = parse_family(args.gamma, args.k) if args.gamma else None
+    given = [fam for fam in (left, right, wanted) if fam is not None]
+    if args.command == "multiply" and any(fam.size != args.n for fam in given):
         raise UsageError("multiply requires families of size exactly n")
-    if args.command == "poly" and not proper:
+    if args.command == "poly" and not all(fam.is_proper() for fam in given):
         raise UsageError("poly requires proper families (no 1-parts in the all-ones component)")
     lt, rt = format_family(left), format_family(right)
-    if args.command == "universal" and not proper:
-        vector = ct.multiply_universal(
-            left,
-            right,
-            budget=args.max_group_size,
-            verify_representative=args.verify_representative,
-        )
+    options = {"budget": args.max_group_size, "verify_representative": args.verify_representative}
+    if args.command == "universal" and not (left.is_proper() and right.is_proper()):
+        vector = ct.multiply_universal(left, right, **options)
         rows = {(gamma,): coeff for gamma, coeff in vector.terms.items()}
     else:
         path = args.cache or os.environ.get(CACHE_ENV)
         try:
-            rows = _cached_rows(args, Cache(path), left, right, lt, rt)
+            rows = _cached_rows(args, Cache(path), left, right, lt, rt, options)
         except OSError as exc:
             raise UsageError(f"unusable cache: {exc}") from exc
         if args.command == "universal":
@@ -277,8 +266,7 @@ def _cmd_product(args):
         return (gamma.size if args.command == "universal" else 0, gamma.sort_key(), *r)
 
     items = sorted(rows.items(), key=order)
-    if args.gamma:
-        wanted = parse_family(args.gamma, args.k)
+    if wanted is not None:
         items = [item for item in items if item[0][0] == wanted]
     head = [args.k, args.n, lt, rt] if args.command == "multiply" else [args.k, lt, rt]
     records, json_records = [], []
@@ -289,33 +277,38 @@ def _cmd_product(args):
     return records, json_records
 
 
-def _cached_rows(args, cache, left, right, lt, rt):
+def _cached_rows(args, cache, left, right, lt, rt, options):
     """Group rows {(gamma,): coeff} for multiply, polynomial rows {(gamma, r): coeff} otherwise.
 
-    A hit is parsed from its text once and passes the mass check; a miss is
-    computed, appended to the cache as text and returned as computed.
+    A miss is computed, appended to the cache and returned as computed.  A
+    hit is parsed once; a row that is not a target of the product raises
+    InvariantViolation naming the record, and the rows pass check_mass.
     """
-    budget, verify = args.max_group_size, args.verify_representative
-    if args.command == "multiply":
-        cached = cache.get_group(args.k, args.n, lt, rt)
-        if cached is None:
-            terms = ct.multiply_group(
-                left, right, args.n, budget=budget, verify_representative=verify
-            ).terms
-            cache.put_group(args.k, args.n, lt, rt, {format_family(g): c for g, c in terms.items()})
-        else:
-            terms = {parse_family(g, args.k): c for g, c in cached.items()}
-            ct.check_mass(ct.ClassSumVector(args.k, terms, n=args.n), left, right)
+    group = args.command == "multiply"
+    key = (args.k, args.n, lt, rt) if group else (args.k, lt, rt)
+    cached = cache.get_group(*key) if group else cache.get_poly(*key)
+    if cached is None and group:
+        terms = ct.multiply_group(left, right, args.n, **options).terms
+        cache.put_group(*key, {format_family(g): c for g, c in terms.items()})
         return {(gamma,): coeff for gamma, coeff in terms.items()}
-    cached = cache.get_poly(args.k, lt, rt)
     if cached is None:
-        rows = ct.polynomial_structure(
-            left, right, budget=budget, verify_representative=verify
-        ).rows
-        cache.put_poly(args.k, lt, rt, {(format_family(g), r): c for (g, r), c in rows.items()})
-    else:
-        rows = {(parse_family(g, args.k), r): c for (g, r), c in cached.items()}
-        ct.check_mass(ct.ClassSumVector(args.k, _poly_terms(rows)), left, right)
+        rows = ct.polynomial_structure(left, right, **options).rows
+        cache.put_poly(*key, {(format_family(g), r): c for (g, r), c in rows.items()})
+        return rows
+    try:
+        if group:
+            rows = {(parse_family(g, args.k),): c for g, c in cached.items()}
+            vector = ct.ClassSumVector(args.k, {g: c for (g,), c in rows.items()}, n=args.n)
+        else:
+            rows = {(parse_family(g, args.k), r): c for (g, r), c in cached.items()}
+            if not all(g.is_proper() for g, _ in rows):
+                raise NotProper("a polynomial row's target is not proper")
+            vector = ct.ClassSumVector(args.k, _poly_terms(rows))
+        if len(vector.terms) != len(cached):
+            raise ValueError("a row has coefficient 0 or repeats a target")
+    except (ValueError, WreathError) as exc:
+        raise InvariantViolation(f"cache record {key} is not a product's rows: {exc}") from exc
+    ct.check_mass(vector, left, right)
     return rows
 
 
@@ -331,7 +324,6 @@ def _cmd_chartable(args):
     bipartitions_of order; k >= 3 labels are families in
     families_with_size order.
     """
-    _check_n(args)
     k, n = args.k, args.n
     if k == 1:
         labels = [(pt.format_partition(p), PartitionFamily(1, {(1,): p})) for p in pt.partitions_of(n)]
@@ -368,6 +360,8 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if min(getattr(args, "n", 0), getattr(args, "max_group_size", 0)) < 0:
+            raise UsageError("--n and --max-group-size must be nonnegative integers")
         records, json_records = COMMANDS.get(args.command, _cmd_product)(args)
         _emit(args, records, json_records)
         if args.command == "verify" and not json_records["verified"]:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one exact-division check.
+
+Class sizes, degrees, |G| / chi(1), transport values and product
+coefficients are all exact quotients, taken by `exact_quotient`.
+"""
 
 
 class WreathError(Exception):
@@ -41,3 +45,14 @@ class BudgetExceeded(WreathError):
 
 class InvariantViolation(WreathError):
     """An internal consistency check failed; results cannot be trusted."""
+
+
+def exact_quotient(numerator: int, denominator: int, what) -> int:
+    """numerator // denominator; a remainder raises InvariantViolation naming `what`.
+
+    `what` is a label or a constant string, formatted only when the check fails.
+    """
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise InvariantViolation(f"{what}: {numerator} / {denominator} is not an integer")
+    return quotient

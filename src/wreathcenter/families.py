@@ -17,7 +17,7 @@ from functools import cache
 from math import comb, factorial
 
 from . import partitions as pt
-from .errors import InvariantViolation, SizeMismatch, TooSmall
+from .errors import SizeMismatch, TooSmall, exact_quotient
 from .partitions import Partition
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "is_proper_family",
     "pad_family",
     "big_z",
+    "group_order",
     "class_size",
     "families_with_size",
     "format_family",
@@ -191,15 +192,16 @@ def big_z(fam: PartitionFamily) -> int:
     return z
 
 
+def group_order(k: int, n: int) -> int:
+    """Order of the group of k-block permutations of [kn]: (k!)^n * n!."""
+    return factorial(k) ** n * factorial(n)
+
+
 def class_size(fam: PartitionFamily, n: int) -> int:
     """Number of k-block permutations of [kn] whose type is `fam` (requires size n)."""
     if fam.size != n:
         raise SizeMismatch(f"family has size {fam.size}, expected {n}")
-    total = factorial(n) * factorial(fam.k) ** n
-    q, r = divmod(total, big_z(fam))
-    if r:
-        raise InvariantViolation("class size formula must divide the group order exactly")
-    return q
+    return exact_quotient(group_order(fam.k, n), big_z(fam), "class size")
 
 
 def families_with_size(k: int, n: int, proper_only: bool = False):

@@ -32,7 +32,6 @@ from .blockperm import (
     class_mappings_on_blocks,
     conjugate,
     enumerate_group,
-    group_order,
     is_block_permutation,
     type_from_images,
 )
@@ -239,13 +238,11 @@ def partial_class_representative(fam: PartitionFamily, n: int) -> KPartialPermut
 
 
 def enumerate_kpartial(k: int, n: int, budget: int = DEFAULT_BUDGET):
-    """Every k-partial permutation of n, grouped by domain."""
+    """Every k-partial permutation of n, grouped by domain; `budget` bounds their number."""
     total = count_all(k, n)
     if total > budget:
         raise BudgetExceeded(total, budget, "partial permutation enumeration")
     for r in range(n + 1):
-        if group_order(k, r) > budget:
-            raise BudgetExceeded(group_order(k, r), budget, "partial permutation enumeration")
         for blocks, to_global in _relabellings(k, r, n):
-            for omega in enumerate_group(k, r):
+            for omega in enumerate_group(k, r, budget):
                 yield _relabel(k, blocks, to_global, omega.images)

@@ -254,6 +254,9 @@ def test_polynomial_structure_matches_brute_force():
             if gamma.size > n:
                 continue
             assert structure.evaluate(gamma, n) == brute.coefficient(pad_family(gamma, n))
+            # the padded target names the same class, with 1-parts of its own
+            padded = pad_family(gamma, n)
+            assert structure.evaluate(padded, n) == brute.coefficient(padded)
 
 
 def test_polynomial_structure_rejects_improper():

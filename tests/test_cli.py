@@ -99,6 +99,13 @@ def test_parse_error_exit_code(capsys):
         ("classes", "--k", "0", "--n", "2"),
         ("classes", "--k", "-1", "--n", "1"),
         ("verify", "--k", "0", "--left", "{}", "--right", "{}"),
+        # a --gamma the product can never have: a size other than n, 1-parts in a poly target
+        ("multiply", "--k", "1", "--n", "3", "--left", "{[1]:[3]}", "--right", "{[1]:[3]}",
+         "--gamma", "{[1]:[2]}"),
+        ("poly", "--k", "1", "--left", "{[1]:[2]}", "--right", "{[1]:[2]}", "--gamma", "{[1]:[3,1]}"),
+        ("multiply", "--k", "1", "--n", "2", "--left", "{[1]:[2]}", "--right", "{[1]:[2]}",
+         "--max-group-size", "-1"),
+        ("verify", "--k", "1", "--left", "{[1]:[2]}", "--right", "{[1]:[2]}", "--max-group-size", "-1"),
     ):
         code, out, _ = call(capsys, *argv)
         assert (code, out) == (1, "")
@@ -376,6 +383,43 @@ def test_malformed_row_rejects_only_its_record(capsys, tmp_path):
     code, out, err = square(3, "{[1]:[3]}")
     assert (code, out) == (3, "")
     assert "not integers" in err
+
+
+def test_cache_hits_pass_the_product_checks(capsys, tmp_path):
+    # every record has a valid header, but rows that are not its product's
+    from wreathcenter.cli import Cache
+
+    two, three = "{[1]:[2]}", "{[1]:[2,1]}"
+    rows = {("{[1]:[3]}", 0): 3, ("{[1]:[2,2]}", 0): 2}  # and ("{}", 2): 1
+    records = [
+        # a target of the wrong size, and one that does not parse
+        ("put_group", (1, 2, two, two, {"{[1]:[1]}": 1})),
+        ("put_group", (1, 2, two, two, {"garbage": 1})),
+        # a zero row, which no computed product prints
+        ("put_group", (1, 2, two, two, {"{[1]:[1,1]}": 1, "{[1]:[2]}": 0})),
+        # rows 11 and -1 keep the mass 11 * 1 - 1 * 2 = 9 = 3 * 3
+        ("put_group", (1, 3, three, three, {"{[1]:[1,1,1]}": 11, "{[1]:[3]}": -1})),
+        # r = -1
+        ("put_poly", (1, two, two, {("{[1]:[3]}", -1): 1})),
+        # the row ({}, 2) written as ({[1]:[1]}, 1): same class, same mass
+        ("put_poly", (1, two, two, {**rows, ("{[1]:[1]}", 1): 1})),
+        # a target too large for the stage 2 + 2, which has no members there
+        ("put_poly", (1, two, two, {**rows, ("{}", 2): 1, ("{[1]:[5]}", 0): 1})),
+    ]
+    for i, (put, record) in enumerate(records):
+        path = str(tmp_path / f"{i}.cache")
+        getattr(Cache(path), put)(*record)
+        left = record[2] if put == "put_group" else record[1]
+        command = ["multiply", "--n", str(record[1])] if put == "put_group" else ["poly"]
+        argv = [*command, "--k", "1", "--left", left, "--right", left, "--cache", path]
+        code, out, err = call(capsys, *argv)
+        assert (code, out) == (3, ""), (record, err)
+        assert err.startswith("error: invariant-violation"), err
+    # control: the true rows are served
+    path = str(tmp_path / "true.cache")
+    Cache(path).put_poly(1, two, two, {**rows, ("{}", 2): 1})
+    code, out, _ = call(capsys, "poly", "--k", "1", "--left", two, "--right", two, "--cache", path)
+    assert (code, len(out.splitlines())) == (0, 3)
 
 
 def mislabel_one_22_product(monkeypatch):

@@ -242,3 +242,16 @@ def test_text_roundtrip():
     assert KPartialPermutation.from_text(text) == EXAMPLE
     empty = KPartialPermutation.empty(2)
     assert KPartialPermutation.from_text(empty.to_text()) == empty
+
+
+def test_enumerate_kpartial_passes_its_budget_on(monkeypatch):
+    budgets = []
+    real = kp.enumerate_group
+
+    def recording(k, n, budget=bp.DEFAULT_BUDGET):
+        budgets.append(budget)
+        return real(k, n, budget)
+
+    monkeypatch.setattr(kp, "enumerate_group", recording)
+    assert len(list(kp.enumerate_kpartial(1, 2, budget=50))) == kp.count_all(1, 2)
+    assert budgets and set(budgets) == {50}
