@@ -1,6 +1,6 @@
 """Products of conjugacy-class sums, exactly.
 
-One engine computes most products.  Conjugation permutes each input orbit
+One engine enumerates products.  Conjugation permutes each input orbit
 and preserves products, so for a fixed x in the larger orbit A,
 
     c_gamma * |C_gamma| = |A| * #{y in B : type(x y) = gamma}.
@@ -14,15 +14,17 @@ layers:
     faithful stage N = |left| + |right| (the kpartial route), which is
     enough because a product moves at most that many blocks.
 
-A group product may instead be counted by characters, for every k.  The
+Either product may instead be counted by characters, for every k.  The
 Frobenius formula
 
     c_gamma = |C_A| |C_B| / |G| * sum_chi chi(A) chi(B) chi(gamma) / chi(1)
 
-reads every coefficient off the character table at (k, n), which has
-#classes ** 2 entries.  multiply_group weighs the two routes by their
-measured costs, including the one-off cost of building a table, and
-takes the cheaper one.
+reads every coefficient of a group product off the character table at
+(k, n), which has #classes ** 2 entries.  A universal product is fixed by
+its projections, the group products of the padded inputs at every n from
+max(|left|, |right|) to N, and is recovered from them one size at a time.
+Both products weigh the two routes by their measured costs with one rule,
+including the one-off cost of building a table, and take the cheaper one.
 
 Projecting the universal product down to a group recovers the group
 product (for proper inputs on the nose; in general up to the binomial
@@ -138,12 +140,8 @@ def multiply_group(
 
     Two routes count the same coefficients, for every k: enumerating the
     smaller class B, or the Frobenius formula over the character table at
-    (k, n).  Their costs are compared in Frobenius terms (one table entry
-    read each): enumeration costs |B| * _ELEMENT_COST; characters cost
-    #classes ** 2, plus _BUILD_COST per entry while the table is not built,
-    less what enumeration at (k, n) has already cost in this process.  So a
-    one-off product never pays for a build that outweighs it, and a
-    long-lived process builds each table it keeps needing once.
+    (k, n).  `_by_characters` picks one by cost, in Frobenius terms (one
+    table entry read each): enumeration costs |B| * _ELEMENT_COST.
 
     `budget` bounds the count of the route taken: |B| elements, or
     #classes ** 2 table entries.  When the cheaper route is over budget and
@@ -160,20 +158,10 @@ def multiply_group(
         return _group_by_enumeration(left, right, n, budget, True)
     k = left.k
     smaller = min(class_size(left, n), class_size(right, n))
-    entries = _class_count(k, n) ** 2
-    by_characters = _characters_cost(k, n, entries) < smaller * _ELEMENT_COST
-    if (entries <= budget) != (smaller <= budget):
-        # only one route fits the budget
-        by_characters = entries <= budget
-    elif entries > budget:
-        # neither fits: the route with the smaller count reports it
-        by_characters = entries < smaller
-    if by_characters:
-        if entries > budget:
-            raise BudgetExceeded(entries, budget, "character table")
+    if _by_characters(k, (n,), smaller, _ELEMENT_COST, budget):
         return _group_by_characters(left, right, n)
     vector = _group_by_enumeration(left, right, n, budget, False)
-    _enumerated[k, n] += smaller
+    _enumerated[k, n] += smaller * _ELEMENT_COST
     return vector
 
 
@@ -183,17 +171,51 @@ def multiply_group(
 # term 0.18 us, and one table entry 6.8 us to build in a fresh process.
 _ELEMENT_COST = 360
 _BUILD_COST = 38
+# One enumerated universal element, in table entries read by the universal
+# character route.  Over the universal-sweep and poly-rows op lists for seeds
+# 1-2 on the machine above, tables built, best of five per product: an
+# element took 23-42 us and an entry 0.09-0.12 us.  Of the values 20-2000
+# tried, 500 kept the most of what taking each product's faster route saves
+# (99.7% and 100%; 40 kept 10% and 86%).
+_UNIVERSAL_COST = 500
 
-# elements enumerated at each (k, n) in this process, which pay down the
-# cost of building that table
+# the cost in Frobenius terms of the elements enumerated at each (k, n) in
+# this process, by group products at (k, n) and by universal products that
+# reach size n; it pays down the cost of building that table
 _enumerated: Counter = Counter()
 
 
-def _characters_cost(k, n, entries):
+def _by_characters(k, sizes, smaller, element_cost, budget):
+    """True when a product is read off the character tables at (k, n) for n in sizes.
+
+    The rule shared by group and universal products.  Enumeration costs
+    smaller * element_cost; characters cost #classes ** 2 per table, plus
+    _BUILD_COST per entry while it is not built, less what enumeration at
+    that size has already cost in this process.  So a one-off product never
+    pays for a build that outweighs it, and a long-lived process builds each
+    table it keeps needing once.
+
+    `budget` bounds the count of the route taken: `smaller` elements, or
+    the table entries.  When only one route fits, it is taken; when neither
+    fits, the route with the smaller count reports it.
+    """
+    entries = sum(_class_count(k, n) ** 2 for n in sizes)
+    if (entries <= budget) != (smaller <= budget):
+        by_characters = entries <= budget
+    elif entries > budget:
+        by_characters = entries < smaller
+    else:
+        by_characters = sum(_characters_cost(k, n) for n in sizes) < smaller * element_cost
+    if by_characters and entries > budget:
+        raise BudgetExceeded(entries, budget, "character table")
+    return by_characters
+
+
+def _characters_cost(k, n):
+    entries = _class_count(k, n) ** 2
     if ch.has_character_table(k, n):
         return entries
-    build = entries * _BUILD_COST - _enumerated[k, n] * _ELEMENT_COST
-    return entries + max(build, 0)
+    return entries + max(entries * _BUILD_COST - _enumerated[k, n], 0)
 
 
 @cache
@@ -216,7 +238,14 @@ def _group_by_enumeration(left, right, n, budget, verify_representative):
 
 
 def _group_by_characters(left, right, n):
-    """The Frobenius formula over the cached character table, in integers.
+    """The group product by the Frobenius formula, mass-checked."""
+    vector = ClassSumVector(left.k, _frobenius(left, right, n), n=n)
+    check_mass(vector, left, right)
+    return vector
+
+
+def _frobenius(left, right, n):
+    """The coefficients of a group product by the Frobenius formula, in integers.
 
     c_gamma = |C_left| |C_right| * S_gamma / |G|^2, where S_gamma sums
     chi(left) chi(right) chi(gamma) |G| / chi(1) over the irreducible
@@ -230,9 +259,7 @@ def _group_by_characters(left, right, n):
         total = sum(map(mul, factors, column))
         if total:
             terms[gamma] = exact_quotient(scale * total, order * order, gamma)
-    vector = ClassSumVector(left.k, terms, n=n)
-    check_mass(vector, left, right)
-    return vector
+    return terms
 
 
 def multiply_universal(
@@ -241,9 +268,37 @@ def multiply_universal(
     budget: int = DEFAULT_BUDGET,
     verify_representative: bool = False,
 ) -> ClassSumVector:
-    """Product of two orbit sums in the universal algebra, at stage |left| + |right|."""
+    """Product of two orbit sums in the universal algebra, at stage |left| + |right|.
+
+    Two routes count the same coefficients, for every k: enumerating the
+    smaller orbit B at stage |left| + |right|, or inverting the group
+    products at every size n from max(|left|, |right|) to |left| + |right|
+    (`_universal_by_characters`).  `_by_characters` picks one by cost, in
+    Frobenius terms: enumeration costs |B| * _UNIVERSAL_COST, and characters
+    read the tables at every such n.  Enumeration pays down the build of
+    each of those tables.
+
+    `budget` bounds the count of the route taken: |B| elements, or the
+    table entries summed over the sizes.  When only one route fits it is
+    taken; when neither fits, BudgetExceeded reports the smaller count.
+    With verify_representative the smaller orbit is always enumerated.
+    """
     if left.k != right.k:
         raise SizeMismatch("families must share the same k")
+    if verify_representative:
+        return _universal_by_enumeration(left, right, budget, True)
+    stage = left.size + right.size
+    sizes = range(max(left.size, right.size), stage + 1)
+    smaller = min(kp.partial_class_size(left, stage), kp.partial_class_size(right, stage))
+    if _by_characters(left.k, sizes, smaller, _UNIVERSAL_COST, budget):
+        return _universal_by_characters(left, right)
+    vector = _universal_by_enumeration(left, right, budget, False)
+    for n in sizes:
+        _enumerated[left.k, n] += smaller * _UNIVERSAL_COST
+    return vector
+
+
+def _universal_by_enumeration(left, right, budget, verify_representative):
     stage = left.size + right.size
     return _multiply(
         left,
@@ -256,6 +311,43 @@ def multiply_universal(
         budget,
         verify_representative,
     )
+
+
+def _universal_by_characters(left, right):
+    """The universal product from the group products of the padded inputs.
+
+    Projection to size n is a homomorphism, so with G_n the group product
+    of pad(left, n) and pad(right, n),
+
+        bpf(left, n) bpf(right, n) G_n = sum over |gamma| <= n of c_gamma bpf(gamma, n) C_pad(gamma, n),
+
+    where bpf is binomial_pad_factor.  A label of size n pads to itself
+    with factor 1, so going up from n = max(|left|, |right|), where no
+    smaller label occurs, to n = |left| + |right|, c_delta for each delta
+    of size n is what remains of the left side at delta once the labels
+    already found that pad to delta are subtracted.
+
+    Counting elements is multiplicative at every stage n, so each level is
+    checked on the coefficients found so far: the sum over |gamma| <= n of
+    c_gamma times the orbit size of gamma at stage n equals the product of
+    the input orbit sizes there.  This check on the answer stands in for
+    checking each group product, and also covers the subtraction.
+    """
+    terms = {}
+    for n in range(max(left.size, right.size), left.size + right.size + 1):
+        scale = binomial_pad_factor(left, n) * binomial_pad_factor(right, n)
+        group = _frobenius(pad_family(left, n), pad_family(right, n), n)
+        level = {delta: scale * c for delta, c in group.items()}
+        for gamma, c in terms.items():
+            delta = pad_family(gamma, n)
+            level[delta] = level.get(delta, 0) - c * binomial_pad_factor(gamma, n)
+        terms.update((delta, c) for delta, c in level.items() if c)
+        mass = sum(c * kp.partial_class_size(gamma, n) for gamma, c in terms.items())
+        if mass != kp.partial_class_size(left, n) * kp.partial_class_size(right, n):
+            raise InvariantViolation(f"universal product mass at stage {n} is {mass}")
+    vector = ClassSumVector(left.k, terms)
+    check_mass(vector, left, right)
+    return vector
 
 
 def _multiply(left, right, n, size, members, representative, type_of, budget, verify_representative):
@@ -404,8 +496,9 @@ def polynomial_structure(
     1-parts in the all-ones component; the label's coefficient becomes the
     row at (proper family, r).  The row sum over r weighted by binomials in
     n reproduces the group coefficient for every n, including the constant
-    r = 0 term.  `budget` and `verify_representative` act on the universal
-    product as in multiply_universal.
+    r = 0 term.  The universal product is multiply_universal's, so it is
+    enumerated or read off the character tables by the same rule, and
+    `budget` and `verify_representative` act on it as there.
     """
     if not left.is_proper() or not right.is_proper():
         raise NotProper("polynomial structure requires proper input families")
@@ -420,5 +513,5 @@ def polynomial_structure(
 
 
 def _proper_family(fam: PartitionFamily) -> PartitionFamily:
-    """The family with the 1-parts of its all-ones component removed."""
-    return fam.replace((1,) * fam.k, proper_part(fam.ones_component))
+    """The shared family with the 1-parts of its all-ones component removed."""
+    return PartitionFamily._of(fam.k, (proper_part(fam.ones_component),) + fam.components[1:])

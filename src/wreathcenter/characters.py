@@ -387,9 +387,11 @@ def verify_iso(
 ) -> bool:
     """Check multiplicativity of the transport map on one product, pointwise.
 
-    The product of the two labels is expanded with multiply_universal; at
-    every evaluation point the product of the transported inputs must equal
-    the transported expansion.  All arithmetic is exact.  The budget bounds
+    The product of the two labels is expanded by enumeration, never by the
+    character route of multiply_universal, which would make the check hold
+    by construction at every point of size up to |left| + |right|; at every
+    evaluation point the product of the transported inputs must equal the
+    transported expansion.  All arithmetic is exact.  The budget bounds
     the product and, before any is made, the transport evaluations: one per
     expansion term and one per input at every point.
     """
@@ -398,7 +400,7 @@ def verify_iso(
     if eval_points is None:
         eval_points = default_eval_points(k, left.size + right.size + 2)
     points = [_as_point(k, point) for point in eval_points]
-    expansion = center.multiply_universal(left, right, budget=budget)
+    expansion = center._universal_by_enumeration(left, right, budget, False)
     needed = len(points) * (len(expansion.terms) + 2)
     if needed > budget:
         raise BudgetExceeded(needed, budget, "transport evaluations")

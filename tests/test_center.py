@@ -5,8 +5,16 @@ from collections import Counter
 import pytest
 
 from wreathcenter import center as ct
+from wreathcenter import kpartial as kp
+from wreathcenter.blockperm import DEFAULT_BUDGET
 from wreathcenter.errors import BudgetExceeded, InvariantViolation, NotProper, SizeMismatch
-from wreathcenter.families import PartitionFamily, class_size, families_with_size, pad_family
+from wreathcenter.families import (
+    PartitionFamily,
+    class_size,
+    families_with_size,
+    pad_family,
+    parse_family,
+)
 
 
 def fam(k, *components):
@@ -116,14 +124,18 @@ def test_mislabelled_product_is_caught(monkeypatch):
 
         monkeypatch.setattr(kp, "kp_type", kp_type)
 
+    def enumerated(left, right):
+        # only the enumeration route extracts types
+        return ct._universal_by_enumeration(left, right, DEFAULT_BUDGET, False)
+
     # T_(3) drops from 4 to 3: 6 * 3 / |C_(3)| = 18 / 8 is not an integer
     mislabel_once({fam(1, (3,)): fam(1, (2, 2))})
     with pytest.raises(InvariantViolation):
-        ct.multiply_universal(lam, lam)
+        enumerated(lam, lam)
     # moving the one (2,2) product to (1,1) keeps every quotient integral
     # and the mass unchanged; only a second representative sees it
     mislabel_once({fam(1, (2, 2)): fam(1, (1, 1))})
-    assert ct.multiply_universal(lam, lam).terms == {fam(1, (1, 1)): 2, fam(1, (3,)): 3}
+    assert enumerated(lam, lam).terms == {fam(1, (1, 1)): 2, fam(1, (3,)): 3}
     mislabel_once({fam(1, (2, 2)): fam(1, (1, 1))})
     with pytest.raises(InvariantViolation):
         ct.multiply_universal(lam, lam, verify_representative=True)
@@ -231,6 +243,8 @@ def test_polynomial_structure_k1():
         (fam(1, (3,)), 0): 3,
         (fam(1, (2, 2)), 0): 2,
     }
+    # row labels are the shared label objects, not copies per row
+    assert all(g is PartitionFamily._of(g.k, g.components) for g, _ in structure.rows)
     for n in range(4, 9):
         assert structure.evaluate(empty, n) == n * (n - 1) // 2
         assert structure.evaluate(fam(1, (3,)), n) == 3
@@ -319,7 +333,7 @@ def test_route_charges_the_table_build(monkeypatch):
             built_at = product
     assert built_at >= 1
     assert built_at * element_cost <= build_cost < (built_at + 1) * element_cost
-    assert ct._enumerated[3, 3] == built_at * class_size(left, 3)
+    assert ct._enumerated[3, 3] == built_at * element_cost
 
 
 def test_budget_falls_back_to_the_route_that_fits(monkeypatch):
@@ -353,6 +367,106 @@ def test_route_rule_and_budget():
     with pytest.raises(BudgetExceeded) as info:
         ct.multiply_group(lam, lam, 6, budget=143, verify_representative=True)
     assert info.value.needed == 144
+
+
+def test_universal_character_route_matches_enumeration():
+    # both routes called directly: every product with k <= 3 and
+    # |L| + |R| <= 4, empty and non-proper labels included, and larger ones
+    cases = []
+    for k in (1, 2, 3):
+        fams = [f for s in range(5) for f in families_with_size(k, s)]
+        cases += [(left, right) for left in fams for right in fams if left.size + right.size <= 4]
+    assert len(cases) == 649
+    larger = [
+        (1, "{[1]:[4]}", "{[1]:[4]}"),
+        (1, "{[1]:[2,2]}", "{[1]:[2,2]}"),
+        (2, "{[2]:[3]}", "{[2]:[3]}"),
+        (2, "{[1,1]:[2]; [2]:[1]}", "{[1,1]:[3]}"),
+        (3, "{[2,1]:[2]}", "{[2,1]:[2]}"),
+    ]
+    cases += [(parse_family(a, k), parse_family(b, k)) for k, a, b in larger]
+    for left, right in cases:
+        enumerated = ct._universal_by_enumeration(left, right, 10**7, False)
+        assert ct._universal_by_characters(left, right) == enumerated
+
+
+def test_wrong_level_of_the_universal_character_route_is_caught(monkeypatch):
+    # one coefficient of one size's group product is one too large; a wrong
+    # size below the top keeps the mass at stage |L| + |R|, so every stage
+    # must be checked
+    true_frobenius = ct._frobenius
+    for k, a, b in [(1, "{[1]:[1]}", "{[1]:[1]}"), (1, "{[1]:[2]}", "{[1]:[2]}"),
+                    (2, "{[2]:[1]; [1,1]:[1]}", "{[2]:[1]}")]:
+        left, right = parse_family(a, k), parse_family(b, k)
+        for wrong_at in range(max(left.size, right.size), left.size + right.size + 1):
+
+            def frobenius(l, r, n, wrong_at=wrong_at):
+                terms = true_frobenius(l, r, n)
+                if n == wrong_at:
+                    first = min(terms, key=PartitionFamily.sort_key)
+                    terms[first] += 1
+                return terms
+
+            monkeypatch.setattr(ct, "_frobenius", frobenius)
+            with pytest.raises(InvariantViolation):
+                ct._universal_by_characters(left, right)
+            monkeypatch.undo()
+
+
+def test_universal_route_charges_the_table_builds(monkeypatch):
+    from wreathcenter import characters as ch
+
+    monkeypatch.setattr(ct, "_enumerated", Counter())
+    ch.character_table.cache_clear()
+    # the tables at (3, 2) and (3, 3) have 9 ** 2 + 22 ** 2 entries; one
+    # product enumerates the 6 members of the orbit of {[3]:[1]} at stage 3
+    left, right = fam(3, (), (), (1,)), fam(3, (), (), (2,))
+    smaller, sizes = 6, (2, 3)
+    assert smaller == kp.partial_class_size(left, 3) < kp.partial_class_size(right, 3)
+    expected = ct._universal_by_enumeration(left, right, 10**6, False)
+    # a cold one-off product enumerates and builds no table
+    assert ct.multiply_universal(left, right) == expected
+    assert not any(ch.has_character_table(3, n) for n in sizes)
+    # repeated products enumerate until the tables' charge, less what the
+    # enumeration at each size has cost, falls below one more enumeration
+    enumeration = smaller * ct._UNIVERSAL_COST
+    entries = [len(families_with_size(3, n)) ** 2 for n in sizes]
+
+    def charge(products):
+        return sum(e + max(e * ct._BUILD_COST - products * enumeration, 0) for e in entries)
+
+    built_at = None
+    for product in range(1, 12):
+        assert ct.multiply_universal(left, right) == expected
+        if built_at is None and ch.has_character_table(3, 3):
+            built_at = product
+    assert built_at >= 2
+    assert charge(built_at - 1) >= enumeration > charge(built_at)
+    assert all(ch.has_character_table(3, n) for n in sizes)
+    assert all(ct._enumerated[3, n] == built_at * enumeration for n in sizes)
+
+
+def test_universal_budget_takes_the_route_that_fits(monkeypatch):
+    # (4) x (4) at k = 1: 420 members in the smaller orbit at stage 8,
+    # 5**2 + 7**2 + 11**2 + 15**2 + 22**2 = 904 entries at n = 4..8
+    four = fam(1, (4,))
+    by_characters = ct.multiply_universal(four, four)
+    calls = []
+    monkeypatch.setattr(ct, "_universal_by_characters", lambda *args: calls.append(args))
+    assert ct.multiply_universal(four, four, budget=420) == by_characters
+    assert calls == []
+    with pytest.raises(BudgetExceeded) as info:
+        ct.multiply_universal(four, four, budget=419)
+    assert info.value.needed == 420
+    monkeypatch.undo()
+    # (5) x (5): 6048 members, 3543 entries at n = 5..10; enumeration
+    # would exceed the budget, so the product is read off the tables
+    five = fam(1, (5,))
+    assert kp.partial_class_size(five, 10) == 6048
+    assert ct.multiply_universal(five, five, budget=3543) == ct._universal_by_characters(five, five)
+    with pytest.raises(BudgetExceeded) as info:
+        ct.multiply_universal(five, five, budget=3542)
+    assert (info.value.needed, info.value.what) == (3543, "character table")
 
 
 def test_wrong_character_value_is_caught(monkeypatch):

@@ -382,6 +382,22 @@ def test_verify_iso_computes_each_big_z_once(monkeypatch):
     assert info.hits >= sum(transported.values()) - len(transported)
 
 
+def test_verify_iso_expands_by_enumeration(monkeypatch):
+    # an expansion read off the characters would agree with the transport
+    # map by construction, so verify_iso must not take that route
+    lam = fam(1, (2,))
+    for n in (2, 3, 4):
+        ch.character_table(1, n)
+
+    def refuse(left, right):
+        raise AssertionError("character route taken")
+
+    monkeypatch.setattr(ct, "_universal_by_characters", refuse)
+    with pytest.raises(AssertionError):
+        ct.multiply_universal(lam, lam)
+    assert ch.verify_iso(1, lam, lam)
+
+
 def test_verify_iso_all_proper_pairs():
     from wreathcenter.families import families_with_size
 
