@@ -20,7 +20,11 @@ Frobenius formula
     c_gamma = |C_A| |C_B| / |G| * sum_chi chi(A) chi(B) chi(gamma) / chi(1)
 
 reads every coefficient of a group product off the character table at
-(k, n), which has #classes ** 2 entries.  A universal product is fixed by
+(k, n), which has #classes ** 2 entries.  It reads only the characters
+nonzero at both A and B, at the classes gamma whose values at the degree-1
+characters are the products of A's and B's: a degree-1 character is
+multiplicative, so every other class has c_gamma = 0.  So #classes ** 2
+bounds what it reads.  A universal product is fixed by
 its projections, the group products of the padded inputs at every n from
 max(|left|, |right|) to N, and is recovered from them one size at a time.
 Both products weigh the two routes by their measured costs with one rule,
@@ -36,6 +40,7 @@ constant a polynomial in n.
 
 from collections import Counter
 from functools import cache
+from itertools import compress
 from math import comb
 from operator import mul
 
@@ -46,6 +51,7 @@ from .blockperm import DEFAULT_BUDGET
 from .errors import BudgetExceeded, InvariantViolation, NotProper, SizeMismatch, exact_quotient
 from .families import (
     PartitionFamily,
+    big_z,
     binomial_pad_factor,
     class_size,
     families_with_size,
@@ -193,7 +199,9 @@ def _by_characters(k, sizes, smaller, element_cost, budget):
     _BUILD_COST per entry while it is not built, less what enumeration at
     that size has already cost in this process.  So a one-off product never
     pays for a build that outweighs it, and a long-lived process builds each
-    table it keeps needing once.
+    table it keeps needing once.  `_frobenius` reads only the entries that
+    can contribute, so #classes ** 2 is an upper bound on what it reads, and
+    it is also what the budget counts.
 
     `budget` bounds the count of the route taken: `smaller` elements, or
     the table entries.  When only one route fits, it is taken; when neither
@@ -247,18 +255,25 @@ def _group_by_characters(left, right, n):
 def _frobenius(left, right, n):
     """The coefficients of a group product by the Frobenius formula, in integers.
 
-    c_gamma = |C_left| |C_right| * S_gamma / |G|^2, where S_gamma sums
+    c_gamma = S_gamma / (big_z(left) big_z(right)), where S_gamma sums
     chi(left) chi(right) chi(gamma) |G| / chi(1) over the irreducible
-    characters chi.
+    characters chi; a remainder raises InvariantViolation.  Only what can
+    contribute is read: the characters with chi(left) chi(right) != 0, and
+    the classes gamma whose values at the degree-1 characters are the
+    products of left's and right's (`characters.linear_classes`), since
+    every other class has c_gamma = 0.
     """
-    order, weights, columns = ch.character_table(left.k, n)
-    factors = [a * b * w for a, b, w in zip(columns[left], columns[right], weights)]
-    scale = class_size(left, n) * class_size(right, n)
+    _, weights, columns = ch.character_table(left.k, n)
+    values, classes = ch.linear_classes(left.k, n)
+    products = list(map(mul, columns[left], columns[right]))
+    factors = [p * w for p, w in zip(products, weights) if p]
+    target = tuple(map(mul, values[left], values[right]))
+    z = big_z(left) * big_z(right)
     terms = {}
-    for gamma, column in columns.items():
-        total = sum(map(mul, factors, column))
+    for gamma, column in classes.get(target, ()):
+        total = sum(map(mul, factors, compress(column, products)))
         if total:
-            terms[gamma] = exact_quotient(scale * total, order * order, gamma)
+            terms[gamma] = exact_quotient(total, z, gamma)
     return terms
 
 

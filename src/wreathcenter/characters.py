@@ -41,6 +41,7 @@ __all__ = [
     "wreath_dim",
     "character_table",
     "has_character_table",
+    "linear_classes",
     "shifted_power_sum_eval2",
     "verify_iso",
     "bipartitions_of",
@@ -240,9 +241,21 @@ def _build_table(k: int, n: int):
         raise InvariantViolation(f"the identity column of the ({k}, {n}) table is not the degrees")
     order = group_order(k, n)
     weights = tuple(exact_quotient(order, dim, "|G| / chi(1)") for dim in dims)
-    return order, weights, MappingProxyType(columns)
+    return (order, weights, MappingProxyType(columns)), _by_linear_values(columns, dims)
 
 
+def _by_linear_values(columns, dims):
+    """The value of linear_classes, from the table rows with chi(1) = 1."""
+    linear = [i for i, dim in enumerate(dims) if dim == 1]
+    values, classes = {}, {}
+    for fam, column in columns.items():
+        key = values[fam] = tuple(column[i] for i in linear)
+        classes.setdefault(key, []).append((fam, column))
+    classes = {key: tuple(group) for key, group in classes.items()}
+    return MappingProxyType(values), MappingProxyType(classes)
+
+
+# (k, n) -> (the character_table value, the linear_classes value)
 _tables: dict = {}
 
 
@@ -258,12 +271,31 @@ def character_table(k: int, n: int):
     trivial character (at k = 2, `hyperoct_character`'s first partition).
 
     A table is built on first use and kept for the life of the process;
-    `character_table.cache_clear()` drops every kept table.
+    `character_table.cache_clear()` drops every kept table, and its
+    `linear_classes` with it.
     """
-    table = _tables.get((k, n))
-    if table is None:
-        table = _tables[k, n] = _build_table(k, n)
-    return table
+    return _table_entry(k, n)[0]
+
+
+def linear_classes(k: int, n: int):
+    """The classes at (k, n) grouped by their values at the degree-1 characters.
+
+    Returns (values, classes): `values` maps each class family to the tuple
+    of its values at the irreducibles of degree 1 (2 of them at k = 1 and
+    4 at k >= 2, once n >= 2), and `classes` maps each such tuple to the
+    (class, column of character_table) pairs that have it, in table
+    order.  A degree-1 character lambda has lambda(xy) = lambda(x)
+    lambda(y), so a product of classes with values a and b lies wholly in
+    the classes with values a * b.  Built from the table's own rows, with it.
+    """
+    return _table_entry(k, n)[1]
+
+
+def _table_entry(k, n):
+    entry = _tables.get((k, n))
+    if entry is None:
+        entry = _tables[k, n] = _build_table(k, n)
+    return entry
 
 
 character_table.cache_clear = _tables.clear

@@ -295,10 +295,11 @@ def test_budget_exceeded():
 
 
 def test_character_route_matches_enumeration():
-    # both routes called directly, on every unordered pair, or at (3, 4) on
-    # those whose smaller class has at most 50 members
+    # both routes called directly, on every unordered pair, or at the
+    # benchmark's sizes on those whose smaller class has at most `most`
+    # members; these include the long cycles, at which most characters vanish
     cases = [(1, range(1, 7), None), (2, range(1, 5), None), (3, range(1, 4), None)]
-    cases += [(4, range(1, 3), None), (3, (4,), 50)]
+    cases += [(4, range(1, 3), None), (3, (4,), 50), (1, (7,), 400), (2, (5,), 50)]
     for k, sizes, most in cases:
         for n in sizes:
             fams = families_with_size(k, n)
@@ -473,19 +474,22 @@ def test_wrong_character_value_is_caught(monkeypatch):
     from wreathcenter import characters as ch
 
     true_character = ch.sym_character
-
-    def sym_character(rho, delta):
-        return true_character(rho, delta) + ((rho, delta) == ((4, 2), (3, 3)))
-
     lam = fam(1, (5, 1))
-    monkeypatch.setattr(ch, "sym_character", sym_character)
-    ch.character_table.cache_clear()
-    try:
-        with pytest.raises(InvariantViolation):
-            ct.multiply_group(lam, lam, 6)
-    finally:
-        monkeypatch.undo()
+    # a wrong value of the sign, a degree-1 character, moves (3, 3) off the
+    # classes the product can reach, so its mass goes missing
+    for wrong in [((4, 2), (3, 3)), ((1, 1, 1, 1, 1, 1), (3, 3))]:
+
+        def sym_character(rho, delta, wrong=wrong):
+            return true_character(rho, delta) + ((rho, delta) == wrong)
+
+        monkeypatch.setattr(ch, "sym_character", sym_character)
         ch.character_table.cache_clear()
+        try:
+            with pytest.raises(InvariantViolation):
+                ct.multiply_group(lam, lam, 6)
+        finally:
+            monkeypatch.undo()
+            ch.character_table.cache_clear()
     assert ct.multiply_group(lam, lam, 6).coefficient(fam(1, (3, 3))) == 54
 
 

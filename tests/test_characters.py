@@ -188,6 +188,23 @@ def test_character_table_layout():
             assert sum(v * v for v in column) == big_z(delta)
 
 
+def test_linear_classes():
+    # the degree-1 characters: 1 of S_1, 2 of S_k at n = 1 or k = 1, and 4
+    # once k, n >= 2; the grouping holds every column once, in table order
+    for k, n, linear in [(1, 1, 1), (1, 5, 2), (2, 1, 2), (2, 3, 4), (3, 3, 4)]:
+        _, _, columns = ch.character_table(k, n)
+        values, classes = ch.linear_classes(k, n)
+        assert values[PartitionFamily.identity(k, n)] == (1,) * linear
+        assert all(len(v) == linear and set(v) <= {1, -1} for v in values.values())
+        grouped = [pair for group in classes.values() for pair in group]
+        assert sorted(grouped, key=lambda pair: list(columns).index(pair[0])) == list(columns.items())
+        assert all(values[fam] == key for key, group in classes.items() for fam, _ in group)
+    # dropped with the table, and built with it
+    ch.character_table.cache_clear()
+    assert not ch.has_character_table(3, 3)
+    assert ch.linear_classes(3, 3)[0] == values and ch.has_character_table(3, 3)
+
+
 def test_general_character_table():
     for k, sizes in [(3, range(5)), (4, range(4))]:
         for n in sizes:
