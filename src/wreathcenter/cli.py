@@ -3,11 +3,11 @@
 Commands: classes, multiply, universal, poly, chartable, verify.  Each
 takes --k and --json plus only the flags it acts on.  multiply, universal
 and poly share one product path, the only one that opens the cache: rows
-come from the cache (parsed once, then product-checked) or are computed
-and appended, then are filtered by --gamma, sorted and printed.  Output is
-line-oriented records by default, a JSON array with --json.  Exit codes:
-1 for usage/parse errors and unusable cache paths, 2 when a budget is
-exceeded, 3 when an internal invariant check fails.
+come from the asked product's cache records, product-checked, or are
+computed and appended, then are filtered by --gamma, sorted and printed.
+Output is line-oriented records by default, a JSON array with --json.
+Exit codes: 1 for usage/parse errors and unusable cache paths, 2 when a
+budget is exceeded, 3 when an internal invariant check fails.
 """
 
 import argparse
@@ -83,11 +83,11 @@ class Cache:
     Each product is one record, appended by a single write.  Its first line
     starts with a header field `#<rows>:<sha256>` holding the number of
     rows and the sha256 of the row lines (each with its newline, header
-    field left out).  A key whose rows come without a header, in a record
-    whose count or digest does not match, or in records that disagree is
-    rejected: looking it up raises InvariantViolation.  Identical records
-    are collapsed on load; a key is served from the cache only if it was
-    written before, so replays are byte-identical.
+    field left out).  A lookup reads only its key's records.  A key whose
+    rows lack a header, whose record has a wrong count or digest or repeats
+    a target, or whose records disagree is rejected whatever other keys
+    hold: looking it up raises InvariantViolation.  Identical records
+    collapse; only keys written before are served, so replays are identical.
     """
 
     def __init__(self, path: str | None):
@@ -95,13 +95,12 @@ class Cache:
         self.group: dict = {}
         self.poly: dict = {}
         self.rejected: dict = {}
-        if path and os.path.exists(path):
-            with open(path, encoding="utf-8") as handle:
-                self._load(handle)
 
-    def _load(self, handle):
-        record = None  # [header, table, key, row lines with newlines, rows]
+    def _read(self, handle, table, key):
+        record = None  # [header, row lines with newlines, rows] of an open record of key
         for line in handle:
+            if record is None and not (key[-2] in line and key[-1] in line):  # not a row of key
+                continue
             line = line.strip()
             header = ""
             if line.startswith("#"):
@@ -109,21 +108,19 @@ class Cache:
             parsed = self._parse(line)
             if parsed is None:
                 continue
-            table, key, target, coeff = parsed
-            if header:
-                self._close(record)
-                record = [header, table, key, [], {}]
-            elif record is None or record[2] != key:
-                self._close(record)
-                record = None
+            row_key, target, coeff = parsed
+            if header or row_key != key:
+                self._close(table, key, record)
+                record = [header, [], {}] if row_key == key else None
+            if row_key == key and record is None:
                 self.rejected[key] = "has rows without a record header"
-                continue
-            record[3].append(line + "\n")
-            record[4][target] = coeff
-        self._close(record)
+            elif row_key == key:
+                record[1].append(line + "\n")
+                record[2][target] = coeff
+        self._close(table, key, record)
 
     def _parse(self, line: str):
-        """(table, key, target, coeff) of one row, or None if it is not a row.
+        """(key, target, coeff) of one row, or None if it is not a row.
 
         A numeric field that is not an integer reads as None: such a key
         matches no lookup, and a record with such a target or coefficient
@@ -136,22 +133,27 @@ class Cache:
             k, left, right, gamma, r, coeff = fields
             r = _integer(r)
             coeff = None if r is None else _integer(coeff)
-            return self.poly, (_integer(k), left, right), (gamma, r), coeff
+            return (_integer(k), left, right), (gamma, r), coeff
         k, n, left, right, gamma, coeff = fields
-        return self.group, (_integer(k), _integer(n), left, right), gamma, _integer(coeff)
+        return (_integer(k), _integer(n), left, right), gamma, _integer(coeff)
 
-    def _close(self, record):
+    def _close(self, table, key, record):
         if record is None:
             return
-        header, table, key, lines, rows = record
+        header, lines, rows = record
         if header != f"#{len(lines)}:{_digest(''.join(lines))}":
             self.rejected[key] = "does not match its record header"
         elif None in rows.values():
             self.rejected[key] = "has a row whose numeric fields are not integers"
+        elif len(rows) != len(lines):
+            self.rejected[key] = "repeats a target"
         elif table.setdefault(key, rows) != rows:
             self.rejected[key] = "has records that disagree"
 
     def _get(self, table, key):
+        if key not in table and self.path and os.path.exists(self.path):
+            with open(self.path, encoding="utf-8") as handle:
+                self._read(handle, table, key)
         if key in self.rejected:
             raise InvariantViolation(f"cache record {key} {self.rejected[key]}")
         return table.get(key)

@@ -282,6 +282,14 @@ TRANSPOSITIONS_N4 = [
 ]
 
 
+def with_header(rows):
+    """The lines of one record over the given row lines, with a valid header."""
+    from wreathcenter.cli import _digest
+
+    text = "".join(rows)
+    return f"#{len(rows)}:{_digest(text)}; {text}"
+
+
 def test_truncated_group_record_is_rejected(capsys, tmp_path):
     cache = tmp_path / "coeffs.cache"
     code, cold, _ = call(capsys, *TRANSPOSITIONS_N4, "--cache", str(cache))
@@ -415,11 +423,145 @@ def test_cache_hits_pass_the_product_checks(capsys, tmp_path):
         code, out, err = call(capsys, *argv)
         assert (code, out) == (3, ""), (record, err)
         assert err.startswith("error: invariant-violation"), err
+    # a valid header over 4 rows with 3 targets: a wrong row, then the true rows
+    code, true_rows, _ = call(capsys, *TRANSPOSITIONS_N4, "--cache", str(tmp_path / "cold.cache"))
+    assert (code, len(true_rows.splitlines())) == (0, 3)
+    path = tmp_path / "repeat.cache"
+    path.write_text(with_header(["1; 4; {[1]:[2,1,1]}; {[1]:[2,1,1]}; {[1]:[1,1,1,1]}; 99\n",
+                                 *true_rows.splitlines(True)]), encoding="utf-8")
+    code, out, err = call(capsys, *TRANSPOSITIONS_N4, "--cache", str(path))
+    assert (code, out) == (3, "")
+    assert "repeats a target" in err
     # control: the true rows are served
     path = str(tmp_path / "true.cache")
     Cache(path).put_poly(1, two, two, {**rows, ("{}", 2): 1})
     code, out, _ = call(capsys, "poly", "--k", "1", "--left", two, "--right", two, "--cache", path)
     assert (code, len(out.splitlines())) == (0, 3)
+
+
+def test_records_of_other_keys_do_not_change_an_answer(capsys, tmp_path):
+    # every malformed record kind above, each under its own key, in one file
+    # with valid records and junk: each key is answered as in a file holding
+    # only its own lines
+    def square(n, part):
+        fam = f"{{[1]:[{part}]}}"
+        return ["multiply", "--k", "1", "--n", str(n), "--left", fam, "--right", fam]
+
+    def pair(command, left, right):
+        return [command, "--k", "1", "--left", left, "--right", right]
+
+    def cold(argv):
+        path = tmp_path / "cold.cache"
+        path.unlink(missing_ok=True)
+        assert call(capsys, *argv, "--cache", str(path))[0] == 0
+        return path.read_text(encoding="utf-8").splitlines(True)
+
+    def rows_of(record):
+        return [record[0].partition("; ")[2], *record[1:]]
+
+    def record(rows):
+        return with_header(rows).splitlines(True)
+
+    two, three, twotwo = "{[1]:[2]}", "{[1]:[3]}", "{[1]:[2,2]}"
+    ones = "{[1]:[1,1,1,1,1]}"
+    transpositions = cold(TRANSPOSITIONS_N4)
+    edited = [line.replace("; 6\n", "; 3\n").replace("; 2\n", "; 3\n") for line in transpositions]
+    coefficient = cold(square(4, "3,1"))
+    coefficient[-1] = coefficient[-1].replace("\n", "1\n")
+    two_two = rows_of(cold(pair("poly", two, two)))
+    repeat = rows_of(cold(square(6, "2,1,1,1,1")))
+    valid = cold(square(5, "3,2"))
+    torn = cold(square(6, "3,3"))
+    stray = "x; 1; {[1]:[2]}; {[1]:[2]}; {[1]:[1,1]}; 1\n"  # a row no lookup names
+    cases = [  # (argv, records of its key in file order, exit code)
+        (square(4, "4"), [cold(square(4, "4"))], 0),
+        # rows without a header, right after a valid record of another key
+        (square(4, "2,2"), [rows_of(cold(square(4, "2,2")))], 3),
+        # truncated and edited records
+        (square(5, "2,1,1,1"), [cold(square(5, "2,1,1,1"))[:1]], 3),
+        (square(4, "3,1"), [coefficient], 3),
+        (TRANSPOSITIONS_N4, [edited], 3),
+        (pair("universal", three, three), [cold(pair("poly", three, three))[:-1]], 3),
+        (pair("poly", two, three), [cold(pair("poly", two, three))], 0),
+        # disagreeing records
+        (square(5, "1,1,1,1,1"), [record([f"1; 5; {ones}; {ones}; {ones}; {c}\n"]) for c in (1, 2)], 3),
+        # a junk line inside a record, and a duplicate record
+        (square(5, "3,2"), [valid[:1] + ["junk\n"] + valid[1:], valid], 0),
+        # valid headers over rows that are not the product's
+        (square(3, "3"), [record(["1; 3; {[1]:[3]}; {[1]:[3]}; {[1]:[1,1,1]}; 2.0\n"])], 3),
+        (square(2, "1,1"), [record(["1; 2; {[1]:[1,1]}; {[1]:[1,1]}; {[1]:[1]}; 1\n"])], 3),
+        (square(3, "1,1,1"), [record(["1; 3; {[1]:[1,1,1]}; {[1]:[1,1,1]}; garbage; 1\n"])], 3),
+        (square(2, "2"), [record(["1; 2; {[1]:[2]}; {[1]:[2]}; {[1]:[1,1]}; 1\n",
+                                  "1; 2; {[1]:[2]}; {[1]:[2]}; {[1]:[2]}; 0\n"])], 3),
+        (square(3, "2,1"), [record(["1; 3; {[1]:[2,1]}; {[1]:[2,1]}; {[1]:[1,1,1]}; 11\n",
+                                    "1; 3; {[1]:[2,1]}; {[1]:[2,1]}; {[1]:[3]}; -1\n"])], 3),
+        (pair("poly", twotwo, twotwo), [record([f"1; {twotwo}; {twotwo}; {{[1]:[3]}}; -1; 1\n"])], 3),
+        (pair("poly", two, two), [record([line.replace("{}; 2", "{[1]:[1]}; 1") for line in two_two])], 3),
+        (pair("poly", two, twotwo),
+         [record([*rows_of(cold(pair("poly", two, twotwo))), f"1; {two}; {twotwo}; {{[1]:[7]}}; 0; 1\n"])], 3),
+        (square(6, "2,1,1,1,1"), [record([repeat[0].replace("\n", "9\n"), *repeat])], 3),
+        (square(5, "5"), [cold(square(5, "5"))], 0),
+        # a row of another key inside a record ends it: the rest have no header
+        (square(6, "3,3"), [torn[:1] + [stray] + torn[1:]], 3),
+    ]
+    junk = ["junk\n", "\n", "# a comment\n", "1; 2; 3\n", stray]
+    combined = []
+    for depth in range(2):
+        for i, (_, records, _) in enumerate(cases):
+            if depth < len(records):
+                if i != 1:
+                    combined.append(junk[i % len(junk)])
+                combined += records[depth]
+    combined = "".join(combined)
+    mixed = tmp_path / "mixed.cache"
+    mixed.write_text(combined, encoding="utf-8")
+    for i, (argv, records, expected) in enumerate(cases):
+        own = tmp_path / f"{i}.cache"
+        own.write_text("".join(sum(records, [])), encoding="utf-8")
+        alone = call(capsys, *argv, "--cache", str(own))
+        assert alone == call(capsys, *argv, "--cache", str(mixed)), argv
+        assert (alone[0], alone[1] == "") == (expected, expected == 3), (argv, alone)
+    # every key was found, so nothing was appended
+    assert mixed.read_text(encoding="utf-8") == combined
+
+
+def test_a_lookup_reads_only_its_key(capsys, tmp_path, monkeypatch):
+    from collections import Counter
+
+    from wreathcenter import cli
+    from wreathcenter.families import families_with_size, format_family
+
+    path = tmp_path / "coeffs.cache"
+    cache = cli.Cache(str(path))
+    two, transposition = parse_family("{[1]:[2]}", 1), parse_family("{[1]:[2,1,1]}", 1)
+    group = {format_family(g): c for g, c in ct.multiply_group(transposition, transposition, 4).terms.items()}
+    poly = {(format_family(g), r): c for (g, r), c in ct.polynomial_structure(two, two).rows.items()}
+    fams = [format_family(fam) for fam in families_with_size(2, 4)]
+    pairs = [(left, right) for i, left in enumerate(fams) for right in fams[i:]]
+    for i, (left, right) in enumerate(pairs):
+        # the asked records, each twice, among records never asked for
+        if i in (70, 140):
+            cache.put_group(1, 4, "{[1]:[2,1,1]}", "{[1]:[2,1,1]}", group)
+            cache.put_poly(1, "{[1]:[2]}", "{[1]:[2]}", poly)
+        cache.put_group(2, 4, left, right, {left: 1, right: 2})
+    text = path.read_text(encoding="utf-8")
+    assert text.count("#") >= 200
+    counts = Counter()
+    digest, parse = cli._digest, cli.Cache._parse
+    monkeypatch.setattr(cli, "_digest", lambda text: counts.update(["digest"]) or digest(text))
+    monkeypatch.setattr(cli.Cache, "_parse", lambda self, line: counts.update(["parse"]) or parse(self, line))
+    pair = ["--k", "1", "--left", "{[1]:[2]}", "--right", "{[1]:[2]}"]
+    for argv, rows in ((TRANSPOSITIONS_N4, len(group)), (["poly", *pair], len(poly))):
+        counts.clear()
+        code, out, _ = call(capsys, *argv, "--cache", str(path))
+        assert (code, len(out.splitlines())) == (0, rows)
+        assert counts["digest"] == 2 and counts["parse"] <= 2 * rows + 2, (argv, counts)
+    assert path.read_text(encoding="utf-8") == text
+    # a miss parses no line and digests only the record it appends
+    counts.clear()
+    code, _, _ = call(capsys, "multiply", "--k", "1", "--n", "4", "--left", "{[1]:[4]}", "--right",
+                      "{[1]:[4]}", "--cache", str(path))
+    assert (code, counts) == (0, {"digest": 1})
 
 
 def mislabel_one_22_product(monkeypatch):
