@@ -4,17 +4,18 @@ Symmetric group characters follow the Murnaghan-Nakayama rule: border
 strips are removed over first-column hook lengths.  The irreducibles of
 the k-block group on [kn] are labelled by families of partitions, one
 partition per irreducible of S_k, and their values follow the wreath
-Murnaghan-Nakayama rule: each cycle of the class, with its length t and
-its S_k class rho, is removed as a border strip of length t from one
-partition of the label, weighted by the strip's sign and by the value at
-rho of that partition's S_k irreducible (Macdonald, Symmetric Functions
-and Hall Polynomials, 2nd ed., Ch. I App. B).  `character_table` lays
-the values out for the Frobenius formula of `center.multiply_group`;
-`hyperoct_character` is the k = 2 view.  Shifted Schur and power-sum
-values are exact rationals.  The shifted power sum of a class label, on
-one alphabet per irreducible of S_k, is a normalized wreath character at
-a family; sending each label to its scaled power sum gives an integer at
-every family, and is verified to be multiplicative pointwise, for every k.
+Murnaghan-Nakayama rule: a cycle of length t and S_k class rho is removed
+as a border strip of length t from one partition of the label, weighted by
+the strip's sign and the value at rho of that partition's S_k irreducible
+(Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed., Ch. I
+App. B).  The rule runs only in `character_table(k, n)`, which reads what
+remains from the tables at (k, m < n), building them first; a single value
+(`wreath_character`, `hyperoct_character` at k = 2) is read from its table,
+so it costs that table.  Shifted Schur and power-sum values are exact
+rationals.  The shifted power sum of a class label, on one alphabet per
+irreducible of S_k, is a normalized wreath character at a family; sending
+each label to its scaled power sum gives an integer at every family, and
+is verified to be multiplicative pointwise, for every k.
 """
 
 from fractions import Fraction
@@ -86,14 +87,22 @@ def _border_strips(shape: Partition, t: int) -> tuple[tuple[int, Partition], ...
     return tuple(strips)
 
 
+def _require_partitions(*shapes) -> None:
+    """Raise ValueError unless every shape is a weakly decreasing tuple of positive parts."""
+    if not all(map(pt.is_partition, shapes)):
+        raise ValueError(f"not a partition among {shapes}")
+
+
 @cache
 def sym_character(rho: Partition, delta: Partition) -> int:
     """Irreducible character of the symmetric group at a cycle type.
 
     Both arguments are partitions of the same integer: `rho` labels the
     representation, `delta` the class.  Strips of length delta[0] are
-    removed in all possible ways (the Murnaghan-Nakayama rule).
+    removed in all possible ways (the Murnaghan-Nakayama rule).  A shape
+    or class that is not a partition raises ValueError.
     """
+    _require_partitions(rho, delta)
     if sum(rho) != sum(delta):
         raise SizeMismatch(f"|{rho}| != |{delta}|")
     if not delta:
@@ -105,6 +114,7 @@ def sym_character(rho: Partition, delta: Partition) -> int:
 @cache
 def dim_irrep(rho: Partition) -> int:
     """Dimension of the irreducible module, by the hook length formula."""
+    _require_partitions(rho)
     if not rho:
         return 1
     hooks = 1
@@ -120,8 +130,10 @@ def skew_syt_count(outer: Partition, inner: Partition) -> int:
     """Number of standard fillings of the skew shape outer/inner; 0 if not contained.
 
     Recursion on where the largest entry sits: it must occupy a removable
-    corner of the outer shape that stays outside the inner shape.
+    corner of the outer shape that stays outside the inner shape.  A shape
+    that is not a partition raises ValueError.
     """
+    _require_partitions(outer, inner)
     if not contains(outer, inner):
         return 0
     if sum(outer) == sum(inner):
@@ -137,13 +149,14 @@ def skew_syt_count(outer: Partition, inner: Partition) -> int:
 
 
 def shifted_schur_eval(rho: Partition, lam: Partition) -> Fraction:
-    """Value of the shifted Schur function indexed by rho at the point lam."""
-    if not contains(lam, rho):
+    """Value of the shifted Schur function indexed by rho at the point lam.
+
+    A shape that is not a partition raises ValueError, from skew_syt_count.
+    """
+    count = skew_syt_count(lam, rho)
+    if not count:
         return Fraction(0)
-    return Fraction(
-        falling_factorial(sum(lam), sum(rho)) * skew_syt_count(lam, rho),
-        dim_irrep(lam),
-    )
+    return Fraction(falling_factorial(sum(lam), sum(rho)) * count, dim_irrep(lam))
 
 
 def shifted_power_sum_eval(delta: Partition, lam: Partition) -> Fraction:
@@ -174,48 +187,6 @@ def wreath_dim(irrep: PartitionFamily) -> int:
     return exact_quotient(num, den, "induced dimension")
 
 
-def _cycles(components) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """A class's cycle lengths, longest first, and the slots of their S_k classes."""
-    cycles = sorted(((m, slot) for slot, comp in enumerate(components) for m in comp), reverse=True)
-    return tuple(m for m, _ in cycles), tuple(slot for _, slot in cycles)
-
-
-def _wreath_value(lam, lengths, classes, sk_chi, memo) -> int:
-    """chi^lam at the remaining cycles, by the wreath Murnaghan-Nakayama rule.
-
-    `lam` holds the irreducible's partitions in slot order; cycle i has
-    length lengths[i] and S_k class at slot classes[i]; and `sk_chi[s][r]`
-    is the value of slot s's S_k irreducible at the S_k class of slot r.
-    The first cycle, of length t, is removed as a border strip of length t
-    from some lam[s], weighted by (-1) ** height * sk_chi[s][r].  Once a
-    single slot s is non-empty every strip comes from it, so the value is
-    the product of its S_k values times the symmetric group character of
-    lam[s] at the cycle lengths.
-    """
-    filled = [s for s, comp in enumerate(lam) if comp]
-    if len(filled) <= 1:
-        value = 1
-        if filled:
-            row = sk_chi[filled[0]]
-            for r in classes:
-                value *= row[r]
-            if value:
-                value *= sym_character(lam[filled[0]], lengths)
-        return value
-    key = (lam, lengths, classes)
-    value = memo.get(key)
-    if value is None:
-        t, r, rest = lengths[0], classes[0], (lengths[1:], classes[1:])
-        value = 0
-        for s in filled:
-            chi = sk_chi[s][r]
-            for sign, smaller in _border_strips(lam[s], t) if chi else ():
-                smaller_lam = lam[:s] + (smaller,) + lam[s + 1 :]
-                value += sign * chi * _wreath_value(smaller_lam, *rest, sk_chi, memo)
-        memo[key] = value
-    return value
-
-
 @cache
 def _sk_chi(k: int) -> list[list[int]]:
     """sk_chi[s][r]: the S_k irreducible of slot s at the S_k class of slot r.
@@ -227,21 +198,47 @@ def _sk_chi(k: int) -> list[list[int]]:
 
 
 def _build_table(k: int, n: int):
+    """The table at (k, n) and its linear_classes, by the wreath Murnaghan-Nakayama rule.
+
+    A class less its longest cycle (length t, S_k class of slot r) is a class
+    `rest` of size n - t.  chi^lam sums sign * sk_chi[s][r] * chi^lam'(rest)
+    over the border strips of length t in each lam[s], lam' being lam less
+    the strip, read from the (k, n - t) table, which is built first if needed.
+    """
     sk_chi = _sk_chi(k)
     fams = families_with_size(k, n)
-    memo: dict = {}  # shared by the whole build and dropped with it
+    irreps = [irrep.components for irrep in fams]
     columns = {}
-    for fam in fams:
-        lengths, classes = _cycles(fam.components)
-        columns[fam] = tuple(
-            _wreath_value(irrep.components, lengths, classes, sk_chi, memo) for irrep in fams
-        )
+    for cls in fams:
+        comps = cls.components
+        if not n:
+            columns[cls] = (1,)
+            continue
+        t, r = max((comp[0], slot) for slot, comp in enumerate(comps) if comp)
+        rest = PartitionFamily._of(k, comps[:r] + (comps[r][1:],) + comps[r + 1 :])
+        smaller, where = character_table(k, n - t)[2][rest], _positions(k, n - t)
+        chi = [row[r] for row in sk_chi]
+        column = []
+        for lam in irreps:
+            value = 0
+            for s, part in enumerate(lam):
+                if part and chi[s]:
+                    for sign, strip in _border_strips(part, t):
+                        value += sign * chi[s] * smaller[where[lam[:s] + (strip,) + lam[s + 1 :]]]
+            column.append(value)
+        columns[cls] = tuple(column)
     dims = tuple(wreath_dim(irrep) for irrep in fams)
     if columns[PartitionFamily.identity(k, n)] != dims:
         raise InvariantViolation(f"the identity column of the ({k}, {n}) table is not the degrees")
     order = group_order(k, n)
     weights = tuple(exact_quotient(order, dim, "|G| / chi(1)") for dim in dims)
     return (order, weights, MappingProxyType(columns)), _by_linear_values(columns, dims)
+
+
+@cache
+def _positions(k: int, n: int) -> dict:
+    """The components of each irreducible at (k, n), to its position in a table column."""
+    return {irrep.components: i for i, irrep in enumerate(families_with_size(k, n))}
 
 
 def _by_linear_values(columns, dims):
@@ -270,8 +267,9 @@ def character_table(k: int, n: int):
     S_k irreducible chi^tau times the sign, so the key (1^k) carries the
     trivial character (at k = 2, `hyperoct_character`'s first partition).
 
-    A table is built on first use and kept for the life of the process;
-    `character_table.cache_clear()` drops every kept table, and its
+    A table is built on first use from the smaller tables at k, which are
+    built first if needed, and every table is kept for the life of the
+    process; `character_table.cache_clear()` drops every kept table, and its
     `linear_classes` with it.
     """
     return _table_entry(k, n)[0]
@@ -306,17 +304,16 @@ def has_character_table(k: int, n: int) -> bool:
     return (k, n) in _tables
 
 
-@cache
 def wreath_character(irrep: PartitionFamily, cls: PartitionFamily) -> int:
     """Value of the irreducible labelled `irrep` at the class `cls`.
 
     Both are families of the same k and size n, labelled as in
-    character_table.  Each value is computed on its own and kept for the
-    life of the process; character_table computes a whole table at once.
+    character_table.  The value is read from character_table(k, n), so
+    the first value at (k, n) builds that table and every smaller one at k.
     """
     if (irrep.k, irrep.size) != (cls.k, cls.size):
         raise SizeMismatch("character label and class label must have the same k and size")
-    return _wreath_value(irrep.components, *_cycles(cls.components), _sk_chi(cls.k), {})
+    return character_table(cls.k, cls.size)[2][cls][_positions(cls.k, cls.size)[irrep.components]]
 
 
 @cache

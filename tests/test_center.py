@@ -471,25 +471,30 @@ def test_universal_budget_takes_the_route_that_fits(monkeypatch):
 
 
 def test_wrong_character_value_is_caught(monkeypatch):
+    from types import MappingProxyType
+
     from wreathcenter import characters as ch
 
-    true_character = ch.sym_character
+    (order, weights, columns), _ = ch._table_entry(1, 6)
+    irreps = families_with_size(1, 6)
     lam = fam(1, (5, 1))
     # a wrong value of the sign, a degree-1 character, moves (3, 3) off the
     # classes the product can reach, so its mass goes missing
     for wrong in [((4, 2), (3, 3)), ((1, 1, 1, 1, 1, 1), (3, 3))]:
-
-        def sym_character(rho, delta, wrong=wrong):
-            return true_character(rho, delta) + ((rho, delta) == wrong)
-
-        monkeypatch.setattr(ch, "sym_character", sym_character)
-        ch.character_table.cache_clear()
+        rho, delta = fam(1, wrong[0]), fam(1, wrong[1])
+        column = list(columns[delta])
+        column[irreps.index(rho)] += 1
+        wrong_columns = {**columns, delta: tuple(column)}
+        entry = (
+            (order, weights, MappingProxyType(wrong_columns)),
+            ch._by_linear_values(wrong_columns, columns[PartitionFamily.identity(1, 6)]),
+        )
+        monkeypatch.setitem(ch._tables, (1, 6), entry)
         try:
             with pytest.raises(InvariantViolation):
                 ct.multiply_group(lam, lam, 6)
         finally:
             monkeypatch.undo()
-            ch.character_table.cache_clear()
     assert ct.multiply_group(lam, lam, 6).coefficient(fam(1, (3, 3))) == 54
 
 

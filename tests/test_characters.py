@@ -2,6 +2,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import factorial, prod
+from operator import mul
 
 import pytest
 
@@ -43,6 +44,22 @@ def test_known_s4_values():
 def test_character_size_mismatch():
     with pytest.raises(SizeMismatch):
         ch.sym_character((2,), (3,))
+
+
+def test_shapes_that_are_not_partitions_are_refused():
+    # unsorted or zero parts: unchecked, the first four read as wrong values
+    # (the sorted ones give chi^(2,1)(3) = -1, chi^(3,1)(1^4) = 3, two
+    # fillings of (2,1), and 8 at (3,1)), and dim_irrep fails on an index
+    calls = [
+        (ch.sym_character, (2, 1), (3, 0)),
+        (ch.sym_character, (1, 3), (1, 1, 1, 1)),
+        (ch.skew_syt_count, (1, 2), ()),
+        (ch.shifted_schur_eval, (1, 2), (3, 1)),
+        (ch.dim_irrep, (1, 2)),
+    ]
+    for function, *args in calls:
+        with pytest.raises(ValueError, match="not a partition"):
+            function(*args)
 
 
 def test_row_orthogonality():
@@ -215,8 +232,19 @@ def test_general_character_table():
             assert sum(d * d for d in degrees) == order
             assert list(columns[PartitionFamily.identity(k, n)]) == degrees
             assert [order // d for d in degrees] == list(weights)
-            for delta, column in columns.items():
-                assert sum(v * v for v in column) == big_z(delta)
+            # column orthogonality: sum over chi of chi(gamma) chi(delta) is
+            # the centralizer order at gamma = delta, and 0 off it
+            for gamma, left in columns.items():
+                for delta, right in columns.items():
+                    expected = big_z(delta) if gamma == delta else 0
+                    assert sum(map(mul, left, right)) == expected
+            # row orthogonality: sum over classes of |C| chi(delta) psi(delta)
+            # is |G| at chi = psi, and 0 off it
+            sizes = [order // big_z(delta) for delta in columns]
+            rows = list(zip(*columns.values()))
+            for i, chi in enumerate(rows):
+                for j, psi in enumerate(rows):
+                    assert sum(map(mul, sizes, map(mul, chi, psi))) == (order if i == j else 0)
 
 
 def test_general_character_table_labels():
@@ -235,11 +263,12 @@ def test_general_character_table_labels():
                 block_sign * base_sign
             )
     # at k = 1 every value is the symmetric group character
-    for delta in families_with_size(1, 5):
-        for lam in families_with_size(1, 5):
-            assert ch.wreath_character(lam, delta) == ch.sym_character(
-                lam.components[0], delta.components[0]
-            )
+    for n in range(9):
+        for delta in families_with_size(1, n):
+            for lam in families_with_size(1, n):
+                assert ch.wreath_character(lam, delta) == ch.sym_character(
+                    lam.components[0], delta.components[0]
+                )
     with pytest.raises(SizeMismatch):
         ch.wreath_character(fam(3, (1,), (), ()), fam(3, (1, 1), (), ()))
 
