@@ -300,9 +300,19 @@ def class_mappings_on_blocks(fam: PartitionFamily, blocks):
 
 
 def class_representative(fam: PartitionFamily, n: int) -> BlockPermutation:
-    """The first member that class_mappings_on_blocks builds on blocks 1..n (requires size n)."""
+    """The first member that class_mappings_on_blocks builds on blocks 1..n (requires size n).
+
+    The size is checked on every call; the member is built once per label
+    and shared, which is safe because elements are immutable.
+    """
     if fam.size != n:
         raise SizeMismatch(f"family has size {fam.size}, expected {n}")
+    return _first_member(fam)
+
+
+@cache
+def _first_member(fam: PartitionFamily) -> BlockPermutation:
+    n = fam.size
     images = next(class_mappings_on_blocks(fam, range(1, n + 1)))
     return BlockPermutation(fam.k, n, images, _checked=True)
 

@@ -346,9 +346,13 @@ def _universal_by_characters(left, right):
     checked on the coefficients found so far: the sum over |gamma| <= n of
     c_gamma times the orbit size of gamma at stage n equals the product of
     the input orbit sizes there.  This check on the answer stands in for
-    checking each group product, and also covers the subtraction.
+    checking each group product, and also covers the subtraction.  The orbit
+    of gamma at stage n has C(n, |gamma|) |C_gamma| members, so the sum is
+    taken as sum over s of C(n, s) M_s, where M_s, the sum over |gamma| = s
+    of c_gamma |C_gamma|, is stored once when the labels of size s are found.
     """
     terms = {}
+    masses = {}
     for n in range(max(left.size, right.size), left.size + right.size + 1):
         scale = binomial_pad_factor(left, n) * binomial_pad_factor(right, n)
         group = _frobenius(pad_family(left, n), pad_family(right, n), n)
@@ -356,8 +360,10 @@ def _universal_by_characters(left, right):
         for gamma, c in terms.items():
             delta = pad_family(gamma, n)
             level[delta] = level.get(delta, 0) - c * binomial_pad_factor(gamma, n)
-        terms.update((delta, c) for delta, c in level.items() if c)
-        mass = sum(c * kp.partial_class_size(gamma, n) for gamma, c in terms.items())
+        found = {delta: c for delta, c in level.items() if c}
+        terms.update(found)
+        masses[n] = sum(c * class_size(delta, n) for delta, c in found.items())
+        mass = sum(comb(n, s) * m for s, m in masses.items())
         if mass != kp.partial_class_size(left, n) * kp.partial_class_size(right, n):
             raise InvariantViolation(f"universal product mass at stage {n} is {mass}")
     vector = ClassSumVector(left.k, terms)

@@ -20,6 +20,7 @@ relabelling of blocks.  The semigroup oracle `enumerate_kpartial` carries
 whole groups the same way.
 """
 
+from functools import cache
 from itertools import combinations
 from math import comb, factorial
 
@@ -30,6 +31,7 @@ from .blockperm import (
     block_of,
     block_points,
     class_mappings_on_blocks,
+    class_representative,
     conjugate,
     enumerate_group,
     is_block_permutation,
@@ -230,11 +232,20 @@ def universal_class_members(
 
 
 def partial_class_representative(fam: PartitionFamily, n: int) -> KPartialPermutation:
-    """The first member that class_mappings_on_blocks builds on blocks 1..|fam|."""
+    """The first member that class_mappings_on_blocks builds on blocks 1..|fam|.
+
+    The size is checked on every call; the member is built once per label
+    and shares its image tuple with class_representative(fam, |fam|).
+    """
     if fam.size > n:
         raise SizeMismatch(f"family of size {fam.size} does not fit in [{n}]")
-    blocks = tuple(range(1, fam.size + 1))
-    return _padded(fam.k, blocks, next(class_mappings_on_blocks(fam, blocks)))
+    return _first_member(fam)
+
+
+@cache
+def _first_member(fam: PartitionFamily) -> KPartialPermutation:
+    rep = class_representative(fam, fam.size)
+    return _padded(fam.k, tuple(range(1, fam.size + 1)), rep.images)
 
 
 def enumerate_kpartial(k: int, n: int, budget: int = DEFAULT_BUDGET):

@@ -211,6 +211,20 @@ def test_class_representative():
             assert rep.images == next(bp.class_mappings_on_blocks(f, range(1, n + 1)))
 
 
+def test_class_representative_is_built_once_per_label():
+    for k in (1, 2, 3):
+        for n in range(5):
+            for f in families_with_size(k, n):
+                rep = bp.class_representative(f, n)
+                # an equal label built apart from the shared one finds it too
+                again = PartitionFamily.from_components(k, f.components)
+                assert bp.class_representative(again, n) is rep
+                assert rep.type_of() == f
+                for wrong in (n - 1, n + 1):
+                    with pytest.raises(SizeMismatch):
+                        bp.class_representative(f, wrong)
+
+
 def test_class_sizes_match_formula_up_to_k3_n4():
     for k, n in [(3, 3), (1, 4), (2, 4), (3, 4)]:
         buckets = Counter(w.type_of() for w in bp.enumerate_group(k, n))

@@ -1,6 +1,7 @@
 import copy
 import pickle
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -412,6 +413,62 @@ def test_wrong_level_of_the_universal_character_route_is_caught(monkeypatch):
             with pytest.raises(InvariantViolation):
                 ct._universal_by_characters(left, right)
             monkeypatch.undo()
+
+
+def test_wrong_padded_label_at_any_level_is_caught(monkeypatch):
+    # at k = 3, one coefficient of each size's group product in turn is one
+    # too large, always at a label with 1-parts in its all-ones component:
+    # the labels that smaller ones pad to, so their level subtracts before
+    # the stage's mass, summed one size at a time, is checked.  check_mass
+    # is switched off, so only those stage checks can refuse the answer
+    true_frobenius = ct._frobenius
+    for a, b in [("{[3]:[1]}", "{[3]:[1]}"), ("{[1,1,1]:[1]; [3]:[1]}", "{[2,1]:[1]}"),
+                 ("{[3]:[2]}", "{[3]:[2]}"),
+                 ("{[2,1]:[1]; [3]:[1]}", "{[2,1]:[1]; [3]:[1]}")]:
+        left, right = parse_family(a, 3), parse_family(b, 3)
+        for wrong_at in range(max(left.size, right.size), left.size + right.size + 1):
+            bumped = []
+
+            def frobenius(l, r, n, wrong_at=wrong_at, bumped=bumped):
+                terms = true_frobenius(l, r, n)
+                if n == wrong_at:
+                    padded = min((g for g in terms if g.m1), key=PartitionFamily.sort_key)
+                    terms[padded] += 1
+                    bumped.append(padded)
+                return terms
+
+            monkeypatch.setattr(ct, "_frobenius", frobenius)
+            monkeypatch.setattr(ct, "check_mass", lambda vector, left, right: None)
+            with pytest.raises(InvariantViolation):
+                ct._universal_by_characters(left, right)
+            monkeypatch.undo()
+            assert len(bumped) == 1 and bumped[0].m1
+
+
+def test_mass_by_size_is_the_mass_by_label():
+    # the character route checks stage n as the sum over s of C(n, s) M_s,
+    # with M_s the sum over |gamma| = s of c_gamma |C_gamma|: for every
+    # product with k <= 3 and |L| + |R| <= 4 this is the sum of c_gamma times
+    # the orbit size of gamma at n, over the labels of size at most n, and
+    # equals the product of the input orbit sizes there
+    products = 0
+    for k in (1, 2, 3):
+        fams = [f for s in range(5) for f in families_with_size(k, s)]
+        for left in fams:
+            for right in fams:
+                if left.size + right.size > 4:
+                    continue
+                terms = ct.multiply_universal(left, right).terms
+                for n in range(max(left.size, right.size), left.size + right.size + 1):
+                    found = {g: c for g, c in terms.items() if g.size <= n}
+                    masses = Counter()
+                    for g, c in found.items():
+                        masses[g.size] += c * class_size(g, g.size)
+                    by_size = sum(comb(n, s) * m for s, m in masses.items())
+                    assert by_size == sum(c * kp.partial_class_size(g, n) for g, c in found.items())
+                    assert by_size == kp.partial_class_size(left, n) * kp.partial_class_size(right, n)
+                products += 1
+    assert products == 649
 
 
 def test_universal_route_charges_the_table_builds(monkeypatch):

@@ -236,6 +236,19 @@ def test_partial_representative():
                 assert rep == next(kp.universal_class_members(f, 4))
 
 
+def test_partial_representative_is_built_once_per_label():
+    for k in (1, 2, 3):
+        for r in range(5):
+            for f in families_with_size(k, r):
+                rep = kp.partial_class_representative(f, 4)
+                assert kp.partial_class_representative(f, r) is rep
+                assert kp.kp_type(rep) == f
+                # one member per label, shared with the group representative
+                assert rep.images is bp.class_representative(f, r).images
+                with pytest.raises(SizeMismatch):
+                    kp.partial_class_representative(f, r - 1)
+
+
 def test_text_roundtrip():
     text = EXAMPLE.to_text()
     assert text == "{blocks:[1,2,4,6]; k:3; images:(12,10,11,4,5,6,16,18,17,1,2,3)}"
