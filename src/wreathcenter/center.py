@@ -26,7 +26,8 @@ characters are the products of A's and B's: a degree-1 character is
 multiplicative, so every other class has c_gamma = 0.  So #classes ** 2
 bounds what it reads.  A universal product is fixed by
 its projections, the group products of the padded inputs at every n from
-max(|left|, |right|) to N, and is recovered from them one size at a time.
+max(|left|, |right|) to N, and is recovered from them one size at a time,
+at each size only at the labels the second filtration allows.
 Both products weigh the two routes by their measured costs with one rule,
 including the one-off cost of building a table, and take the cheaper one.
 
@@ -171,19 +172,27 @@ def multiply_group(
     return vector
 
 
-# Route costs in Frobenius terms, measured over the group benchmark's op
-# lists for seeds 1-3 (CPython 3.11.7 on one core of an Intel Xeon; medians
-# of five measurements): one enumerated element takes 65 us, one Frobenius
-# term 0.18 us, and one table entry 6.8 us to build in a fresh process.
-_ELEMENT_COST = 360
-_BUILD_COST = 38
-# One enumerated universal element, in table entries read by the universal
-# character route.  Over the universal-sweep and poly-rows op lists for seeds
-# 1-2 on the machine above, tables built, best of five per product: an
-# element took 23-42 us and an entry 0.09-0.12 us.  Of the values 20-2000
-# tried, 500 kept the most of what taking each product's faster route saves
-# (99.7% and 100%; 40 kept 10% and 86%).
-_UNIVERSAL_COST = 500
+# Route costs in Frobenius terms: a term is 1 / #classes ** 2 of a Frobenius
+# sum, which reads only the entries that can contribute.  Measured with the
+# tables built over the 141 products of the group benchmark's op lists for
+# seeds 1-3 (CPython 3.11.7 on one core of an Intel Xeon, best of five per
+# route and product): an enumerated element took a median 40 us and a term
+# 0.029 us, a ratio of 1,360; every value from 720 up keeps all of what
+# taking each product's faster route saves.  A table entry took 1.3-10 us to
+# build once the smaller tables were built, at (1, 6..10), (2, 4..6) and
+# (3, 3..5), three fresh processes each: 45 to 350 terms.  All three costs
+# are four times what they were priced at before the Frobenius sum read only
+# what can contribute, so a cold one-off product weighs its routes as before
+# and a product whose tables are built is read off them sooner.
+_ELEMENT_COST = 1440
+_BUILD_COST = 152
+# One enumerated universal element, in terms read by the universal character
+# route.  Over the 649 universal-sweep products and the 59 poly-rows products
+# of seeds 1-2, on the machine above with the tables built, best of three:
+# an element took a median 34 and 20 us and a term 0.053 and 0.035 us.
+# Every value from 1,000 to 2,000 keeps the most of what taking each
+# product's faster route saves (99.5% and 100%; 500 keeps 96% and 97%).
+_UNIVERSAL_COST = 2000
 
 # the cost in Frobenius terms of the elements enumerated at each (k, n) in
 # this process, by group products at (k, n) and by universal products that
@@ -253,16 +262,26 @@ def _group_by_characters(left, right, n):
 
 
 def _frobenius(left, right, n):
-    """The coefficients of a group product by the Frobenius formula, in integers.
+    """The size-n coefficients of a product, by the Frobenius formula, in integers.
 
-    c_gamma = S_gamma / (big_z(left) big_z(right)), where S_gamma sums
-    chi(left) chi(right) chi(gamma) |G| / chi(1) over the irreducible
-    characters chi; a remainder raises InvariantViolation.  Only what can
-    contribute is read: the characters with chi(left) chi(right) != 0, and
-    the classes gamma whose values at the degree-1 characters are the
-    products of left's and right's (`characters.linear_classes`), since
+    These are the coefficients of the group product of pad(left, n) and
+    pad(right, n) at the classes gamma of size n that the second filtration
+    leaves to a label of that size in the universal product of left and
+    right: those with m1(gamma) <= `_most_ones(left, right, n)`.  At
+    |left| = |right| = n that is every class, so this is the group product.
+
+    c_gamma = S_gamma / (big_z(left) big_z(right)) for the padded inputs,
+    where S_gamma sums chi(left) chi(right) chi(gamma) |G| / chi(1) over the
+    irreducible characters chi; a remainder raises InvariantViolation.  Only
+    what can contribute is read: the characters with chi(left) chi(right)
+    != 0, and the classes gamma whose values at the degree-1 characters are
+    the products of left's and right's (`characters.linear_classes`), since
     every other class has c_gamma = 0.
     """
+    most = _most_ones(left, right, n)
+    if left.size + right.size < 2 * n:
+        # not a group product, whose inputs are already of size n
+        left, right = pad_family(left, n), pad_family(right, n)
     _, weights, columns = ch.character_table(left.k, n)
     values, classes = ch.linear_classes(left.k, n)
     products = list(map(mul, columns[left], columns[right]))
@@ -271,10 +290,22 @@ def _frobenius(left, right, n):
     z = big_z(left) * big_z(right)
     terms = {}
     for gamma, column in classes.get(target, ()):
-        total = sum(map(mul, factors, compress(column, products)))
-        if total:
-            terms[gamma] = exact_quotient(total, z, gamma)
+        if gamma.m1 <= most:
+            total = sum(map(mul, factors, compress(column, products)))
+            if total:
+                terms[gamma] = exact_quotient(total, z, gamma)
     return terms
+
+
+def _most_ones(left, right, n):
+    """The most 1-parts in the all-ones component of a size-n label of left * right.
+
+    The second filtration: a label gamma of the universal product has
+    deg1(gamma) <= deg1(left) + deg1(right), and deg1(gamma) = n + m1(gamma)
+    at size n.  When |left| = |right| = n the bound is at least n, so it
+    leaves out no class of size n.
+    """
+    return deg1(left) + deg1(right) - n
 
 
 def multiply_universal(
@@ -350,16 +381,24 @@ def _universal_by_characters(left, right):
     of gamma at stage n has C(n, |gamma|) |C_gamma| members, so the sum is
     taken as sum over s of C(n, s) M_s, where M_s, the sum over |gamma| = s
     of c_gamma |C_gamma|, is stored once when the labels of size s are found.
+
+    By the second filtration a new label delta of size n has at most
+    `_most_ones(left, right, n)` 1-parts in its all-ones component, so the
+    Frobenius sum and the subtraction visit only those.  The stage checks
+    guard the skip: every c_gamma is >= 0, so a label skipped by mistake
+    lowers the mass of its stage.
     """
     terms = {}
     masses = {}
     for n in range(max(left.size, right.size), left.size + right.size + 1):
+        most = _most_ones(left, right, n)
         scale = binomial_pad_factor(left, n) * binomial_pad_factor(right, n)
-        group = _frobenius(pad_family(left, n), pad_family(right, n), n)
-        level = {delta: scale * c for delta, c in group.items()}
+        level = {delta: scale * c for delta, c in _frobenius(left, right, n).items()}
         for gamma, c in terms.items():
-            delta = pad_family(gamma, n)
-            level[delta] = level.get(delta, 0) - c * binomial_pad_factor(gamma, n)
+            # pad(gamma, n) has m1(gamma) + n - |gamma| 1-parts
+            if gamma.m1 + n - gamma.size <= most:
+                delta = pad_family(gamma, n)
+                level[delta] = level.get(delta, 0) - c * binomial_pad_factor(gamma, n)
         found = {delta: c for delta, c in level.items() if c}
         terms.update(found)
         masses[n] = sum(c * class_size(delta, n) for delta, c in found.items())

@@ -10,9 +10,10 @@ the strip's sign and the value at rho of that partition's S_k irreducible
 (Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed., Ch. I
 App. B).  The rule runs only in `character_table(k, n)`, which reads what
 remains from the tables at (k, m < n), building them first; a single value
-(`wreath_character`, `hyperoct_character` at k = 2) is read from its table,
-so it costs that table.  Shifted Schur and power-sum values are exact
-rationals.  The shifted power sum of a class label, on one alphabet per
+at k >= 2 (`wreath_character`, `hyperoct_character` at k = 2) is read from
+its table, so it costs that table; at k = 1 it is `sym_character`'s and
+builds no table.  Shifted Schur and power-sum values are exact rationals.
+The shifted power sum of a class label, on one alphabet per
 irreducible of S_k, is a normalized wreath character at a family; sending
 each label to its scaled power sum gives an integer at every family, and
 is verified to be multiplicative pointwise, for every k.
@@ -308,11 +309,14 @@ def wreath_character(irrep: PartitionFamily, cls: PartitionFamily) -> int:
     """Value of the irreducible labelled `irrep` at the class `cls`.
 
     Both are families of the same k and size n, labelled as in
-    character_table.  The value is read from character_table(k, n), so
+    character_table.  At k = 1 the value is `sym_character`'s, a recursion
+    kept per value.  Otherwise it is read from character_table(k, n), so
     the first value at (k, n) builds that table and every smaller one at k.
     """
     if (irrep.k, irrep.size) != (cls.k, cls.size):
         raise SizeMismatch("character label and class label must have the same k and size")
+    if cls.k == 1:
+        return sym_character(irrep.components[0], cls.components[0])
     return character_table(cls.k, cls.size)[2][cls][_positions(cls.k, cls.size)[irrep.components]]
 
 

@@ -11,7 +11,6 @@ budget is exceeded, 3 when an internal invariant check fails.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -61,11 +60,18 @@ def split_fields(line: str) -> list[str]:
 
 
 def _digest(text: str) -> str:
-    # imported on first use: hashlib loads OpenSSL, a few milliseconds of
-    # start-up that commands which never touch a cache need not pay
-    import hashlib
+    # imported on first use, and from CPython's own sha256 module where there
+    # is one (_sha256 up to 3.11, _sha2 from 3.12): hashlib loads OpenSSL,
+    # about 5 ms of every cache lookup's process
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            from hashlib import sha256
 
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return sha256(text.encode("utf-8")).hexdigest()
 
 
 def _integer(text: str) -> int | None:
@@ -219,6 +225,9 @@ def _build_parser() -> _Parser:
 
 def _emit(args, records, json_records):
     if args.json:
+        # imported only here: about 3 ms that plain-text output need not pay
+        import json
+
         print(json.dumps(json_records, indent=2))
     else:
         for record in records:

@@ -5,10 +5,11 @@ total size n label the conjugacy classes of the group of k-block
 permutations of [kn].  Components default to the empty partition, and a
 family is stored normalized so equality and hashing are structural.
 
-A family carries its total size and its hash, both computed once when it
-is built.  Type extraction, `pad_family`, `families_with_size` and
-unpickling build labels with `PartitionFamily._of`: one shared object per
-label, unvalidated, so the elements of one class share one label object.
+A family carries its total size, the number `m1` of 1-parts in its
+all-ones component, and its hash, all computed once when it is built.
+Type extraction, `pad_family`, `families_with_size` and unpickling build
+labels with `PartitionFamily._of`: one shared object per label,
+unvalidated, so the elements of one class share one label object.
 
 Three results are kept for the life of the process.  Per label: `big_z`,
 and the class representative, one element of k·|label| images shared by
@@ -56,7 +57,7 @@ def index_partitions(k: int) -> tuple[Partition, ...]:
 class PartitionFamily:
     """An assignment of a partition to every partition of k."""
 
-    __slots__ = ("k", "components", "size", "_hash")
+    __slots__ = ("k", "components", "size", "m1", "_hash")
 
     def __init__(self, k: int, assignment=None):
         """Build a family from a mapping {partition of k: partition}.
@@ -117,11 +118,6 @@ class PartitionFamily:
         """The component attached to the all-ones partition (1^k)."""
         return self.components[0]
 
-    @property
-    def m1(self) -> int:
-        """Number of 1-parts in the all-ones component."""
-        return self.ones_component.count(1)
-
     def is_proper(self) -> bool:
         return pt.is_proper(self.ones_component)
 
@@ -162,6 +158,8 @@ def _init(fam, k, components):
     object.__setattr__(fam, "k", k)
     object.__setattr__(fam, "components", components)
     object.__setattr__(fam, "size", sum(map(sum, components)))
+    # the number of 1-parts in the all-ones component
+    object.__setattr__(fam, "m1", components[0].count(1))
     object.__setattr__(fam, "_hash", hash((k, components)))
 
 

@@ -338,6 +338,29 @@ def test_route_charges_the_table_build(monkeypatch):
     assert ct._enumerated[3, 3] == built_at * element_cost
 
 
+def test_warm_routes(monkeypatch):
+    from wreathcenter import characters as ch
+
+    def refuse(*args):
+        raise AssertionError("this route must not be taken")
+
+    # a one-member orbit enumerates even with its table built: #classes ** 2
+    # bounds the Frobenius sum's reads and is what it is charged
+    ch.character_table(3, 5)
+    ident, gamma = PartitionFamily.identity(3, 5), fam(3, (1, 1), (2,), (1,))
+    monkeypatch.setattr(ct, "_frobenius", refuse)
+    assert ct.multiply_group(ident, gamma, 5).terms == {gamma: 1}
+    monkeypatch.undo()
+    # a poly-rows product with the (2, 5) and (2, 6) tables built is read off
+    # them: 65 ** 2 + 36 ** 2 = 5521 entries, below 6 enumerated members
+    left, right = fam(2, (), (1,)), fam(2, (), (4, 1))
+    assert kp.partial_class_size(left, 6) == 6 < kp.partial_class_size(right, 6)
+    expected = ct.polynomial_structure(left, right, verify_representative=True)
+    ch.character_table(2, 6)
+    monkeypatch.setattr(ct, "_universal_by_enumeration", refuse)
+    assert ct.polynomial_structure(left, right) == expected
+
+
 def test_budget_falls_back_to_the_route_that_fits(monkeypatch):
     from wreathcenter import characters as ch
 
@@ -420,13 +443,17 @@ def test_wrong_padded_label_at_any_level_is_caught(monkeypatch):
     # too large, always at a label with 1-parts in its all-ones component:
     # the labels that smaller ones pad to, so their level subtracts before
     # the stage's mass, summed one size at a time, is checked.  check_mass
-    # is switched off, so only those stage checks can refuse the answer
+    # is switched off, so only those stage checks can refuse the answer.  A
+    # level reads such a label only where the second filtration lets its
+    # new labels have a 1-part there, so the top level of a product of
+    # labels without 1-parts reads none and is not bumped
     true_frobenius = ct._frobenius
     for a, b in [("{[3]:[1]}", "{[3]:[1]}"), ("{[1,1,1]:[1]; [3]:[1]}", "{[2,1]:[1]}"),
                  ("{[3]:[2]}", "{[3]:[2]}"),
                  ("{[2,1]:[1]; [3]:[1]}", "{[2,1]:[1]; [3]:[1]}")]:
         left, right = parse_family(a, 3), parse_family(b, 3)
-        for wrong_at in range(max(left.size, right.size), left.size + right.size + 1):
+        top = min(left.size + right.size, ct.deg1(left) + ct.deg1(right) - 1)
+        for wrong_at in range(max(left.size, right.size), top + 1):
             bumped = []
 
             def frobenius(l, r, n, wrong_at=wrong_at, bumped=bumped):
@@ -443,6 +470,26 @@ def test_wrong_padded_label_at_any_level_is_caught(monkeypatch):
                 ct._universal_by_characters(left, right)
             monkeypatch.undo()
             assert len(bumped) == 1 and bumped[0].m1
+
+
+def test_filtration_skip_one_too_tight_is_caught(monkeypatch):
+    # each level reads only the labels the second filtration allows; with the
+    # bound one lower, a target on the bound is skipped and its level's mass
+    # comes up short.  check_mass is switched off, so only the stage checks
+    # can refuse the answer
+    true_most_ones = ct._most_ones
+    for k, a, b in [(1, "{[1]:[2]}", "{[1]:[2]}"), (1, "{[1]:[3,2]}", "{[1]:[2]}"),
+                    (2, "{[2]:[2]}", "{[1,1]:[2]}"), (2, "{[1,1]:[1]}", "{[2]:[1,1]}"),
+                    (3, "{[3]:[1]}", "{[3]:[1]}"), (3, "{[2,1]:[2]}", "{[3]:[1]}")]:
+        left, right = parse_family(a, k), parse_family(b, k)
+        bound = ct.deg1(left) + ct.deg1(right)
+        terms = ct._universal_by_characters(left, right).terms
+        assert max(map(ct.deg1, terms)) == bound
+        monkeypatch.setattr(ct, "_most_ones", lambda l, r, n: true_most_ones(l, r, n) - 1)
+        monkeypatch.setattr(ct, "check_mass", lambda vector, left, right: None)
+        with pytest.raises(InvariantViolation):
+            ct._universal_by_characters(left, right)
+        monkeypatch.undo()
 
 
 def test_mass_by_size_is_the_mass_by_label():

@@ -273,6 +273,24 @@ def test_general_character_table_labels():
         ch.wreath_character(fam(3, (1,), (), ()), fam(3, (1, 1), (), ()))
 
 
+def test_k1_character_table_is_the_symmetric_group_table():
+    # wreath_character at k = 1 is sym_character, so the table built by the
+    # wreath rule is checked against it column by column
+    for n in range(9):
+        irreps = families_with_size(1, n)
+        for delta, column in ch.character_table(1, n)[2].items():
+            assert column == tuple(
+                ch.sym_character(lam.components[0], delta.components[0]) for lam in irreps
+            )
+
+
+def test_single_k1_value_builds_no_table():
+    built = {n for n in range(21) if ch.has_character_table(1, n)}
+    assert ch.shifted_power_sum_eval((3, 2), (8, 5, 4, 2, 1)) == -2304
+    assert not ch.has_character_table(1, 20)
+    assert {n for n in range(21) if ch.has_character_table(1, n)} == built
+
+
 def test_hyperoct_dim():
     assert ch.hyperoct_dim(((3,), ())) == 1
     assert ch.hyperoct_dim(((1,), (1,))) == 2

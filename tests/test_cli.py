@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from wreathcenter import center as ct
 from wreathcenter import characters as ch
@@ -262,6 +264,26 @@ def test_output_is_stable_across_processes():
     second = subprocess.run(argv, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout
+
+
+def test_digest_is_sha256():
+    import hashlib
+
+    from wreathcenter.cli import _digest
+
+    for text in ["1; 4; {[1]:[2,1,1]}; {[1]:[2,1,1]}; {[1]:[3,1]}; 3\n", "é ∑ 日本 \U0001d54a\n", ""]:
+        assert _digest(text) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_import_loads_neither_hashlib_nor_json():
+    # both cost milliseconds in every process; a cache lookup takes sha256
+    # from CPython's own module and only --json output needs json
+    import wreathcenter
+
+    env = {**os.environ, "PYTHONPATH": str(Path(wreathcenter.__file__).parents[1])}
+    probe = "import sys, wreathcenter.cli; print(sorted({'hashlib', 'json'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True, env=env)
+    assert out.stdout.decode().strip() == "[]"
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
