@@ -28,8 +28,9 @@ bounds what it reads.  A universal product is fixed by
 its projections, the group products of the padded inputs at every n from
 max(|left|, |right|) to N, and is recovered from them one size at a time,
 at each size only at the labels the second filtration allows.
-Both products weigh the two routes by their measured costs with one rule,
-including the one-off cost of building a table, and take the cheaper one.
+Both products go through `_product`, which weighs the two routes by one
+rule, with one measured cost per enumerated element and per table entry
+built, and takes the cheaper one.
 
 Projecting the universal product down to a group recovers the group
 product (for proper inputs on the nose; in general up to the binomial
@@ -145,54 +146,41 @@ def multiply_group(
 ) -> ClassSumVector:
     """Product of two class sums in the group of k-block permutations of [kn].
 
-    Two routes count the same coefficients, for every k: enumerating the
-    smaller class B, or the Frobenius formula over the character table at
-    (k, n).  `_by_characters` picks one by cost, in Frobenius terms (one
-    table entry read each): enumeration costs |B| * _ELEMENT_COST.
-
-    `budget` bounds the count of the route taken: |B| elements, or
-    #classes ** 2 table entries.  When the cheaper route is over budget and
-    the other fits, the other is taken; when neither fits, BudgetExceeded
-    reports the smaller count.  With verify_representative the smaller
-    class is always enumerated, since only enumeration has a second member
-    of the larger class to recount at.
+    `_product` counts it; `budget` and `verify_representative` act as there.
     """
-    if left.k != right.k:
-        raise SizeMismatch("families must share the same k")
     if left.size != n or right.size != n:
         raise SizeMismatch("group products need both families of size exactly n")
-    if verify_representative:
-        return _group_by_enumeration(left, right, n, budget, True)
-    k = left.k
-    smaller = min(class_size(left, n), class_size(right, n))
-    if _by_characters(k, (n,), smaller, _ELEMENT_COST, budget):
-        return _group_by_characters(left, right, n)
-    vector = _group_by_enumeration(left, right, n, budget, False)
-    _enumerated[k, n] += smaller * _ELEMENT_COST
-    return vector
+    return _product(left, right, n, budget, verify_representative)
+
+
+def multiply_universal(
+    left: PartitionFamily,
+    right: PartitionFamily,
+    budget: int = DEFAULT_BUDGET,
+    verify_representative: bool = False,
+) -> ClassSumVector:
+    """Product of two orbit sums in the universal algebra, at stage |left| + |right|.
+
+    `_product` counts it; `budget` and `verify_representative` act as there.
+    """
+    return _product(left, right, None, budget, verify_representative)
 
 
 # Route costs in Frobenius terms: a term is 1 / #classes ** 2 of a Frobenius
 # sum, which reads only the entries that can contribute.  Measured with the
-# tables built over the 141 products of the group benchmark's op lists for
-# seeds 1-3 (CPython 3.11.7 on one core of an Intel Xeon, best of five per
-# route and product): an enumerated element took a median 40 us and a term
-# 0.029 us, a ratio of 1,360; every value from 720 up keeps all of what
-# taking each product's faster route saves.  A table entry took 1.3-10 us to
-# build once the smaller tables were built, at (1, 6..10), (2, 4..6) and
-# (3, 3..5), three fresh processes each: 45 to 350 terms.  All three costs
-# are four times what they were priced at before the Frobenius sum read only
-# what can contribute, so a cold one-off product weighs its routes as before
-# and a product whose tables are built is read off them sooner.
+# tables built, on CPython 3.11.7 on one core of an Intel Xeon.  Over the 141
+# products of the group benchmark's op lists for seeds 1-3 (best of five per
+# route and product) an enumerated element took a median 40 us and a term
+# 0.029 us, and every element cost from 720 up keeps all of what taking each
+# product's faster route saves.  Over the 649 universal-sweep and the 59
+# poly-rows products of seeds 1-2 (best of three) an element took 34 and 20 us
+# and a term 0.053 and 0.035 us, and every element cost from 1,000 to 2,000
+# keeps the most of it (99.5% and 100%; 500 keeps 96% and 97%).  One element
+# cost serves both products.  A table entry took 1.3-10 us to build once the
+# smaller tables were built, at (1, 6..10), (2, 4..6) and (3, 3..5), three
+# fresh processes each: 45 to 350 terms.
 _ELEMENT_COST = 1440
 _BUILD_COST = 152
-# One enumerated universal element, in terms read by the universal character
-# route.  Over the 649 universal-sweep products and the 59 poly-rows products
-# of seeds 1-2, on the machine above with the tables built, best of three:
-# an element took a median 34 and 20 us and a term 0.053 and 0.035 us.
-# Every value from 1,000 to 2,000 keeps the most of what taking each
-# product's faster route saves (99.5% and 100%; 500 keeps 96% and 97%).
-_UNIVERSAL_COST = 2000
 
 # the cost in Frobenius terms of the elements enumerated at each (k, n) in
 # this process, by group products at (k, n) and by universal products that
@@ -200,32 +188,58 @@ _UNIVERSAL_COST = 2000
 _enumerated: Counter = Counter()
 
 
-def _by_characters(k, sizes, smaller, element_cost, budget):
-    """True when a product is read off the character tables at (k, n) for n in sizes.
+def _product(left, right, n, budget, verify_representative):
+    """The product of two class sums at size n, or in the universal algebra when n is None.
 
-    The rule shared by group and universal products.  Enumeration costs
-    smaller * element_cost; characters cost #classes ** 2 per table, plus
+    Two routes count the same coefficients, for every k.  Enumeration runs
+    over the smaller orbit B: the class of size n, or the orbit at stage
+    N = |left| + |right|.  Characters read the table at (k, n) for a group
+    product (`_group_by_characters`), and the tables at every size from
+    max(|left|, |right|) to N for a universal one (`_universal_by_characters`).
+
+    The cheaper route is taken, in Frobenius terms: enumeration costs
+    |B| * _ELEMENT_COST; characters cost #classes ** 2 per table, plus
     _BUILD_COST per entry while it is not built, less what enumeration at
-    that size has already cost in this process.  So a one-off product never
-    pays for a build that outweighs it, and a long-lived process builds each
-    table it keeps needing once.  `_frobenius` reads only the entries that
-    can contribute, so #classes ** 2 is an upper bound on what it reads, and
-    it is also what the budget counts.
+    that size has already cost in this process (`_enumerated`).  So a one-off
+    product never pays for a build that outweighs it, and a long-lived
+    process builds each table it keeps needing once.  `_frobenius` reads only
+    the entries that can contribute, so #classes ** 2 bounds what it reads.
 
-    `budget` bounds the count of the route taken: `smaller` elements, or
-    the table entries.  When only one route fits, it is taken; when neither
-    fits, the route with the smaller count reports it.
+    `budget` bounds the count of the route taken: |B| elements, or the table
+    entries summed over the sizes.  When only one route fits, it is taken;
+    when neither fits, BudgetExceeded reports the smaller count.  With
+    verify_representative the smaller orbit is always enumerated, since only
+    enumeration has a second member of the larger orbit to recount at.
     """
-    entries = sum(_class_count(k, n) ** 2 for n in sizes)
-    if (entries <= budget) != (smaller <= budget):
-        by_characters = entries <= budget
-    elif entries > budget:
-        by_characters = entries < smaller
+    if left.k != right.k:
+        raise SizeMismatch("families must share the same k")
+    k = left.k
+    if n is None:
+        stage = left.size + right.size
+        args, sizes = (left, right), range(max(left.size, right.size), stage + 1)
+        smaller = min(kp.partial_class_size(left, stage), kp.partial_class_size(right, stage))
+        by_enumeration, by_characters = _universal_by_enumeration, _universal_by_characters
     else:
-        by_characters = sum(_characters_cost(k, n) for n in sizes) < smaller * element_cost
-    if by_characters and entries > budget:
-        raise BudgetExceeded(entries, budget, "character table")
-    return by_characters
+        args, sizes = (left, right, n), (n,)
+        smaller = min(class_size(left, n), class_size(right, n))
+        by_enumeration, by_characters = _group_by_enumeration, _group_by_characters
+    if verify_representative:
+        return by_enumeration(*args, budget, True)
+    entries = sum(_class_count(k, m) ** 2 for m in sizes)
+    if (entries <= budget) != (smaller <= budget):
+        characters = entries <= budget
+    elif entries > budget:
+        characters = entries < smaller
+    else:
+        characters = sum(_characters_cost(k, m) for m in sizes) < smaller * _ELEMENT_COST
+    if characters:
+        if entries > budget:
+            raise BudgetExceeded(entries, budget, "character table")
+        return by_characters(*args)
+    vector = by_enumeration(*args, budget, False)
+    for m in sizes:
+        _enumerated[k, m] += smaller * _ELEMENT_COST
+    return vector
 
 
 def _characters_cost(k, n):
@@ -306,42 +320,6 @@ def _most_ones(left, right, n):
     leaves out no class of size n.
     """
     return deg1(left) + deg1(right) - n
-
-
-def multiply_universal(
-    left: PartitionFamily,
-    right: PartitionFamily,
-    budget: int = DEFAULT_BUDGET,
-    verify_representative: bool = False,
-) -> ClassSumVector:
-    """Product of two orbit sums in the universal algebra, at stage |left| + |right|.
-
-    Two routes count the same coefficients, for every k: enumerating the
-    smaller orbit B at stage |left| + |right|, or inverting the group
-    products at every size n from max(|left|, |right|) to |left| + |right|
-    (`_universal_by_characters`).  `_by_characters` picks one by cost, in
-    Frobenius terms: enumeration costs |B| * _UNIVERSAL_COST, and characters
-    read the tables at every such n.  Enumeration pays down the build of
-    each of those tables.
-
-    `budget` bounds the count of the route taken: |B| elements, or the
-    table entries summed over the sizes.  When only one route fits it is
-    taken; when neither fits, BudgetExceeded reports the smaller count.
-    With verify_representative the smaller orbit is always enumerated.
-    """
-    if left.k != right.k:
-        raise SizeMismatch("families must share the same k")
-    if verify_representative:
-        return _universal_by_enumeration(left, right, budget, True)
-    stage = left.size + right.size
-    sizes = range(max(left.size, right.size), stage + 1)
-    smaller = min(kp.partial_class_size(left, stage), kp.partial_class_size(right, stage))
-    if _by_characters(left.k, sizes, smaller, _UNIVERSAL_COST, budget):
-        return _universal_by_characters(left, right)
-    vector = _universal_by_enumeration(left, right, budget, False)
-    for n in sizes:
-        _enumerated[left.k, n] += smaller * _UNIVERSAL_COST
-    return vector
 
 
 def _universal_by_enumeration(left, right, budget, verify_representative):
@@ -521,6 +499,8 @@ class PolynomialStructure:
 
     def evaluate(self, gamma: PartitionFamily, n: int) -> int:
         """Coefficient of the class pad(gamma, n) over [kn], read at gamma's proper part."""
+        if gamma.k != self.k:
+            raise SizeMismatch(f"a k={gamma.k} class in a k={self.k} structure")
         if n < gamma.size:
             raise SizeMismatch(f"evaluation needs n >= {gamma.size}")
         gamma = _proper_family(gamma)

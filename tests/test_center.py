@@ -250,6 +250,9 @@ def test_polynomial_structure_k1():
         assert structure.evaluate(empty, n) == n * (n - 1) // 2
         assert structure.evaluate(fam(1, (3,)), n) == 3
         assert structure.evaluate(fam(1, (2, 2)), n) == 2
+    # a class of another k is no row of this structure, not a zero
+    with pytest.raises(SizeMismatch):
+        structure.evaluate(fam(2, (), (2,)), 4)
 
 
 def test_polynomial_structure_k3_linear_row():
@@ -286,6 +289,45 @@ def test_representative_independence_flag():
     u1 = ct.multiply_universal(fam(2, (), (2,)), fam(2, (), (2,)), verify_representative=True)
     u2 = ct.multiply_universal(fam(2, (), (2,)), fam(2, (), (2,)))
     assert u1 == u2
+
+
+def test_products_check_their_inputs():
+    # every route shares these checks, the enumeration that
+    # verify_representative forces included
+    one, two = fam(1, (2,)), fam(2, (), (1,))
+    for verify in (False, True):
+        options = {"verify_representative": verify}
+        with pytest.raises(SizeMismatch):
+            ct.multiply_group(fam(1, (1, 1)), fam(2, (1, 1), ()), 2, **options)
+        with pytest.raises(SizeMismatch):
+            ct.multiply_group(one, fam(1, (3,)), 3, **options)
+        with pytest.raises(SizeMismatch):
+            ct.multiply_group(one, one, 3, **options)
+        with pytest.raises(SizeMismatch):
+            ct.multiply_universal(one, two, **options)
+        with pytest.raises(SizeMismatch):
+            ct.polynomial_structure(one, two, **options)
+
+
+def test_verify_representative_reads_no_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("verify_representative must enumerate")
+
+    # products whose tables the character route would read, cold or warm
+    seven, four = fam(1, (7,)), fam(1, (4,))
+    five = fam(2, (), (5,))
+    k1_group = ct._group_by_enumeration(seven, seven, 7, DEFAULT_BUDGET, False)
+    k2_group = ct._group_by_enumeration(five, five, 5, DEFAULT_BUDGET, False)
+    universal = ct._universal_by_enumeration(four, four, DEFAULT_BUDGET, False)
+    structure = ct.polynomial_structure(four, four)
+    monkeypatch.setattr(ct, "_frobenius", refuse)
+    monkeypatch.setattr(ct, "_universal_by_characters", refuse)
+    monkeypatch.setattr(ct, "_enumerated", Counter())
+    assert ct.multiply_group(seven, seven, 7, verify_representative=True) == k1_group
+    assert ct.multiply_universal(four, four, verify_representative=True) == universal
+    assert ct.polynomial_structure(four, four, verify_representative=True) == structure
+    assert ct.multiply_group(five, five, 5, verify_representative=True) == k2_group
+    assert ct._enumerated == Counter()
 
 
 def test_budget_exceeded():
@@ -534,7 +576,7 @@ def test_universal_route_charges_the_table_builds(monkeypatch):
     assert not any(ch.has_character_table(3, n) for n in sizes)
     # repeated products enumerate until the tables' charge, less what the
     # enumeration at each size has cost, falls below one more enumeration
-    enumeration = smaller * ct._UNIVERSAL_COST
+    enumeration = smaller * ct._ELEMENT_COST
     entries = [len(families_with_size(3, n)) ** 2 for n in sizes]
 
     def charge(products):

@@ -620,7 +620,7 @@ def test_verify_representative_recounts_poly_and_universal(capsys, monkeypatch):
         assert "error: invariant-violation" in err
     # control: without the flag every other check passes, so exit 3 above is the recount;
     # free enumeration pins the product to the route that extracts types
-    monkeypatch.setattr(ct, "_UNIVERSAL_COST", 0)
+    monkeypatch.setattr(ct, "_ELEMENT_COST", 0)
     mislabel_one_22_product(monkeypatch)
     code, out, _ = call(capsys, "universal", *pair)
     assert code == 0
