@@ -39,9 +39,7 @@ from .center import (
 from .characters import (
     dim_irrep,
     hyperoct_character,
-    hyperoct_dim,
     shifted_power_sum_eval,
-    shifted_power_sum_eval2,
     shifted_schur_eval,
     skew_syt_count,
     sym_character,

@@ -38,13 +38,11 @@ __all__ = [
     "shifted_schur_eval",
     "shifted_power_sum_eval",
     "hyperoct_character",
-    "hyperoct_dim",
     "wreath_character",
     "wreath_dim",
     "character_table",
     "has_character_table",
     "linear_classes",
-    "shifted_power_sum_eval2",
     "verify_iso",
     "bipartitions_of",
     "transport_value",
@@ -160,8 +158,8 @@ def shifted_schur_eval(rho: Partition, lam: Partition) -> Fraction:
     return Fraction(falling_factorial(sum(lam), sum(rho)) * count, dim_irrep(lam))
 
 
-def shifted_power_sum_eval(delta: Partition, lam: Partition) -> Fraction:
-    """Value of the shifted power sum indexed by delta at the point lam."""
+def shifted_power_sum_eval(delta, lam) -> Fraction:
+    """The shifted power sum indexed by delta at lam: two partitions, or two families of one k."""
     return _power_sum(_as_point(1, delta), _as_point(1, lam))
 
 
@@ -331,18 +329,8 @@ def hyperoct_character(rho: Bipartition, delta: Bipartition) -> int:
     return wreath_character(_as_point(2, rho), _as_point(2, delta))
 
 
-def hyperoct_dim(rho: Bipartition) -> int:
-    """Dimension of the irreducible module labelled by a pair of partitions."""
-    return wreath_dim(_as_point(2, rho))
-
-
-def shifted_power_sum_eval2(delta: Bipartition, rho: Bipartition) -> Fraction:
-    """Two-alphabet shifted power sum indexed by delta, evaluated at the pair rho."""
-    return _power_sum(_as_point(2, delta), _as_point(2, rho))
-
-
 def shifted_power_sum_eval2_branching(delta: Bipartition, rho: Bipartition) -> Fraction:
-    """Same value as shifted_power_sum_eval2, through the branching expansion.
+    """shifted_power_sum_eval at the k = 2 families of delta and rho, by branching.
 
     Kept as an independent route: the padded character is expanded over
     all pairs of total size |delta| with binomial and skew-count weights.
@@ -364,7 +352,7 @@ def shifted_power_sum_eval2_branching(delta: Bipartition, rho: Bipartition) -> F
             * skew_syt_count(rho1, nu[0])
             * skew_syt_count(rho2, nu[1])
         )
-    return Fraction(falling_factorial(n, r) * char_sum, hyperoct_dim(rho))
+    return Fraction(falling_factorial(n, r) * char_sum, wreath_dim(_as_point(2, rho)))
 
 
 def _as_point(k: int, point) -> PartitionFamily:
@@ -433,7 +421,7 @@ def verify_iso(
     if eval_points is None:
         eval_points = default_eval_points(k, left.size + right.size + 2)
     points = [_as_point(k, point) for point in eval_points]
-    expansion = center._universal_by_enumeration(left, right, budget, False)
+    expansion = center._by_enumeration(left, right, None, budget, False)
     needed = len(points) * (len(expansion.terms) + 2)
     if needed > budget:
         raise BudgetExceeded(needed, budget, "transport evaluations")

@@ -286,7 +286,7 @@ def test_criterion_7_characters():
                     )
                     assert total == (pt.z_of(delta) if delta == eps else 0)
         for n in range(1, 5):
-            total = sum(ch.hyperoct_dim(rho) ** 2 for rho in ch.bipartitions_of(n))
+            total = sum(ch.wreath_dim(fam(2, *rho)) ** 2 for rho in ch.bipartitions_of(n))
             assert total == 2 ** n * factorial(n)
 
 

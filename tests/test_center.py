@@ -1,7 +1,7 @@
 import copy
 import pickle
 from collections import Counter
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -127,7 +127,7 @@ def test_mislabelled_product_is_caught(monkeypatch):
 
     def enumerated(left, right):
         # only the enumeration route extracts types
-        return ct._universal_by_enumeration(left, right, DEFAULT_BUDGET, False)
+        return ct._by_enumeration(left, right, None, DEFAULT_BUDGET, False)
 
     # T_(3) drops from 4 to 3: 6 * 3 / |C_(3)| = 18 / 8 is not an integer
     mislabel_once({fam(1, (3,)): fam(1, (2, 2))})
@@ -140,6 +140,35 @@ def test_mislabelled_product_is_caught(monkeypatch):
     mislabel_once({fam(1, (2, 2)): fam(1, (1, 1))})
     with pytest.raises(InvariantViolation):
         ct.multiply_universal(lam, lam, verify_representative=True)
+    # the same for a group product, whose types are read off block
+    # permutations: at n = 4, moving the one (2,2) product of two
+    # transpositions to the identity gives 6 * 2 / 1 and keeps the mass,
+    # 12 * 1 + 3 * 8 = 6 * 6
+    from wreathcenter import blockperm as bp
+
+    true_type_of = bp.BlockPermutation.type_of
+
+    def mislabel_group_once(wrong_of):
+        done = []
+
+        def type_of(p):
+            gamma = true_type_of(p)
+            if gamma in wrong_of and not done:
+                done.append(p)
+                return wrong_of[gamma]
+            return gamma
+
+        monkeypatch.setattr(bp.BlockPermutation, "type_of", type_of)
+
+    transposition, identity = fam(1, (2, 1, 1)), fam(1, (1, 1, 1, 1))
+    mislabel_group_once({fam(1, (2, 2)): identity})
+    assert ct._by_enumeration(transposition, transposition, 4, DEFAULT_BUDGET, False).terms == {
+        identity: 12,
+        fam(1, (3, 1)): 3,
+    }
+    mislabel_group_once({fam(1, (2, 2)): identity})
+    with pytest.raises(InvariantViolation):
+        ct.multiply_group(transposition, transposition, 4, verify_representative=True)
 
 
 def test_budget_bounds_the_smaller_orbit():
@@ -316,9 +345,9 @@ def test_verify_representative_reads_no_table(monkeypatch):
     # products whose tables the character route would read, cold or warm
     seven, four = fam(1, (7,)), fam(1, (4,))
     five = fam(2, (), (5,))
-    k1_group = ct._group_by_enumeration(seven, seven, 7, DEFAULT_BUDGET, False)
-    k2_group = ct._group_by_enumeration(five, five, 5, DEFAULT_BUDGET, False)
-    universal = ct._universal_by_enumeration(four, four, DEFAULT_BUDGET, False)
+    k1_group = ct._by_enumeration(seven, seven, 7, DEFAULT_BUDGET, False)
+    k2_group = ct._by_enumeration(five, five, 5, DEFAULT_BUDGET, False)
+    universal = ct._by_enumeration(four, four, None, DEFAULT_BUDGET, False)
     structure = ct.polynomial_structure(four, four)
     monkeypatch.setattr(ct, "_frobenius", refuse)
     monkeypatch.setattr(ct, "_universal_by_characters", refuse)
@@ -350,7 +379,7 @@ def test_character_route_matches_enumeration():
                 for right in fams[i:]:
                     if most and min(class_size(left, n), class_size(right, n)) > most:
                         continue
-                    enumerated = ct._group_by_enumeration(left, right, n, 10**6, False)
+                    enumerated = ct._by_enumeration(left, right, n, 10**6, False)
                     assert ct._group_by_characters(left, right, n) == enumerated
 
 
@@ -367,7 +396,7 @@ def test_route_charges_the_table_build(monkeypatch):
     # repeated products at (3, 3) enumerate until the next enumeration
     # would bring their cost past the cost of building the table
     left, right = fam(3, (2, 1), (), ()), fam(3, (), (1,), (1, 1))
-    expected = ct._group_by_enumeration(left, right, 3, 10**6, False)
+    expected = ct._by_enumeration(left, right, 3, 10**6, False)
     element_cost = class_size(left, 3) * ct._ELEMENT_COST
     build_cost = len(families_with_size(3, 3)) ** 2 * (1 + ct._BUILD_COST)
     built_at = None
@@ -399,7 +428,7 @@ def test_warm_routes(monkeypatch):
     assert kp.partial_class_size(left, 6) == 6 < kp.partial_class_size(right, 6)
     expected = ct.polynomial_structure(left, right, verify_representative=True)
     ch.character_table(2, 6)
-    monkeypatch.setattr(ct, "_universal_by_enumeration", refuse)
+    monkeypatch.setattr(ct, "_by_enumeration", refuse)
     assert ct.polynomial_structure(left, right) == expected
 
 
@@ -425,7 +454,7 @@ def test_route_rule_and_budget():
     # |C_(5,1)| = 144 at n = 6 exceeds the 11**2 = 121 entries of the S_6 table
     lam = fam(1, (5, 1))
     by_characters = ct.multiply_group(lam, lam, 6, budget=121)
-    assert by_characters == ct._group_by_enumeration(lam, lam, 6, 144, False)
+    assert by_characters == ct._by_enumeration(lam, lam, 6, 144, False)
     with pytest.raises(BudgetExceeded) as info:
         ct.multiply_group(lam, lam, 6, budget=120)
     assert info.value.needed == 121
@@ -453,7 +482,7 @@ def test_universal_character_route_matches_enumeration():
     ]
     cases += [(parse_family(a, k), parse_family(b, k)) for k, a, b in larger]
     for left, right in cases:
-        enumerated = ct._universal_by_enumeration(left, right, 10**7, False)
+        enumerated = ct._by_enumeration(left, right, None, 10**7, False)
         assert ct._universal_by_characters(left, right) == enumerated
 
 
@@ -484,8 +513,8 @@ def test_wrong_padded_label_at_any_level_is_caught(monkeypatch):
     # at k = 3, one coefficient of each size's group product in turn is one
     # too large, always at a label with 1-parts in its all-ones component:
     # the labels that smaller ones pad to, so their level subtracts before
-    # the stage's mass, summed one size at a time, is checked.  check_mass
-    # is switched off, so only those stage checks can refuse the answer.  A
+    # the stage's mass, summed one size at a time, is checked.  Those stage
+    # checks are the only mass checks this route makes.  A
     # level reads such a label only where the second filtration lets its
     # new labels have a 1-part there, so the top level of a product of
     # labels without 1-parts reads none and is not bumped
@@ -514,11 +543,68 @@ def test_wrong_padded_label_at_any_level_is_caught(monkeypatch):
             assert len(bumped) == 1 and bumped[0].m1
 
 
+def test_negative_level_coefficient_with_its_mass_kept_is_caught(monkeypatch):
+    # one size's group product moves mass from one label to another until
+    # the first is negative; the mass of that stage, and so of every later
+    # one, is kept, so only the refusal of a negative coefficient at its
+    # level can catch it.  Below the top and at it, at k = 1, 2 and 3
+    true_frobenius = ct._frobenius
+    for k, a, b, wrong_at in [(1, "{[1]:[3,2]}", "{[1]:[2]}", 5), (1, "{[1]:[3,2]}", "{[1]:[2]}", 6),
+                              (2, "{[2]:[1]; [1,1]:[1]}", "{[2]:[1]}", 2),
+                              (3, "{[3]:[1]}", "{[3]:[1]}", 1)]:
+        left, right = parse_family(a, k), parse_family(b, k)
+
+        def frobenius(l, r, n, wrong_at=wrong_at):
+            terms = true_frobenius(l, r, n)
+            if n == wrong_at:
+                mass = sum(c * class_size(g, n) for g, c in terms.items())
+                low, high = sorted(terms, key=PartitionFamily.sort_key)[:2]
+                sizes = class_size(low, n), class_size(high, n)
+                shift = terms[low] + 1
+                terms[low] -= shift * sizes[1] // gcd(*sizes)
+                terms[high] += shift * sizes[0] // gcd(*sizes)
+                assert terms[low] < 0
+                assert sum(c * class_size(g, n) for g, c in terms.items()) == mass
+            return terms
+
+        monkeypatch.setattr(ct, "_frobenius", frobenius)
+        with pytest.raises(InvariantViolation, match="cannot have c = -"):
+            ct._universal_by_characters(left, right)
+        monkeypatch.undo()
+
+
+def test_blockperm_stays_the_reference_for_group_products():
+    # the enumerated group product against a tally over the block
+    # permutations of [kn]: each class scanned out of the whole group and
+    # multiplied with the blockperm representative of the other.  The
+    # k-partial permutations at stage n whose domain is all n blocks are the
+    # same group, and their tally at stage n agrees too
+    from wreathcenter import blockperm as bp
+
+    for k, top in [(1, 5), (2, 3), (3, 2)]:
+        for n in range(top + 1):
+            fams = families_with_size(k, n)
+            for right in fams:
+                ys = list(bp.enumerate_class(right, n, strategy="filter"))
+                kp_ys = list(kp.universal_class_members(right, n))
+                for left in fams:
+                    x = bp.class_representative(left, n)
+                    kp_x = kp.partial_class_representative(left, n)
+                    counts = Counter(bp.BlockPermutation.type_of(x * y) for y in ys)
+                    assert Counter(kp.kp_type(kp_x * y) for y in kp_ys) == counts
+                    expected = {}
+                    for gamma, count in counts.items():
+                        coeff, remainder = divmod(class_size(left, n) * count, class_size(gamma, n))
+                        assert remainder == 0
+                        expected[gamma] = coeff
+                    assert ct._by_enumeration(left, right, n, DEFAULT_BUDGET, False).terms == expected
+
+
 def test_filtration_skip_one_too_tight_is_caught(monkeypatch):
     # each level reads only the labels the second filtration allows; with the
     # bound one lower, a target on the bound is skipped and its level's mass
-    # comes up short.  check_mass is switched off, so only the stage checks
-    # can refuse the answer
+    # comes up short.  The stage checks are the only mass checks this route
+    # makes
     true_most_ones = ct._most_ones
     for k, a, b in [(1, "{[1]:[2]}", "{[1]:[2]}"), (1, "{[1]:[3,2]}", "{[1]:[2]}"),
                     (2, "{[2]:[2]}", "{[1,1]:[2]}"), (2, "{[1,1]:[1]}", "{[2]:[1,1]}"),
@@ -570,7 +656,7 @@ def test_universal_route_charges_the_table_builds(monkeypatch):
     left, right = fam(3, (), (), (1,)), fam(3, (), (), (2,))
     smaller, sizes = 6, (2, 3)
     assert smaller == kp.partial_class_size(left, 3) < kp.partial_class_size(right, 3)
-    expected = ct._universal_by_enumeration(left, right, 10**6, False)
+    expected = ct._by_enumeration(left, right, None, 10**6, False)
     # a cold one-off product enumerates and builds no table
     assert ct.multiply_universal(left, right) == expected
     assert not any(ch.has_character_table(3, n) for n in sizes)

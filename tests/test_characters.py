@@ -150,7 +150,7 @@ def test_signed_character_identity_column_and_orthogonality():
     for n in range(1, 4):
         identity = ((1,) * n, ())
         for rho in ch.bipartitions_of(n):
-            assert ch.hyperoct_character(rho, identity) == ch.hyperoct_dim(rho)
+            assert ch.hyperoct_character(rho, identity) == ch.wreath_dim(fam(2, *rho))
         # column orthogonality against the centralizer order of each class
         for delta in ch.bipartitions_of(n):
             for eps in ch.bipartitions_of(n):
@@ -292,23 +292,23 @@ def test_single_k1_value_builds_no_table():
 
 
 def test_hyperoct_dim():
-    assert ch.hyperoct_dim(((3,), ())) == 1
-    assert ch.hyperoct_dim(((1,), (1,))) == 2
+    assert ch.wreath_dim(fam(2, (3,), ())) == 1
+    assert ch.wreath_dim(fam(2, (1,), (1,))) == 2
     for n in range(5):
-        total = sum(ch.hyperoct_dim(rho) ** 2 for rho in ch.bipartitions_of(n))
+        total = sum(ch.wreath_dim(fam(2, *rho)) ** 2 for rho in ch.bipartitions_of(n))
         assert total == 2 ** n * factorial(n)
 
 
 def test_two_alphabet_power_sum():
-    assert ch.shifted_power_sum_eval2(((2,), (1,)), ((1,), (1,))) == 0
+    assert ch.shifted_power_sum_eval(fam(2, (2,), (1,)), fam(2, (1,), (1,))) == 0
     for rho in ch.bipartitions_of(3):
         n = sum(rho[0]) + sum(rho[1])
-        assert ch.shifted_power_sum_eval2(((1,), ()), rho) == n
+        assert ch.shifted_power_sum_eval(fam(2, (1,), ()), fam(2, *rho)) == n
     for dsize in range(3):
         for delta in ch.bipartitions_of(dsize):
             for nsize in range(5):
                 for rho in ch.bipartitions_of(nsize):
-                    direct = ch.shifted_power_sum_eval2(delta, rho)
+                    direct = ch.shifted_power_sum_eval(fam(2, *delta), fam(2, *rho))
                     branched = ch.shifted_power_sum_eval2_branching(delta, rho)
                     assert direct == branched
 
@@ -323,7 +323,7 @@ def test_transport_scale():
     two = fam(2, (), (2,))
     bipoint = ((2,), (1,))
     assert ch.transport_value(two, bipoint) == Fraction(4, big_z(two)) * (
-        ch.shifted_power_sum_eval2(((), (2,)), bipoint)
+        ch.shifted_power_sum_eval(fam(2, (), (2,)), fam(2, *bipoint))
     )
 
 
@@ -358,7 +358,7 @@ def test_transport_matches_closed_forms():
             if r <= n:
                 expected = Fraction(
                     2**r * pt.falling_factorial(n, r) * sign_vector_character(rho, padded(delta, n)),
-                    big_z(label) * ch.hyperoct_dim(rho),
+                    big_z(label) * ch.wreath_dim(fam(2, *rho)),
                 )
             assert ch.transport_value(label, rho) == expected
 
@@ -487,7 +487,9 @@ def test_transported_power_sum_identities_k1():
 
 
 def test_transported_power_sum_identities_k2():
-    p = ch.shifted_power_sum_eval2
+    def p(delta, rho):
+        return ch.shifted_power_sum_eval(fam(2, *delta), fam(2, *rho))
+
     points = [b for m in range(6) for b in ch.bipartitions_of(m)]
     for rho in points:
         lhs = p(((), (2,)), rho) ** 2

@@ -126,6 +126,16 @@ def test_budget_exit_code(capsys):
     assert "budget-exceeded" in err
 
 
+def test_group_product_over_budget_reports_its_class(capsys, monkeypatch):
+    # |C_(2,1,1,1,1)| = 15 at n = 6 and the S_6 table has 11 ** 2 entries:
+    # neither route fits, and the smaller count, the class, is reported
+    monkeypatch.delenv("WREATH_CACHE", raising=False)
+    pair = ["--left", "{[1]:[2,1,1,1,1]}", "--right", "{[1]:[2,1,1,1,1]}"]
+    code, out, err = call(capsys, "multiply", "--k", "1", "--n", "6", *pair, "--max-group-size", "10")
+    assert (code, out) == (2, "")
+    assert err == "error: budget-exceeded; needed=15; budget=10; what=class enumeration\n"
+
+
 def test_chartable_k1(capsys):
     code, out, _ = call(capsys, "chartable", "--k", "1", "--n", "3")
     assert code == 0
