@@ -61,9 +61,7 @@ from .families import (
     big_z,
     class_size,
     families_with_size,
-    family_size,
     format_family,
-    is_proper_family,
     pad_family,
     parse_family,
 )

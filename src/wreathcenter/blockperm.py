@@ -227,13 +227,9 @@ def _invert_local(a):
     return tuple(inv)
 
 
-def _local_cycle_type(perm) -> Partition:
-    return cycle_type(tuple(p + 1 for p in perm))
-
-
 @cache
 def _perms_of_type(k: int, rho: Partition) -> tuple[tuple[int, ...], ...]:
-    return tuple(p for p in permutations(range(k)) if _local_cycle_type(p) == rho)
+    return tuple(p for p in permutations(range(k)) if cycle_type(tuple(x + 1 for x in p)) == rho)
 
 
 def _write_cluster(images, k, cycle, locals_, closing):

@@ -9,10 +9,11 @@ larger orbit A,
 It enumerates the smaller orbit B once against a fixed representative of
 A and tallies the product types, on one of two layers:
 
-  * multiply_group uses block permutations of [kn] (blockperm);
-  * multiply_universal uses k-partial permutations at the smallest
-    faithful stage N = |left| + |right| (kpartial), which is enough
-    because a product moves at most that many blocks.
+  * multiply_group uses block permutations of [kn] (blockperm), stage n;
+  * multiply_universal uses k-partial permutations (kpartial) at the
+    smallest faithful stage |left| + |right|, as a product moves at most
+    that many blocks.  `kp.partial_class_size` sizes every orbit at the
+    stage N: C(N, |gamma|) |C_gamma|, which is |C_gamma| at |gamma| = N.
 
 Either product may instead be counted by characters, for every k.  The
 Frobenius formula
@@ -79,13 +80,15 @@ __all__ = [
 class ClassSumVector:
     """A sparse integer combination of class labels.
 
-    `n` is None for universal vectors; otherwise every key must be a family
-    of size n.  Zero coefficients are dropped.
+    `n` is None for universal vectors; otherwise n >= 0 and every key must
+    be a family of size n.  Zero coefficients are dropped.
     """
 
     __slots__ = ("k", "n", "terms")
 
     def __init__(self, k: int, terms: dict, n: int | None = None):
+        if n is not None and n < 0:
+            raise SizeMismatch(f"a vector over size {n}")
         clean = {}
         for fam, coeff in terms.items():
             if fam.k != k:
@@ -256,25 +259,23 @@ def _class_count(k: int, n: int) -> int:
 def _by_enumeration(left, right, n, budget, verify_representative):
     """The product at size n, or in the universal algebra when n is None, by enumeration.
 
-    A group product runs over the block permutations of [kn]; a universal
-    one over the k-partial permutations at stage |left| + |right|.  With x
-    fixed in the larger orbit A and y running over the smaller B (so
+    With x fixed in the larger orbit A and y running over the smaller B (so
     `budget` bounds |B|), c_gamma = |A| * T_gamma / |C_gamma|: T_gamma counts
     the x y of type gamma (y x is conjugate to it).  verify_representative
-    tallies again at a second member of A.
+    tallies again at a second member of A.  The one fork picks the layer: the
+    block permutations of [kn], or the k-partial permutations at stage
+    |left| + |right|; `kp.partial_class_size` sizes every orbit at the stage.
     """
     if n is None:
         stage = left.size + right.size
-        size = lambda fam: kp.partial_class_size(fam, stage)
         members = lambda fam, limit: kp.universal_class_members(fam, stage, limit)
         fixed_member, type_of = kp.partial_class_representative, kp.kp_type
     else:
         stage = n
-        size = lambda fam: class_size(fam, n)
         members = lambda fam, limit: bp.enumerate_class(fam, n, budget=limit)
         fixed_member, type_of = bp.class_representative, bp.BlockPermutation.type_of
-    fixed, varied = (left, right) if size(left) >= size(right) else (right, left)
-    fixed_size = size(fixed)
+    fixed, varied = sorted((left, right), key=lambda fam: -kp.partial_class_size(fam, stage))
+    fixed_size = kp.partial_class_size(fixed, stage)
 
     def tally(x):
         counts = {}
@@ -292,7 +293,7 @@ def _by_enumeration(left, right, n, budget, verify_representative):
             raise InvariantViolation("product types depend on the representative")
 
     terms = {
-        gamma: exact_quotient(fixed_size * count, size(gamma), gamma)
+        gamma: exact_quotient(fixed_size * count, kp.partial_class_size(gamma, stage), gamma)
         for gamma, count in counts.items()
     }
     vector = ClassSumVector(left.k, terms, n=n)
@@ -412,22 +413,21 @@ def _universal_by_characters(left, right):
 def check_mass(vector: ClassSumVector, left: PartitionFamily, right: PartitionFamily):
     """Raise InvariantViolation unless each c_gamma > 0 with |C_gamma| > 0, and the masses agree.
 
-    Masses: sum of c_gamma * |C_gamma| = |C_left| * |C_right|, at stage |left| + |right| for
-    universal vectors.  Every answer passes it (by characters, a universal one as its last stage).
+    Masses: sum of c_gamma * |C_gamma| = |C_left| * |C_right|, each by `kp.partial_class_size`
+    at stage n (SizeMismatch unless |left| = |right| = n) or, for universal vectors, at stage
+    |left| + |right|.  Every answer passes it (by characters, a universal one as its last stage).
     """
-    if vector.n is None:
-        stage = left.size + right.size
-        size = lambda fam: kp.partial_class_size(fam, stage)
-    else:
-        size = lambda fam: class_size(fam, vector.n)
+    stage = left.size + right.size if vector.n is None else vector.n
+    if vector.n is not None and not left.size == right.size == stage:
+        raise SizeMismatch("group products need both families of size exactly n")
     mass = 0
     for fam, c in vector.terms.items():
-        members = size(fam)
+        members = kp.partial_class_size(fam, stage)
         if c < 0 or not members:
             where = format_family(fam)
             raise InvariantViolation(f"{vector.context} product cannot have c = {c} at {where}")
         mass += c * members
-    expected = size(left) * size(right)
+    expected = kp.partial_class_size(left, stage) * kp.partial_class_size(right, stage)
     if mass != expected:
         raise InvariantViolation(
             f"{vector.context} product mass {mass} != |C_left|*|C_right| = {expected}"

@@ -160,7 +160,9 @@ def shifted_schur_eval(rho: Partition, lam: Partition) -> Fraction:
 
 def shifted_power_sum_eval(delta, lam) -> Fraction:
     """The shifted power sum indexed by delta at lam: two partitions, or two families of one k."""
-    return _power_sum(_as_point(1, delta), _as_point(1, lam))
+    label = _as_point(1, delta)
+    value = big_z(label) * transport_value(label, _as_point(1, lam))
+    return Fraction(value, factorial(label.k) ** label.size)
 
 
 def bipartitions_of(n: int) -> tuple[Bipartition, ...]:
@@ -291,6 +293,8 @@ def linear_classes(k: int, n: int):
 def _table_entry(k, n):
     entry = _tables.get((k, n))
     if entry is None:
+        if n < 0:
+            raise SizeMismatch(f"no character table at size {n}")
         entry = _tables[k, n] = _build_table(k, n)
     return entry
 
@@ -364,26 +368,19 @@ def _as_point(k: int, point) -> PartitionFamily:
     return PartitionFamily.from_components(k, point)
 
 
-def _power_sum(label: PartitionFamily, point: PartitionFamily) -> Fraction:
-    """The shifted power sum indexed by `label`, on p(k) alphabets, at `point`.
-
-    With r = |label| and n = |point|: n_(r) * chi^point(pad(label, n)) / dim(point), or 0 if
-    r > n.  That is the transport value divided by its scale (k!)^r / big_z(label).
-    """
-    return Fraction(big_z(label) * transport_value(label, point), factorial(label.k) ** label.size)
-
-
 def transport_value(fam: PartitionFamily, point) -> int:
     """Image of a class label under the transport map at a point: an integer.
 
-    The label goes to (k!)^r / big_z(fam) times its shifted power sum, which
-    at a point of size n is n_(r) chi^point(pad(fam, n)) / dim point, or 0
-    if r > n (r = |fam|).  The value is the scalar by which the orbit sum of
-    the label acts on the irreducible `point`, so a remainder raises
-    InvariantViolation.  The point is a family of the label's k, or its
-    components: a pair of partitions at k = 2, a bare partition at k = 1.
+    The label goes to (k!)^r / big_z(fam) times its shifted power sum, which at a point
+    of size n is n_(r) chi^point(pad(fam, n)) / dim point, or 0 if r > n (r = |fam|).
+    The value is the scalar by which the orbit sum of the label acts on the irreducible
+    `point`, so a remainder raises InvariantViolation.  The point is a family of the
+    label's k (another k raises SizeMismatch), or its components: a pair of partitions
+    at k = 2, a bare partition at k = 1.
     """
     point = _as_point(fam.k, point)
+    if point.k != fam.k:
+        raise SizeMismatch(f"a k={point.k} point for a k={fam.k} label")
     z, n, r = big_z(fam), point.size, fam.size
     if r > n:
         return 0

@@ -11,14 +11,13 @@ Type extraction, `pad_family`, `families_with_size` and unpickling build
 labels with `PartitionFamily._of`: one shared object per label,
 unvalidated, so the elements of one class share one label object.
 
-Three results are kept for the life of the process.  Per label: `big_z`,
-and the class representative, one element of k·|label| images shared by
-`blockperm.class_representative` and `kpartial.partial_class_representative`.
-Per (k, n): `group_order`.  The per-label memos grow with the distinct
-labels a process sees, so they are bounded by the number of families of
-the sizes in use (415 at k = 3 and sizes up to 6, whose representatives
-take about 0.5 MB); the group orders hold one integer per size in use.
-The representative functions still check the size on every call, and
+Three results are kept for the life of the process.  Per label: `big_z`, and the class
+representative, a `BlockPermutation` and a `KPartialPermutation` that share one image
+tuple (`blockperm.class_representative`, `kpartial.partial_class_representative`).  Per
+(k, n): `group_order`.  The per-label memos grow with the distinct labels a process sees,
+so they are bounded by the number of families of the sizes in use (415 at k = 3 and sizes
+up to 6, whose representatives take about 0.5 MB); the group orders hold one integer per
+size in use.  The representative functions still check the size on every call, and
 `class_size` is not kept, so it checks its divisibility on every call.
 """
 
@@ -32,8 +31,6 @@ from .partitions import Partition
 __all__ = [
     "PartitionFamily",
     "index_partitions",
-    "family_size",
-    "is_proper_family",
     "pad_family",
     "big_z",
     "group_order",
@@ -167,16 +164,6 @@ def _init(fam, k, components):
 _LABELS: dict = {}
 
 
-def family_size(fam: PartitionFamily) -> int:
-    """Total size: the sum of the sizes of all components."""
-    return fam.size
-
-
-def is_proper_family(fam: PartitionFamily) -> bool:
-    """True iff the all-ones component has no part equal to 1."""
-    return fam.is_proper()
-
-
 def pad_family(fam: PartitionFamily, n: int) -> PartitionFamily:
     """Grow the family to total size n by appending 1-parts to the all-ones component."""
     if n < fam.size:
@@ -222,10 +209,6 @@ def families_with_size(k: int, n: int, proper_only: bool = False):
     keys = index_partitions(k)
 
     def gen(slot, remaining):
-        if slot == len(keys):
-            if remaining == 0:
-                yield ()
-            return
         if slot == len(keys) - 1:
             for p in pt.partitions_of(remaining):
                 yield (p,)

@@ -338,6 +338,20 @@ def test_products_check_their_inputs():
             ct.polynomial_structure(one, two, **options)
 
 
+def test_group_mass_check_needs_inputs_of_size_n():
+    # every orbit is sized at the stage, so pad(L, 3)^2 = 3 C_(1,1,1) + 3 C_(3)
+    # has the mass C(3, 2)^2 = 9 of the unpadded inputs too; only the size
+    # check tells them apart
+    two = fam(1, (2,))
+    padded = pad_family(two, 3)
+    vector = ct.multiply_group(padded, padded, 3)
+    ct.check_mass(vector, padded, padded)
+    with pytest.raises(SizeMismatch):
+        ct.check_mass(vector, two, two)
+    with pytest.raises(SizeMismatch):
+        ct.check_mass(vector, padded, two)
+
+
 def test_verify_representative_reads_no_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("verify_representative must enumerate")

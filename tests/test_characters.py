@@ -503,3 +503,43 @@ def test_transported_power_sum_identities_k2():
         lhs2 = p(((1,), ()), rho) * p(((1,), (1,)), rho)
         rhs2 = 2 * p(((1,), (1,)), rho) + p(((1, 1), (1,)), rho)
         assert lhs2 == rhs2
+
+
+def test_points_of_another_k_are_refused():
+    # a smaller point of another k used to fall into the r > n branch and give 0
+    two = fam(1, (2,))
+    with pytest.raises(SizeMismatch):
+        ch.transport_value(two, fam(2, (), (1,)))
+    with pytest.raises(SizeMismatch):
+        ch.verify_iso(1, two, two, eval_points=[fam(2, (), (1,)), fam(2, (1,), ())])
+    with pytest.raises(SizeMismatch):
+        ch.shifted_power_sum_eval(fam(2, (2,), (1,)), (1,))
+
+
+def test_negative_sizes_are_refused():
+    universal = ct.multiply_universal(fam(1, (2,)), fam(1, (2,)))
+    with pytest.raises(SizeMismatch):
+        ct.project(universal, -2)
+    with pytest.raises(SizeMismatch):
+        ct.ClassSumVector(1, {}, n=-1)
+    with pytest.raises(SizeMismatch):
+        ch.character_table(3, -1)
+    with pytest.raises(SizeMismatch):
+        ch.linear_classes(1, -3)
+    assert not ch.has_character_table(3, -1)
+    assert not ch.has_character_table(1, -3)
+
+
+def test_wrong_degree_fails_the_identity_column_check(monkeypatch):
+    # one degree too many at one irreducible of size 2: the identity column,
+    # built by the Murnaghan-Nakayama rule, no longer equals the degrees
+    real = ch.wreath_dim
+    wrong = fam(2, (1,), (1,))
+    monkeypatch.setattr(ch, "wreath_dim", lambda irrep: real(irrep) + (irrep == wrong))
+    ch.character_table.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation):
+            ch.character_table(2, 2)
+        assert not ch.has_character_table(2, 2)
+    finally:
+        ch.character_table.cache_clear()

@@ -180,6 +180,23 @@ def test_verify_command(capsys):
         assert out.strip().endswith("true")
 
 
+def test_verify_reports_a_product_the_transport_map_refutes(capsys, monkeypatch):
+    # one coefficient too many in the expansion breaks multiplicativity at
+    # some point: verify_iso is False and `verify` prints false with exit 3
+    real = ct._by_enumeration
+
+    def off_by_one(*args):
+        vector = real(*args)
+        gamma, coeff = vector.items_sorted()[0]
+        return ct.ClassSumVector(vector.k, {**vector.terms, gamma: coeff + 1}, vector.n)
+
+    monkeypatch.setattr(ct, "_by_enumeration", off_by_one)
+    left, right = "{[1]:[2]}", "{[1]:[3]}"
+    assert not ch.verify_iso(1, parse_family(left, 1), parse_family(right, 1))
+    code, out, err = call(capsys, "verify", "--k", "1", "--left", left, "--right", right)
+    assert (code, out, err) == (3, "1; {[1]:[2]}; {[1]:[3]}; false\n", "")
+
+
 def test_verify_budget_bounds_transport_evaluations(capsys):
     # one evaluation per expansion term and one per input at every point
     pair = ["--left", "{[2,1]:[2]}", "--right", "{[3]:[1]}"]

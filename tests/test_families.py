@@ -12,10 +12,8 @@ from wreathcenter.families import (
     big_z,
     class_size,
     families_with_size,
-    family_size,
     format_family,
     index_partitions,
-    is_proper_family,
     pad_family,
     parse_family,
 )
@@ -41,15 +39,15 @@ def test_normalization_and_equality():
 
 
 def test_family_size():
-    assert family_size(fam(2, (1,), (2,))) == 3
-    assert family_size(PartitionFamily.empty(3)) == 0
-    assert family_size(fam(3, (1,), (2,), (2, 1))) == 6
+    assert fam(2, (1,), (2,)).size == 3
+    assert PartitionFamily.empty(3).size == 0
+    assert fam(3, (1,), (2,), (2, 1)).size == 6
 
 
 def test_is_proper_family():
-    assert is_proper_family(fam(2, (3,), (2, 1)))
-    assert not is_proper_family(fam(1, (1, 1)))
-    assert is_proper_family(PartitionFamily.empty(2))
+    assert fam(2, (3,), (2, 1)).is_proper()
+    assert not fam(1, (1, 1)).is_proper()
+    assert PartitionFamily.empty(2).is_proper()
 
 
 def test_pad_family():
