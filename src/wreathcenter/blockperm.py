@@ -35,7 +35,7 @@ def block_points(block: int, k: int) -> range:
 def is_block_permutation(images, k: int) -> bool:
     """True iff the bijection given by `images` maps every k-block onto a k-block."""
     m = len(images)
-    if m % k != 0 or sorted(images) != list(range(1, m + 1)):
+    if k < 1 or m % k != 0 or sorted(images) != list(range(1, m + 1)):
         return False
     for b in range(1, m // k + 1):
         targets = {block_of(images[p - 1], k) for p in block_points(b, k)}
@@ -129,6 +129,8 @@ class BlockPermutation:
 
     @classmethod
     def identity(cls, k: int, n: int) -> "BlockPermutation":
+        if k < 1:
+            raise ValueError("k must be a positive integer")
         return cls(k, n, range(1, k * n + 1), _checked=True)
 
     def __call__(self, point: int) -> int:
@@ -268,6 +270,8 @@ def class_mappings_on_blocks(fam: PartitionFamily, blocks):
     branch is a dead end.
     """
     blocks = tuple(sorted(blocks))
+    if blocks and (blocks[0] < 1 or len(set(blocks)) != len(blocks)):
+        raise ValueError("blocks must be distinct positive integers")
     if fam.size != len(blocks):
         raise SizeMismatch(f"family of size {fam.size} needs {fam.size} blocks, got {len(blocks)}")
     k = fam.k

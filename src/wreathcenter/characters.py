@@ -21,7 +21,7 @@ is verified to be multiplicative pointwise, for every k.
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, perm
 from types import MappingProxyType
 
 from . import center
@@ -29,7 +29,7 @@ from . import partitions as pt
 from .blockperm import DEFAULT_BUDGET, group_order
 from .errors import BudgetExceeded, InvariantViolation, SizeMismatch, exact_quotient
 from .families import PartitionFamily, big_z, families_with_size, index_partitions, pad_family
-from .partitions import Partition, falling_factorial
+from .partitions import Partition
 
 __all__ = [
     "sym_character",
@@ -155,7 +155,7 @@ def shifted_schur_eval(rho: Partition, lam: Partition) -> Fraction:
     count = skew_syt_count(lam, rho)
     if not count:
         return Fraction(0)
-    return Fraction(falling_factorial(sum(lam), sum(rho)) * count, dim_irrep(lam))
+    return Fraction(perm(sum(lam), sum(rho)) * count, dim_irrep(lam))
 
 
 def shifted_power_sum_eval(delta, lam) -> Fraction:
@@ -356,7 +356,7 @@ def shifted_power_sum_eval2_branching(delta: Bipartition, rho: Bipartition) -> F
             * skew_syt_count(rho1, nu[0])
             * skew_syt_count(rho2, nu[1])
         )
-    return Fraction(falling_factorial(n, r) * char_sum, wreath_dim(_as_point(2, rho)))
+    return Fraction(perm(n, r) * char_sum, wreath_dim(_as_point(2, rho)))
 
 
 def _as_point(k: int, point) -> PartitionFamily:
@@ -385,7 +385,7 @@ def transport_value(fam: PartitionFamily, point) -> int:
     if r > n:
         return 0
     return exact_quotient(
-        factorial(fam.k) ** r * falling_factorial(n, r) * wreath_character(point, pad_family(fam, n)),
+        factorial(fam.k) ** r * perm(n, r) * wreath_character(point, pad_family(fam, n)),
         z * wreath_dim(point),
         fam,
     )

@@ -2,14 +2,15 @@
 
 A family assigns one partition to every partition of k; families with
 total size n label the conjugacy classes of the group of k-block
-permutations of [kn].  Components default to the empty partition, and a
-family is stored normalized so equality and hashing are structural.
+permutations of [kn].  Components default to the empty partition.
 
-A family carries its total size, the number `m1` of 1-parts in its
-all-ones component, and its hash, all computed once when it is built.
-Type extraction, `pad_family`, `families_with_size` and unpickling build
-labels with `PartitionFamily._of`: one shared object per label,
-unvalidated, so the elements of one class share one label object.
+Every label is one shared object: the constructor validates and
+normalizes its input and returns the label `PartitionFamily._of` holds
+for those components, which type extraction, `pad_family`,
+`families_with_size`, copying and unpickling also return.  Two equal
+families are therefore the same object, so `==` and `hash` are identity.
+A family carries its total size and the number `m1` of 1-parts in its
+all-ones component, both computed once when the label is first built.
 
 Three results are kept for the life of the process.  Per label: `big_z`, and the class
 representative, a `BlockPermutation` and a `KPartialPermutation` that share one image
@@ -52,12 +53,12 @@ def index_partitions(k: int) -> tuple[Partition, ...]:
 
 
 class PartitionFamily:
-    """An assignment of a partition to every partition of k."""
+    """An assignment of a partition to every partition of k, one shared object per label."""
 
-    __slots__ = ("k", "components", "size", "m1", "_hash")
+    __slots__ = ("k", "components", "size", "m1")
 
-    def __init__(self, k: int, assignment=None):
-        """Build a family from a mapping {partition of k: partition}.
+    def __new__(cls, k: int, assignment=None):
+        """The family of a mapping {partition of k: partition}, as its shared label.
 
         Missing keys mean the empty partition.  Keys must be partitions
         of exactly k.
@@ -72,19 +73,25 @@ class PartitionFamily:
                 if key not in comps:
                     raise ValueError(f"{key} is not a partition of {k}")
                 comps[key] = pt.as_partition(value)
-        _init(self, k, tuple(comps[key] for key in keys))
+        return cls._of(k, tuple(comps[key] for key in keys))
 
     @classmethod
     def _of(cls, k: int, components: tuple) -> "PartitionFamily":
         """The shared family with these components, unchecked.
 
         `components` must already be partitions in index_partitions(k) order.
+        A new label is stored with `setdefault`, so two threads that build it
+        at once both get the stored one.
         """
         fam = _LABELS.get((k, components))
         if fam is None:
             fam = object.__new__(cls)
-            _init(fam, k, components)
-            _LABELS[k, components] = fam
+            object.__setattr__(fam, "k", k)
+            object.__setattr__(fam, "components", components)
+            object.__setattr__(fam, "size", sum(map(sum, components)))
+            # the number of 1-parts in the all-ones component
+            object.__setattr__(fam, "m1", components[0].count(1))
+            fam = _LABELS.setdefault((k, components), fam)
         return fam
 
     @classmethod
@@ -123,7 +130,7 @@ class PartitionFamily:
         return tuple(zip(index_partitions(self.k), self.components))
 
     def replace(self, rho, value) -> "PartitionFamily":
-        """A copy of this family with the component at `rho` replaced."""
+        """The family with the component at `rho` replaced."""
         mapping = dict(self.items())
         mapping[pt.as_partition(rho)] = pt.as_partition(value)
         return PartitionFamily(self.k, mapping)
@@ -137,27 +144,8 @@ class PartitionFamily:
     def __reduce__(self):
         return PartitionFamily._of, (self.k, self.components)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PartitionFamily)
-            and self.k == other.k
-            and self.components == other.components
-        )
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return f"PartitionFamily(k={self.k}, {format_family(self)!r})"
-
-
-def _init(fam, k, components):
-    object.__setattr__(fam, "k", k)
-    object.__setattr__(fam, "components", components)
-    object.__setattr__(fam, "size", sum(map(sum, components)))
-    # the number of 1-parts in the all-ones component
-    object.__setattr__(fam, "m1", components[0].count(1))
-    object.__setattr__(fam, "_hash", hash((k, components)))
 
 
 # the shared labels of PartitionFamily._of, keyed by (k, components)

@@ -22,9 +22,8 @@ whole groups the same way.
 
 from functools import cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, perm
 
-from . import partitions as pt
 from .blockperm import (
     DEFAULT_BUDGET,
     BlockPermutation,
@@ -187,9 +186,7 @@ def partial_class_size(fam: PartitionFamily, n: int) -> int:
 
 def count_all(k: int, n: int) -> int:
     """Total number of k-partial permutations of n: sum of (n falling r) * (k!)^r."""
-    return sum(
-        pt.falling_factorial(n, r) * factorial(k) ** r for r in range(n + 1)
-    )
+    return sum(perm(n, r) * factorial(k) ** r for r in range(n + 1))
 
 
 def _relabellings(k: int, m: int, n: int):

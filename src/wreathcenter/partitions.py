@@ -8,6 +8,7 @@ Python's arbitrary-precision integers, so nothing here overflows.
 from collections import Counter
 from functools import cache
 from math import factorial
+from operator import index
 
 from .errors import NotContained, TooSmall
 
@@ -18,9 +19,9 @@ def as_partition(parts) -> Partition:
     """Normalize an iterable of positive integers into a partition tuple.
 
     Parts are sorted decreasingly; zero parts are dropped; negative parts
-    are rejected.
+    are rejected, and so is a part that is not an integer (TypeError).
     """
-    out = tuple(sorted((int(p) for p in parts if p != 0), reverse=True))
+    out = tuple(sorted((p for p in map(index, parts) if p), reverse=True))
     if out and out[-1] < 0:
         raise ValueError(f"negative part in partition {out}")
     return out
@@ -75,14 +76,6 @@ def z_of(a: Partition) -> int:
     for r, m in Counter(a).items():
         z *= r**m * factorial(m)
     return z
-
-
-def falling_factorial(n: int, r: int) -> int:
-    """n(n-1)...(n-r+1); equals 1 when r == 0."""
-    out = 1
-    for i in range(r):
-        out *= n - i
-    return out
 
 
 @cache

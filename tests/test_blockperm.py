@@ -238,3 +238,24 @@ def test_text_roundtrip():
     w = bp.BlockPermutation(3, 6, EXAMPLE_IMAGES)
     assert bp.BlockPermutation.from_text(w.to_text(), 3, 6) == w
     assert w.to_text().startswith("(12,10,11,")
+
+
+def test_class_mappings_refuse_repeated_or_nonpositive_blocks():
+    # each of these once built elements that are not of the family's type
+    for f, blocks in (
+        (fam(1, (2,)), (1, 1)),
+        (fam(2, (), (2,)), (2, 2)),
+        (fam(1, (1, 1)), (0, 1)),
+    ):
+        with pytest.raises(ValueError):
+            next(bp.class_mappings_on_blocks(f, blocks))
+
+
+def test_block_size_must_be_positive():
+    with pytest.raises(ValueError):
+        bp.BlockPermutation(0, 0, ())
+    with pytest.raises(ValueError):
+        bp.BlockPermutation(-1, -1, (1,))
+    assert not bp.is_block_permutation((1,), -1)
+    with pytest.raises(ValueError):
+        bp.BlockPermutation.identity(0, 3)

@@ -1,7 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import factorial, prod
+from math import factorial, perm, prod
 from operator import mul
 
 import pytest
@@ -345,7 +345,7 @@ def test_transport_matches_closed_forms():
             expected = 0
             if r <= n:
                 expected = Fraction(
-                    pt.falling_factorial(n, r) * ch.sym_character(lam, padded(delta, n)),
+                    perm(n, r) * ch.sym_character(lam, padded(delta, n)),
                     pt.z_of(delta) * ch.dim_irrep(lam),
                 )
             assert ch.transport_value(fam(1, delta), lam) == expected
@@ -357,7 +357,7 @@ def test_transport_matches_closed_forms():
             expected = 0
             if r <= n:
                 expected = Fraction(
-                    2**r * pt.falling_factorial(n, r) * sign_vector_character(rho, padded(delta, n)),
+                    2**r * perm(n, r) * sign_vector_character(rho, padded(delta, n)),
                     big_z(label) * ch.wreath_dim(fam(2, *rho)),
                 )
             assert ch.transport_value(label, rho) == expected

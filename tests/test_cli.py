@@ -6,8 +6,10 @@ from pathlib import Path
 
 from wreathcenter import center as ct
 from wreathcenter import characters as ch
+from wreathcenter import cli
 from wreathcenter import partitions as pt
 from wreathcenter.cli import run, split_fields
+from wreathcenter.errors import SizeMismatch
 from wreathcenter.families import parse_family
 
 
@@ -678,3 +680,17 @@ def test_each_command_takes_only_its_flags(capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("error: usage")
+
+
+def test_split_fields_keeps_an_unclosed_family_as_the_last_field():
+    assert split_fields("1; {[1]:[2]; [2]:[1]") == ["1", "{[1]:[2]; [2]:[1]"]
+
+
+def test_package_errors_outside_the_named_kinds_are_usage_errors(capsys, monkeypatch):
+    def refuse(args):
+        raise SizeMismatch("sizes disagree")
+
+    monkeypatch.setitem(cli.COMMANDS, "classes", refuse)
+    code, out, err = call(capsys, "classes", "--k", "1", "--n", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: usage; sizes disagree\n"

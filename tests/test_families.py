@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 from math import comb, factorial
 
@@ -176,3 +178,50 @@ def test_text_format():
         parse_family("{[2]:[1]; [2]:[1]}", 2)
     with pytest.raises(ValueError):
         parse_family("[2]:[1]", 2)
+
+
+def test_every_way_to_a_label_returns_the_shared_object():
+    f = fam(2, (2, 1), (1,))
+    shared = PartitionFamily._of(2, ((2, 1), (1,)))
+    for same in (
+        PartitionFamily(2, {(2,): (1,), (1, 1): (1, 2)}),
+        PartitionFamily.from_components(2, ((2, 1), (1,))),
+        PartitionFamily.empty(2).replace((1, 1), (2, 1)).replace((2,), (1,)),
+        parse_family("{[2]:[1]; [1,1]:[2,1]}", 2),
+        pad_family(fam(2, (2,), (1,)), 4),
+        bp.class_representative(f, 4).type_of(),
+        pickle.loads(pickle.dumps(f)),
+        copy.copy(f),
+        copy.deepcopy(f),
+    ):
+        assert same is shared
+    assert PartitionFamily.empty(3) is PartitionFamily._of(3, ((), (), ()))
+    assert PartitionFamily.identity(2, 3) is PartitionFamily._of(2, ((1, 1, 1), ()))
+    # equality and hashing are those of the object
+    for name in ("__init__", "__eq__", "__hash__"):
+        assert name not in vars(PartitionFamily)
+    assert "_hash" not in PartitionFamily.__slots__
+    assert not hasattr(families, "_init")
+
+
+def test_a_label_stored_by_a_racing_builder_is_the_one_returned(monkeypatch):
+    f = fam(2, (3,), (1,))
+
+    class Racing(dict):
+        # misses the first lookup, as a builder does that loses the race to insert
+        missed = False
+
+        def get(self, key, default=None):
+            if not self.missed:
+                self.missed = True
+                return default
+            return super().get(key, default)
+
+    monkeypatch.setattr(families, "_LABELS", Racing(families._LABELS))
+    assert PartitionFamily._of(2, ((3,), (1,))) is f
+    assert families._LABELS.missed
+
+
+def test_parts_that_are_not_integers_are_refused():
+    with pytest.raises(TypeError):
+        PartitionFamily(1, {(1,): (1.5,)})

@@ -268,3 +268,10 @@ def test_enumerate_kpartial_passes_its_budget_on(monkeypatch):
     monkeypatch.setattr(kp, "enumerate_group", recording)
     assert len(list(kp.enumerate_kpartial(1, 2, budget=50))) == kp.count_all(1, 2)
     assert budgets and set(budgets) == {50}
+
+
+def test_block_size_must_be_positive():
+    with pytest.raises(ValueError):
+        KPartialPermutation(0, [1], [])
+    with pytest.raises(ValueError):
+        KPartialPermutation(-1, [], [])

@@ -101,3 +101,12 @@ def test_text_roundtrip():
         pt.parse_partition("3,1")
     with pytest.raises(ValueError):
         pt.parse_partition("[0,1]")
+
+
+def test_parts_must_be_integers():
+    # a float or a string part is refused, not truncated or parsed
+    with pytest.raises(TypeError):
+        pt.as_partition([2.7])
+    with pytest.raises(TypeError):
+        pt.as_partition(["3"])
+    assert pt.as_partition([2, 0, 3]) == (3, 2)
