@@ -424,7 +424,7 @@ def verify_iso(
         raise BudgetExceeded(needed, budget, "transport evaluations")
     for point in points:
         lhs = transport_value(left, point) * transport_value(right, point)
-        rhs = sum(coeff * transport_value(fam, point) for fam, coeff in expansion.terms.items())
+        rhs = sum(coeff * transport_value(fam, point) for fam, coeff in expansion.items())
         if lhs != rhs:
             return False
     return True

@@ -262,7 +262,7 @@ def _cmd_product(args):
     options = {"budget": args.max_group_size, "verify_representative": args.verify_representative}
     if args.command == "universal" and not (left.is_proper() and right.is_proper()):
         vector = ct.multiply_universal(left, right, **options)
-        rows = {(gamma,): coeff for gamma, coeff in vector.terms.items()}
+        rows = {(gamma,): coeff for gamma, coeff in vector.items()}
     else:
         path = args.cache or os.environ.get(CACHE_ENV)
         try:

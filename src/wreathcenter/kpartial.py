@@ -43,19 +43,21 @@ from .families import PartitionFamily, class_size
 class KPartialPermutation:
     """A pair (blocks, perm) stored as a padded image tuple.
 
-    The constructor takes the images of the domain points in increasing
-    order.  The `images` attribute holds the images of every point of
-    [k * max(blocks)]: perm on the domain, the identity on each block
-    outside it.
+    The constructor takes distinct domain blocks, in any order, and the
+    images of the domain points in increasing order.  The `images`
+    attribute holds the images of every point of [k * max(blocks)]: perm
+    on the domain, the identity on each block outside it.
     """
 
     __slots__ = ("k", "blocks", "images")
 
     def __init__(self, k: int, blocks, images):
-        blocks = tuple(sorted(set(blocks)))
+        blocks = tuple(sorted(blocks))
         images = tuple(images)
         if blocks and blocks[0] < 1:
             raise ValueError("domain blocks must be positive integers")
+        if len(set(blocks)) < len(blocks):
+            raise ValueError("domain blocks must be distinct")
         points = [x for b in blocks for x in block_points(b, k)]
         if sorted(images) != points:
             raise ValueError("images must be a bijection of the domain points")
@@ -69,7 +71,7 @@ class KPartialPermutation:
     @classmethod
     def empty(cls, k: int) -> "KPartialPermutation":
         """The semigroup identity: the trivial permutation of the empty set."""
-        return _padded(k, (), ())
+        return cls(k, (), ())
 
     @property
     def points(self) -> tuple[int, ...]:

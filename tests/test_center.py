@@ -30,6 +30,23 @@ def test_vector_normalization():
         ct.ClassSumVector(1, {fam(1, (2,)): 1}, n=3)
 
 
+def test_vector_terms_are_a_copy():
+    # a vector's terms are a new dict each time: changing one leaves the
+    # vector, its repr and its hash as they were; equality and hashing do
+    # not depend on the order the terms were given in
+    two, ones = fam(1, (2,)), fam(1, (1, 1))
+    v = ct.ClassSumVector(1, {two: 3, ones: 1})
+    before = hash(v), repr(v)
+    terms = v.terms
+    terms[two] = -7
+    del terms[ones]
+    assert v.terms == {two: 3, ones: 1}
+    assert (hash(v), repr(v)) == before
+    assert v.coefficient(two) == 3 and v.coefficient(fam(1, (1,))) == 0
+    w = ct.ClassSumVector(1, {ones: 1, two: 3})
+    assert w == v and hash(w) == hash(v)
+
+
 def test_identity_class_is_a_unit():
     for k, n in [(1, 3), (2, 2), (2, 3)]:
         ident = PartitionFamily.identity(k, n)
@@ -436,12 +453,13 @@ def test_warm_routes(monkeypatch):
     monkeypatch.setattr(ct, "_frobenius", refuse)
     assert ct.multiply_group(ident, gamma, 5).terms == {gamma: 1}
     monkeypatch.undo()
-    # a poly-rows product with the (2, 5) and (2, 6) tables built is read off
-    # them: 65 ** 2 + 36 ** 2 = 5521 entries, below 6 enumerated members
+    # a poly-rows product with the (2, 5) table built is read off it: 36 ** 2
+    # = 1296 entries, below 6 enumerated members; its top size, 6, reads no
+    # table
     left, right = fam(2, (), (1,)), fam(2, (), (4, 1))
     assert kp.partial_class_size(left, 6) == 6 < kp.partial_class_size(right, 6)
     expected = ct.polynomial_structure(left, right, verify_representative=True)
-    ch.character_table(2, 6)
+    ch.character_table(2, 5)
     monkeypatch.setattr(ct, "_by_enumeration", refuse)
     assert ct.polynomial_structure(left, right) == expected
 
@@ -500,15 +518,56 @@ def test_universal_character_route_matches_enumeration():
         assert ct._universal_by_characters(left, right) == enumerated
 
 
+def test_top_stage_in_closed_form_matches_enumeration():
+    # the one label of size |L| + |R| is the union of the inputs, with a
+    # product of binomials as its coefficient; every ordered pair with k = 1
+    # and |L| + |R| <= 7, k = 2 and <= 5, k = 3 and <= 4 against forced
+    # enumeration, which recounts at a second member of the larger orbit
+    pairs = 0
+    for k, most in [(1, 7), (2, 5), (3, 4)]:
+        fams = [f for s in range(most + 1) for f in families_with_size(k, s)]
+        for left in fams:
+            for right in fams:
+                if left.size + right.size > most:
+                    continue
+                enumerated = ct.multiply_universal(left, right, verify_representative=True)
+                union, c = ct._top_label(left, right)
+                top = {g: coeff for g, coeff in enumerated.items() if g.size == union.size}
+                assert top == {union: c}
+                assert ct._universal_by_characters(left, right) == enumerated
+                pairs += 1
+    assert pairs == 1112
+
+
+def test_wrong_top_label_or_coefficient_is_caught(monkeypatch):
+    # the top stage's mass check weighs the closed-form coefficient, counted
+    # from the inputs alone, by the class size of the label: a wrong label
+    # or a coefficient one too large is refused there
+    true_top_label = ct._top_label
+    for k, a, b, wrong in [(1, "{[1]:[2]}", "{[1]:[2]}", "{[1]:[4]}"),
+                           (1, "{[1]:[3,1]}", "{[1]:[2]}", "{[1]:[3,3]}"),
+                           (2, "{[2]:[1]}", "{[1,1]:[1]}", "{[2]:[1,1]}"),
+                           (3, "{[2,1]:[2]}", "{[3]:[1]}", "{[2,1]:[2,1]}")]:
+        left, right = parse_family(a, k), parse_family(b, k)
+        union, c = true_top_label(left, right)
+        assert ct._universal_by_characters(left, right).coefficient(union) == c
+        top = left.size + right.size
+        for corrupted in [(parse_family(wrong, k), c), (union, c + 1)]:
+            monkeypatch.setattr(ct, "_top_label", lambda l, r, corrupted=corrupted: corrupted)
+            with pytest.raises(InvariantViolation, match=f"mass at stage {top} "):
+                ct._universal_by_characters(left, right)
+            monkeypatch.undo()
+
+
 def test_wrong_level_of_the_universal_character_route_is_caught(monkeypatch):
     # one coefficient of one size's group product is one too large; a wrong
     # size below the top keeps the mass at stage |L| + |R|, so every stage
-    # must be checked
+    # must be checked.  The sizes below the top are the ones read off tables
     true_frobenius = ct._frobenius
     for k, a, b in [(1, "{[1]:[1]}", "{[1]:[1]}"), (1, "{[1]:[2]}", "{[1]:[2]}"),
-                    (2, "{[2]:[1]; [1,1]:[1]}", "{[2]:[1]}")]:
+                    (2, "{[2]:[1]; [1,1]:[1]}", "{[2]:[1]}"), (2, "{[2]:[2]}", "{[1,1]:[2]}")]:
         left, right = parse_family(a, k), parse_family(b, k)
-        for wrong_at in range(max(left.size, right.size), left.size + right.size + 1):
+        for wrong_at in range(max(left.size, right.size), left.size + right.size):
 
             def frobenius(l, r, n, wrong_at=wrong_at):
                 terms = true_frobenius(l, r, n)
@@ -528,16 +587,16 @@ def test_wrong_padded_label_at_any_level_is_caught(monkeypatch):
     # too large, always at a label with 1-parts in its all-ones component:
     # the labels that smaller ones pad to, so their level subtracts before
     # the stage's mass, summed one size at a time, is checked.  Those stage
-    # checks are the only mass checks this route makes.  A
-    # level reads such a label only where the second filtration lets its
-    # new labels have a 1-part there, so the top level of a product of
-    # labels without 1-parts reads none and is not bumped
+    # checks are the only mass checks this route makes.  Every size below
+    # the top, which is read off no table, is bumped where a level reads
+    # such a label: where the second filtration lets its new labels have a
+    # 1-part
     true_frobenius = ct._frobenius
     for a, b in [("{[3]:[1]}", "{[3]:[1]}"), ("{[1,1,1]:[1]; [3]:[1]}", "{[2,1]:[1]}"),
                  ("{[3]:[2]}", "{[3]:[2]}"),
                  ("{[2,1]:[1]; [3]:[1]}", "{[2,1]:[1]; [3]:[1]}")]:
         left, right = parse_family(a, 3), parse_family(b, 3)
-        top = min(left.size + right.size, ct.deg1(left) + ct.deg1(right) - 1)
+        top = min(left.size + right.size - 1, ct.deg1(left) + ct.deg1(right) - 1)
         for wrong_at in range(max(left.size, right.size), top + 1):
             bumped = []
 
@@ -561,7 +620,8 @@ def test_negative_level_coefficient_with_its_mass_kept_is_caught(monkeypatch):
     # one size's group product moves mass from one label to another until
     # the first is negative; the mass of that stage, and so of every later
     # one, is kept, so only the refusal of a negative coefficient at its
-    # level can catch it.  Below the top and at it, at k = 1, 2 and 3
+    # level can catch it.  At k = 1, 2 and 3, at levels below the top,
+    # whose one coefficient is a product of binomials
     true_frobenius = ct._frobenius
     for k, a, b, wrong_at in [(1, "{[1]:[3,2]}", "{[1]:[2]}", 5), (1, "{[1]:[3,2]}", "{[1]:[2]}", 6),
                               (2, "{[2]:[1]; [1,1]:[1]}", "{[2]:[1]}", 2),
@@ -615,18 +675,21 @@ def test_blockperm_stays_the_reference_for_group_products():
 
 
 def test_filtration_skip_one_too_tight_is_caught(monkeypatch):
-    # each level reads only the labels the second filtration allows; with the
-    # bound one lower, a target on the bound is skipped and its level's mass
-    # comes up short.  The stage checks are the only mass checks this route
-    # makes
+    # each level below the top reads only the labels the second filtration
+    # allows; with the bound one lower, a target on the bound is skipped and
+    # its level's mass comes up short.  The top label, the union of the
+    # inputs, is always on the bound but is found in closed form, so each
+    # pair has a label below the top on it.  The stage checks are the only
+    # mass checks this route makes
     true_most_ones = ct._most_ones
     for k, a, b in [(1, "{[1]:[2]}", "{[1]:[2]}"), (1, "{[1]:[3,2]}", "{[1]:[2]}"),
-                    (2, "{[2]:[2]}", "{[1,1]:[2]}"), (2, "{[1,1]:[1]}", "{[2]:[1,1]}"),
-                    (3, "{[3]:[1]}", "{[3]:[1]}"), (3, "{[2,1]:[2]}", "{[3]:[1]}")]:
+                    (2, "{[2]:[2]}", "{[2]:[2]}"), (2, "{[2]:[1,1]}", "{[1,1]:[1]; [2]:[1]}"),
+                    (3, "{[3]:[1]}", "{[3]:[1]}"), (3, "{[3]:[2]}", "{[3]:[2]}")]:
         left, right = parse_family(a, k), parse_family(b, k)
         bound = ct.deg1(left) + ct.deg1(right)
         terms = ct._universal_by_characters(left, right).terms
         assert max(map(ct.deg1, terms)) == bound
+        assert any(ct.deg1(g) == bound for g in terms if g.size < left.size + right.size)
         monkeypatch.setattr(ct, "_most_ones", lambda l, r, n: true_most_ones(l, r, n) - 1)
         monkeypatch.setattr(ct, "check_mass", lambda vector, left, right: None)
         with pytest.raises(InvariantViolation):
@@ -666,10 +729,12 @@ def test_universal_route_charges_the_table_builds(monkeypatch):
     monkeypatch.setattr(ct, "_enumerated", Counter())
     ch.character_table.cache_clear()
     # the tables at (3, 2) and (3, 3) have 9 ** 2 + 22 ** 2 entries; one
-    # product enumerates the 6 members of the orbit of {[3]:[1]} at stage 3
-    left, right = fam(3, (), (), (1,)), fam(3, (), (), (2,))
+    # product enumerates the 6 members of the orbit of {[1,1,1]:[1,1]} at
+    # stage 4.  The top size, 4, is found in closed form, so the (3, 4) table
+    # is never read
+    left, right = fam(3, (1, 1), (), ()), fam(3, (), (), (2,))
     smaller, sizes = 6, (2, 3)
-    assert smaller == kp.partial_class_size(left, 3) < kp.partial_class_size(right, 3)
+    assert smaller == kp.partial_class_size(left, 4) < kp.partial_class_size(right, 4)
     expected = ct._by_enumeration(left, right, None, 10**6, False)
     # a cold one-off product enumerates and builds no table
     assert ct.multiply_universal(left, right) == expected
@@ -690,30 +755,33 @@ def test_universal_route_charges_the_table_builds(monkeypatch):
     assert built_at >= 2
     assert charge(built_at - 1) >= enumeration > charge(built_at)
     assert all(ch.has_character_table(3, n) for n in sizes)
+    assert not ch.has_character_table(3, 4)
     assert all(ct._enumerated[3, n] == built_at * enumeration for n in sizes)
+    assert ct._enumerated[3, 4] == 0
 
 
 def test_universal_budget_takes_the_route_that_fits(monkeypatch):
-    # (4) x (4) at k = 1: 420 members in the smaller orbit at stage 8,
-    # 5**2 + 7**2 + 11**2 + 15**2 + 22**2 = 904 entries at n = 4..8
-    four = fam(1, (4,))
-    by_characters = ct.multiply_universal(four, four)
+    # (5) x (4) at k = 1: 756 members in the smaller orbit at stage 9,
+    # 7**2 + 11**2 + 15**2 + 22**2 = 879 entries at n = 5..8; the top size,
+    # 9, is found in closed form and reads no table
+    five, four = fam(1, (5,)), fam(1, (4,))
+    assert kp.partial_class_size(four, 9) == 756
+    by_characters = ct.multiply_universal(five, four)
     calls = []
     monkeypatch.setattr(ct, "_universal_by_characters", lambda *args: calls.append(args))
-    assert ct.multiply_universal(four, four, budget=420) == by_characters
+    assert ct.multiply_universal(five, four, budget=756) == by_characters
     assert calls == []
     with pytest.raises(BudgetExceeded) as info:
-        ct.multiply_universal(four, four, budget=419)
-    assert info.value.needed == 420
+        ct.multiply_universal(five, four, budget=755)
+    assert info.value.needed == 756
     monkeypatch.undo()
-    # (5) x (5): 6048 members, 3543 entries at n = 5..10; enumeration
+    # (5) x (5): 6048 members, 1779 entries at n = 5..9; enumeration
     # would exceed the budget, so the product is read off the tables
-    five = fam(1, (5,))
     assert kp.partial_class_size(five, 10) == 6048
-    assert ct.multiply_universal(five, five, budget=3543) == ct._universal_by_characters(five, five)
+    assert ct.multiply_universal(five, five, budget=1779) == ct._universal_by_characters(five, five)
     with pytest.raises(BudgetExceeded) as info:
-        ct.multiply_universal(five, five, budget=3542)
-    assert (info.value.needed, info.value.what) == (3543, "character table")
+        ct.multiply_universal(five, five, budget=1778)
+    assert (info.value.needed, info.value.what) == (1779, "character table")
 
 
 def test_wrong_character_value_is_caught(monkeypatch):

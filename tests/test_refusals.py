@@ -54,6 +54,10 @@ def test_characters_refusals():
 def test_kpartial_refusals():
     with pytest.raises(AttributeError):
         KPartialPermutation.empty(1).k = 2
+    with pytest.raises(ValueError):
+        KPartialPermutation(1, [2, 2], [2])  # a repeated block
+    with pytest.raises(ValueError):
+        KPartialPermutation.empty(0)
     with pytest.raises(DimensionMismatch):
         kp.product(KPartialPermutation.empty(1), KPartialPermutation.empty(2))
     # the 3-cycles of 3 points are 2
