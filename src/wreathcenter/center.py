@@ -21,10 +21,14 @@ Frobenius formula
     c_gamma = |C_A| |C_B| / |G| * sum_chi chi(A) chi(B) chi(gamma) / chi(1)
 
 reads every coefficient of a group product off the character table at
-(k, n).  It reads only the characters nonzero at both A and B, at the
-classes gamma whose values at the degree-1 characters are the products of
-A's and B's: a degree-1 character is multiplicative, so every other class
-has c_gamma = 0.  So #classes ** 2 bounds what it reads.  A universal
+(k, n).  It is summed once for all classes: each irreducible's row is
+kept packed into one integer, one slot per class (`characters.packed_rows`),
+and the rows of the characters nonzero at both A and B, weighted, add up
+to one integer whose slot at gamma is c_gamma * big_z(A) * big_z(B), in
+[0, |G| ** 2], so it is read exactly.  Only the classes gamma whose values
+at the degree-1 characters are the products of A's and B's are read: a
+degree-1 character is multiplicative, so every other class has c_gamma =
+0.  So #classes ** 2 bounds the terms of the sum.  A universal
 product is fixed by its projections, the group products of the padded
 inputs at every n from max(|left|, |right|) to N, and is recovered from
 them one size at a time, at each size only at the labels the second
@@ -47,9 +51,8 @@ constant a polynomial in n.
 
 from collections import Counter
 from functools import cache
-from itertools import compress
 from math import comb
-from operator import mul
+from operator import index, mul
 
 from . import blockperm as bp
 from . import characters as ch
@@ -84,7 +87,9 @@ class ClassSumVector:
     """A sparse integer combination of class labels.
 
     `n` is None for universal vectors; otherwise n >= 0 and every key must
-    be a family of size n.  Zero coefficients are dropped.  The terms are
+    be a family of size n.  A coefficient is an integer (`operator.index`:
+    a float or a string raises TypeError, a bool is taken as 0 or 1), and
+    zero coefficients are dropped.  The terms are
     kept as one flat tuple (label, coefficient, label, coefficient, ...) in
     the order given, so a kept vector is small and cannot be changed;
     `items` iterates them, and `terms` is a new dict of them.
@@ -101,6 +106,7 @@ class ClassSumVector:
                 raise SizeMismatch("all keys must share the same k")
             if n is not None and fam.size != n:
                 raise SizeMismatch(f"key of size {fam.size} in a vector over size {n}")
+            coeff = index(coeff)
             if coeff:
                 flat += fam, coeff
         object.__setattr__(self, "k", k)
@@ -188,17 +194,22 @@ def multiply_universal(
 
 # Route costs in Frobenius terms: a term is 1 / #classes ** 2 of a Frobenius
 # sum, which reads only the entries that can contribute.  Measured with the
-# tables built, on CPython 3.11.7 on one core of an Intel Xeon.  Over the 141
+# tables built, on CPython 3.11.7 on one core of an Intel Xeon.  Over the 150
 # products of the group benchmark's op lists for seeds 1-3 (best of five per
-# route and product) an enumerated element took a median 40 us and a term
-# 0.029 us, and every element cost from 720 up keeps all of what taking each
-# product's faster route saves.  Over the 649 universal-sweep and the 59
-# poly-rows products of seeds 1-2 (best of three) an element took 34 and 20 us
-# and a term 0.053 and 0.035 us, and every element cost from 1,000 to 2,000
-# keeps the most of it (99.5% and 100%; 500 keeps 96% and 97%).  One element
-# cost serves both products.  A table entry took 1.3-10 us to build once the
-# smaller tables were built, at (1, 6..10), (2, 4..6) and (3, 3..5), three
-# fresh processes each: 45 to 350 terms.
+# route and product) an enumerated element took a median 45 us and a term of
+# the packed sum 0.017 us (0.028 us summed class by class, measured alongside):
+# 1440 keeps 99.96% of what taking each product's faster route saves, and
+# every element cost from 5,000 up keeps all of it.  The weights were left:
+# the six products between, each with a one-member factor (the identity or,
+# at k = 2, the central class), enumerate, which gives up 0.04% of the saving
+# and keeps block permutations in the group benchmark.  Over the products with
+# two nonempty inputs among the universal-sweep and poly-rows op lists of
+# seeds 1-2 (760 and 122, best of three) an element took 33 and 27 us and a
+# term read below the top stage 0.091 and 0.079 us, and every element cost
+# from 360 up keeps all of it.  One element cost serves both products.  A
+# table entry took 1.3-10 us to build once the smaller tables were built, at
+# (1, 6..10), (2, 4..6) and (3, 3..5), three fresh processes each: 45 to 350
+# terms of the class-by-class sum, 76 to 590 of the packed one.
 _ELEMENT_COST = 1440
 _BUILD_COST = 152
 
@@ -340,28 +351,39 @@ def _frobenius(left, right, n):
 
     c_gamma = S_gamma / (big_z(left) big_z(right)) for the padded inputs,
     where S_gamma sums chi(left) chi(right) chi(gamma) |G| / chi(1) over the
-    irreducible characters chi; a remainder raises InvariantViolation.  Only
-    what can contribute is read: the characters with chi(left) chi(right)
-    != 0, and the classes gamma whose values at the degree-1 characters are
-    the products of left's and right's (`characters.linear_classes`), since
-    every other class has c_gamma = 0.
+    irreducible characters chi; a remainder raises InvariantViolation.  The
+    S_gamma of every class are summed at once, as one integer: the sum over
+    the chi with chi(left) chi(right) != 0 of chi(left) chi(right) |G| /
+    chi(1) times chi's packed row (`characters.packed_rows`).  Each S_gamma
+    is c_gamma big_z(left) big_z(right) with 0 <= c_gamma |C_gamma| <=
+    |C_left| |C_right|, so 0 <= S_gamma <= |G| z_gamma <= |G| ** 2, which the
+    slot width holds: no slot borrows from or carries into the next, and
+    S_gamma is read off its slot exactly.  Only the classes gamma whose
+    values at the degree-1 characters are the products of left's and
+    right's are read (the slots of `characters.linear_classes`), since every
+    other class has c_gamma = 0.
     """
     most = _most_ones(left, right, n)
     if left.size + right.size < 2 * n:
         # not a group product, whose inputs are already of size n
         left, right = pad_family(left, n), pad_family(right, n)
-    _, weights, columns = ch.character_table(left.k, n)
-    values, classes = ch.linear_classes(left.k, n)
-    products = list(map(mul, columns[left], columns[right]))
-    factors = [p * w for p, w in zip(products, weights) if p]
+    k = left.k
+    _, weights, columns = ch.character_table(k, n)
+    values = ch.linear_classes(k, n)[0]
+    width, rows, slots = ch.packed_rows(k, n)
+    total = 0
+    for a, b, weight, row in zip(columns[left], columns[right], weights, rows):
+        if a and b:
+            total += a * b * weight * row
     target = tuple(map(mul, values[left], values[right]))
     z = big_z(left) * big_z(right)
+    mask = (1 << width) - 1
     terms = {}
-    for gamma, column in classes.get(target, ()):
+    for gamma, shift in slots.get(target, ()):
         if gamma.m1 <= most:
-            total = sum(map(mul, factors, compress(column, products)))
-            if total:
-                terms[gamma] = exact_quotient(total, z, gamma)
+            slot = total >> shift & mask
+            if slot:
+                terms[gamma] = exact_quotient(slot, z, gamma)
     return terms
 
 
@@ -508,15 +530,34 @@ class PolynomialStructure:
     rows maps (proper target family, r) to the universal coefficient of the
     target with r extra 1-parts; evaluating at n sums rows against
     C(n - |target|, r), giving the group-level coefficient for every n.
+
+    The inputs and every target are families of k (SizeMismatch otherwise,
+    TypeError for a target that is not a family), every target is proper
+    (NotProper), and each r and coefficient is an integer (TypeError), with
+    r >= 0 (ValueError).
     """
 
     __slots__ = ("k", "left", "right", "rows")
 
     def __init__(self, k, left, right, rows):
+        if left.k != k or right.k != k:
+            raise SizeMismatch(f"k={left.k} and k={right.k} inputs in a k={k} structure")
+        checked = {}
+        for (gamma, r), coeff in dict(rows).items():
+            if not isinstance(gamma, PartitionFamily):
+                raise TypeError(f"a target {gamma!r} that is not a family")
+            if gamma.k != k:
+                raise SizeMismatch(f"a k={gamma.k} target in a k={k} structure")
+            if not gamma.is_proper():
+                raise NotProper(f"the target {format_family(gamma)} is not proper")
+            r = index(r)
+            if r < 0:
+                raise ValueError(f"a row with r = {r} < 0")
+            checked[gamma, r] = index(coeff)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-        object.__setattr__(self, "rows", dict(rows))
+        object.__setattr__(self, "rows", checked)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolynomialStructure is immutable")

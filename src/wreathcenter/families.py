@@ -12,14 +12,16 @@ families are therefore the same object, so `==` and `hash` are identity.
 A family carries its total size and the number `m1` of 1-parts in its
 all-ones component, both computed once when the label is first built.
 
-Three results are kept for the life of the process.  Per label: `big_z`, and the class
-representative, a `BlockPermutation` and a `KPartialPermutation` that share one image
-tuple (`blockperm.class_representative`, `kpartial.partial_class_representative`).  Per
+Four results are kept for the life of the process.  Per label: `big_z`, the orbit size
+|C_fam| at stage |fam| (`_orbit_size`), and the class representative, a
+`BlockPermutation` and a `KPartialPermutation` that share one image tuple
+(`blockperm.class_representative`, `kpartial.partial_class_representative`).  Per
 (k, n): `group_order`.  The per-label memos grow with the distinct labels a process sees,
 so they are bounded by the number of families of the sizes in use (415 at k = 3 and sizes
 up to 6, whose representatives take about 0.5 MB); the group orders hold one integer per
-size in use.  The representative functions still check the size on every call, and
-`class_size` is not kept, so it checks its divisibility on every call.
+size in use.  An orbit size is checked to divide the group order when it is first
+computed; `class_size`, `kpartial.partial_class_size` and the product checks read it.
+The representative functions and `class_size` still check the size on every call.
 """
 
 from functools import cache
@@ -183,7 +185,13 @@ def class_size(fam: PartitionFamily, n: int) -> int:
     """Number of k-block permutations of [kn] whose type is `fam` (requires size n)."""
     if fam.size != n:
         raise SizeMismatch(f"family has size {fam.size}, expected {n}")
-    return exact_quotient(group_order(fam.k, n), big_z(fam), "class size")
+    return _orbit_size(fam)
+
+
+@cache
+def _orbit_size(fam: PartitionFamily) -> int:
+    """|C_fam| in the group on [k |fam|]: computed, and its divisibility checked, once per label."""
+    return exact_quotient(group_order(fam.k, fam.size), big_z(fam), "class size")
 
 
 def families_with_size(k: int, n: int, proper_only: bool = False):

@@ -37,7 +37,7 @@ from .blockperm import (
     type_from_images,
 )
 from .errors import BudgetExceeded, DimensionMismatch, DomainNotCovered, SizeMismatch
-from .families import PartitionFamily, class_size
+from .families import PartitionFamily, _orbit_size
 
 
 class KPartialPermutation:
@@ -178,12 +178,13 @@ def partial_class_size(fam: PartitionFamily, n: int) -> int:
     """Number of k-partial permutations of n in the orbit labelled by `fam`.
 
     A member is a choice of |fam| domain blocks and a permutation of type
-    `fam` on them: C(n, |fam|) * class_size(fam, |fam|).  Returns 0 when the
-    family is too large to fit, which makes projection formulas total.
+    `fam` on them: C(n, |fam|) * class_size(fam, |fam|), the class size kept
+    per label.  Returns 0 when the family is too large to fit, which makes
+    projection formulas total.
     """
     if fam.size > n:
         return 0
-    return comb(n, fam.size) * class_size(fam, fam.size)
+    return comb(n, fam.size) * _orbit_size(fam)
 
 
 def count_all(k: int, n: int) -> int:

@@ -785,24 +785,20 @@ def test_universal_budget_takes_the_route_that_fits(monkeypatch):
 
 
 def test_wrong_character_value_is_caught(monkeypatch):
-    from types import MappingProxyType
-
     from wreathcenter import characters as ch
 
-    (order, weights, columns), _ = ch._table_entry(1, 6)
+    (order, weights, columns), _, _ = ch._table_entry(1, 6)
     irreps = families_with_size(1, 6)
     lam = fam(1, (5, 1))
     # a wrong value of the sign, a degree-1 character, moves (3, 3) off the
-    # classes the product can reach, so its mass goes missing
+    # classes the product can reach, so its mass goes missing; the entry is
+    # built as a table's is, so its packed rows hold the wrong value too
     for wrong in [((4, 2), (3, 3)), ((1, 1, 1, 1, 1, 1), (3, 3))]:
         rho, delta = fam(1, wrong[0]), fam(1, wrong[1])
         column = list(columns[delta])
         column[irreps.index(rho)] += 1
         wrong_columns = {**columns, delta: tuple(column)}
-        entry = (
-            (order, weights, MappingProxyType(wrong_columns)),
-            ch._by_linear_values(wrong_columns, columns[PartitionFamily.identity(1, 6)]),
-        )
+        entry = ch._entry(order, wrong_columns, columns[PartitionFamily.identity(1, 6)])
         monkeypatch.setitem(ch._tables, (1, 6), entry)
         try:
             with pytest.raises(InvariantViolation):
@@ -810,6 +806,74 @@ def test_wrong_character_value_is_caught(monkeypatch):
         finally:
             monkeypatch.undo()
     assert ct.multiply_group(lam, lam, 6).coefficient(fam(1, (3, 3))) == 54
+
+
+def _frobenius_by_class(left, right, n):
+    """The group product by the Frobenius formula, one sum per class, as the definition reads."""
+    from wreathcenter import characters as ch
+    from wreathcenter.families import big_z
+
+    _, weights, columns = ch.character_table(left.k, n)
+    z = big_z(left) * big_z(right)
+    terms = {}
+    for gamma, column in columns.items():
+        total = sum(a * b * c * w for a, b, c, w in zip(columns[left], columns[right], column, weights))
+        assert total % z == 0
+        if total:
+            terms[gamma] = total // z
+    return terms
+
+
+def test_packed_frobenius_sum_equals_the_sum_per_class():
+    import random
+
+    from wreathcenter import characters as ch
+
+    for k, top in [(1, 7), (2, 4), (3, 3)]:
+        for n in range(top + 1):
+            labels = families_with_size(k, n)
+            for left in labels:
+                for right in labels:
+                    assert ct._frobenius(left, right, n) == _frobenius_by_class(left, right, n)
+    # at (1, 13) a slot is wider than a machine word
+    assert ch.packed_rows(1, 13)[0] > 64
+    labels = families_with_size(1, 13)
+    rng = random.Random(13)
+    for _ in range(30):
+        left, right = rng.choice(labels), rng.choice(labels)
+        assert ct._frobenius(left, right, 13) == _frobenius_by_class(left, right, 13)
+
+
+def test_wrong_packed_rows_are_caught(monkeypatch):
+    from wreathcenter import characters as ch
+
+    table, linear, (width, rows, slots) = ch._table_entry(1, 6)
+    _, _, columns = table
+    positions = {gamma: shift // width for group in slots.values() for gamma, shift in group}
+    lam = fam(1, (5, 1))
+    expected = ct.multiply_group(lam, lam, 6)
+    # one slot off by one: the class (3, 3), which lam * lam reaches, in the
+    # rows of the sign and of the trivial irreducible, both nonzero at lam
+    for row in (0, len(rows) - 1):
+        wrong = list(rows)
+        wrong[row] += 1 << width * positions[fam(1, (3, 3))]
+        monkeypatch.setitem(ch._tables, (1, 6), (table, linear, (width, tuple(wrong), slots)))
+        with pytest.raises(InvariantViolation):
+            ct.multiply_group(lam, lam, 6)
+        monkeypatch.undo()
+    # slots too narrow run into each other: the largest slot of lam * lam,
+    # 144 * big_z(lam) ** 2 = 3600, needs 12 bits of the 20 that |G| ** 2 does
+    narrow = 11
+    packed = (
+        narrow,
+        tuple(sum(v << narrow * p for p, v in enumerate(row)) for row in zip(*columns.values())),
+        {key: tuple((g, narrow * positions[g]) for g, _ in group) for key, group in slots.items()},
+    )
+    monkeypatch.setitem(ch._tables, (1, 6), (table, linear, packed))
+    with pytest.raises(InvariantViolation):
+        ct.multiply_group(lam, lam, 6)
+    monkeypatch.undo()
+    assert ct.multiply_group(lam, lam, 6) == expected
 
 
 def test_immutable_types_pickle_and_copy():

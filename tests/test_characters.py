@@ -222,6 +222,35 @@ def test_linear_classes():
     assert ch.linear_classes(3, 3)[0] == values and ch.has_character_table(3, 3)
 
 
+def test_packed_rows():
+    # each packed row holds its irreducible's values, one slot of
+    # bitlen(|G| ** 2) + 1 bits per class in table order; the slots group
+    # the classes as linear_classes does
+    for k, n in [(1, 0), (1, 6), (2, 3), (3, 3)]:
+        order, _, columns = ch.character_table(k, n)
+        width, rows, slots = ch.packed_rows(k, n)
+        assert width == (order * order).bit_length() + 1
+        half, mask = 1 << (width - 1), (1 << width) - 1
+        for row, values in zip(rows, zip(*columns.values())):
+            unpacked = []
+            for _ in columns:
+                value = (row & mask) - ((row & half) << 1)
+                unpacked.append(value)
+                row = (row - value) >> width
+            assert row == 0 and tuple(unpacked) == values
+        positions = list(columns)
+        _, classes = ch.linear_classes(k, n)
+        assert slots.keys() == classes.keys()
+        for key, group in classes.items():
+            assert slots[key] == tuple((g, width * positions.index(g)) for g, _ in group)
+    # dropped with the table, and built again with it
+    ch.character_table.cache_clear()
+    assert not ch.has_character_table(3, 3)
+    rebuilt = ch.packed_rows(3, 3)
+    assert ch.has_character_table(3, 3)
+    assert rebuilt == (width, rows, slots) and rebuilt[1] is not rows
+
+
 def test_general_character_table():
     for k, sizes in [(3, range(5)), (4, range(4))]:
         for n in sizes:

@@ -111,10 +111,17 @@ def test_class_size_checks_survive_the_big_z_memo(monkeypatch):
     with pytest.raises(SizeMismatch):
         class_size(f, 5)
     assert class_size(f, 6) == factorial(6) * 2**6 // big_z(f)
-    # the divisibility check still runs on every call
-    monkeypatch.setattr(families, "big_z", lambda fam: 7)
-    with pytest.raises(InvariantViolation):
-        class_size(f, 6)
+    # the divisibility check runs when a label is first sized, and a
+    # refused size is not kept
+    unsized = fam(2, (9, 4), (6, 5))
+    monkeypatch.setattr(families, "big_z", lambda fam: 29)  # a prime above 24
+    for _ in range(2):
+        with pytest.raises(InvariantViolation):
+            class_size(unsized, 24)
+    monkeypatch.undo()
+    assert class_size(unsized, 24) == factorial(24) * 2**24 // big_z(unsized)
+    with pytest.raises(SizeMismatch):
+        class_size(unsized, 23)
 
 
 def test_shared_labels_do_not_loosen_the_constructor():

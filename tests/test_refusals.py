@@ -10,7 +10,7 @@ from wreathcenter import center as ct
 from wreathcenter import characters as ch
 from wreathcenter import kpartial as kp
 from wreathcenter import partitions as pt
-from wreathcenter.errors import BudgetExceeded, DimensionMismatch, SizeMismatch
+from wreathcenter.errors import BudgetExceeded, DimensionMismatch, NotProper, SizeMismatch
 from wreathcenter.families import PartitionFamily, parse_family
 from wreathcenter.kpartial import KPartialPermutation
 
@@ -44,6 +44,40 @@ def test_center_refusals():
         rows.k = 2
     with pytest.raises(SizeMismatch):
         rows.evaluate(fam(1, (2,)), 1)
+
+
+def test_class_sum_vector_takes_integer_coefficients():
+    label = fam(1, (2,))
+    for coeff in (1.5, "3"):
+        with pytest.raises(TypeError):
+            ct.ClassSumVector(1, {label: coeff})
+    assert repr(ct.ClassSumVector(1, {label: True})) == "<universal: 1*C{[1]:[2]}>"
+
+
+def test_polynomial_structure_refuses_inputs_of_another_k():
+    one, two = fam(1, (2,)), fam(2, (), (1,))
+    with pytest.raises(SizeMismatch):
+        ct.PolynomialStructure(2, one, one, {})
+    with pytest.raises(SizeMismatch):
+        ct.PolynomialStructure(1, one, one, {(two, 0): 1})
+
+
+def test_polynomial_structure_refuses_a_bad_row_key():
+    label = fam(1, (2,))
+    with pytest.raises(ValueError):
+        ct.PolynomialStructure(1, label, label, {(label, -1): 2})
+    with pytest.raises(TypeError):
+        ct.PolynomialStructure(1, label, label, {(label, 1.0): 2})
+    with pytest.raises(NotProper):
+        ct.PolynomialStructure(1, label, label, {(fam(1, (2, 1)), 0): 2})
+    with pytest.raises(TypeError):
+        ct.PolynomialStructure(1, label, label, {("{[1]:[2]}", 0): 2})
+
+
+def test_polynomial_structure_refuses_a_non_integer_coefficient():
+    label = fam(1, (2,))
+    with pytest.raises(TypeError):
+        ct.PolynomialStructure(1, label, label, {(label, 1): 2.5})
 
 
 def test_characters_refusals():
