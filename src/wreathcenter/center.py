@@ -43,10 +43,10 @@ takes the cheaper route.
 
 Projecting the universal product down to a group recovers the group
 product (for proper inputs on the nose; in general up to the binomial
-multiplicities picked up by the extension map).  The universal
-coefficients, re-indexed by a proper family and a count of extra 1-parts,
-are the binomial-basis coefficients that make every group-level structure
-constant a polynomial in n.
+multiplicities picked up by the extension map).  Every universal label
+splits uniquely into a proper family and r extra 1-parts, so the universal
+vector, re-keyed by (proper family, r) on read, gives the binomial-basis
+coefficients that make every group-level structure constant a polynomial in n.
 """
 
 from collections import Counter
@@ -527,22 +527,24 @@ def project(vector: ClassSumVector, n: int) -> ClassSumVector:
 class PolynomialStructure:
     """Binomial-basis coefficients of one product of two proper class sums.
 
-    rows maps (proper target family, r) to the universal coefficient of the
-    target with r extra 1-parts; evaluating at n sums rows against
-    C(n - |target|, r), giving the group-level coefficient for every n.
+    `vector` is the universal product.  Each of its labels is a proper gamma
+    plus r extra 1-parts, and `rows` re-keys it on every read, as a new dict
+    {(gamma, r): coefficient}; evaluating at n sums gamma's rows against
+    C(n - |gamma|, r), the group-level coefficient for every n.
 
-    The inputs and every target are families of k (SizeMismatch otherwise,
-    TypeError for a target that is not a family), every target is proper
-    (NotProper), and each r and coefficient is an integer (TypeError), with
-    r >= 0 (ValueError).
+    Built from rows, the inputs and targets are families of k (SizeMismatch;
+    TypeError for a target that is not a family), each target is proper
+    (NotProper), each r and coefficient an integer (TypeError), r >= 0
+    (ValueError); the row (gamma, r) is the term at pad(gamma, |gamma| + r),
+    so a zero row is dropped.
     """
 
-    __slots__ = ("k", "left", "right", "rows")
+    __slots__ = ("k", "left", "right", "vector")
 
     def __init__(self, k, left, right, rows):
         if left.k != k or right.k != k:
             raise SizeMismatch(f"k={left.k} and k={right.k} inputs in a k={k} structure")
-        checked = {}
+        terms = {}
         for (gamma, r), coeff in dict(rows).items():
             if not isinstance(gamma, PartitionFamily):
                 raise TypeError(f"a target {gamma!r} that is not a family")
@@ -553,17 +555,28 @@ class PolynomialStructure:
             r = index(r)
             if r < 0:
                 raise ValueError(f"a row with r = {r} < 0")
-            checked[gamma, r] = index(coeff)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "rows", checked)
+            terms[pad_family(gamma, gamma.size + r)] = coeff
+        for name, value in zip(self.__slots__, (k, left, right, ClassSumVector(k, terms))):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, left, right, vector):
+        """The structure of a universal product already computed and checked, unchecked."""
+        structure = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (left.k, left, right, vector)):
+            object.__setattr__(structure, name, value)
+        return structure
 
     def __setattr__(self, name, value):
         raise AttributeError("PolynomialStructure is immutable")
 
     def __reduce__(self):
         return PolynomialStructure, (self.k, self.left, self.right, self.rows)
+
+    @property
+    def rows(self) -> dict:
+        """A new dict {(proper target, r): coefficient}, read off the vector."""
+        return {(_proper_family(fam), fam.m1): c for fam, c in self.vector.items()}
 
     def targets(self):
         return sorted({gamma for gamma, _ in self.rows}, key=PartitionFamily.sort_key)
@@ -578,23 +591,19 @@ class PolynomialStructure:
         if n < gamma.size:
             raise SizeMismatch(f"evaluation needs n >= {gamma.size}")
         gamma = _proper_family(gamma)
-        return sum(
-            coeff * comb(n - gamma.size, r)
-            for (g, r), coeff in self.rows.items()
-            if g == gamma
-        )
+        return sum(c * comb(n - gamma.size, r) for (g, r), c in self.rows.items() if g == gamma)
 
     def __eq__(self, other):
         return (
             isinstance(other, PolynomialStructure)
-            and (self.k, self.left, self.right, self.rows)
-            == (other.k, other.left, other.right, other.rows)
+            and (self.k, self.left, self.right, self.vector)
+            == (other.k, other.left, other.right, other.vector)
         )
 
     def __repr__(self):
         return (
             f"PolynomialStructure(k={self.k}, left={format_family(self.left)}, "
-            f"right={format_family(self.right)}, rows={len(self.rows)})"
+            f"right={format_family(self.right)}, rows={len(self.vector.terms)})"
         )
 
 
@@ -604,28 +613,22 @@ def polynomial_structure(
     budget: int = DEFAULT_BUDGET,
     verify_representative: bool = False,
 ) -> PolynomialStructure:
-    """Decompose the universal product into proper targets and 1-part counts.
+    """The universal product of two proper families, read as binomial-basis rows.
 
-    Every universal label splits uniquely as a proper family plus r extra
-    1-parts in the all-ones component; the label's coefficient becomes the
-    row at (proper family, r).  The row sum over r weighted by binomials in
-    n reproduces the group coefficient for every n, including the constant
-    r = 0 term.  The universal product is multiply_universal's, so it is
-    enumerated or read off the character tables by the same rule, and
-    `budget` and `verify_representative` act on it as there.
+    The structure holds multiply_universal's vector as it is and re-keys it
+    on read: the row sum over r weighted by binomials in n reproduces the
+    group coefficient for every n, including the constant r = 0 term.
+    `budget` and `verify_representative` act as in multiply_universal.
     """
     if not left.is_proper() or not right.is_proper():
         raise NotProper("polynomial structure requires proper input families")
     universal = multiply_universal(
         left, right, budget=budget, verify_representative=verify_representative
     )
-    rows = {}
-    for fam, coeff in universal.items():
-        key = (_proper_family(fam), fam.m1)
-        rows[key] = rows.get(key, 0) + coeff
-    return PolynomialStructure(left.k, left, right, rows)
+    return PolynomialStructure._of(left, right, universal)
 
 
+@cache
 def _proper_family(fam: PartitionFamily) -> PartitionFamily:
-    """The shared family with the 1-parts of its all-ones component removed."""
+    """The shared family with the 1-parts of its all-ones component removed, once per label."""
     return PartitionFamily._of(fam.k, (proper_part(fam.ones_component),) + fam.components[1:])

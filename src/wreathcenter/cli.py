@@ -18,13 +18,12 @@ from . import center as ct
 from . import characters as ch
 from . import partitions as pt
 from .blockperm import DEFAULT_BUDGET
-from .errors import BudgetExceeded, InvariantViolation, NotProper, WreathError
+from .errors import BudgetExceeded, InvariantViolation, WreathError
 from .families import (
     PartitionFamily,
     class_size,
     families_with_size,
     format_family,
-    pad_family,
     parse_family,
 )
 
@@ -269,8 +268,6 @@ def _cmd_product(args):
             rows = _cached_rows(args, Cache(path), left, right, lt, rt, options)
         except OSError as exc:
             raise UsageError(f"unusable cache: {exc}") from exc
-        if args.command == "universal":
-            rows = {(gamma,): coeff for gamma, coeff in _poly_terms(rows).items()}
 
     def order(item):
         (gamma, *r), _ = item
@@ -289,43 +286,41 @@ def _cmd_product(args):
 
 
 def _cached_rows(args, cache, left, right, lt, rt, options):
-    """Group rows {(gamma,): coeff} for multiply, polynomial rows {(gamma, r): coeff} otherwise.
+    """Group rows {(gamma,): coeff} for multiply, polynomial rows {(gamma, r): coeff} for
+    poly, and the universal vector's terms {(gamma,): coeff} for universal.
 
     A miss is computed, appended to the cache and returned as computed.  A
-    hit is parsed once; a row that is not a target of the product raises
-    InvariantViolation naming the record, and the rows pass check_mass.
+    hit is parsed once, a poly hit into a PolynomialStructure; a row that is
+    not a target of the product, or a zero or repeated row, raises
+    InvariantViolation naming the record, and the vector passes check_mass.
     """
     group = args.command == "multiply"
     key = (args.k, args.n, lt, rt) if group else (args.k, lt, rt)
     cached = cache.get_group(*key) if group else cache.get_poly(*key)
     if cached is None and group:
-        terms = ct.multiply_group(left, right, args.n, **options).terms
-        cache.put_group(*key, {format_family(g): c for g, c in terms.items()})
-        return {(gamma,): coeff for gamma, coeff in terms.items()}
-    if cached is None:
-        rows = ct.polynomial_structure(left, right, **options).rows
-        cache.put_poly(*key, {(format_family(g), r): c for (g, r), c in rows.items()})
-        return rows
-    try:
-        if group:
-            rows = {(parse_family(g, args.k),): c for g, c in cached.items()}
-            vector = ct.ClassSumVector(args.k, {g: c for (g,), c in rows.items()}, n=args.n)
-        else:
-            rows = {(parse_family(g, args.k), r): c for (g, r), c in cached.items()}
-            if not all(g.is_proper() for g, _ in rows):
-                raise NotProper("a polynomial row's target is not proper")
-            vector = ct.ClassSumVector(args.k, _poly_terms(rows))
-        if len(vector.terms) != len(cached):
-            raise ValueError("a row has coefficient 0 or repeats a target")
-    except (ValueError, WreathError) as exc:
-        raise InvariantViolation(f"cache record {key} is not a product's rows: {exc}") from exc
-    ct.check_mass(vector, left, right)
-    return rows
-
-
-def _poly_terms(rows: dict) -> dict:
-    """Universal terms from polynomial rows: r extra 1-parts go back into the all-ones component."""
-    return {pad_family(gamma, gamma.size + r): coeff for (gamma, r), coeff in rows.items()}
+        vector = ct.multiply_group(left, right, args.n, **options)
+        cache.put_group(*key, {format_family(g): c for g, c in vector.items()})
+    elif cached is None:
+        structure = ct.polynomial_structure(left, right, **options)
+        vector = structure.vector
+        cache.put_poly(*key, {(format_family(g), r): c for (g, r), c in structure.rows.items()})
+    else:
+        try:
+            if group:
+                terms = {parse_family(g, args.k): c for g, c in cached.items()}
+                vector = ct.ClassSumVector(args.k, terms, n=args.n)
+            else:
+                rows = {(parse_family(g, args.k), r): c for (g, r), c in cached.items()}
+                structure = ct.PolynomialStructure(args.k, left, right, rows)
+                vector = structure.vector
+            if len(vector.terms) != len(cached):
+                raise ValueError("a row has coefficient 0 or repeats a target")
+        except (ValueError, WreathError) as exc:
+            raise InvariantViolation(f"cache record {key} is not a product's rows: {exc}") from exc
+        ct.check_mass(vector, left, right)
+    if args.command == "poly":
+        return structure.rows
+    return {(gamma,): coeff for gamma, coeff in vector.items()}
 
 
 def _cmd_chartable(args):

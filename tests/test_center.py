@@ -328,6 +328,63 @@ def test_polynomial_structure_rejects_improper():
         ct.polynomial_structure(fam(1, (2, 1)), fam(1, (2,)))
 
 
+def test_polynomial_structure_drops_a_zero_row():
+    label = fam(1, (2,))
+    zero = ct.PolynomialStructure(1, label, label, {(label, 0): 0})
+    assert zero == ct.PolynomialStructure(1, label, label, {})
+    assert zero.targets() == []
+    assert zero.rows == {}
+
+
+def test_polynomial_rows_are_the_universal_vector_rekeyed():
+    # every ordered proper pair up to the sizes below: the rows are the
+    # universal labels split into (proper part, 1-parts), merged as rows were
+    # before the structure held the vector, and each target's rows evaluate
+    # to the projected product's coefficient
+    for k, most in ((1, 7), (2, 5), (3, 4)):
+        proper = [f for s in range(most + 1) for f in families_with_size(k, s, proper_only=True)]
+        pairs = [(a, b) for a in proper for b in proper if a.size + b.size <= most]
+        for left, right in pairs:
+            universal = ct.multiply_universal(left, right)
+            rows = {}
+            for label, c in universal.items():
+                ones = tuple(p for p in label.ones_component if p != 1)
+                proper_part = PartitionFamily.from_components(k, (ones,) + label.components[1:])
+                rows[proper_part, label.m1] = rows.get((proper_part, label.m1), 0) + c
+            structure = ct.polynomial_structure(left, right)
+            assert structure.rows == rows
+            assert structure.vector == universal
+            for gamma in structure.targets():
+                start = max(left.size, right.size, gamma.size)
+                for n in range(start, left.size + right.size + 3):
+                    expected = ct.project(universal, n).coefficient(pad_family(gamma, n))
+                    assert structure.evaluate(gamma, n) == expected
+
+
+def test_polynomial_rows_are_a_copy():
+    lam = fam(1, (2,))
+    structure = ct.polynomial_structure(lam, lam)
+    before = structure.rows_sorted()
+    rows = structure.rows
+    rows[(lam, 5)] = 7
+    rows.pop((fam(1, (3,)), 0))
+    assert structure.rows_sorted() == before
+    assert structure.rows is not structure.rows
+
+
+def test_proper_family():
+    for k, n in ((1, 5), (2, 4), (3, 3)):
+        for label in families_with_size(k, n):
+            proper = ct._proper_family(label)
+            assert proper is PartitionFamily._of(k, proper.components)
+            assert proper.is_proper() and proper.m1 == 0
+            assert pad_family(proper, n) is label
+            if label.is_proper():
+                assert proper is label
+            for m in range(n, n + 3):
+                assert ct._proper_family(pad_family(label, m)) is proper
+
+
 def test_representative_independence_flag():
     v1 = ct.multiply_group(fam(1, (2, 1, 1)), fam(1, (2, 1, 1)), 4, verify_representative=True)
     v2 = ct.multiply_group(fam(1, (2, 1, 1)), fam(1, (2, 1, 1)), 4)
@@ -890,6 +947,7 @@ def test_immutable_types_pickle_and_copy():
         ct.multiply_universal(built, built),
         ct.multiply_group(label, label, 2),
         ct.polynomial_structure(built, built),
+        ct.PolynomialStructure(2, built, built, ct.polynomial_structure(built, built).rows),
     ]
     for value in values:
         for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):

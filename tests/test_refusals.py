@@ -109,3 +109,22 @@ def test_text_and_partition_refusals():
         pt.as_partition((2, -1))
     with pytest.raises(ValueError):
         pt.parse_partition("[a,1]")
+
+
+def test_cached_polynomial_rows_refuse_a_zero_or_repeated_row(capsys, tmp_path):
+    # the true rows of {[1]:[2]}^2 with a zero row added, or one row written
+    # twice under two spellings of its target: each parses to the true
+    # structure, and the record is refused for having more rows than terms
+    from wreathcenter.cli import Cache, run
+
+    two = "{[1]:[2]}"
+    rows = {("{[1]:[3]}", 0): 3, ("{[1]:[2,2]}", 0): 2, ("{}", 2): 1}
+    for extra in ({("{[1]:[4]}", 0): 0}, {("{[1]: [3]}", 0): 3}):
+        path = str(tmp_path / "bad.cache")
+        Cache(path).put_poly(1, two, two, {**rows, **extra})
+        for command in ("poly", "universal"):
+            code = run([command, "--k", "1", "--left", two, "--right", two, "--cache", path])
+            out, err = capsys.readouterr()
+            assert (code, out) == (3, "")
+            assert f"cache record (1, '{two}', '{two}')" in err
+        (tmp_path / "bad.cache").unlink()
