@@ -242,27 +242,22 @@ def _positions(k: int, n: int) -> dict:
 
 
 def _entry(order, columns, dims):
-    """The `_tables` entry of a table: its character_table, linear_classes and packed_rows values.
+    """The `_tables` entry of a table: character_table's value and packed_rows'.
 
     `columns` maps each class to its column, in table order, and `dims` are
     the degrees.
     """
     weights = tuple(exact_quotient(order, dim, "|G| / chi(1)") for dim in dims)
     linear = [i for i, dim in enumerate(dims) if dim == 1]
-    values, classes = {}, {}
+    values, groups = {}, {}
     for fam, column in columns.items():
         key = values[fam] = tuple(column[i] for i in linear)
-        classes.setdefault(key, []).append((fam, column))
-    classes = {key: tuple(group) for key, group in classes.items()}
-    return (
-        (order, weights, MappingProxyType(columns)),
-        (MappingProxyType(values), MappingProxyType(classes)),
-        _packed(order, columns, classes),
-    )
+        groups.setdefault(key, []).append(fam)
+    return (order, weights, MappingProxyType(columns)), _packed(order, columns, values, groups)
 
 
-def _packed(order, columns, classes):
-    """The value of packed_rows, from the columns of a table and its linear_classes groups.
+def _packed(order, columns, values, groups):
+    """The value of packed_rows, from the columns of a table and its classes by degree-1 values.
 
     Each row is written as one string of base-2 digits, most significant
     slot first, with every value raised by half the slot range so that no
@@ -271,20 +266,21 @@ def _packed(order, columns, classes):
     """
     width = (order * order).bit_length() + 1
     raised = 1 << (width - 1)  # > |G| >= |chi(gamma)|
-    ones = int(f"{1:0{width}b}" * len(columns), 2)  # 1 in every slot
-    rows = tuple(
-        int("".join(f"{value + raised:0{width}b}" for value in reversed(row)), 2) - raised * ones
-        for row in zip(*columns.values())
-    )
-    shift = {fam: width * i for i, fam in enumerate(columns)}
-    slots = {key: tuple((fam, shift[fam]) for fam, _ in group) for key, group in classes.items()}
-    return width, rows, MappingProxyType(slots)
+    packed = {}
+    for key, group in groups.items():
+        ones = int(f"{1:0{width}b}" * len(group), 2)  # 1 in every slot
+        rows = tuple(
+            int("".join(f"{value + raised:0{width}b}" for value in reversed(row)), 2) - raised * ones
+            for row in zip(*(columns[fam] for fam in group))
+        )
+        packed[key] = (tuple(group), rows)
+    return width, MappingProxyType(values), MappingProxyType(packed)
 
 
-# (k, n) -> (the character_table value, the linear_classes value, the packed_rows
-# value).  The packed rows hold the table's values again: a quarter to a third
-# more memory at (1, 7..8), (2, 5..6) and (3, 4), more as the slots widen (47%
-# at (3, 5), 62% at (1, 13)).
+# (k, n) -> (the character_table value, the packed_rows value).  The packed
+# rows hold the table's values again: by tracemalloc 4 and 6 KiB at
+# (1, 7..8), 11 and 27 KiB at (2, 5..6), 18 KiB at (3, 4), 72 KiB at (3, 5)
+# and 94 KiB at (1, 13), of 51 to 827 KiB that a whole entry keeps.
 _tables: dict = {}
 
 
@@ -316,26 +312,31 @@ def linear_classes(k: int, n: int):
     (class, column of character_table) pairs that have it, in table
     order.  A degree-1 character lambda has lambda(xy) = lambda(x)
     lambda(y), so a product of classes with values a and b lies wholly in
-    the classes with values a * b.  Built from the table's own rows, with it.
+    the classes with values a * b.  Read off packed_rows' grouping and the
+    table's columns, into a new dict on every call.
     """
-    return _table_entry(k, n)[1]
+    (_, _, columns), (_, values, groups) = _table_entry(k, n)
+    classes = {key: tuple((fam, columns[fam]) for fam in group) for key, (group, _) in groups.items()}
+    return values, classes
 
 
 def packed_rows(k: int, n: int):
-    """The rows of character_table(k, n), each packed into one integer.
+    """The rows of character_table(k, n), packed into integers one group of classes at a time.
 
-    Returns (width, rows, slots).  rows[i] is the sum over the classes gamma,
-    at position p in table order, of chi_i(gamma) * 2 ** (width * p), chi_i
-    being the irreducible of position i; width = bitlen(|G| ** 2) + 1.
-    `slots` maps each tuple of values at the degree-1 characters, as in
-    linear_classes, to the (class, width * p) pairs that have it, in table
-    order.  So an integer combination of rows holds the same combination of
-    the columns, one class to a slot: exactly, as long as every one of them
-    lies in [0, 2 ** width), and then the one at gamma is
-    (total >> width * p) & (2 ** width - 1).  Built with the table, in time
-    linear in each row, and dropped with it.
+    Returns (width, values, groups), width = bitlen(|G| ** 2) + 1.  The
+    classes are grouped by their values at the degree-1 characters:
+    `values` maps each class to its tuple of them, as in linear_classes,
+    and `groups` maps each tuple to (classes, rows), the group's classes in
+    table order and, for the irreducible chi_i of position i, rows[i] = the
+    sum over the group's classes gamma, at position j in it, of
+    chi_i(gamma) * 2 ** (width * j).  So an integer combination of one
+    group's rows holds the same combination of its columns, one class to a
+    slot: exactly, as long as every one of them lies in [0, 2 ** width),
+    and then the one at the j-th class is (total >> width * j) &
+    (2 ** width - 1).  Built with the table, in time linear in each row,
+    and dropped with it.
     """
-    return _table_entry(k, n)[2]
+    return _table_entry(k, n)[1]
 
 
 def _table_entry(k, n):

@@ -394,6 +394,93 @@ def test_representative_independence_flag():
     assert u1 == u2
 
 
+def _filter_orbits(k, n=None, stage=None):
+    """Every element of the group of [kn], or every k-partial permutation at `stage`, by type.
+
+    One scan sorts the elements as `enumerate_class(..., strategy="filter")`
+    does one class at a time; the type sizes each orbit at the stage.
+    """
+    from wreathcenter import blockperm as bp
+
+    if n is None:
+        elements, type_of = kp.enumerate_kpartial(k, stage), kp.kp_type
+    else:
+        elements, type_of = bp.enumerate_group(k, n), bp.BlockPermutation.type_of
+    orbits = {}
+    for element in elements:
+        orbits.setdefault(type_of(element), []).append(element)
+    return orbits, type_of
+
+
+def _filter_product(left, right, orbits, type_of):
+    """A product counted over `_filter_orbits`, as the definition reads.
+
+    The first element found in the larger orbit A is multiplied with every
+    member of the smaller B: c_gamma = |A| * #{y in B : type(x y) = gamma} / |C_gamma|.
+    """
+    fixed, varied = sorted((left, right), key=lambda f: -len(orbits[f]))
+    x = orbits[fixed][0]
+    tally = Counter(type_of(x * y) for y in orbits[varied])
+    terms = {}
+    for gamma, count in tally.items():
+        coeff, remainder = divmod(len(orbits[fixed]) * count, len(orbits[gamma]))
+        assert remainder == 0
+        terms[gamma] = coeff
+    return terms
+
+
+def test_one_member_orbit_is_its_representative(monkeypatch):
+    # a product with a one-member factor (the identity, the central class
+    # {[2]:[1^n]} at k = 2, every class of S_1 and S_2, the empty family in
+    # the universal algebra) equals the filter oracle, with and without the
+    # recount at a second member; no enumeration walks the one-member orbit,
+    # which is read as its cached representative
+    from wreathcenter import blockperm as bp
+
+    walked = []
+    true_enumerate_class, true_universal_members = bp.enumerate_class, kp.universal_class_members
+
+    def enumerate_class(f, n, *args, **kwargs):
+        walked.append(kp.partial_class_size(f, n))
+        return true_enumerate_class(f, n, *args, **kwargs)
+
+    def universal_class_members(f, n, *args, **kwargs):
+        walked.append(kp.partial_class_size(f, n))
+        return true_universal_members(f, n, *args, **kwargs)
+
+    def check(left, right, n, expected):
+        for verify in (False, True):
+            if n is None:
+                vector = ct.multiply_universal(left, right, verify_representative=verify)
+            else:
+                vector = ct.multiply_group(left, right, n, verify_representative=verify)
+            assert vector.terms == expected, (left, right, n, verify)
+
+    cases = [(PartitionFamily.identity(k, n), n) for k in (1, 2, 3) for n in range(5)]
+    cases += [(fam(2, (), (1,) * n), n) for n in range(1, 6)]
+    cases += [(one, n) for n in range(3) for one in families_with_size(1, n)]
+    monkeypatch.setattr(bp, "enumerate_class", enumerate_class)
+    monkeypatch.setattr(kp, "universal_class_members", universal_class_members)
+    scans = {}
+    for one, n in cases:
+        assert class_size(one, n) == 1
+        if (one.k, n) not in scans:
+            scans[one.k, n] = _filter_orbits(one.k, n)
+        orbits = scans[one.k, n]
+        for other in families_with_size(one.k, n):
+            check(one, other, n, _filter_product(one, other, *orbits))
+            check(other, one, n, _filter_product(other, one, *orbits))
+    # the empty family at stage |other|: every other of size <= 3 (<= 2 at k = 3)
+    for k in (1, 2, 3):
+        empty = PartitionFamily.empty(k)
+        for stage in range(4 if k < 3 else 3):
+            orbits = _filter_orbits(k, stage=stage)
+            for other in families_with_size(k, stage):
+                check(empty, other, None, _filter_product(empty, other, *orbits))
+                check(other, empty, None, _filter_product(other, empty, *orbits))
+    assert walked and 1 not in walked
+
+
 def test_products_check_their_inputs():
     # every route shares these checks, the enumeration that
     # verify_representative forces included
@@ -844,7 +931,7 @@ def test_universal_budget_takes_the_route_that_fits(monkeypatch):
 def test_wrong_character_value_is_caught(monkeypatch):
     from wreathcenter import characters as ch
 
-    (order, weights, columns), _, _ = ch._table_entry(1, 6)
+    order, weights, columns = ch.character_table(1, 6)
     irreps = families_with_size(1, 6)
     lam = fam(1, (5, 1))
     # a wrong value of the sign, a degree-1 character, moves (3, 3) off the
@@ -904,29 +991,33 @@ def test_packed_frobenius_sum_equals_the_sum_per_class():
 def test_wrong_packed_rows_are_caught(monkeypatch):
     from wreathcenter import characters as ch
 
-    table, linear, (width, rows, slots) = ch._table_entry(1, 6)
+    table, (width, values, groups) = ch._table_entry(1, 6)
     _, _, columns = table
-    positions = {gamma: shift // width for group in slots.values() for gamma, shift in group}
     lam = fam(1, (5, 1))
     expected = ct.multiply_group(lam, lam, 6)
+    # lam * lam lies in the classes whose degree-1 values are lam's squared
+    target = tuple(v * v for v in values[lam])
+    group, rows = groups[target]
     # one slot off by one: the class (3, 3), which lam * lam reaches, in the
-    # rows of the sign and of the trivial irreducible, both nonzero at lam
+    # group rows of the sign and of the trivial irreducible, both nonzero at lam
+    slot = group.index(fam(1, (3, 3)))
     for row in (0, len(rows) - 1):
         wrong = list(rows)
-        wrong[row] += 1 << width * positions[fam(1, (3, 3))]
-        monkeypatch.setitem(ch._tables, (1, 6), (table, linear, (width, tuple(wrong), slots)))
+        wrong[row] += 1 << width * slot
+        packed = {**groups, target: (group, tuple(wrong))}
+        monkeypatch.setitem(ch._tables, (1, 6), (table, (width, values, packed)))
         with pytest.raises(InvariantViolation):
             ct.multiply_group(lam, lam, 6)
         monkeypatch.undo()
     # slots too narrow run into each other: the largest slot of lam * lam,
     # 144 * big_z(lam) ** 2 = 3600, needs 12 bits of the 20 that |G| ** 2 does
     narrow = 11
-    packed = (
-        narrow,
-        tuple(sum(v << narrow * p for p, v in enumerate(row)) for row in zip(*columns.values())),
-        {key: tuple((g, narrow * positions[g]) for g, _ in group) for key, group in slots.items()},
-    )
-    monkeypatch.setitem(ch._tables, (1, 6), (table, linear, packed))
+    packed = {
+        key: (classes, tuple(sum(v << narrow * j for j, v in enumerate(row))
+                             for row in zip(*(columns[g] for g in classes))))
+        for key, (classes, _) in groups.items()
+    }
+    monkeypatch.setitem(ch._tables, (1, 6), (table, (narrow, values, packed)))
     with pytest.raises(InvariantViolation):
         ct.multiply_group(lam, lam, 6)
     monkeypatch.undo()

@@ -223,32 +223,32 @@ def test_linear_classes():
 
 
 def test_packed_rows():
-    # each packed row holds its irreducible's values, one slot of
-    # bitlen(|G| ** 2) + 1 bits per class in table order; the slots group
-    # the classes as linear_classes does
+    # the classes are grouped as linear_classes groups them, and each
+    # irreducible's row is packed over each group, one slot of
+    # bitlen(|G| ** 2) + 1 bits per class in the group's order
     for k, n in [(1, 0), (1, 6), (2, 3), (3, 3)]:
-        order, _, columns = ch.character_table(k, n)
-        width, rows, slots = ch.packed_rows(k, n)
+        order, weights, columns = ch.character_table(k, n)
+        width, values, groups = ch.packed_rows(k, n)
         assert width == (order * order).bit_length() + 1
         half, mask = 1 << (width - 1), (1 << width) - 1
-        for row, values in zip(rows, zip(*columns.values())):
-            unpacked = []
-            for _ in columns:
-                value = (row & mask) - ((row & half) << 1)
-                unpacked.append(value)
-                row = (row - value) >> width
-            assert row == 0 and tuple(unpacked) == values
-        positions = list(columns)
-        _, classes = ch.linear_classes(k, n)
-        assert slots.keys() == classes.keys()
-        for key, group in classes.items():
-            assert slots[key] == tuple((g, width * positions.index(g)) for g, _ in group)
+        linear_values, classes = ch.linear_classes(k, n)
+        assert values == linear_values and groups.keys() == classes.keys()
+        for key, (group, rows) in groups.items():
+            assert group == tuple(g for g, _ in classes[key])
+            assert len(rows) == len(weights)
+            for row, expected in zip(rows, zip(*(columns[g] for g in group))):
+                unpacked = []
+                for _ in group:
+                    value = (row & mask) - ((row & half) << 1)
+                    unpacked.append(value)
+                    row = (row - value) >> width
+                assert row == 0 and tuple(unpacked) == expected
     # dropped with the table, and built again with it
     ch.character_table.cache_clear()
     assert not ch.has_character_table(3, 3)
     rebuilt = ch.packed_rows(3, 3)
     assert ch.has_character_table(3, 3)
-    assert rebuilt == (width, rows, slots) and rebuilt[1] is not rows
+    assert rebuilt == (width, values, groups) and rebuilt[2] is not groups
 
 
 def test_general_character_table():
