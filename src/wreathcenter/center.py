@@ -22,25 +22,17 @@ Frobenius formula
     c_gamma = |C_A| |C_B| / |G| * sum_chi chi(A) chi(B) chi(gamma) / chi(1)
 
 reads every coefficient of a group product off the character table at
-(k, n).  A degree-1 character is multiplicative, so c_gamma = 0 unless
-gamma's values at the degree-1 characters are the products of A's and B's:
-only that group of classes is summed.  Each irreducible's row is kept
-packed into one integer per such group, one slot per class
-(`characters.packed_rows`).  The rows of the characters nonzero at both A
-and B, weighted, add up to one integer whose slot at gamma is c_gamma *
-big_z(A) * big_z(B), in [0, |G| ** 2], so it is read exactly.  So
-#classes ** 2 bounds the terms of the sum.  A universal
-product is fixed by its projections, the group products of the padded
-inputs at every n from max(|left|, |right|) to N, and is recovered from
-them one size at a time, at each size only at the labels the second
-filtration allows.  Its one label of size N, the union of the inputs
-(the top-degree term of Ivanov-Kerov's product), has a coefficient in
-closed form, a product of binomials, so only the tables below N are
-read.  The two character routes stay apart: with group
-products run as the one-level case of the universal loop, the group
-benchmark did 7-10% fewer products per second (CPython 3.11.7, Intel
-Xeon).  `_product` weighs enumeration against characters by one rule and
-takes the cheaper route.
+(k, n): `characters.class_product`, which reads at most #classes ** 2
+entries, is the group route.  A universal product is fixed by its
+projections, the group products of the padded inputs at every n from
+max(|left|, |right|) to N, and is recovered from them one size at a time,
+at each size only at the labels the second filtration allows.  Its one
+label of size N, the union of the inputs (the top-degree term of
+Ivanov-Kerov's product), has a coefficient in closed form, a product of
+binomials, so only the tables below N are read.  The group route is one
+class_product, not the one-level case of the universal loop, which costs
+more per product.  `_product` weighs enumeration against characters by one
+rule and takes the cheaper route.
 
 Projecting the universal product down to a group recovers the group
 product (for proper inputs on the nose; in general up to the binomial
@@ -53,7 +45,7 @@ coefficients that make every group-level structure constant a polynomial in n.
 from collections import Counter
 from functools import cache
 from math import comb
-from operator import index, mul
+from operator import index
 
 from . import blockperm as bp
 from . import characters as ch
@@ -62,7 +54,6 @@ from .blockperm import DEFAULT_BUDGET
 from .errors import BudgetExceeded, InvariantViolation, NotProper, SizeMismatch, exact_quotient
 from .families import (
     PartitionFamily,
-    big_z,
     binomial_pad_factor,
     class_size,
     families_with_size,
@@ -194,30 +185,10 @@ def multiply_universal(
 
 
 # Route costs in Frobenius terms: a term is 1 / #classes ** 2 of a Frobenius
-# sum, which reads only the entries that can contribute.  Measured with the
-# tables built, on CPython 3.11.7 on one core of an Intel Xeon.  Over the 150
-# products of the group benchmark's op lists for seeds 1-3 (best of five per
-# route and product) an enumerated element took a median 45 us and a term of
-# the packed sum 0.017 us (0.028 us summed class by class, measured alongside):
-# 1440 keeps 99.96% of what taking each product's faster route saves, and
-# every element cost from 5,000 up keeps all of it.  The weights were left:
-# the six products between, each with a one-member factor (the identity or,
-# at k = 2, the central class), enumerate, which gives up 0.04% of the saving
-# and keeps block permutations in the group benchmark.  Over the products with
-# two nonempty inputs among the universal-sweep and poly-rows op lists of
-# seeds 1-2 (760 and 122, best of three) an element took 33 and 27 us and a
-# term read below the top stage 0.091 and 0.079 us, and every element cost
-# from 360 up keeps all of it.  One element cost serves both products.  A
-# table entry took 1.3-10 us to build once the smaller tables were built, at
-# (1, 6..10), (2, 4..6) and (3, 3..5), three fresh processes each: 45 to 350
-# terms of the class-by-class sum, 76 to 590 of the packed one.  The sum now
-# adds rows packed over the one degree-1 group of classes a product can
-# reach: a term took 0.0138 us against 0.0155 us with full rows (the median
-# over the same 150 products, best of five, measured alongside), and a
-# one-member orbit is one product, not a walk.  The constants are unchanged,
-# and no product of the benchmark's op lists moves route: per pass after
-# warm-up, group 48 by characters and 2 by enumeration, universal-sweep 649
-# and 0, poly-rows 61 and 0, as before.
+# sum, which reads only the entries that can contribute.  _ELEMENT_COST is the
+# time of an enumerated element and _BUILD_COST that of building a table entry
+# once the smaller tables are built, each in terms (measured in CHANGES.md);
+# one element cost serves group and universal products.
 _ELEMENT_COST = 1440
 _BUILD_COST = 152
 
@@ -243,8 +214,8 @@ def _product(left, right, n, budget, verify_representative):
     _BUILD_COST per entry while it is not built, less what enumeration at
     that size has already cost in this process (`_enumerated`).  So a one-off
     product never pays for a build that outweighs it, and a long-lived
-    process builds each table it keeps needing once.  `_frobenius` reads only
-    the entries that can contribute, so #classes ** 2 bounds what it reads.
+    process builds each table it keeps needing once.  `ch.class_product` reads
+    only the entries that can contribute, so #classes ** 2 bounds what it reads.
 
     `budget` bounds the count of the route taken: |B| elements, or the table
     entries summed over the sizes.  When only one route fits, it is taken;
@@ -351,59 +322,22 @@ def _by_enumeration(left, right, n, budget, verify_representative):
 
 def _group_by_characters(left, right, n):
     """The group product by the Frobenius formula, mass-checked."""
-    vector = ClassSumVector(left.k, _frobenius(left, right, n), n=n)
+    vector = ClassSumVector(left.k, ch.class_product(left, right), n=n)
     check_mass(vector, left, right)
     return vector
 
 
 def _frobenius(left, right, n):
-    """The size-n coefficients of a product, by the Frobenius formula, in integers.
+    """The size-n coefficients of left * right that the group product of the padded inputs gives.
 
-    These are the coefficients of the group product of pad(left, n) and
-    pad(right, n) at the classes gamma of size n that the second filtration
-    leaves to a label of that size in the universal product of left and
-    right: those with m1(gamma) <= `_most_ones(left, right, n)`.  At
-    |left| = |right| = n that is every class, so this is the group product.
-
-    c_gamma = S_gamma / (big_z(left) big_z(right)) for the padded inputs,
-    where S_gamma sums chi(left) chi(right) chi(gamma) |G| / chi(1) over the
-    irreducible characters chi; a remainder raises InvariantViolation.  A
-    degree-1 character is multiplicative, so c_gamma = 0 unless gamma's
-    values at the degree-1 characters are the products of left's and
-    right's: only that group of classes is summed.  Its S_gamma are summed
-    at once, as one integer: the sum over the chi with chi(left) chi(right)
-    != 0 of chi(left) chi(right) |G| / chi(1) times chi's row packed over
-    the group (`characters.packed_rows`).  Each S_gamma is c_gamma
-    big_z(left) big_z(right) with 0 <= c_gamma |C_gamma| <= |C_left|
-    |C_right|, so 0 <= S_gamma <= |G| z_gamma <= |G| ** 2, which the slot
-    width holds: no slot borrows from or carries into the next, and
-    S_gamma is read off its slot exactly.
+    These are `ch.class_product`'s coefficients of pad(left, n) * pad(right,
+    n) at the classes gamma of size n that the second filtration leaves to a
+    label of that size in the universal product of left and right: those
+    with m1(gamma) <= `_most_ones(left, right, n)`.
     """
     most = _most_ones(left, right, n)
-    if left.size + right.size < 2 * n:
-        # not a group product, whose inputs are already of size n
-        left, right = pad_family(left, n), pad_family(right, n)
-    k = left.k
-    _, weights, columns = ch.character_table(k, n)
-    width, values, groups = ch.packed_rows(k, n)
-    target = tuple(map(mul, values[left], values[right]))
-    if target not in groups:
-        # only a wrong table lacks them; the empty answer fails its mass check
-        return {}
-    classes, rows = groups[target]
-    total = 0
-    for a, b, weight, row in zip(columns[left], columns[right], weights, rows):
-        if a and b:
-            total += a * b * weight * row
-    z = big_z(left) * big_z(right)
-    mask = (1 << width) - 1
-    terms = {}
-    for gamma in classes:
-        slot = total & mask
-        if slot and gamma.m1 <= most:
-            terms[gamma] = exact_quotient(slot, z, gamma)
-        total >>= width
-    return terms
+    product = ch.class_product(pad_family(left, n), pad_family(right, n))
+    return {gamma: c for gamma, c in product.items() if gamma.m1 <= most}
 
 
 def _most_ones(left, right, n):
@@ -411,8 +345,8 @@ def _most_ones(left, right, n):
 
     The second filtration: a label gamma of the universal product has
     deg1(gamma) <= deg1(left) + deg1(right), and deg1(gamma) = n + m1(gamma)
-    at size n.  When |left| = |right| = n the bound is at least n, so it
-    leaves out no class of size n.
+    at size n.  Only the universal route reads it: a group product keeps
+    every class that `ch.class_product` gives.
     """
     return deg1(left) + deg1(right) - n
 
@@ -443,8 +377,8 @@ def _universal_by_characters(left, right):
     of c_gamma |C_gamma|, is stored once when the labels of size s are found.
 
     By the second filtration a new label delta of size n has at most
-    `_most_ones(left, right, n)` 1-parts in its all-ones component, so the
-    Frobenius sum and the subtraction visit only those.  The stage checks
+    `_most_ones(left, right, n)` 1-parts in its all-ones component, so
+    `_frobenius` keeps and the subtraction visits only those.  The stage checks
     guard the skip: every c_gamma is >= 0, so a label skipped by mistake
     lowers the mass of its stage.  A negative coefficient is refused at the
     level that finds it, and the top stage's check, which covers the whole

@@ -12,7 +12,9 @@ App. B).  The rule runs only in `character_table(k, n)`, which reads what
 remains from the tables at (k, m < n), building them first; a single value
 at k >= 2 (`wreath_character`, `hyperoct_character` at k = 2) is read from
 its table, so it costs that table; at k = 1 it is `sym_character`'s and
-builds no table.  Shifted Schur and power-sum values are exact rationals.
+builds no table.  `class_product`, the only reader of the packed rows kept
+with each table, gives a group's class-multiplication coefficients by the
+Frobenius formula.  Shifted Schur and power-sum values are exact rationals.
 The shifted power sum of a class label, on one alphabet per
 irreducible of S_k, is a normalized wreath character at a family; sending
 each label to its scaled power sum gives an integer at every family, and
@@ -22,6 +24,7 @@ is verified to be multiplicative pointwise, for every k.
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, perm
+from operator import mul
 from types import MappingProxyType
 
 from . import center
@@ -42,8 +45,7 @@ __all__ = [
     "wreath_dim",
     "character_table",
     "has_character_table",
-    "linear_classes",
-    "packed_rows",
+    "class_product",
     "verify_iso",
     "bipartitions_of",
     "transport_value",
@@ -200,7 +202,7 @@ def _sk_chi(k: int) -> list[list[int]]:
 
 
 def _build_table(k: int, n: int):
-    """The table at (k, n) and its linear_classes, by the wreath Murnaghan-Nakayama rule.
+    """The `_tables` entry at (k, n), by the wreath Murnaghan-Nakayama rule.
 
     A class less its longest cycle (length t, S_k class of slot r) is a class
     `rest` of size n - t.  chi^lam sums sign * sk_chi[s][r] * chi^lam'(rest)
@@ -242,10 +244,19 @@ def _positions(k: int, n: int) -> dict:
 
 
 def _entry(order, columns, dims):
-    """The `_tables` entry of a table: character_table's value and packed_rows'.
+    """The `_tables` entry of a table: character_table's value, and (width, values, groups).
 
     `columns` maps each class to its column, in table order, and `dims` are
-    the degrees.
+    the degrees.  `values` maps each class to its tuple of values at the
+    degree-1 characters (2 of them at k = 1 and 4 at k >= 2, once n >= 2),
+    and `groups` maps each such tuple to (classes, rows): the classes that
+    have it, in table order, and for the irreducible chi_i of position i,
+    rows[i] = the sum over those classes gamma, at position j, of chi_i(gamma)
+    * 2 ** (width * j), with width = bitlen(|G| ** 2) + 1.  Each row is
+    written as one string of base-2 digits, most significant slot first, with
+    every value raised by half the slot range so that no digit string is
+    negative, then read by int(..., 2), which takes time linear in its
+    length; the raise is taken off again in one subtraction.
     """
     weights = tuple(exact_quotient(order, dim, "|G| / chi(1)") for dim in dims)
     linear = [i for i, dim in enumerate(dims) if dim == 1]
@@ -253,17 +264,6 @@ def _entry(order, columns, dims):
     for fam, column in columns.items():
         key = values[fam] = tuple(column[i] for i in linear)
         groups.setdefault(key, []).append(fam)
-    return (order, weights, MappingProxyType(columns)), _packed(order, columns, values, groups)
-
-
-def _packed(order, columns, values, groups):
-    """The value of packed_rows, from the columns of a table and its classes by degree-1 values.
-
-    Each row is written as one string of base-2 digits, most significant
-    slot first, with every value raised by half the slot range so that no
-    digit string is negative, then read by int(..., 2), which takes time
-    linear in its length; the raise is taken off again in one subtraction.
-    """
     width = (order * order).bit_length() + 1
     raised = 1 << (width - 1)  # > |G| >= |chi(gamma)|
     packed = {}
@@ -274,13 +274,11 @@ def _packed(order, columns, values, groups):
             for row in zip(*(columns[fam] for fam in group))
         )
         packed[key] = (tuple(group), rows)
-    return width, MappingProxyType(values), MappingProxyType(packed)
+    table = (order, weights, MappingProxyType(columns))
+    return table, (width, MappingProxyType(values), MappingProxyType(packed))
 
 
-# (k, n) -> (the character_table value, the packed_rows value).  The packed
-# rows hold the table's values again: by tracemalloc 4 and 6 KiB at
-# (1, 7..8), 11 and 27 KiB at (2, 5..6), 18 KiB at (3, 4), 72 KiB at (3, 5)
-# and 94 KiB at (1, 13), of 51 to 827 KiB that a whole entry keeps.
+# (k, n) -> the `_entry` of the table at (k, n)
 _tables: dict = {}
 
 
@@ -297,46 +295,50 @@ def character_table(k: int, n: int):
 
     A table is built on first use from the smaller tables at k, which are
     built first if needed, and every table is kept for the life of the
-    process; `character_table.cache_clear()` drops every kept table, and its
-    `linear_classes` and `packed_rows` with it.
+    process; `character_table.cache_clear()` drops every kept table.
     """
     return _table_entry(k, n)[0]
 
 
-def linear_classes(k: int, n: int):
-    """The classes at (k, n) grouped by their values at the degree-1 characters.
+def class_product(left: PartitionFamily, right: PartitionFamily) -> dict:
+    """C_left C_right as {gamma: c_gamma}, in the group of size n = |left| = |right|.
 
-    Returns (values, classes): `values` maps each class family to the tuple
-    of its values at the irreducibles of degree 1 (2 of them at k = 1 and
-    4 at k >= 2, once n >= 2), and `classes` maps each such tuple to the
-    (class, column of character_table) pairs that have it, in table
-    order.  A degree-1 character lambda has lambda(xy) = lambda(x)
-    lambda(y), so a product of classes with values a and b lies wholly in
-    the classes with values a * b.  Read off packed_rows' grouping and the
-    table's columns, into a new dict on every call.
+    By the Frobenius formula, c_gamma = S_gamma / (big_z(left) big_z(right)),
+    where S_gamma sums chi(left) chi(right) chi(gamma) |G| / chi(1) over the
+    irreducible characters chi of character_table(k, n), which is built if
+    needed; a remainder raises InvariantViolation, and inputs of different k
+    or size raise SizeMismatch.  A degree-1 character is multiplicative, so
+    c_gamma = 0 unless gamma's values at the degree-1 characters are the
+    products of left's and right's: only that group of classes is summed.
+    Its S_gamma are summed at once, as one integer: the sum over the chi with
+    chi(left) chi(right) != 0 of chi(left) chi(right) |G| / chi(1) times
+    chi's row packed over the group.  Each S_gamma is c_gamma big_z(left)
+    big_z(right) with 0 <= c_gamma |C_gamma| <= |C_left| |C_right|, so
+    0 <= S_gamma <= |G| z_gamma <= |G| ** 2, which the slot width holds: no
+    slot borrows from or carries into the next, and S_gamma is read off its
+    slot exactly.
     """
-    (_, _, columns), (_, values, groups) = _table_entry(k, n)
-    classes = {key: tuple((fam, columns[fam]) for fam in group) for key, (group, _) in groups.items()}
-    return values, classes
-
-
-def packed_rows(k: int, n: int):
-    """The rows of character_table(k, n), packed into integers one group of classes at a time.
-
-    Returns (width, values, groups), width = bitlen(|G| ** 2) + 1.  The
-    classes are grouped by their values at the degree-1 characters:
-    `values` maps each class to its tuple of them, as in linear_classes,
-    and `groups` maps each tuple to (classes, rows), the group's classes in
-    table order and, for the irreducible chi_i of position i, rows[i] = the
-    sum over the group's classes gamma, at position j in it, of
-    chi_i(gamma) * 2 ** (width * j).  So an integer combination of one
-    group's rows holds the same combination of its columns, one class to a
-    slot: exactly, as long as every one of them lies in [0, 2 ** width),
-    and then the one at the j-th class is (total >> width * j) &
-    (2 ** width - 1).  Built with the table, in time linear in each row,
-    and dropped with it.
-    """
-    return _table_entry(k, n)[1]
+    if left.k != right.k or left.size != right.size:
+        raise SizeMismatch("a class product needs two families of the same k and size")
+    (_, weights, columns), (width, values, groups) = _table_entry(left.k, left.size)
+    target = tuple(map(mul, values[left], values[right]))
+    if target not in groups:
+        # only a wrong table lacks them; the empty answer fails its mass check
+        return {}
+    classes, rows = groups[target]
+    total = 0
+    for a, b, weight, row in zip(columns[left], columns[right], weights, rows):
+        if a and b:
+            total += a * b * weight * row
+    z = big_z(left) * big_z(right)
+    mask = (1 << width) - 1
+    terms = {}
+    for gamma in classes:
+        slot = total & mask
+        if slot:
+            terms[gamma] = exact_quotient(slot, z, gamma)
+        total >>= width
+    return terms
 
 
 def _table_entry(k, n):

@@ -155,7 +155,9 @@ _LABELS: dict = {}
 
 
 def pad_family(fam: PartitionFamily, n: int) -> PartitionFamily:
-    """Grow the family to total size n by appending 1-parts to the all-ones component."""
+    """Grow the family to size n by appending 1-parts to the all-ones component; at |fam| it is fam."""
+    if n == fam.size:
+        return fam
     if n < fam.size:
         raise TooSmall(f"cannot pad family of size {fam.size} to size {n}")
     padded = fam.ones_component + (1,) * (n - fam.size)

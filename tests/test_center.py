@@ -514,6 +514,8 @@ def test_group_mass_check_needs_inputs_of_size_n():
 
 
 def test_verify_representative_reads_no_table(monkeypatch):
+    from wreathcenter import characters as ch
+
     def refuse(*args):
         raise AssertionError("verify_representative must enumerate")
 
@@ -524,6 +526,7 @@ def test_verify_representative_reads_no_table(monkeypatch):
     k2_group = ct._by_enumeration(five, five, 5, DEFAULT_BUDGET, False)
     universal = ct._by_enumeration(four, four, None, DEFAULT_BUDGET, False)
     structure = ct.polynomial_structure(four, four)
+    monkeypatch.setattr(ch, "class_product", refuse)
     monkeypatch.setattr(ct, "_frobenius", refuse)
     monkeypatch.setattr(ct, "_universal_by_characters", refuse)
     monkeypatch.setattr(ct, "_enumerated", Counter())
@@ -594,6 +597,7 @@ def test_warm_routes(monkeypatch):
     # bounds the Frobenius sum's reads and is what it is charged
     ch.character_table(3, 5)
     ident, gamma = PartitionFamily.identity(3, 5), fam(3, (1, 1), (2,), (1,))
+    monkeypatch.setattr(ch, "class_product", refuse)
     monkeypatch.setattr(ct, "_frobenius", refuse)
     assert ct.multiply_group(ident, gamma, 5).terms == {gamma: 1}
     monkeypatch.undo()
@@ -952,6 +956,24 @@ def test_wrong_character_value_is_caught(monkeypatch):
     assert ct.multiply_group(lam, lam, 6).coefficient(fam(1, (3, 3))) == 54
 
 
+def test_product_with_no_class_at_its_degree_one_values_is_caught(monkeypatch):
+    from wreathcenter import characters as ch
+
+    order, weights, columns = ch.character_table(1, 6)
+    lam = fam(1, (5, 1))
+    # a sign value of 2 at lam: lam * lam would lie in the classes whose
+    # degree-1 values are (1, 4), and no class has them
+    sign = families_with_size(1, 6).index(fam(1, (1, 1, 1, 1, 1, 1)))
+    column = list(columns[lam])
+    column[sign] = 2
+    wrong_columns = {**columns, lam: tuple(column)}
+    entry = ch._entry(order, wrong_columns, columns[PartitionFamily.identity(1, 6)])
+    monkeypatch.setitem(ch._tables, (1, 6), entry)
+    assert ch.class_product(lam, lam) == {}
+    with pytest.raises(InvariantViolation):
+        ct.multiply_group(lam, lam, 6)
+
+
 def _frobenius_by_class(left, right, n):
     """The group product by the Frobenius formula, one sum per class, as the definition reads."""
     from wreathcenter import characters as ch
@@ -978,14 +1000,14 @@ def test_packed_frobenius_sum_equals_the_sum_per_class():
             labels = families_with_size(k, n)
             for left in labels:
                 for right in labels:
-                    assert ct._frobenius(left, right, n) == _frobenius_by_class(left, right, n)
+                    assert ch.class_product(left, right) == _frobenius_by_class(left, right, n)
     # at (1, 13) a slot is wider than a machine word
-    assert ch.packed_rows(1, 13)[0] > 64
+    assert ch._table_entry(1, 13)[1][0] > 64
     labels = families_with_size(1, 13)
     rng = random.Random(13)
     for _ in range(30):
         left, right = rng.choice(labels), rng.choice(labels)
-        assert ct._frobenius(left, right, 13) == _frobenius_by_class(left, right, 13)
+        assert ch.class_product(left, right) == _frobenius_by_class(left, right, 13)
 
 
 def test_wrong_packed_rows_are_caught(monkeypatch):

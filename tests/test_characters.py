@@ -209,32 +209,34 @@ def test_linear_classes():
     # the degree-1 characters: 1 of S_1, 2 of S_k at n = 1 or k = 1, and 4
     # once k, n >= 2; the grouping holds every column once, in table order
     for k, n, linear in [(1, 1, 1), (1, 5, 2), (2, 1, 2), (2, 3, 4), (3, 3, 4)]:
-        _, _, columns = ch.character_table(k, n)
-        values, classes = ch.linear_classes(k, n)
+        order, weights, columns = ch.character_table(k, n)
+        _, values, groups = ch._table_entry(k, n)[1]
         assert values[PartitionFamily.identity(k, n)] == (1,) * linear
         assert all(len(v) == linear and set(v) <= {1, -1} for v in values.values())
-        grouped = [pair for group in classes.values() for pair in group]
-        assert sorted(grouped, key=lambda pair: list(columns).index(pair[0])) == list(columns.items())
-        assert all(values[fam] == key for key, group in classes.items() for fam, _ in group)
+        # the values are the columns at the irreducibles of degree 1
+        degree_one = [i for i, weight in enumerate(weights) if weight == order]
+        assert all(values[fam] == tuple(column[i] for i in degree_one) for fam, column in columns.items())
+        grouped = [fam for group, _ in groups.values() for fam in group]
+        assert sorted(grouped, key=list(columns).index) == list(columns)
+        assert all(values[fam] == key for key, (group, _) in groups.items() for fam in group)
     # dropped with the table, and built with it
     ch.character_table.cache_clear()
     assert not ch.has_character_table(3, 3)
-    assert ch.linear_classes(3, 3)[0] == values and ch.has_character_table(3, 3)
+    assert ch._table_entry(3, 3)[1][1] == values and ch.has_character_table(3, 3)
 
 
 def test_packed_rows():
-    # the classes are grouped as linear_classes groups them, and each
-    # irreducible's row is packed over each group, one slot of
-    # bitlen(|G| ** 2) + 1 bits per class in the group's order
+    # each irreducible's row is packed over each group of classes with the
+    # same degree-1 values, one slot of bitlen(|G| ** 2) + 1 bits per class
+    # in the group's order
     for k, n in [(1, 0), (1, 6), (2, 3), (3, 3)]:
         order, weights, columns = ch.character_table(k, n)
-        width, values, groups = ch.packed_rows(k, n)
+        width, values, groups = ch._table_entry(k, n)[1]
         assert width == (order * order).bit_length() + 1
         half, mask = 1 << (width - 1), (1 << width) - 1
-        linear_values, classes = ch.linear_classes(k, n)
-        assert values == linear_values and groups.keys() == classes.keys()
+        assert groups.keys() == set(values.values())
         for key, (group, rows) in groups.items():
-            assert group == tuple(g for g, _ in classes[key])
+            assert group == tuple(fam for fam in columns if values[fam] == key)
             assert len(rows) == len(weights)
             for row, expected in zip(rows, zip(*(columns[g] for g in group))):
                 unpacked = []
@@ -246,7 +248,7 @@ def test_packed_rows():
     # dropped with the table, and built again with it
     ch.character_table.cache_clear()
     assert not ch.has_character_table(3, 3)
-    rebuilt = ch.packed_rows(3, 3)
+    rebuilt = ch._table_entry(3, 3)[1]
     assert ch.has_character_table(3, 3)
     assert rebuilt == (width, values, groups) and rebuilt[2] is not groups
 
@@ -553,8 +555,6 @@ def test_negative_sizes_are_refused():
         ct.ClassSumVector(1, {}, n=-1)
     with pytest.raises(SizeMismatch):
         ch.character_table(3, -1)
-    with pytest.raises(SizeMismatch):
-        ch.linear_classes(1, -3)
     assert not ch.has_character_table(3, -1)
     assert not ch.has_character_table(1, -3)
 

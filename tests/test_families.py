@@ -52,13 +52,21 @@ def test_is_proper_family():
     assert PartitionFamily.empty(2).is_proper()
 
 
-def test_pad_family():
+def test_pad_family(monkeypatch):
     assert pad_family(fam(1, (2,)), 4) == fam(1, (2, 1, 1))
     squeezed = fam(2, (), (2,))
     assert pad_family(squeezed, squeezed.size) == squeezed
     assert pad_family(fam(2, (), (2,)), 5) == fam(2, (1, 1, 1), (2,))
     with pytest.raises(TooSmall):
         pad_family(fam(2, (2,), (2,)), 3)
+    # padded to its own size, a label is itself, not looked up again
+    labels = [label for k in (1, 2, 3) for n in range(4) for label in families_with_size(k, n)]
+    monkeypatch.setattr(PartitionFamily, "_of", None)
+    for label in labels:
+        assert pad_family(label, label.size) is label
+        if label.size:
+            with pytest.raises(TooSmall):
+                pad_family(label, label.size - 1)
 
 
 def test_big_z_small_k():

@@ -83,6 +83,10 @@ def test_polynomial_structure_refuses_a_non_integer_coefficient():
 def test_characters_refusals():
     with pytest.raises(SizeMismatch):
         ch.verify_iso(2, fam(1, (2,)), fam(1, (2,)))
+    with pytest.raises(SizeMismatch):
+        ch.class_product(fam(1, (1,)), fam(2, (1,), ()))  # another k
+    with pytest.raises(SizeMismatch):
+        ch.class_product(fam(1, (1,)), fam(1, (2,)))  # another size
 
 
 def test_kpartial_refusals():
