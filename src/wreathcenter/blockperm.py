@@ -163,7 +163,7 @@ class BlockPermutation:
     @classmethod
     def from_text(cls, text: str, k: int, n: int) -> "BlockPermutation":
         body = text.strip().removeprefix("(").removesuffix(")")
-        return cls(k, n, (int(piece) for piece in body.split(",")))
+        return cls(k, n, (int(piece) for piece in body.split(",")) if body else ())
 
     def __setattr__(self, name, value):
         raise AttributeError("BlockPermutation is immutable")

@@ -25,9 +25,10 @@ reads every coefficient of a group product off the character table at
 (k, n): `characters.class_product`, which reads at most #classes ** 2
 entries, is the group route.  A universal product is fixed by its
 projections, the group products of the padded inputs at every n from
-max(|left|, |right|) to N, and is recovered from them one size at a time,
-at each size only at the labels the second filtration allows.  Its one
-label of size N, the union of the inputs (the top-degree term of
+max(|left|, |right|) to N, and is recovered from them one size at a time:
+each size below N is one class_product, kept at the labels gamma that the
+second filtration allows, deg1(gamma) <= deg1(left) + deg1(right).  Its
+one label of size N, the union of the inputs (the top-degree term of
 Ivanov-Kerov's product), has a coefficient in closed form, a product of
 binomials, so only the tables below N are read.  The group route is one
 class_product, not the one-level case of the universal loop, which costs
@@ -327,35 +328,11 @@ def _group_by_characters(left, right, n):
     return vector
 
 
-def _frobenius(left, right, n):
-    """The size-n coefficients of left * right that the group product of the padded inputs gives.
-
-    These are `ch.class_product`'s coefficients of pad(left, n) * pad(right,
-    n) at the classes gamma of size n that the second filtration leaves to a
-    label of that size in the universal product of left and right: those
-    with m1(gamma) <= `_most_ones(left, right, n)`.
-    """
-    most = _most_ones(left, right, n)
-    product = ch.class_product(pad_family(left, n), pad_family(right, n))
-    return {gamma: c for gamma, c in product.items() if gamma.m1 <= most}
-
-
-def _most_ones(left, right, n):
-    """The most 1-parts in the all-ones component of a size-n label of left * right.
-
-    The second filtration: a label gamma of the universal product has
-    deg1(gamma) <= deg1(left) + deg1(right), and deg1(gamma) = n + m1(gamma)
-    at size n.  Only the universal route reads it: a group product keeps
-    every class that `ch.class_product` gives.
-    """
-    return deg1(left) + deg1(right) - n
-
-
 def _universal_by_characters(left, right):
     """The universal product from the group products of the padded inputs.
 
     Projection to size n is a homomorphism, so with G_n the group product
-    of pad(left, n) and pad(right, n),
+    of pad(left, n) and pad(right, n), `ch.class_product`,
 
         bpf(left, n) bpf(right, n) G_n = sum over |gamma| <= n of c_gamma bpf(gamma, n) C_pad(gamma, n),
 
@@ -376,25 +353,28 @@ def _universal_by_characters(left, right):
     taken as sum over s of C(n, s) M_s, where M_s, the sum over |gamma| = s
     of c_gamma |C_gamma|, is stored once when the labels of size s are found.
 
-    By the second filtration a new label delta of size n has at most
-    `_most_ones(left, right, n)` 1-parts in its all-ones component, so
-    `_frobenius` keeps and the subtraction visits only those.  The stage checks
-    guard the skip: every c_gamma is >= 0, so a label skipped by mistake
-    lowers the mass of its stage.  A negative coefficient is refused at the
-    level that finds it, and the top stage's check, which covers the whole
-    answer, stands in for check_mass.
+    By the second filtration every label gamma has deg1(gamma) <= bound =
+    deg1(left) + deg1(right), and deg1(delta) = n + m1(delta) at size n, so
+    each level keeps, and the subtraction visits, only the labels delta of
+    size n with m1(delta) <= bound - n.  The stage checks guard the skip:
+    every c_gamma is >= 0, so a label skipped by mistake lowers the mass of
+    its stage.  A negative coefficient is refused at the level that finds
+    it, and the top stage's check, which covers the whole answer, stands in
+    for check_mass.
     """
     terms = {}
     masses = {}
     top = left.size + right.size
+    bound = deg1(left) + deg1(right)
     for n in range(max(left.size, right.size), top + 1):
         if n == top:
             label, c = _top_label(left, right)
             level = {label: c}
         else:
-            most = _most_ones(left, right, n)
+            most = bound - n
             scale = binomial_pad_factor(left, n) * binomial_pad_factor(right, n)
-            level = {delta: scale * c for delta, c in _frobenius(left, right, n).items()}
+            product = ch.class_product(pad_family(left, n), pad_family(right, n))
+            level = {delta: scale * c for delta, c in product.items() if delta.m1 <= most}
             for gamma, c in terms.items():
                 # pad(gamma, n) has m1(gamma) + n - |gamma| 1-parts
                 if gamma.m1 + n - gamma.size <= most:

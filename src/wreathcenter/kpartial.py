@@ -106,6 +106,9 @@ class KPartialPermutation:
         for entry in body.split(";"):
             name, _, value = entry.strip().partition(":")
             fields[name.strip()] = value.strip()
+        for name in ("k", "blocks", "images"):
+            if name not in fields:
+                raise ValueError(f"k-partial permutation text without a {name!r} field")
         k = int(fields["k"])
         blocks_body = fields["blocks"].removeprefix("[").removesuffix("]")
         blocks = [int(b) for b in blocks_body.split(",")] if blocks_body else []

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 from collections import Counter
 from math import comb, gcd
 
@@ -219,6 +220,43 @@ def test_universal_commutes():
         assert ct.multiply_universal(left, right) == ct.multiply_universal(right, left)
 
 
+def _seeded_triples():
+    """20 seeded triples (L, M, R) of non-empty labels at each k = 1, 2, 3,
+    with |L| + |M| + |R| <= 6, 5 and 4."""
+    rng = random.Random(27)
+    triples = []
+    for k, most in [(1, 6), (2, 5), (3, 4)]:
+        sizes = [(a, b, c) for a in range(1, most) for b in range(1, most) for c in range(1, most)
+                 if a + b + c <= most]
+        for _ in range(20):
+            triples.append(tuple(rng.choice(families_with_size(k, s)) for s in rng.choice(sizes)))
+    return triples
+
+
+def _bilinear(route, left, right):
+    """The product of two universal combinations {label: coefficient}, each label pair by `route`."""
+    total = Counter()
+    for a, c in left.items():
+        for b, d in right.items():
+            for gamma, e in route(a, b).items():
+                total[gamma] += c * d * e
+    return ct.ClassSumVector(next(iter(left)).k, total)
+
+
+def test_universal_associates():
+    # (L M) R = L (M R), each side extended bilinearly, with every product
+    # taken by the character route called directly, so that the route rule
+    # cannot hide it; the triples of total size <= 3 also by enumeration
+    enumerate_ = lambda a, b: ct._by_enumeration(a, b, None, DEFAULT_BUDGET, False)
+    for left, middle, right in _seeded_triples():
+        routes = [ct._universal_by_characters]
+        if left.size + middle.size + right.size <= 3:
+            routes.append(enumerate_)
+        for route in routes:
+            first = _bilinear(route, route(left, middle).terms, {right: 1})
+            assert _bilinear(route, {left: 1}, route(middle, right).terms) == first
+
+
 def test_universal_size_bounds():
     for left, right in [
         (fam(1, (2,)), fam(1, (3,))),
@@ -269,6 +307,12 @@ def test_project_matches_group_product():
         (fam(2, (), (2,)), fam(2, (), (2,)), 5),
         (fam(3, (), (1,), (1,)), fam(3, (), (1,), ()), 4),
     ]
+    # the proper pairs of the associativity triples, at their stage and one above
+    for triple in _seeded_triples():
+        for left, right in zip(triple, triple[1:]):
+            if left.is_proper() and right.is_proper():
+                stage = left.size + right.size
+                cases += [(left, right, stage), (left, right, stage + 1)]
     for left, right, n in cases:
         projected = ct.project(ct.multiply_universal(left, right), n)
         brute = ct.multiply_group(pad_family(left, n), pad_family(right, n), n)
@@ -527,7 +571,6 @@ def test_verify_representative_reads_no_table(monkeypatch):
     universal = ct._by_enumeration(four, four, None, DEFAULT_BUDGET, False)
     structure = ct.polynomial_structure(four, four)
     monkeypatch.setattr(ch, "class_product", refuse)
-    monkeypatch.setattr(ct, "_frobenius", refuse)
     monkeypatch.setattr(ct, "_universal_by_characters", refuse)
     monkeypatch.setattr(ct, "_enumerated", Counter())
     assert ct.multiply_group(seven, seven, 7, verify_representative=True) == k1_group
@@ -598,7 +641,6 @@ def test_warm_routes(monkeypatch):
     ch.character_table(3, 5)
     ident, gamma = PartitionFamily.identity(3, 5), fam(3, (1, 1), (2,), (1,))
     monkeypatch.setattr(ch, "class_product", refuse)
-    monkeypatch.setattr(ct, "_frobenius", refuse)
     assert ct.multiply_group(ident, gamma, 5).terms == {gamma: 1}
     monkeypatch.undo()
     # a poly-rows product with the (2, 5) table built is read off it: 36 ** 2
@@ -707,24 +749,32 @@ def test_wrong_top_label_or_coefficient_is_caught(monkeypatch):
             monkeypatch.undo()
 
 
+def _kept(terms, left, right):
+    """The labels of a level's group product that the second filtration keeps, sorted."""
+    bound = ct.deg1(left) + ct.deg1(right)
+    return sorted((g for g in terms if ct.deg1(g) <= bound), key=PartitionFamily.sort_key)
+
+
 def test_wrong_level_of_the_universal_character_route_is_caught(monkeypatch):
-    # one coefficient of one size's group product is one too large; a wrong
-    # size below the top keeps the mass at stage |L| + |R|, so every stage
-    # must be checked.  The sizes below the top are the ones read off tables
-    true_frobenius = ct._frobenius
+    # one coefficient that one size's level keeps from its group product is
+    # one too large; a wrong size below the top keeps the mass at stage
+    # |L| + |R|, so every stage must be checked.  The sizes below the top are
+    # the ones read off tables
+    from wreathcenter import characters as ch
+
+    true_class_product = ch.class_product
     for k, a, b in [(1, "{[1]:[1]}", "{[1]:[1]}"), (1, "{[1]:[2]}", "{[1]:[2]}"),
                     (2, "{[2]:[1]; [1,1]:[1]}", "{[2]:[1]}"), (2, "{[2]:[2]}", "{[1,1]:[2]}")]:
         left, right = parse_family(a, k), parse_family(b, k)
         for wrong_at in range(max(left.size, right.size), left.size + right.size):
 
-            def frobenius(l, r, n, wrong_at=wrong_at):
-                terms = true_frobenius(l, r, n)
-                if n == wrong_at:
-                    first = min(terms, key=PartitionFamily.sort_key)
-                    terms[first] += 1
+            def class_product(l, r, wrong_at=wrong_at):
+                terms = true_class_product(l, r)
+                if l.size == wrong_at:
+                    terms[_kept(terms, left, right)[0]] += 1
                 return terms
 
-            monkeypatch.setattr(ct, "_frobenius", frobenius)
+            monkeypatch.setattr(ch, "class_product", class_product)
             with pytest.raises(InvariantViolation):
                 ct._universal_by_characters(left, right)
             monkeypatch.undo()
@@ -732,14 +782,16 @@ def test_wrong_level_of_the_universal_character_route_is_caught(monkeypatch):
 
 def test_wrong_padded_label_at_any_level_is_caught(monkeypatch):
     # at k = 3, one coefficient of each size's group product in turn is one
-    # too large, always at a label with 1-parts in its all-ones component:
-    # the labels that smaller ones pad to, so their level subtracts before
-    # the stage's mass, summed one size at a time, is checked.  Those stage
-    # checks are the only mass checks this route makes.  Every size below
-    # the top, which is read off no table, is bumped where a level reads
-    # such a label: where the second filtration lets its new labels have a
-    # 1-part
-    true_frobenius = ct._frobenius
+    # too large, always at a label that its level keeps with 1-parts in its
+    # all-ones component: the labels that smaller ones pad to, so their
+    # level subtracts before the stage's mass, summed one size at a time, is
+    # checked.  Those stage checks are the only mass checks this route
+    # makes.  Every size below the top, which is read off no table, is
+    # bumped where a level reads such a label: where the second filtration
+    # lets its new labels have a 1-part
+    from wreathcenter import characters as ch
+
+    true_class_product = ch.class_product
     for a, b in [("{[3]:[1]}", "{[3]:[1]}"), ("{[1,1,1]:[1]; [3]:[1]}", "{[2,1]:[1]}"),
                  ("{[3]:[2]}", "{[3]:[2]}"),
                  ("{[2,1]:[1]; [3]:[1]}", "{[2,1]:[1]; [3]:[1]}")]:
@@ -748,15 +800,15 @@ def test_wrong_padded_label_at_any_level_is_caught(monkeypatch):
         for wrong_at in range(max(left.size, right.size), top + 1):
             bumped = []
 
-            def frobenius(l, r, n, wrong_at=wrong_at, bumped=bumped):
-                terms = true_frobenius(l, r, n)
-                if n == wrong_at:
-                    padded = min((g for g in terms if g.m1), key=PartitionFamily.sort_key)
+            def class_product(l, r, wrong_at=wrong_at, bumped=bumped):
+                terms = true_class_product(l, r)
+                if l.size == wrong_at:
+                    padded = next(g for g in _kept(terms, left, right) if g.m1)
                     terms[padded] += 1
                     bumped.append(padded)
                 return terms
 
-            monkeypatch.setattr(ct, "_frobenius", frobenius)
+            monkeypatch.setattr(ch, "class_product", class_product)
             monkeypatch.setattr(ct, "check_mass", lambda vector, left, right: None)
             with pytest.raises(InvariantViolation):
                 ct._universal_by_characters(left, right)
@@ -765,22 +817,25 @@ def test_wrong_padded_label_at_any_level_is_caught(monkeypatch):
 
 
 def test_negative_level_coefficient_with_its_mass_kept_is_caught(monkeypatch):
-    # one size's group product moves mass from one label to another until
-    # the first is negative; the mass of that stage, and so of every later
-    # one, is kept, so only the refusal of a negative coefficient at its
-    # level can catch it.  At k = 1, 2 and 3, at levels below the top,
-    # whose one coefficient is a product of binomials
-    true_frobenius = ct._frobenius
+    # one size's group product moves mass from one label its level keeps to
+    # another until the first is negative; the mass of that stage, and so of
+    # every later one, is kept, so only the refusal of a negative
+    # coefficient at its level can catch it.  At k = 1, 2 and 3, at levels
+    # below the top, whose one coefficient is a product of binomials
+    from wreathcenter import characters as ch
+
+    true_class_product = ch.class_product
     for k, a, b, wrong_at in [(1, "{[1]:[3,2]}", "{[1]:[2]}", 5), (1, "{[1]:[3,2]}", "{[1]:[2]}", 6),
                               (2, "{[2]:[1]; [1,1]:[1]}", "{[2]:[1]}", 2),
                               (3, "{[3]:[1]}", "{[3]:[1]}", 1)]:
         left, right = parse_family(a, k), parse_family(b, k)
 
-        def frobenius(l, r, n, wrong_at=wrong_at):
-            terms = true_frobenius(l, r, n)
+        def class_product(l, r, wrong_at=wrong_at):
+            terms = true_class_product(l, r)
+            n = l.size
             if n == wrong_at:
                 mass = sum(c * class_size(g, n) for g, c in terms.items())
-                low, high = sorted(terms, key=PartitionFamily.sort_key)[:2]
+                low, high = _kept(terms, left, right)[:2]
                 sizes = class_size(low, n), class_size(high, n)
                 shift = terms[low] + 1
                 terms[low] -= shift * sizes[1] // gcd(*sizes)
@@ -789,7 +844,7 @@ def test_negative_level_coefficient_with_its_mass_kept_is_caught(monkeypatch):
                 assert sum(c * class_size(g, n) for g, c in terms.items()) == mass
             return terms
 
-        monkeypatch.setattr(ct, "_frobenius", frobenius)
+        monkeypatch.setattr(ch, "class_product", class_product)
         with pytest.raises(InvariantViolation, match="cannot have c = -"):
             ct._universal_by_characters(left, right)
         monkeypatch.undo()
@@ -829,7 +884,7 @@ def test_filtration_skip_one_too_tight_is_caught(monkeypatch):
     # inputs, is always on the bound but is found in closed form, so each
     # pair has a label below the top on it.  The stage checks are the only
     # mass checks this route makes
-    true_most_ones = ct._most_ones
+    true_deg1 = ct.deg1
     for k, a, b in [(1, "{[1]:[2]}", "{[1]:[2]}"), (1, "{[1]:[3,2]}", "{[1]:[2]}"),
                     (2, "{[2]:[2]}", "{[2]:[2]}"), (2, "{[2]:[1,1]}", "{[1,1]:[1]; [2]:[1]}"),
                     (3, "{[3]:[1]}", "{[3]:[1]}"), (3, "{[3]:[2]}", "{[3]:[2]}")]:
@@ -838,11 +893,19 @@ def test_filtration_skip_one_too_tight_is_caught(monkeypatch):
         terms = ct._universal_by_characters(left, right).terms
         assert max(map(ct.deg1, terms)) == bound
         assert any(ct.deg1(g) == bound for g in terms if g.size < left.size + right.size)
-        monkeypatch.setattr(ct, "_most_ones", lambda l, r, n: true_most_ones(l, r, n) - 1)
+        calls = []
+
+        def deg1(fam, calls=calls):
+            # one lower on the first of the two calls that sum to the bound
+            calls.append(fam)
+            return true_deg1(fam) - (len(calls) == 1)
+
+        monkeypatch.setattr(ct, "deg1", deg1)
         monkeypatch.setattr(ct, "check_mass", lambda vector, left, right: None)
         with pytest.raises(InvariantViolation):
             ct._universal_by_characters(left, right)
         monkeypatch.undo()
+        assert calls == [left, right]
 
 
 def test_mass_by_size_is_the_mass_by_label():
@@ -991,8 +1054,6 @@ def _frobenius_by_class(left, right, n):
 
 
 def test_packed_frobenius_sum_equals_the_sum_per_class():
-    import random
-
     from wreathcenter import characters as ch
 
     for k, top in [(1, 7), (2, 4), (3, 3)]:

@@ -113,6 +113,11 @@ def test_text_and_partition_refusals():
         pt.as_partition((2, -1))
     with pytest.raises(ValueError):
         pt.parse_partition("[a,1]")
+    # a k-partial permutation text without one of its fields, or not in that form
+    for name, text in [("k", "{blocks:[1]; images:(1)}"), ("blocks", "{k:1; images:(1)}"),
+                       ("images", "{blocks:[1]; k:1}"), ("k", "(1)")]:
+        with pytest.raises(ValueError, match=f"'{name}' field"):
+            KPartialPermutation.from_text(text)
 
 
 def test_cached_polynomial_rows_refuse_a_zero_or_repeated_row(capsys, tmp_path):

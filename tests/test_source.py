@@ -32,3 +32,23 @@ def test_every_divmod_is_in_exact_quotient():
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem)
     assert [place.partition(":")[0] for place in found] == ["errors.exact_quotient"], found
+
+
+def test_center_reads_the_tables_only_through_class_product():
+    # every character-route fault test patches characters.class_product; a
+    # center read of any other table accessor would bypass those tests.
+    # characters is imported once, as ch, and only its attributes are read
+    tree = ast.parse((PACKAGE / "center.py").read_text(encoding="utf-8"))
+    imports = [
+        (node.module, alias.name, alias.asname)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert [i for i in imports if "characters" in i[:2]] == [(None, "characters", "ch")]
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "ch"
+    }
+    assert read == {"class_product", "has_character_table"}
