@@ -30,9 +30,11 @@ each size below N is one class_product, kept at the labels gamma that the
 second filtration allows, deg1(gamma) <= deg1(left) + deg1(right).  Its
 one label of size N, the union of the inputs (the top-degree term of
 Ivanov-Kerov's product), has a coefficient in closed form, a product of
-binomials, so only the tables below N are read.  The group route is one
-class_product, not the one-level case of the universal loop, which costs
-more per product.  `_product` weighs enumeration against characters by one
+binomials, so only the tables below N are read.  A label's padded form,
+pad factor and orbit size at stage n depend only on (label, n), so `_at`
+computes them once per pair for the levels, check_mass and project.  The
+group route is one class_product, not the one-level case of the universal
+loop, which costs more per product.  `_product` weighs enumeration against characters by one
 rule and takes the cheaper route.
 
 Projecting the universal product down to a group recovers the group
@@ -56,7 +58,6 @@ from .errors import BudgetExceeded, InvariantViolation, NotProper, SizeMismatch,
 from .families import (
     PartitionFamily,
     binomial_pad_factor,
-    class_size,
     families_with_size,
     format_family,
     pad_family,
@@ -361,6 +362,10 @@ def _universal_by_characters(left, right):
     its stage.  A negative coefficient is refused at the level that finds
     it, and the top stage's check, which covers the whole answer, stands in
     for check_mass.
+
+    pad(gamma, n), bpf(gamma, n) and the orbit sizes at stage n are read
+    from `_at`, once per (label, n); the levels and every check are computed
+    for each product.
     """
     terms = {}
     masses = {}
@@ -372,14 +377,16 @@ def _universal_by_characters(left, right):
             level = {label: c}
         else:
             most = bound - n
-            scale = binomial_pad_factor(left, n) * binomial_pad_factor(right, n)
-            product = ch.class_product(pad_family(left, n), pad_family(right, n))
+            padded_left, left_factor, _ = _at(left, n)
+            padded_right, right_factor, _ = _at(right, n)
+            scale = left_factor * right_factor
+            product = ch.class_product(padded_left, padded_right)
             level = {delta: scale * c for delta, c in product.items() if delta.m1 <= most}
             for gamma, c in terms.items():
                 # pad(gamma, n) has m1(gamma) + n - |gamma| 1-parts
                 if gamma.m1 + n - gamma.size <= most:
-                    delta = pad_family(gamma, n)
-                    level[delta] = level.get(delta, 0) - c * binomial_pad_factor(gamma, n)
+                    delta, factor, _ = _at(gamma, n)
+                    level[delta] = level.get(delta, 0) - c * factor
         masses[n] = 0
         for delta, c in level.items():
             if c < 0:
@@ -387,9 +394,10 @@ def _universal_by_characters(left, right):
                 raise InvariantViolation(f"universal product cannot have c = {c} at {where}")
             if c:
                 terms[delta] = c
-                masses[n] += c * class_size(delta, n)
+                # delta has size n, so its orbit at stage n is its class
+                masses[n] += c * _at(delta, n)[2]
         mass = sum(comb(n, s) * m for s, m in masses.items())
-        if mass != kp.partial_class_size(left, n) * kp.partial_class_size(right, n):
+        if mass != _at(left, n)[2] * _at(right, n)[2]:
             raise InvariantViolation(f"universal product mass at stage {n} is {mass}")
     return ClassSumVector(left.k, terms)
 
@@ -426,12 +434,13 @@ def check_mass(vector: ClassSumVector, left: PartitionFamily, right: PartitionFa
         raise SizeMismatch("group products need both families of size exactly n")
     mass = 0
     for fam, c in vector.items():
-        members = kp.partial_class_size(fam, stage)
+        # a label too large for the stage has no members there
+        members = _at(fam, stage)[2] if fam.size <= stage else 0
         if c < 0 or not members:
             where = format_family(fam)
             raise InvariantViolation(f"{vector.context} product cannot have c = {c} at {where}")
         mass += c * members
-    expected = kp.partial_class_size(left, stage) * kp.partial_class_size(right, stage)
+    expected = _at(left, stage)[2] * _at(right, stage)[2]
     if mass != expected:
         raise InvariantViolation(
             f"{vector.context} product mass {mass} != |C_left|*|C_right| = {expected}"
@@ -452,9 +461,18 @@ def project(vector: ClassSumVector, n: int) -> ClassSumVector:
     for fam, coeff in vector.items():
         if fam.size > n:
             continue
-        target = pad_family(fam, n)
-        terms[target] = terms.get(target, 0) + coeff * binomial_pad_factor(fam, n)
+        target, factor, _ = _at(fam, n)
+        terms[target] = terms.get(target, 0) + coeff * factor
     return ClassSumVector(vector.k, terms, n=n)
+
+
+@cache
+def _at(fam: PartitionFamily, n: int) -> tuple:
+    """(pad_family(fam, n), binomial_pad_factor(fam, n), kp.partial_class_size(fam, n)), n >= |fam|.
+
+    Computed once per (label, n); a label is a shared object, so it hashes by identity.
+    """
+    return pad_family(fam, n), binomial_pad_factor(fam, n), kp.partial_class_size(fam, n)
 
 
 class PolynomialStructure:

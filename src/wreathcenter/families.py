@@ -125,7 +125,8 @@ class PartitionFamily:
         return self.components[0]
 
     def is_proper(self) -> bool:
-        return pt.is_proper(self.ones_component)
+        """True iff the all-ones component has no 1-parts."""
+        return not self.m1
 
     def items(self):
         """(key partition, component) pairs in index order."""

@@ -12,6 +12,7 @@ from wreathcenter.blockperm import DEFAULT_BUDGET
 from wreathcenter.errors import BudgetExceeded, InvariantViolation, NotProper, SizeMismatch
 from wreathcenter.families import (
     PartitionFamily,
+    binomial_pad_factor,
     class_size,
     families_with_size,
     pad_family,
@@ -557,6 +558,17 @@ def test_group_mass_check_needs_inputs_of_size_n():
         ct.check_mass(vector, padded, two)
 
 
+def test_universal_mass_check_refuses_a_label_larger_than_the_stage():
+    # a label of size 5 has no members at the stage |L| + |R| = 4, so adding
+    # it keeps the mass; it is refused as a label of no members
+    two = fam(1, (2,))
+    terms = ct.multiply_universal(two, two).terms
+    ct.check_mass(ct.ClassSumVector(1, terms), two, two)
+    terms[fam(1, (5,))] = 1
+    with pytest.raises(InvariantViolation, match=r"c = 1 at \{\[1\]:\[5\]\}"):
+        ct.check_mass(ct.ClassSumVector(1, terms), two, two)
+
+
 def test_verify_representative_reads_no_table(monkeypatch):
     from wreathcenter import characters as ch
 
@@ -906,6 +918,55 @@ def test_filtration_skip_one_too_tight_is_caught(monkeypatch):
             ct._universal_by_characters(left, right)
         monkeypatch.undo()
         assert calls == [left, right]
+
+
+def test_at_is_the_padded_label_its_factor_and_its_stage_size():
+    # the per-(label, n) values the universal levels, check_mass and project
+    # read are the three public functions' values, the label the same object
+    for k in (1, 2, 3):
+        for size in range(5):
+            for label in families_with_size(k, size):
+                for n in range(size, size + 4):
+                    padded, factor, members = ct._at(label, n)
+                    assert padded is pad_family(label, n)
+                    assert factor == binomial_pad_factor(label, n)
+                    assert members == kp.partial_class_size(label, n)
+
+
+def test_wrong_pad_factor_at_any_level_is_caught(monkeypatch):
+    # the cached values are checked like fresh ones: each label whose pad
+    # factor a level below the top reads (the inputs, and each label found
+    # at a smaller size that the level subtracts) in turn gets a factor one
+    # too large at that level, and the level's stage check refuses it
+    true_at = ct._at
+    subtracted = 0
+    for k, a, b in [(1, "{[1]:[2]}", "{[1]:[2]}"), (1, "{[1]:[3,2]}", "{[1]:[2]}"),
+                    (2, "{[2]:[1]; [1,1]:[1]}", "{[2]:[1]}"), (3, "{[3]:[1]}", "{[2,1]:[1]}"),
+                    (3, "{[3]:[2]}", "{[3]:[2]}")]:
+        left, right = parse_family(a, k), parse_family(b, k)
+        read = []
+
+        def record(fam, n):
+            read.append((fam, n))
+            return true_at(fam, n)
+
+        monkeypatch.setattr(ct, "_at", record)
+        ct._universal_by_characters(left, right)
+        monkeypatch.undo()
+        top = left.size + right.size
+        faults = {(g, n) for g, n in read if n < top and (g in (left, right) or g.size < n)}
+        subtracted += sum(g not in (left, right) for g, n in faults)
+        for wrong in faults:
+
+            def at(fam, n, wrong=wrong):
+                padded, factor, members = true_at(fam, n)
+                return padded, factor + ((fam, n) == wrong), members
+
+            monkeypatch.setattr(ct, "_at", at)
+            with pytest.raises(InvariantViolation):
+                ct._universal_by_characters(left, right)
+            monkeypatch.undo()
+    assert subtracted == 3
 
 
 def test_mass_by_size_is_the_mass_by_label():

@@ -50,6 +50,11 @@ def test_is_proper_family():
     assert fam(2, (3,), (2, 1)).is_proper()
     assert not fam(1, (1, 1)).is_proper()
     assert PartitionFamily.empty(2).is_proper()
+    # read off m1, it agrees with the partition test on the all-ones component
+    for k in (1, 2, 3):
+        for n in range(5):
+            for label in families_with_size(k, n):
+                assert label.is_proper() == pt.is_proper(label.ones_component)
 
 
 def test_pad_family(monkeypatch):
