@@ -14,11 +14,14 @@ at k >= 2 (`wreath_character`, `hyperoct_character` at k = 2) is read from
 its table, so it costs that table; at k = 1 it is `sym_character`'s and
 builds no table.  `class_product`, the only reader of the packed rows kept
 with each table, gives a group's class-multiplication coefficients by the
-Frobenius formula.  Shifted Schur and power-sum values are exact rationals.
-The shifted power sum of a class label, on one alphabet per
-irreducible of S_k, is a normalized wreath character at a family; sending
-each label to its scaled power sum gives an integer at every family, and
-is verified to be multiplicative pointwise, for every k.
+Frobenius formula.  Twisting an irreducible by a degree-1 character leaves
+its term in that sum unchanged, so the rows are kept, and summed, for one
+irreducible per orbit of twists; a table whose twists are not among its
+rows is refused when it is built.  Shifted Schur and power-sum values are
+exact rationals.  The shifted power sum of a class label, on one alphabet
+per irreducible of S_k, is a normalized wreath character at a family;
+sending each label to its scaled power sum gives an integer at every
+family, and is verified to be multiplicative pointwise, for every k.
 """
 
 from fractions import Fraction
@@ -244,25 +247,40 @@ def _positions(k: int, n: int) -> dict:
 
 
 def _entry(order, columns, dims):
-    """The `_tables` entry of a table: character_table's value, and (width, values, groups).
+    """A table's `_tables` entry: character_table's value, and (width, values, weights, folded, groups).
 
     `columns` maps each class to its column, in table order, and `dims` are
     the degrees.  `values` maps each class to its tuple of values at the
-    degree-1 characters (2 of them at k = 1 and 4 at k >= 2, once n >= 2),
-    and `groups` maps each such tuple to (classes, rows): the classes that
-    have it, in table order, and for the irreducible chi_i of position i,
-    rows[i] = the sum over those classes gamma, at position j, of chi_i(gamma)
-    * 2 ** (width * j), with width = bitlen(|G| ** 2) + 1.  Each row is
-    written as one string of base-2 digits, most significant slot first, with
-    every value raised by half the slot range so that no digit string is
-    negative, then read by int(..., 2), which takes time linear in its
-    length; the raise is taken off again in one subtraction.
+    degree-1 characters (2 of them at k = 1 and 4 at k >= 2, once n >= 2).
+    Twisting chi by a degree-1 character eps gives the irreducible chi eps of
+    the same degree; each irreducible's twists are looked up among the rows,
+    and a table whose twists are not rows, or do not split the irreducibles
+    into orbits, raises InvariantViolation.  One representative is kept per
+    orbit, the first in table order: `weights` holds |orbit| |G| / chi(1) for
+    each, `folded` maps each class to the tuple of the representatives'
+    values there, and `groups` maps each degree-1 value tuple to (classes,
+    rows): the classes that have it, in table order, and for the
+    representative chi_i of position i, rows[i] = the sum over those classes
+    gamma, at position j, of chi_i(gamma) * 2 ** (width * j), with width =
+    bitlen(|G| ** 2) + 1.  Each row is written as one string of base-2
+    digits, most significant slot first, with every value raised by half the
+    slot range so that no digit string is negative, then read by int(..., 2),
+    which takes time linear in its length; the raise is taken off again in
+    one subtraction.
     """
-    weights = tuple(exact_quotient(order, dim, "|G| / chi(1)") for dim in dims)
+    chars = list(zip(*columns.values()))  # chars[i]: chi_i at each class, in table order
     linear = [i for i, dim in enumerate(dims) if dim == 1]
-    values, groups = {}, {}
+    where = {chi: i for i, chi in enumerate(chars)}
+    orbits = [{where.get(tuple(map(mul, chi, chars[e]))) for e in linear} for chi in chars]
+    for i, orbit in enumerate(orbits):
+        if None in orbit or i not in orbit or any(orbits[j] != orbit for j in orbit):
+            raise InvariantViolation(f"the twists of irreducible {i} by the degree-1 characters are no orbit")
+    reps = [i for i, orbit in enumerate(orbits) if i == min(orbit)]
+    weights = tuple(exact_quotient(order, dim, "|G| / chi(1)") for dim in dims)
+    values, folded, groups = {}, {}, {}
     for fam, column in columns.items():
         key = values[fam] = tuple(column[i] for i in linear)
+        folded[fam] = tuple(column[i] for i in reps)
         groups.setdefault(key, []).append(fam)
     width = (order * order).bit_length() + 1
     raised = 1 << (width - 1)  # > |G| >= |chi(gamma)|
@@ -271,11 +289,13 @@ def _entry(order, columns, dims):
         ones = int(f"{1:0{width}b}" * len(group), 2)  # 1 in every slot
         rows = tuple(
             int("".join(f"{value + raised:0{width}b}" for value in reversed(row)), 2) - raised * ones
-            for row in zip(*(columns[fam] for fam in group))
+            for row in zip(*(folded[fam] for fam in group))
         )
         packed[key] = (tuple(group), rows)
     table = (order, weights, MappingProxyType(columns))
-    return table, (width, MappingProxyType(values), MappingProxyType(packed))
+    weights = tuple(len(orbits[i]) * weights[i] for i in reps)  # the representatives'
+    folded, values, packed = map(MappingProxyType, (folded, values, packed))
+    return table, (width, values, weights, folded, packed)
 
 
 # (k, n) -> the `_entry` of the table at (k, n)
@@ -307,12 +327,15 @@ def class_product(left: PartitionFamily, right: PartitionFamily) -> dict:
     where S_gamma sums chi(left) chi(right) chi(gamma) |G| / chi(1) over the
     irreducible characters chi of character_table(k, n), which is built if
     needed; a remainder raises InvariantViolation, and inputs of different k
-    or size raise SizeMismatch.  A degree-1 character is multiplicative, so
-    c_gamma = 0 unless gamma's values at the degree-1 characters are the
+    or size raise SizeMismatch.  A degree-1 character eps is multiplicative,
+    so c_gamma = 0 unless gamma's values at the degree-1 characters are the
     products of left's and right's: only that group of classes is summed.
-    Its S_gamma are summed at once, as one integer: the sum over the chi with
-    chi(left) chi(right) != 0 of chi(left) chi(right) |G| / chi(1) times
-    chi's row packed over the group.  Each S_gamma is c_gamma big_z(left)
+    There eps(gamma) = eps(left) eps(right) = +-1, so the twist chi eps adds
+    the term of chi, and each orbit of twists is summed as its
+    representative times the orbit's size.  The S_gamma are summed at once,
+    as one integer: the sum over the representatives chi with chi(left)
+    chi(right) != 0 of chi(left) chi(right) |orbit| |G| / chi(1) times chi's
+    row packed over the group.  Each S_gamma is c_gamma big_z(left)
     big_z(right) with 0 <= c_gamma |C_gamma| <= |C_left| |C_right|, so
     0 <= S_gamma <= |G| z_gamma <= |G| ** 2, which the slot width holds: no
     slot borrows from or carries into the next, and S_gamma is read off its
@@ -320,14 +343,14 @@ def class_product(left: PartitionFamily, right: PartitionFamily) -> dict:
     """
     if left.k != right.k or left.size != right.size:
         raise SizeMismatch("a class product needs two families of the same k and size")
-    (_, weights, columns), (width, values, groups) = _table_entry(left.k, left.size)
+    _, (width, values, weights, folded, groups) = _table_entry(left.k, left.size)
     target = tuple(map(mul, values[left], values[right]))
     if target not in groups:
         # only a wrong table lacks them; the empty answer fails its mass check
         return {}
     classes, rows = groups[target]
     total = 0
-    for a, b, weight, row in zip(columns[left], columns[right], weights, rows):
+    for a, b, weight, row in zip(folded[left], folded[right], weights, rows):
         if a and b:
             total += a * b * weight * row
     z = big_z(left) * big_z(right)

@@ -3,6 +3,7 @@ import pickle
 import random
 from collections import Counter
 from math import comb, gcd
+from operator import mul
 
 import pytest
 
@@ -1056,27 +1057,23 @@ def test_universal_budget_takes_the_route_that_fits(monkeypatch):
     assert (info.value.needed, info.value.what) == (1779, "character table")
 
 
-def test_wrong_character_value_is_caught(monkeypatch):
+def test_wrong_character_value_is_caught():
     from wreathcenter import characters as ch
 
     order, weights, columns = ch.character_table(1, 6)
     irreps = families_with_size(1, 6)
+    dims = columns[PartitionFamily.identity(1, 6)]
     lam = fam(1, (5, 1))
-    # a wrong value of the sign, a degree-1 character, moves (3, 3) off the
-    # classes the product can reach, so its mass goes missing; the entry is
-    # built as a table's is, so its packed rows hold the wrong value too
+    # a wrong value of (4, 2), or of the sign, a degree-1 character, at (3, 3)
+    # leaves a twist that is no row: (2, 2, 1, 1) times the sign is the right
+    # (4, 2), and the trivial character times the sign is the right sign, so
+    # the entry is refused when the table is built
     for wrong in [((4, 2), (3, 3)), ((1, 1, 1, 1, 1, 1), (3, 3))]:
         rho, delta = fam(1, wrong[0]), fam(1, wrong[1])
         column = list(columns[delta])
         column[irreps.index(rho)] += 1
-        wrong_columns = {**columns, delta: tuple(column)}
-        entry = ch._entry(order, wrong_columns, columns[PartitionFamily.identity(1, 6)])
-        monkeypatch.setitem(ch._tables, (1, 6), entry)
-        try:
-            with pytest.raises(InvariantViolation):
-                ct.multiply_group(lam, lam, 6)
-        finally:
-            monkeypatch.undo()
+        with pytest.raises(InvariantViolation):
+            ch._entry(order, {**columns, delta: tuple(column)}, dims)
     assert ct.multiply_group(lam, lam, 6).coefficient(fam(1, (3, 3))) == 54
 
 
@@ -1084,14 +1081,21 @@ def test_product_with_no_class_at_its_degree_one_values_is_caught(monkeypatch):
     from wreathcenter import characters as ch
 
     order, weights, columns = ch.character_table(1, 6)
+    dims = columns[PartitionFamily.identity(1, 6)]
     lam = fam(1, (5, 1))
     # a sign value of 2 at lam: lam * lam would lie in the classes whose
-    # degree-1 values are (1, 4), and no class has them
+    # degree-1 values are (1, 4), and no class has them; the sign times
+    # itself is then no row, so the entry is refused when the table is built
     sign = families_with_size(1, 6).index(fam(1, (1, 1, 1, 1, 1, 1)))
     column = list(columns[lam])
     column[sign] = 2
-    wrong_columns = {**columns, lam: tuple(column)}
-    entry = ch._entry(order, wrong_columns, columns[PartitionFamily.identity(1, 6)])
+    with pytest.raises(InvariantViolation):
+        ch._entry(order, {**columns, lam: tuple(column)}, dims)
+    # past the build, the same degree-1 values give the empty product, which
+    # fails its mass check
+    table, (width, values, folded_weights, folded, groups) = ch._table_entry(1, 6)
+    wrong_values = {**values, lam: (1, 2)}
+    entry = (table, (width, wrong_values, folded_weights, folded, groups))
     monkeypatch.setitem(ch._tables, (1, 6), entry)
     assert ch.class_product(lam, lam) == {}
     with pytest.raises(InvariantViolation):
@@ -1099,15 +1103,16 @@ def test_product_with_no_class_at_its_degree_one_values_is_caught(monkeypatch):
 
 
 def _frobenius_by_class(left, right, n):
-    """The group product by the Frobenius formula, one sum per class, as the definition reads."""
+    """The group product by the Frobenius formula as it reads: per class, a sum over every irreducible."""
     from wreathcenter import characters as ch
     from wreathcenter.families import big_z
 
     _, weights, columns = ch.character_table(left.k, n)
     z = big_z(left) * big_z(right)
+    scaled = [a * b * w for a, b, w in zip(columns[left], columns[right], weights)]
     terms = {}
     for gamma, column in columns.items():
-        total = sum(a * b * c * w for a, b, c, w in zip(columns[left], columns[right], column, weights))
+        total = sum(map(mul, scaled, column))
         assert total % z == 0
         if total:
             terms[gamma] = total // z
@@ -1117,7 +1122,10 @@ def _frobenius_by_class(left, right, n):
 def test_packed_frobenius_sum_equals_the_sum_per_class():
     from wreathcenter import characters as ch
 
-    for k, top in [(1, 7), (2, 4), (3, 3)]:
+    # the sum over one representative per twist orbit is the sum over every
+    # irreducible; at (2, 5), (3, 4) and (4, 2) self-associate irreducibles
+    # give orbits of fewer than 4 members
+    for k, top in [(1, 7), (2, 5), (3, 4), (4, 2)]:
         for n in range(top + 1):
             labels = families_with_size(k, n)
             for left in labels:
@@ -1135,21 +1143,22 @@ def test_packed_frobenius_sum_equals_the_sum_per_class():
 def test_wrong_packed_rows_are_caught(monkeypatch):
     from wreathcenter import characters as ch
 
-    table, (width, values, groups) = ch._table_entry(1, 6)
-    _, _, columns = table
+    table, (width, values, weights, folded, groups) = ch._table_entry(1, 6)
     lam = fam(1, (5, 1))
     expected = ct.multiply_group(lam, lam, 6)
     # lam * lam lies in the classes whose degree-1 values are lam's squared
     target = tuple(v * v for v in values[lam])
     group, rows = groups[target]
     # one slot off by one: the class (3, 3), which lam * lam reaches, in the
-    # group rows of the sign and of the trivial irreducible, both nonzero at lam
+    # group row of each representative that is nonzero at lam
     slot = group.index(fam(1, (3, 3)))
-    for row in (0, len(rows) - 1):
+    reached = [r for r, value in enumerate(folded[lam]) if value]
+    assert reached
+    for r in reached:
         wrong = list(rows)
-        wrong[row] += 1 << width * slot
+        wrong[r] += 1 << width * slot
         packed = {**groups, target: (group, tuple(wrong))}
-        monkeypatch.setitem(ch._tables, (1, 6), (table, (width, values, packed)))
+        monkeypatch.setitem(ch._tables, (1, 6), (table, (width, values, weights, folded, packed)))
         with pytest.raises(InvariantViolation):
             ct.multiply_group(lam, lam, 6)
         monkeypatch.undo()
@@ -1158,10 +1167,10 @@ def test_wrong_packed_rows_are_caught(monkeypatch):
     narrow = 11
     packed = {
         key: (classes, tuple(sum(v << narrow * j for j, v in enumerate(row))
-                             for row in zip(*(columns[g] for g in classes))))
+                             for row in zip(*(folded[g] for g in classes))))
         for key, (classes, _) in groups.items()
     }
-    monkeypatch.setitem(ch._tables, (1, 6), (table, (narrow, values, packed)))
+    monkeypatch.setitem(ch._tables, (1, 6), (table, (narrow, values, weights, folded, packed)))
     with pytest.raises(InvariantViolation):
         ct.multiply_group(lam, lam, 6)
     monkeypatch.undo()

@@ -205,12 +205,16 @@ def test_character_table_layout():
             assert sum(v * v for v in column) == big_z(delta)
 
 
+def _sign(mu):
+    return (-1) ** (sum(mu) - len(mu))
+
+
 def test_linear_classes():
     # the degree-1 characters: 1 of S_1, 2 of S_k at n = 1 or k = 1, and 4
     # once k, n >= 2; the grouping holds every column once, in table order
     for k, n, linear in [(1, 1, 1), (1, 5, 2), (2, 1, 2), (2, 3, 4), (3, 3, 4)]:
         order, weights, columns = ch.character_table(k, n)
-        _, values, groups = ch._table_entry(k, n)[1]
+        _, values, _, _, groups = ch._table_entry(k, n)[1]
         assert values[PartitionFamily.identity(k, n)] == (1,) * linear
         assert all(len(v) == linear and set(v) <= {1, -1} for v in values.values())
         # the values are the columns at the irreducibles of degree 1
@@ -225,20 +229,83 @@ def test_linear_classes():
     assert ch._table_entry(3, 3)[1][1] == values and ch.has_character_table(3, 3)
 
 
-def test_packed_rows():
-    # each irreducible's row is packed over each group of classes with the
-    # same degree-1 values, one slot of bitlen(|G| ** 2) + 1 bits per class
-    # in the group's order
-    for k, n in [(1, 0), (1, 6), (2, 3), (3, 3)]:
+def test_degree_one_values_are_the_closed_form_signs():
+    # with sgn(mu) = (-1) ** (|mu| - l(mu)), the class {rho: lam_rho} has base
+    # sign prod sgn(rho) ** l(lam_rho) and top sign prod sgn(lam_rho); those,
+    # their product and 1, as rows over the classes, are the table's degree-1
+    # rows, which group the classes and fold the Frobenius sum
+    for k, top in [(1, 8), (2, 5), (3, 4)]:
+        for n in range(top + 1):
+            _, values, _, _, _ = ch._table_entry(k, n)[1]
+            classes = list(ch.character_table(k, n)[2])
+            base = [prod(_sign(rho) ** len(lam) for rho, lam in c.items()) for c in classes]
+            top_sign = [prod(_sign(lam) for _, lam in c.items()) for c in classes]
+            closed = {(1,) * len(classes), tuple(base), tuple(top_sign), tuple(map(mul, base, top_sign))}
+            linear = len(values[classes[0]])
+            table = {tuple(values[c][i] for c in classes) for i in range(linear)}
+            assert len(closed) == linear and table == closed, (k, n)
+
+
+def _twist_orbits(k, n):
+    """Each irreducible's position to the positions of its twists by the degree-1 characters."""
+    order, weights, columns = ch.character_table(k, n)
+    chars = list(zip(*columns.values()))
+    linear = [chars[i] for i, weight in enumerate(weights) if weight == order]
+    return {i: frozenset(chars.index(tuple(map(mul, chi, eps))) for eps in linear) for i, chi in enumerate(chars)}
+
+
+def test_one_representative_per_twist_orbit():
+    # the representative is the first of its orbit in table order, its
+    # weight is |orbit| |G| / chi(1), and the orbits split the irreducibles;
+    # at n >= 2 some orbit has fewer members than there are degree-1
+    # characters, since some irreducible is its own twist
+    for k, n in [(1, 0), (1, 6), (1, 8), (2, 3), (2, 5), (3, 4), (4, 2)]:
         order, weights, columns = ch.character_table(k, n)
-        width, values, groups = ch._table_entry(k, n)[1]
+        _, _, folded_weights, folded, _ = ch._table_entry(k, n)[1]
+        orbits = _twist_orbits(k, n)
+        assert all(orbits[j] == orbit for orbit in orbits.values() for j in orbit)
+        reps = sorted(min(orbit) for orbit in set(orbits.values()))
+        assert sum(len(orbits[i]) for i in reps) == len(weights)
+        assert all(folded[fam] == tuple(column[i] for i in reps) for fam, column in columns.items())
+        dims = columns[PartitionFamily.identity(k, n)]
+        assert folded_weights == tuple(len(orbits[i]) * order // dims[i] for i in reps)
+        assert len(reps) < len(weights) or n < 2
+        linear = sum(1 for weight in weights if weight == order)
+        assert min(map(len, orbits.values())) < linear or n < 2
+
+
+def test_wrong_value_of_a_twist_is_refused_at_build():
+    # a value changed in one irreducible that is no representative: the twist
+    # of its representative onto it is no longer a row
+    for k, n in [(1, 6), (2, 3), (3, 3), (4, 2)]:
+        order, weights, columns = ch.character_table(k, n)
+        dims = columns[PartitionFamily.identity(k, n)]
+        ch._entry(order, dict(columns), dims)
+        orbits = _twist_orbits(k, n)
+        others = [i for i, orbit in orbits.items() if i != min(orbit)]
+        assert others
+        for i in others:
+            for cls, column in columns.items():
+                wrong = list(column)
+                wrong[i] += 1
+                with pytest.raises(InvariantViolation):
+                    ch._entry(order, {**columns, cls: tuple(wrong)}, dims)
+
+
+def test_packed_rows():
+    # each representative's row is packed over each group of classes with
+    # the same degree-1 values, one slot of bitlen(|G| ** 2) + 1 bits per
+    # class in the group's order
+    for k, n in [(1, 0), (1, 6), (2, 3), (3, 3)]:
+        order, _, columns = ch.character_table(k, n)
+        width, values, weights, folded, groups = ch._table_entry(k, n)[1]
         assert width == (order * order).bit_length() + 1
         half, mask = 1 << (width - 1), (1 << width) - 1
         assert groups.keys() == set(values.values())
         for key, (group, rows) in groups.items():
             assert group == tuple(fam for fam in columns if values[fam] == key)
             assert len(rows) == len(weights)
-            for row, expected in zip(rows, zip(*(columns[g] for g in group))):
+            for row, expected in zip(rows, zip(*(folded[g] for g in group))):
                 unpacked = []
                 for _ in group:
                     value = (row & mask) - ((row & half) << 1)
@@ -250,7 +317,7 @@ def test_packed_rows():
     assert not ch.has_character_table(3, 3)
     rebuilt = ch._table_entry(3, 3)[1]
     assert ch.has_character_table(3, 3)
-    assert rebuilt == (width, values, groups) and rebuilt[2] is not groups
+    assert rebuilt == (width, values, weights, folded, groups) and rebuilt[4] is not groups
 
 
 def test_general_character_table():

@@ -2,7 +2,7 @@
 
 The route rule in `center._product` picks one route per product, so a
 route it never picks for some inputs would go unchecked there; these
-tests call the routes themselves.  Draws are derandomized so that tier-1
+tests call the routes themselves, each character route in both orders.  Draws are derandomized so that tier-1
 is reproducible, and capped in size at each k <= 3 so that the module
 stays cheap.
 """
@@ -56,6 +56,8 @@ def test_universal_characters_match_enumeration(pair):
     left, right = pair
     enumerated = ct._by_enumeration(left, right, None, DEFAULT_BUDGET, False)
     assert ct._universal_by_characters(left, right) == enumerated
+    # the centre is commutative: the other order gives the same product
+    assert ct._universal_by_characters(right, left) == enumerated
 
 
 @ROUTES
@@ -64,6 +66,7 @@ def test_group_characters_match_enumeration(drawn):
     left, right, n = drawn
     enumerated = ct._by_enumeration(left, right, n, DEFAULT_BUDGET, False)
     assert ct._group_by_characters(left, right, n) == enumerated
+    assert ct._group_by_characters(right, left, n) == enumerated
 
 
 @ROUTES
