@@ -236,12 +236,11 @@ def _product(left, right, n, budget, verify_representative):
     smaller = min(kp.partial_class_size(left, stage), kp.partial_class_size(right, stage))
     if not verify_representative:
         entries = sum(_class_count(k, m) ** 2 for m in sizes)
-        if (entries <= budget) != (smaller <= budget):
-            characters = entries <= budget
-        elif entries > budget:
-            characters = entries < smaller
-        else:
-            characters = sum(_characters_cost(k, m) for m in sizes) < smaller * _ELEMENT_COST
+        characters = (
+            sum(_characters_cost(k, m) for m in sizes) < smaller * _ELEMENT_COST
+            if max(entries, smaller) <= budget
+            else entries < smaller
+        )
         if characters:
             if entries > budget:
                 raise BudgetExceeded(entries, budget, "character table")

@@ -260,13 +260,9 @@ def _entry(order, columns, dims):
     each, `folded` maps each class to the tuple of the representatives'
     values there, and `groups` maps each degree-1 value tuple to (classes,
     rows): the classes that have it, in table order, and for the
-    representative chi_i of position i, rows[i] = the sum over those classes
-    gamma, at position j, of chi_i(gamma) * 2 ** (width * j), with width =
-    bitlen(|G| ** 2) + 1.  Each row is written as one string of base-2
-    digits, most significant slot first, with every value raised by half the
-    slot range so that no digit string is negative, then read by int(..., 2),
-    which takes time linear in its length; the raise is taken off again in
-    one subtraction.
+    representative chi_i of position i, rows[i] = the sum of
+    chi_i(gamma) << width * j over those classes gamma, gamma at position j,
+    with width = bitlen(|G| ** 2) + 1.
     """
     chars = list(zip(*columns.values()))  # chars[i]: chi_i at each class, in table order
     linear = [i for i, dim in enumerate(dims) if dim == 1]
@@ -283,12 +279,10 @@ def _entry(order, columns, dims):
         folded[fam] = tuple(column[i] for i in reps)
         groups.setdefault(key, []).append(fam)
     width = (order * order).bit_length() + 1
-    raised = 1 << (width - 1)  # > |G| >= |chi(gamma)|
     packed = {}
     for key, group in groups.items():
-        ones = int(f"{1:0{width}b}" * len(group), 2)  # 1 in every slot
         rows = tuple(
-            int("".join(f"{value + raised:0{width}b}" for value in reversed(row)), 2) - raised * ones
+            sum(v << width * j for j, v in enumerate(row))
             for row in zip(*(folded[fam] for fam in group))
         )
         packed[key] = (tuple(group), rows)

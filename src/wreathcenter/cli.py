@@ -4,8 +4,10 @@ Commands: classes, multiply, universal, poly, chartable, verify.  Each
 takes --k and --json plus only the flags it acts on.  multiply, universal
 and poly share one product path, the only one that opens the cache: rows
 come from the asked product's cache records, product-checked, or are
-computed and appended, then are filtered by --gamma, sorted and printed.
-Output is line-oriented records by default, a JSON array with --json.
+computed and appended, then are filtered by --gamma and sorted.
+Every command gives a head and rows, and one emitter prints them: each
+row as a record, the head fields and then the row's values joined by "; ",
+or with --json, for every command, one JSON array of the rows as objects.
 Exit codes: 1 for usage/parse errors and unusable cache paths, 2 when a
 budget is exceeded, 3 when an internal invariant check fails.
 """
@@ -197,15 +199,16 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     pair_product = {"pair", "budget", "product"}
     # every command takes --k and --json, and only the other flags it acts on
-    for name, help_text, flags in (
-        ("classes", "list conjugacy classes with sizes", {"n"}),
-        ("multiply", "product of two class sums in the group", {"n"} | pair_product),
-        ("universal", "product of two orbit sums in the universal algebra", pair_product),
-        ("poly", "binomial-basis rows of a product of proper families", pair_product),
-        ("chartable", "character table records", {"n"}),
-        ("verify", "pointwise multiplicativity of the transport map", {"pair", "budget"}),
+    for name, help_text, flags, handler in (
+        ("classes", "list conjugacy classes with sizes", {"n"}, _cmd_classes),
+        ("multiply", "product of two class sums in the group", {"n"} | pair_product, _cmd_product),
+        ("universal", "product of two orbit sums in the universal algebra", pair_product, _cmd_product),
+        ("poly", "binomial-basis rows of a product of proper families", pair_product, _cmd_product),
+        ("chartable", "character table records", {"n"}, _cmd_chartable),
+        ("verify", "pointwise multiplicativity of the transport map", {"pair", "budget"}, _cmd_verify),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--k", type=int, required=True)
         if "n" in flags:
             p.add_argument("--n", type=int, required=True)
@@ -222,34 +225,32 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(args, records, json_records):
+def _emit(args, head, rows):
+    """Print each row as `head; values` (booleans as true/false), or all rows as one JSON array."""
     if args.json:
         # imported only here: about 3 ms that plain-text output need not pay
         import json
 
-        print(json.dumps(json_records, indent=2))
+        print(json.dumps(rows, indent=2))
     else:
-        for record in records:
-            print(record)
+        for row in rows:
+            values = (str(v).lower() if isinstance(v, bool) else v for v in row.values())
+            print("; ".join(map(str, [*head, *values])))
 
 
 def _parse_pair(args):
-    left = parse_family(args.left, args.k)
-    right = parse_family(args.right, args.k)
-    return left, right
+    return parse_family(args.left, args.k), parse_family(args.right, args.k)
 
 
 def _cmd_classes(args):
-    rows = [
-        (format_family(fam), class_size(fam, args.n))
+    return [args.k, args.n], [
+        {"family": format_family(fam), "size": class_size(fam, args.n)}
         for fam in families_with_size(args.k, args.n)
     ]
-    records = [f"{args.k}; {args.n}; {fam}; {size}" for fam, size in rows]
-    return records, [{"family": fam, "size": size} for fam, size in rows]
 
 
 def _cmd_product(args):
-    """multiply, universal, poly: rows keyed (gamma,) or (gamma, r), filtered, sorted, printed."""
+    """multiply, universal, poly: rows keyed (gamma,) or (gamma, r), filtered and sorted."""
     left, right = _parse_pair(args)
     wanted = parse_family(args.gamma, args.k) if args.gamma else None
     given = [fam for fam in (left, right, wanted) if fam is not None]
@@ -277,12 +278,10 @@ def _cmd_product(args):
     if wanted is not None:
         items = [item for item in items if item[0][0] == wanted]
     head = [args.k, args.n, lt, rt] if args.command == "multiply" else [args.k, lt, rt]
-    records, json_records = [], []
-    for (gamma, *r), coeff in items:
-        fields = {"gamma": format_family(gamma), **dict(zip(["r"], r)), "coeff": coeff}
-        records.append("; ".join(map(str, head + list(fields.values()))))
-        json_records.append(fields)
-    return records, json_records
+    return head, [
+        {"gamma": format_family(gamma), **dict(zip(["r"], r)), "coeff": coeff}
+        for (gamma, *r), coeff in items
+    ]
 
 
 def _cached_rows(args, cache, left, right, lt, rt, options):
@@ -342,24 +341,17 @@ def _cmd_chartable(args):
     _, _, columns = ch.character_table(k, n)
     # irreducibles are listed in the order of the classes
     position = {fam: i for i, fam in enumerate(columns)}
-    records, json_records = [], []
-    for rho_text, rho in labels:
-        i = position[rho]
-        for delta_text, delta in labels:
-            val = columns[delta][i]
-            records.append(f"{n}; {rho_text}; {delta_text}; {val}")
-            json_records.append({"rho": rho_text, "delta": delta_text, "value": val})
-    return records, json_records
+    return [n], [
+        {"rho": rho_text, "delta": delta_text, "value": columns[delta][position[rho]]}
+        for rho_text, rho in labels
+        for delta_text, delta in labels
+    ]
 
 
 def _cmd_verify(args):
     left, right = _parse_pair(args)
     ok = ch.verify_iso(args.k, left, right, budget=args.max_group_size)
-    lt, rt = format_family(left), format_family(right)
-    return [f"{args.k}; {lt}; {rt}; {'true' if ok else 'false'}"], {"verified": ok}
-
-
-COMMANDS = {"classes": _cmd_classes, "chartable": _cmd_chartable, "verify": _cmd_verify}
+    return [args.k, format_family(left), format_family(right)], [{"verified": ok}]
 
 
 def run(argv=None) -> int:
@@ -368,14 +360,9 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         if min(getattr(args, "n", 0), getattr(args, "max_group_size", 0)) < 0:
             raise UsageError("--n and --max-group-size must be nonnegative integers")
-        records, json_records = COMMANDS.get(args.command, _cmd_product)(args)
-        _emit(args, records, json_records)
-        if args.command == "verify" and not json_records["verified"]:
-            return EXIT_INVARIANT
-        return EXIT_OK
-    except (UsageError, ValueError) as exc:
-        print(f"error: usage; {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        head, rows = args.handler(args)
+        _emit(args, head, rows)
+        return EXIT_INVARIANT if args.command == "verify" and not rows[0]["verified"] else EXIT_OK
     except BudgetExceeded as exc:
         print(
             f"error: budget-exceeded; needed={exc.needed}; budget={exc.budget}; what={exc.what}",
@@ -385,7 +372,7 @@ def run(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"error: invariant-violation; {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except WreathError as exc:
+    except (UsageError, ValueError, WreathError) as exc:
         print(f"error: usage; {exc}", file=sys.stderr)
         return EXIT_USAGE
 

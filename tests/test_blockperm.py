@@ -238,6 +238,7 @@ def test_text_roundtrip():
     w = bp.BlockPermutation(3, 6, EXAMPLE_IMAGES)
     assert bp.BlockPermutation.from_text(w.to_text(), 3, 6) == w
     assert w.to_text().startswith("(12,10,11,")
+    assert repr(bp.BlockPermutation(1, 3, (2, 1, 3))) == "BlockPermutation(k=1, n=3, (2,1,3))"
     for k in (1, 2, 3):
         empty = bp.BlockPermutation.identity(k, 0)
         assert bp.BlockPermutation.from_text(empty.to_text(), k, 0) == empty

@@ -336,6 +336,7 @@ def test_polynomial_structure_k1():
         (fam(1, (3,)), 0): 3,
         (fam(1, (2, 2)), 0): 2,
     }
+    assert repr(structure) == "PolynomialStructure(k=1, left={[1]:[2]}, right={[1]:[2]}, rows=3)"
     # row labels are the shared label objects, not copies per row
     assert all(g is PartitionFamily._of(g.k, g.components) for g, _ in structure.rows)
     for n in range(4, 9):

@@ -197,6 +197,8 @@ def test_verify_reports_a_product_the_transport_map_refutes(capsys, monkeypatch)
     assert not ch.verify_iso(1, parse_family(left, 1), parse_family(right, 1))
     code, out, err = call(capsys, "verify", "--k", "1", "--left", left, "--right", right)
     assert (code, out, err) == (3, "1; {[1]:[2]}; {[1]:[3]}; false\n", "")
+    code, out, err = call(capsys, "verify", "--k", "1", "--left", left, "--right", right, "--json")
+    assert (code, json.loads(out), err) == (3, [{"verified": False}], "")
 
 
 def test_verify_budget_bounds_transport_evaluations(capsys):
@@ -225,23 +227,30 @@ def test_json_output_matches_records(capsys):
     assert [(r["gamma"], r["coeff"]) for r in parsed] == [
         (r[3], int(r[4])) for r in text_rows
     ]
-    # multiply and poly print through the same emitter: each JSON object
-    # holds the fields that end its text record, in the same order
-    for argv, fields in (
+    # every command prints through the same emitter: --json prints an array
+    # with one object per text record, holding the fields that end that
+    # record, in the same order
+    for argv, fields, count in (
         (["multiply", "--k", "1", "--n", "4", "--left", "{[1]:[2,1,1]}", "--right", "{[1]:[2,1,1]}"],
-         ["gamma", "coeff"]),
+         ["gamma", "coeff"], 3),
         (["poly", "--k", "1", "--left", "{[1]:[2]}", "--right", "{[1]:[2]}"],
-         ["gamma", "r", "coeff"]),
+         ["gamma", "r", "coeff"], 3),
+        (["classes", "--k", "2", "--n", "2"], ["family", "size"], 5),
+        (["chartable", "--k", "3", "--n", "1"], ["rho", "delta", "value"], 9),
+        (["verify", "--k", "1", "--left", "{[1]:[2]}", "--right", "{[1]:[3]}"], ["verified"], 1),
     ):
         _, out_text, _ = call(capsys, *argv)
         _, out_json, _ = call(capsys, *argv, "--json")
         parsed = json.loads(out_json)
         text_rows = [split_fields(line) for line in out_text.strip().splitlines()]
-        assert len(parsed) == len(text_rows) == 3
-        assert [list(r) for r in parsed] == [fields] * 3
-        assert [[str(r[f]) for f in fields] for r in parsed] == [
+        assert isinstance(parsed, list)
+        assert len(parsed) == len(text_rows) == count
+        assert [list(r) for r in parsed] == [fields] * count
+        # text records spell booleans as JSON does
+        assert [[json.dumps(r[f]).strip('"') for f in fields] for r in parsed] == [
             r[-len(fields):] for r in text_rows
         ]
+    assert json.loads(out_json) == [{"verified": True}]
 
 
 def test_cache_replay_is_byte_identical(capsys, tmp_path):
@@ -690,7 +699,8 @@ def test_package_errors_outside_the_named_kinds_are_usage_errors(capsys, monkeyp
     def refuse(args):
         raise SizeMismatch("sizes disagree")
 
-    monkeypatch.setitem(cli.COMMANDS, "classes", refuse)
+    # the parser's command table reads the command functions when it is built
+    monkeypatch.setattr(cli, "_cmd_classes", refuse)
     code, out, err = call(capsys, "classes", "--k", "1", "--n", "2")
     assert (code, out) == (1, "")
     assert err == "error: usage; sizes disagree\n"

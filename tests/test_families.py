@@ -190,6 +190,9 @@ def test_text_format():
     assert format_family(f) == "{[1,1]:[3,1]; [2]:[2]}"
     assert parse_family("{[1,1]:[3,1]; [2]:[2]}", 2) == f
     assert parse_family("{[2]:[2];[1,1]:[3,1]}", 2) == f
+    # empty entries, as a trailing or doubled ';' leaves, are skipped
+    assert parse_family("{[1,1]:[3,1]; [2]:[2]; }", 2) == f
+    assert parse_family("{ ; [2]:[2];; [1,1]:[3,1]}", 2) == f
     assert format_family(PartitionFamily.empty(3)) == "{}"
     assert parse_family("{}", 3) == PartitionFamily.empty(3)
     with pytest.raises(ValueError):

@@ -62,6 +62,7 @@ def test_class_sizes_partition_the_symmetric_group():
 
 def test_partitions_of_order_and_counts():
     assert pt.partitions_of(0) == ((),)
+    assert pt.partitions_of(-1) == ()
     assert pt.partitions_of(3) == ((3,), (2, 1), (1, 1, 1))
     assert len(pt.partitions_of(10)) == 42
     for n in range(11):

@@ -2,21 +2,34 @@
 
 The route rule in `center._product` picks one route per product, so a
 route it never picks for some inputs would go unchecked there; these
-tests call the routes themselves, each character route in both orders.  Draws are derandomized so that tier-1
-is reproducible, and capped in size at each k <= 3 so that the module
-stays cheap.
+tests call the routes themselves, each character route in both orders.
+On the smallest draws two slow oracles join them: the transport map's
+multiplicativity (`verify_iso`) on universal products, and a tally over
+the class scanned out of the whole group (`strategy="filter"`) on group
+products.  Draws are derandomized so that tier-1 is reproducible, and
+capped in size at each k <= 3 so that the module stays cheap.
 """
+
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
+from wreathcenter import blockperm as bp
 from wreathcenter import center as ct
+from wreathcenter import characters as ch
 from wreathcenter.blockperm import DEFAULT_BUDGET
-from wreathcenter.families import binomial_pad_factor, families_with_size, pad_family
+from wreathcenter.errors import exact_quotient
+from wreathcenter.families import binomial_pad_factor, class_size, families_with_size, pad_family
 
 # the largest |L| + |R| of a drawn universal product, and the largest n of a
 # drawn group product, at each k
 UNIVERSAL_MOST = {1: 6, 2: 5, 3: 4}
 GROUP_MOST = {1: 6, 2: 4, 3: 3}
+# the draws the slow oracles also check: verify_iso evaluates at every point
+# of size up to |L| + |R| + 2, and the filter scans the whole group, which
+# has at most 120 elements at these n (S_5, S_2 wr S_3, S_3 wr S_2)
+VERIFY_MOST = {1: 5, 2: 4, 3: 3}
+FILTER_MOST = {1: 5, 2: 3, 3: 2}
 
 ROUTES = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -58,6 +71,8 @@ def test_universal_characters_match_enumeration(pair):
     assert ct._universal_by_characters(left, right) == enumerated
     # the centre is commutative: the other order gives the same product
     assert ct._universal_by_characters(right, left) == enumerated
+    if left.size + right.size <= VERIFY_MOST[left.k]:
+        assert ch.verify_iso(left.k, left, right)
 
 
 @ROUTES
@@ -67,6 +82,16 @@ def test_group_characters_match_enumeration(drawn):
     enumerated = ct._by_enumeration(left, right, n, DEFAULT_BUDGET, False)
     assert ct._group_by_characters(left, right, n) == enumerated
     assert ct._group_by_characters(right, left, n) == enumerated
+    if n <= FILTER_MOST[left.k]:
+        # x y over the class of R scanned out of the group, at one x in C_L,
+        # lands in C_gamma c_gamma |C_gamma| / |C_L| times
+        x = bp.class_representative(left, n)
+        ys = bp.enumerate_class(right, n, strategy="filter")
+        counts = Counter(bp.BlockPermutation.type_of(x * y) for y in ys)
+        assert enumerated.terms == {
+            gamma: exact_quotient(class_size(left, n) * count, class_size(gamma, n), gamma)
+            for gamma, count in counts.items()
+        }
 
 
 @ROUTES
