@@ -30,12 +30,18 @@ each size below N is one class_product, kept at the labels gamma that the
 second filtration allows, deg1(gamma) <= deg1(left) + deg1(right).  Its
 one label of size N, the union of the inputs (the top-degree term of
 Ivanov-Kerov's product), has a coefficient in closed form, a product of
-binomials, so only the tables below N are read.  A label's padded form,
-pad factor and orbit size at stage n depend only on (label, n), so `_at`
-computes them once per pair for the levels, check_mass and project.  The
-group route is one class_product, not the one-level case of the universal
-loop, which costs more per product.  `_product` weighs enumeration against characters by one
+binomials, so only the tables below N are read.  The group route is one
+class_product, not the one-level case of the universal loop, which costs
+more per product.  `_product` weighs enumeration against characters by one
 rule and takes the cheaper route.
+
+What cannot change between products is kept for the process: per
+(label, n), the padded form, pad factor and orbit size at stage n (`_at`,
+read by the route choice, the levels, check_mass and project); per label,
+the class size (`families._orbit_size`); per (k, sizes), the #classes ** 2
+sum that prices the character route (`_entries`).  Every product still
+asks which tables are built, runs its Frobenius sums, subtraction and top
+label, and passes every check.
 
 Projecting the universal product down to a group recovers the group
 product (for proper inputs on the nose; in general up to the binomial
@@ -57,6 +63,7 @@ from .blockperm import DEFAULT_BUDGET
 from .errors import BudgetExceeded, InvariantViolation, NotProper, SizeMismatch, exact_quotient
 from .families import (
     PartitionFamily,
+    _orbit_size,
     binomial_pad_factor,
     families_with_size,
     format_family,
@@ -218,6 +225,10 @@ def _product(left, right, n, budget, verify_representative):
     product never pays for a build that outweighs it, and a long-lived
     process builds each table it keeps needing once.  `ch.class_product` reads
     only the entries that can contribute, so #classes ** 2 bounds what it reads.
+    |B| is read from `_at`, kept per (label, stage), and the #classes ** 2 sum
+    from `_entries`, kept per (k, sizes); whether each table is built, and so
+    its build charge, is asked on every product, so no price outlives
+    `character_table.cache_clear()`.
 
     `budget` bounds the count of the route taken: |B| elements, or the table
     entries summed over the sizes.  When only one route fits, it is taken;
@@ -232,12 +243,12 @@ def _product(left, right, n, budget, verify_representative):
         stage = left.size + right.size
         sizes = range(max(left.size, right.size), stage)
     else:
-        stage, sizes = n, (n,)
-    smaller = min(kp.partial_class_size(left, stage), kp.partial_class_size(right, stage))
+        stage, sizes = n, range(n, n + 1)
+    smaller = min(_at(left, stage)[2], _at(right, stage)[2])
     if not verify_representative:
-        entries = sum(_class_count(k, m) ** 2 for m in sizes)
+        entries = _entries(k, sizes.start, sizes.stop)
         characters = (
-            sum(_characters_cost(k, m) for m in sizes) < smaller * _ELEMENT_COST
+            _characters_cost(k, sizes, entries) < smaller * _ELEMENT_COST
             if max(entries, smaller) <= budget
             else entries < smaller
         )
@@ -256,11 +267,18 @@ def _product(left, right, n, budget, verify_representative):
     return _by_enumeration(left, right, n, budget, verify_representative)
 
 
-def _characters_cost(k, n):
-    entries = _class_count(k, n) ** 2
-    if ch.has_character_table(k, n):
-        return entries
-    return entries + max(entries * _BUILD_COST - _enumerated[k, n], 0)
+def _characters_cost(k, sizes, entries):
+    """`entries` plus the build charge of each table at sizes that is not built yet."""
+    for m in sizes:
+        if not ch.has_character_table(k, m):
+            entries += max(_class_count(k, m) ** 2 * _BUILD_COST - _enumerated[k, m], 0)
+    return entries
+
+
+@cache
+def _entries(k: int, lo: int, hi: int) -> int:
+    """The sum of #classes ** 2 over the sizes lo..hi - 1; it holds counts only, never built-ness."""
+    return sum(_class_count(k, m) ** 2 for m in range(lo, hi))
 
 
 @cache
@@ -351,7 +369,8 @@ def _universal_by_characters(left, right):
     checking each group product, and also covers the subtraction.  The orbit
     of gamma at stage n has C(n, |gamma|) |C_gamma| members, so the sum is
     taken as sum over s of C(n, s) M_s, where M_s, the sum over |gamma| = s
-    of c_gamma |C_gamma|, is stored once when the labels of size s are found.
+    of c_gamma |C_gamma|, is appended to a list once, when the labels of size
+    s are found.
 
     By the second filtration every label gamma has deg1(gamma) <= bound =
     deg1(left) + deg1(right), and deg1(delta) = n + m1(delta) at size n, so
@@ -362,22 +381,23 @@ def _universal_by_characters(left, right):
     it, and the top stage's check, which covers the whole answer, stands in
     for check_mass.
 
-    pad(gamma, n), bpf(gamma, n) and the orbit sizes at stage n are read
-    from `_at`, once per (label, n); the levels and every check are computed
-    for each product.
+    pad(gamma, n), bpf(gamma, n) and the input orbit sizes at stage n are
+    read from `_at`, once per (label, n), and |C_gamma| of each label found
+    from `families._orbit_size`, once per label.  The class products, the
+    subtraction, the top label and every check run for each product.
     """
     terms = {}
-    masses = {}
-    top = left.size + right.size
+    masses = []
+    lo, top = max(left.size, right.size), left.size + right.size
     bound = deg1(left) + deg1(right)
-    for n in range(max(left.size, right.size), top + 1):
+    for n in range(lo, top + 1):
+        padded_left, left_factor, left_orbit = _at(left, n)
+        padded_right, right_factor, right_orbit = _at(right, n)
         if n == top:
             label, c = _top_label(left, right)
             level = {label: c}
         else:
             most = bound - n
-            padded_left, left_factor, _ = _at(left, n)
-            padded_right, right_factor, _ = _at(right, n)
             scale = left_factor * right_factor
             product = ch.class_product(padded_left, padded_right)
             level = {delta: scale * c for delta, c in product.items() if delta.m1 <= most}
@@ -386,7 +406,7 @@ def _universal_by_characters(left, right):
                 if gamma.m1 + n - gamma.size <= most:
                     delta, factor, _ = _at(gamma, n)
                     level[delta] = level.get(delta, 0) - c * factor
-        masses[n] = 0
+        level_mass = 0
         for delta, c in level.items():
             if c < 0:
                 where = format_family(delta)
@@ -394,9 +414,10 @@ def _universal_by_characters(left, right):
             if c:
                 terms[delta] = c
                 # delta has size n, so its orbit at stage n is its class
-                masses[n] += c * _at(delta, n)[2]
-        mass = sum(comb(n, s) * m for s, m in masses.items())
-        if mass != _at(left, n)[2] * _at(right, n)[2]:
+                level_mass += c * _orbit_size(delta)
+        masses.append(level_mass)
+        mass = sum(comb(n, s) * m for s, m in enumerate(masses, lo))
+        if mass != left_orbit * right_orbit:
             raise InvariantViolation(f"universal product mass at stage {n} is {mass}")
     return ClassSumVector(left.k, terms)
 
@@ -410,13 +431,18 @@ def _top_label(left, right):
     C(m_i(left) + m_i(right), m_i(left)) ways for each part i of each
     component, which is big_z(union) / (big_z(left) big_z(right)).  The
     coefficient is counted from the inputs alone, so the stage check, which
-    weighs it by the class size of the label, also checks the label.
+    weighs it by the class size of the label, also checks the label.  A
+    component empty on one side is the other side's as it is, and only the
+    parts both sides share give a binomial other than 1: C(a + 0, a) = 1.
     """
     components, coefficient = [], 1
     for a, b in zip(left.components, right.components):
+        if not (a and b):
+            components.append(a or b)
+            continue
         # partitions.union would check parts that are already checked, at 3x the cost
         components.append(tuple(sorted(a + b, reverse=True)))
-        for part in set(a):
+        for part in set(a).intersection(b):
             coefficient *= comb(a.count(part) + b.count(part), a.count(part))
     return PartitionFamily._of(left.k, tuple(components)), coefficient
 

@@ -26,7 +26,7 @@ family, and is verified to be multiplicative pointwise, for every k.
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, perm
+from math import factorial, perm
 from operator import mul
 from types import MappingProxyType
 
@@ -399,32 +399,6 @@ def hyperoct_character(rho: Bipartition, delta: Bipartition) -> int:
     partition), and delta is (positive cycles, negative cycles).
     """
     return wreath_character(_as_point(2, rho), _as_point(2, delta))
-
-
-def shifted_power_sum_eval2_branching(delta: Bipartition, rho: Bipartition) -> Fraction:
-    """shifted_power_sum_eval at the k = 2 families of delta and rho, by branching.
-
-    Kept as an independent route: the padded character is expanded over
-    all pairs of total size |delta| with binomial and skew-count weights.
-    """
-    r = sum(delta[0]) + sum(delta[1])
-    n = sum(rho[0]) + sum(rho[1])
-    if r > n:
-        return Fraction(0)
-    rho1, rho2 = rho
-    char_sum = 0
-    for nu in bipartitions_of(r):
-        gap = sum(rho1) - sum(nu[0])
-        weight = comb(n - r, gap) if 0 <= gap <= n - r else 0
-        if weight == 0:
-            continue
-        char_sum += (
-            hyperoct_character(nu, delta)
-            * weight
-            * skew_syt_count(rho1, nu[0])
-            * skew_syt_count(rho2, nu[1])
-        )
-    return Fraction(perm(n, r) * char_sum, wreath_dim(_as_point(2, rho)))
 
 
 def _as_point(k: int, point) -> PartitionFamily:

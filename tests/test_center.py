@@ -13,6 +13,7 @@ from wreathcenter.blockperm import DEFAULT_BUDGET
 from wreathcenter.errors import BudgetExceeded, InvariantViolation, NotProper, SizeMismatch
 from wreathcenter.families import (
     PartitionFamily,
+    big_z,
     binomial_pad_factor,
     class_size,
     families_with_size,
@@ -743,6 +744,31 @@ def test_top_stage_in_closed_form_matches_enumeration():
     assert pairs == 1112
 
 
+def test_top_label_matches_its_definition():
+    # against the definition, on sizes past the enumeration check above: the
+    # label is each component's parts merged and sorted, and the coefficient
+    # is big_z(L u R) / (big_z(L) big_z(R)); every ordered pair with k = 1
+    # and |L| + |R| <= 9, k = 2 and <= 6, k = 3 and <= 5, k = 4 and <= 4,
+    # empty inputs and empty components on either side included
+    pairs = 0
+    for k, most in [(1, 9), (2, 6), (3, 5), (4, 4)]:
+        fams = [f for s in range(most + 1) for f in families_with_size(k, s)]
+        for left in fams:
+            for right in fams:
+                if left.size + right.size > most:
+                    continue
+                merged = [
+                    sorted(a + b, reverse=True)
+                    for a, b in zip(left.components, right.components)
+                ]
+                union = PartitionFamily.from_components(k, merged)
+                z = big_z(left) * big_z(right)
+                assert ct._top_label(left, right) == (union, big_z(union) // z)
+                assert big_z(union) % z == 0
+                pairs += 1
+    assert pairs == 4925
+
+
 def test_wrong_top_label_or_coefficient_is_caught(monkeypatch):
     # the top stage's mass check weighs the closed-form coefficient, counted
     # from the inputs alone, by the class size of the label: a wrong label
@@ -1032,6 +1058,33 @@ def test_universal_route_charges_the_table_builds(monkeypatch):
     assert not ch.has_character_table(3, 4)
     assert all(ct._enumerated[3, n] == built_at * enumeration for n in sizes)
     assert ct._enumerated[3, 4] == 0
+
+
+def test_route_pricing_does_not_outlive_the_tables(monkeypatch):
+    # the #classes ** 2 sums are kept per (k, sizes), but whether a table is
+    # built is asked on every product: once character_table.cache_clear()
+    # drops the tables, the same products enumerate again and are charged the
+    # builds again, product for product as in a new process
+    from wreathcenter import characters as ch
+
+    def products_until_built(left, right, n, sizes, expected):
+        monkeypatch.setattr(ct, "_enumerated", Counter())
+        for product in range(1, 12):
+            assert ct._product(left, right, n, DEFAULT_BUDGET, False) == expected
+            if all(ch.has_character_table(3, m) for m in sizes):
+                return product, dict(ct._enumerated)
+        raise AssertionError("the tables were never built")
+
+    universal = fam(3, (1, 1), (), ()), fam(3, (), (), (2,))
+    group = fam(3, (2, 1), (), ()), fam(3, (), (1,), (1, 1))
+    for (left, right), n, sizes in [(universal, None, (2, 3)), (group, 3, (3,))]:
+        case = left, right, n, sizes, ct._by_enumeration(left, right, n, 10**6, False)
+        ch.character_table.cache_clear()
+        first = products_until_built(*case)
+        assert first[0] >= 2
+        ch.character_table.cache_clear()
+        assert not any(ch.has_character_table(3, m) for m in sizes)
+        assert products_until_built(*case) == first
 
 
 def test_universal_budget_takes_the_route_that_fits(monkeypatch):

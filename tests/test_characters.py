@@ -1,7 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import factorial, perm, prod
+from math import comb, factorial, perm, prod
 from operator import mul
 
 import pytest
@@ -397,6 +397,33 @@ def test_hyperoct_dim():
         assert total == 2 ** n * factorial(n)
 
 
+def shifted_power_sum_eval2_branching(delta, rho):
+    """shifted_power_sum_eval at the k = 2 families of the pairs delta and rho, by branching.
+
+    An independent route for the test below: the padded character is
+    expanded over all pairs of total size |delta| with binomial and
+    skew-count weights.
+    """
+    r = sum(delta[0]) + sum(delta[1])
+    n = sum(rho[0]) + sum(rho[1])
+    if r > n:
+        return Fraction(0)
+    rho1, rho2 = rho
+    char_sum = 0
+    for nu in ch.bipartitions_of(r):
+        gap = sum(rho1) - sum(nu[0])
+        weight = comb(n - r, gap) if 0 <= gap <= n - r else 0
+        if weight == 0:
+            continue
+        char_sum += (
+            ch.hyperoct_character(nu, delta)
+            * weight
+            * ch.skew_syt_count(rho1, nu[0])
+            * ch.skew_syt_count(rho2, nu[1])
+        )
+    return Fraction(perm(n, r) * char_sum, ch.wreath_dim(fam(2, *rho)))
+
+
 def test_two_alphabet_power_sum():
     assert ch.shifted_power_sum_eval(fam(2, (2,), (1,)), fam(2, (1,), (1,))) == 0
     for rho in ch.bipartitions_of(3):
@@ -407,7 +434,7 @@ def test_two_alphabet_power_sum():
             for nsize in range(5):
                 for rho in ch.bipartitions_of(nsize):
                     direct = ch.shifted_power_sum_eval(fam(2, *delta), fam(2, *rho))
-                    branched = ch.shifted_power_sum_eval2_branching(delta, rho)
+                    branched = shifted_power_sum_eval2_branching(delta, rho)
                     assert direct == branched
 
 
