@@ -17,11 +17,15 @@ from functools import cache
 from itertools import combinations, permutations, product
 
 from . import partitions as pt
-from .errors import BudgetExceeded, DimensionMismatch, InvariantViolation, SizeMismatch
+from .errors import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    DimensionMismatch,
+    InvariantViolation,
+    SizeMismatch,
+)
 from .families import PartitionFamily, class_size, group_order, index_partitions
 from .partitions import Partition
-
-DEFAULT_BUDGET = 10_000_000
 
 
 def block_of(point: int, k: int) -> int:

@@ -13,8 +13,12 @@ representative, not walked.  It runs on one of two layers:
   * multiply_group uses block permutations of [kn] (blockperm), stage n;
   * multiply_universal uses k-partial permutations (kpartial) at the
     smallest faithful stage |left| + |right|, as a product moves at most
-    that many blocks.  `kp.partial_class_size` sizes every orbit at the
-    stage N: C(N, |gamma|) |C_gamma|, which is |C_gamma| at |gamma| = N.
+    that many blocks.  `families.partial_class_size` sizes every orbit at
+    the stage N: C(N, |gamma|) |C_gamma|, which is |C_gamma| at |gamma| = N.
+
+Only `_by_enumeration` imports the two enumeration layers, on its first
+call, so a process that counts every product by characters or reads it
+from a cache never loads them.
 
 Either product may instead be counted by characters, for every k.  The
 Frobenius formula
@@ -56,11 +60,15 @@ from functools import cache
 from math import comb
 from operator import index
 
-from . import blockperm as bp
 from . import characters as ch
-from . import kpartial as kp
-from .blockperm import DEFAULT_BUDGET
-from .errors import BudgetExceeded, InvariantViolation, NotProper, SizeMismatch, exact_quotient
+from .errors import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    InvariantViolation,
+    NotProper,
+    SizeMismatch,
+    exact_quotient,
+)
 from .families import (
     PartitionFamily,
     _orbit_size,
@@ -68,6 +76,7 @@ from .families import (
     families_with_size,
     format_family,
     pad_family,
+    partial_class_size,
 )
 from .partitions import proper_part
 
@@ -294,11 +303,15 @@ def _by_enumeration(left, right, n, budget, verify_representative):
     the x y of type gamma (y x is conjugate to it).  verify_representative
     tallies again at a second member of A.  The one fork picks the layer: the
     block permutations of [kn], or the k-partial permutations at stage
-    |left| + |right|; `kp.partial_class_size` sizes every orbit at the stage.
-    An orbit of one member (the identity or another central class, or the
-    empty family in the universal algebra) is its cached representative,
+    |left| + |right|; `families.partial_class_size` sizes every orbit at the
+    stage.  An orbit of one member (the identity or another central class, or
+    the empty family in the universal algebra) is its cached representative,
     so no walk builds it again.
     """
+    # absolute: a relative import in a function body costs about 1.5 us more per call
+    import wreathcenter.blockperm as bp
+    import wreathcenter.kpartial as kp
+
     if n is None:
         stage = left.size + right.size
         members = lambda fam, limit: kp.universal_class_members(fam, stage, limit)
@@ -308,7 +321,7 @@ def _by_enumeration(left, right, n, budget, verify_representative):
         members = lambda fam, limit: bp.enumerate_class(fam, n, budget=limit)
         representative, type_of = bp.class_representative, bp.BlockPermutation.type_of
     (fixed_size, fixed), (varied_size, varied) = sorted(
-        ((kp.partial_class_size(fam, stage), fam) for fam in (left, right)),
+        ((partial_class_size(fam, stage), fam) for fam in (left, right)),
         key=lambda sized: -sized[0],
     )
 
@@ -331,7 +344,7 @@ def _by_enumeration(left, right, n, budget, verify_representative):
             raise InvariantViolation("product types depend on the representative")
 
     terms = {
-        gamma: exact_quotient(fixed_size * count, kp.partial_class_size(gamma, stage), gamma)
+        gamma: exact_quotient(fixed_size * count, partial_class_size(gamma, stage), gamma)
         for gamma, count in counts.items()
     }
     vector = ClassSumVector(left.k, terms, n=n)
@@ -416,7 +429,9 @@ def _universal_by_characters(left, right):
                 # delta has size n, so its orbit at stage n is its class
                 level_mass += c * _orbit_size(delta)
         masses.append(level_mass)
-        mass = sum(comb(n, s) * m for s, m in enumerate(masses, lo))
+        mass = 0
+        for s, m in enumerate(masses, lo):
+            mass += comb(n, s) * m
         if mass != left_orbit * right_orbit:
             raise InvariantViolation(f"universal product mass at stage {n} is {mass}")
     return ClassSumVector(left.k, terms)
@@ -450,9 +465,10 @@ def _top_label(left, right):
 def check_mass(vector: ClassSumVector, left: PartitionFamily, right: PartitionFamily):
     """Raise InvariantViolation unless each c_gamma > 0 with |C_gamma| > 0, and the masses agree.
 
-    Masses: sum of c_gamma * |C_gamma| = |C_left| * |C_right|, each by `kp.partial_class_size`
-    at stage n (SizeMismatch unless |left| = |right| = n) or, for universal vectors, at stage
-    |left| + |right|.  Every answer passes it (by characters, a universal one as its last stage).
+    Masses: sum of c_gamma * |C_gamma| = |C_left| * |C_right|, each by
+    `families.partial_class_size` (read through `_at`) at stage n (SizeMismatch unless
+    |left| = |right| = n) or, for universal vectors, at stage |left| + |right|.  Every
+    answer passes it (by characters, a universal one as its last stage).
     """
     stage = left.size + right.size if vector.n is None else vector.n
     if vector.n is not None and not left.size == right.size == stage:
@@ -493,11 +509,12 @@ def project(vector: ClassSumVector, n: int) -> ClassSumVector:
 
 @cache
 def _at(fam: PartitionFamily, n: int) -> tuple:
-    """(pad_family(fam, n), binomial_pad_factor(fam, n), kp.partial_class_size(fam, n)), n >= |fam|.
+    """(pad_family(fam, n), binomial_pad_factor(fam, n), partial_class_size(fam, n)), n >= |fam|.
 
-    Computed once per (label, n); a label is a shared object, so it hashes by identity.
+    Computed once per (label, n), the orbit size by `families.partial_class_size`; a label
+    is a shared object, so it hashes by identity.
     """
-    return pad_family(fam, n), binomial_pad_factor(fam, n), kp.partial_class_size(fam, n)
+    return pad_family(fam, n), binomial_pad_factor(fam, n), partial_class_size(fam, n)
 
 
 class PolynomialStructure:

@@ -18,13 +18,14 @@ Frobenius formula.  Twisting an irreducible by a degree-1 character leaves
 its term in that sum unchanged, so the rows are kept, and summed, for one
 irreducible per orbit of twists; a table whose twists are not among its
 rows is refused when it is built.  Shifted Schur and power-sum values are
-exact rationals.  The shifted power sum of a class label, on one alphabet
-per irreducible of S_k, is a normalized wreath character at a family;
+exact rationals; only the two functions that return them import
+`fractions`, so a process that asks for neither does not load it.  The
+shifted power sum of a class label, on one alphabet per irreducible of
+S_k, is a normalized wreath character at a family;
 sending each label to its scaled power sum gives an integer at every
 family, and is verified to be multiplicative pointwise, for every k.
 """
 
-from fractions import Fraction
 from functools import cache
 from math import factorial, perm
 from operator import mul
@@ -32,9 +33,15 @@ from types import MappingProxyType
 
 from . import center
 from . import partitions as pt
-from .blockperm import DEFAULT_BUDGET, group_order
-from .errors import BudgetExceeded, InvariantViolation, SizeMismatch, exact_quotient
-from .families import PartitionFamily, big_z, families_with_size, index_partitions, pad_family
+from .errors import DEFAULT_BUDGET, BudgetExceeded, InvariantViolation, SizeMismatch, exact_quotient
+from .families import (
+    PartitionFamily,
+    big_z,
+    families_with_size,
+    group_order,
+    index_partitions,
+    pad_family,
+)
 from .partitions import Partition
 
 __all__ = [
@@ -153,19 +160,23 @@ def skew_syt_count(outer: Partition, inner: Partition) -> int:
     return total
 
 
-def shifted_schur_eval(rho: Partition, lam: Partition) -> Fraction:
+def shifted_schur_eval(rho: Partition, lam: Partition) -> "Fraction":
     """Value of the shifted Schur function indexed by rho at the point lam.
 
     A shape that is not a partition raises ValueError, from skew_syt_count.
     """
+    from fractions import Fraction
+
     count = skew_syt_count(lam, rho)
     if not count:
         return Fraction(0)
     return Fraction(perm(sum(lam), sum(rho)) * count, dim_irrep(lam))
 
 
-def shifted_power_sum_eval(delta, lam) -> Fraction:
+def shifted_power_sum_eval(delta, lam) -> "Fraction":
     """The shifted power sum indexed by delta at lam: two partitions, or two families of one k."""
+    from fractions import Fraction
+
     label = _as_point(1, delta)
     value = big_z(label) * transport_value(label, _as_point(1, lam))
     return Fraction(value, factorial(label.k) ** label.size)

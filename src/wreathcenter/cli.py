@@ -19,8 +19,7 @@ import sys
 from . import center as ct
 from . import characters as ch
 from . import partitions as pt
-from .blockperm import DEFAULT_BUDGET
-from .errors import BudgetExceeded, InvariantViolation, WreathError
+from .errors import DEFAULT_BUDGET, BudgetExceeded, InvariantViolation, WreathError
 from .families import (
     PartitionFamily,
     class_size,

@@ -33,6 +33,10 @@ class NotProper(WreathError):
     """A proper family (no 1-parts in the all-singletons component) was required."""
 
 
+# the element budget every enumeration and character route takes by default
+DEFAULT_BUDGET = 10_000_000
+
+
 class BudgetExceeded(WreathError):
     """An enumeration would exceed the configured element budget."""
 

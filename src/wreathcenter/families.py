@@ -20,7 +20,7 @@ Four results are kept for the life of the process.  Per label: `big_z`, the orbi
 so they are bounded by the number of families of the sizes in use (415 at k = 3 and sizes
 up to 6, whose representatives take about 0.5 MB); the group orders hold one integer per
 size in use.  An orbit size is checked to divide the group order when it is first
-computed; `class_size`, `kpartial.partial_class_size` and the product checks read it.
+computed; `class_size`, `partial_class_size` and the product checks read it.
 The representative functions and `class_size` still check the size on every call.
 """
 
@@ -38,6 +38,7 @@ __all__ = [
     "big_z",
     "group_order",
     "class_size",
+    "partial_class_size",
     "families_with_size",
     "format_family",
     "parse_family",
@@ -195,6 +196,19 @@ def class_size(fam: PartitionFamily, n: int) -> int:
 def _orbit_size(fam: PartitionFamily) -> int:
     """|C_fam| in the group on [k |fam|]: computed, and its divisibility checked, once per label."""
     return exact_quotient(group_order(fam.k, fam.size), big_z(fam), "class size")
+
+
+def partial_class_size(fam: PartitionFamily, n: int) -> int:
+    """Number of k-partial permutations of n in the orbit labelled by `fam`.
+
+    A member is a choice of |fam| domain blocks and a permutation of type
+    `fam` on them: C(n, |fam|) * class_size(fam, |fam|), the class size kept
+    per label.  Returns 0 when the family is too large to fit, which makes
+    projection formulas total.
+    """
+    if fam.size > n:
+        return 0
+    return comb(n, fam.size) * _orbit_size(fam)
 
 
 def families_with_size(k: int, n: int, proper_only: bool = False):

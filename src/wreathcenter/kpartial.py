@@ -22,10 +22,9 @@ whole groups the same way.
 
 from functools import cache
 from itertools import combinations
-from math import comb, factorial, perm
+from math import factorial, perm
 
 from .blockperm import (
-    DEFAULT_BUDGET,
     BlockPermutation,
     block_of,
     block_points,
@@ -36,8 +35,14 @@ from .blockperm import (
     is_block_permutation,
     type_from_images,
 )
-from .errors import BudgetExceeded, DimensionMismatch, DomainNotCovered, SizeMismatch
-from .families import PartitionFamily, _orbit_size
+from .errors import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    DimensionMismatch,
+    DomainNotCovered,
+    SizeMismatch,
+)
+from .families import PartitionFamily, partial_class_size
 
 
 class KPartialPermutation:
@@ -175,19 +180,6 @@ def extend(p: KPartialPermutation, n: int) -> BlockPermutation:
 def kp_type(p: KPartialPermutation) -> PartitionFamily:
     """Type of the carried permutation; total size equals the number of domain blocks."""
     return type_from_images(p.k, p.blocks, p.images)
-
-
-def partial_class_size(fam: PartitionFamily, n: int) -> int:
-    """Number of k-partial permutations of n in the orbit labelled by `fam`.
-
-    A member is a choice of |fam| domain blocks and a permutation of type
-    `fam` on them: C(n, |fam|) * class_size(fam, |fam|), the class size kept
-    per label.  Returns 0 when the family is too large to fit, which makes
-    projection formulas total.
-    """
-    if fam.size > n:
-        return 0
-    return comb(n, fam.size) * _orbit_size(fam)
 
 
 def count_all(k: int, n: int) -> int:

@@ -313,15 +313,51 @@ def test_digest_is_sha256():
         assert _digest(text) == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def test_import_loads_neither_hashlib_nor_json():
-    # both cost milliseconds in every process; a cache lookup takes sha256
-    # from CPython's own module and only --json output needs json
+# modules that cost milliseconds to load in a process that runs one command
+ON_FIRST_USE = [
+    "decimal",
+    "fractions",
+    "hashlib",
+    "json",
+    "wreathcenter.blockperm",
+    "wreathcenter.kpartial",
+]
+
+
+def loaded_on_first_use(statements):
+    """The ON_FIRST_USE modules a fresh process has loaded after running `statements`."""
     import wreathcenter
 
     env = {**os.environ, "PYTHONPATH": str(Path(wreathcenter.__file__).parents[1])}
-    probe = "import sys, wreathcenter.cli; print(sorted({'hashlib', 'json'} & set(sys.modules)))"
+    probe = f"import sys\n{statements}\nprint([m for m in {ON_FIRST_USE!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True, env=env)
-    assert out.stdout.decode().strip() == "[]"
+    return out.stdout.decode().splitlines()[-1]
+
+
+def test_import_loads_neither_hashlib_nor_json():
+    # a cache lookup takes sha256 from CPython's own module and only --json
+    # output needs json; only enumeration needs blockperm and kpartial, and
+    # only a rational result needs fractions (which loads decimal)
+    assert loaded_on_first_use("import wreathcenter.cli") == "[]"
+
+
+def test_each_command_loads_the_enumeration_layers_only_when_it_enumerates(capsys, tmp_path):
+    # a multiply cache hit is parsed and mass-checked, and a poly miss the
+    # character route serves reads the tables: neither loads what it does
+    # not run.  verify expands its product by enumeration
+    cache = tmp_path / "coeffs.cache"
+    assert call(capsys, *TRANSPOSITIONS_N4, "--cache", str(cache))[0] == 0
+    hit = [*TRANSPOSITIONS_N4, "--cache", str(cache)]
+    poly = ["poly", "--k", "2", "--left", "{[2]:[4]}", "--right", "{[1,1]:[4]}"]
+    poly += ["--cache", str(tmp_path / "miss.cache")]
+    verify = ["verify", "--k", "1", "--left", "{[1]:[2]}", "--right", "{[1]:[3]}"]
+    for argv, loaded in [
+        (hit, []),
+        (poly, []),
+        (verify, ["wreathcenter.blockperm", "wreathcenter.kpartial"]),
+    ]:
+        statements = f"from wreathcenter import cli\nif cli.run({argv!r}):\n    sys.exit(1)"
+        assert loaded_on_first_use(statements) == repr(loaded), argv
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):

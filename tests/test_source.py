@@ -1,7 +1,13 @@
 import ast
+from importlib import import_module
 from pathlib import Path
 
+import pytest
+
 import wreathcenter
+from wreathcenter import blockperm as bp
+from wreathcenter import errors, families
+from wreathcenter import kpartial as kp
 
 PACKAGE = Path(wreathcenter.__file__).parent
 
@@ -52,3 +58,104 @@ def test_center_reads_the_tables_only_through_class_product():
         if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "ch"
     }
     assert read == {"class_product", "has_character_table"}
+
+
+# every name the package namespace bound when it imported its submodules eagerly,
+# by the module it was imported from
+PUBLIC = {
+    "blockperm": [
+        "BlockPermutation",
+        "class_representative",
+        "conjugate",
+        "cycle_type",
+        "enumerate_class",
+        "enumerate_group",
+        "group_order",
+        "is_block_permutation",
+    ],
+    "center": [
+        "ClassSumVector",
+        "PolynomialStructure",
+        "deg",
+        "deg1",
+        "multiply_group",
+        "multiply_universal",
+        "polynomial_structure",
+        "project",
+    ],
+    "characters": [
+        "dim_irrep",
+        "hyperoct_character",
+        "shifted_power_sum_eval",
+        "shifted_schur_eval",
+        "skew_syt_count",
+        "sym_character",
+        "verify_iso",
+    ],
+    "errors": [
+        "BudgetExceeded",
+        "DimensionMismatch",
+        "DomainNotCovered",
+        "InvariantViolation",
+        "NotContained",
+        "NotProper",
+        "SizeMismatch",
+        "TooSmall",
+        "WreathError",
+    ],
+    "families": [
+        "PartitionFamily",
+        "big_z",
+        "class_size",
+        "families_with_size",
+        "format_family",
+        "pad_family",
+        "parse_family",
+    ],
+    "kpartial": [
+        "KPartialPermutation",
+        "act",
+        "count_all",
+        "enumerate_kpartial",
+        "extend",
+        "kp_type",
+        "partial_class_size",
+        "product",
+        "support",
+        "universal_class_members",
+    ],
+    "partitions": [
+        "format_partition",
+        "is_proper",
+        "pad_to",
+        "parse_partition",
+        "partitions_of",
+        "subtract",
+        "union",
+        "z_of",
+    ],
+}
+
+
+def test_every_public_name_loads_as_the_object_of_its_module():
+    # the namespace imports a name's module on first use; each name, read
+    # through the package, a star import or the lazy lookup itself, is the
+    # object its module holds, and each submodule is reachable as before
+    star = {}
+    exec("from wreathcenter import *", star)
+    for module_name, names in PUBLIC.items():
+        module = import_module(f"wreathcenter.{module_name}")
+        assert wreathcenter.__getattr__(module_name) is module
+        for name in names:
+            home = getattr(module, name)
+            assert getattr(wreathcenter, name) is home, name
+            assert wreathcenter.__getattr__(name) is home, name
+            assert star[name] is home, name
+    assert set(wreathcenter.__all__) == {name for names in PUBLIC.values() for name in names}
+    assert set(wreathcenter.__all__) <= set(wreathcenter.__dir__())
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wreathcenter.no_such_name
+    assert not hasattr(wreathcenter, "no_such_name")
+    # the moved names are one object wherever they are read
+    assert bp.DEFAULT_BUDGET is errors.DEFAULT_BUDGET
+    assert kp.partial_class_size is families.partial_class_size
