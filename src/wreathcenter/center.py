@@ -30,14 +30,14 @@ reads every coefficient of a group product off the character table at
 entries, is the group route.  A universal product is fixed by its
 projections, the group products of the padded inputs at every n from
 max(|left|, |right|) to N, and is recovered from them one size at a time:
-each size below N is one class_product, kept at the labels gamma that the
-second filtration allows, deg1(gamma) <= deg1(left) + deg1(right).  Its
-one label of size N, the union of the inputs (the top-degree term of
-Ivanov-Kerov's product), has a coefficient in closed form, a product of
-binomials, so only the tables below N are read.  The group route is one
-class_product, not the one-level case of the universal loop, which costs
-more per product.  `_product` weighs enumeration against characters by one
-rule and takes the cheaper route.
+each size below N is one class_product, less the labels of smaller sizes
+found so far, padded to that size.  Its one label of size N, the union of
+the inputs (the top-degree term of Ivanov-Kerov's product), has a
+coefficient in closed form, a product of binomials, so only the tables
+below N are read.  The group route is one class_product, not the one-level
+case of the universal loop, which costs more per product.  `_product`
+weighs enumeration against characters by one rule and takes the cheaper
+route.
 
 What cannot change between products is kept for the process: per
 (label, n), the padded form, pad factor and orbit size at stage n (`_at`,
@@ -385,12 +385,8 @@ def _universal_by_characters(left, right):
     of c_gamma |C_gamma|, is appended to a list once, when the labels of size
     s are found.
 
-    By the second filtration every label gamma has deg1(gamma) <= bound =
-    deg1(left) + deg1(right), and deg1(delta) = n + m1(delta) at size n, so
-    each level keeps, and the subtraction visits, only the labels delta of
-    size n with m1(delta) <= bound - n.  The stage checks guard the skip:
-    every c_gamma is >= 0, so a label skipped by mistake lowers the mass of
-    its stage.  A negative coefficient is refused at the level that finds
+    Each level keeps every label that its class product and the subtraction
+    leave nonzero.  A negative coefficient is refused at the level that finds
     it, and the top stage's check, which covers the whole answer, stands in
     for check_mass.
 
@@ -402,7 +398,6 @@ def _universal_by_characters(left, right):
     terms = {}
     masses = []
     lo, top = max(left.size, right.size), left.size + right.size
-    bound = deg1(left) + deg1(right)
     for n in range(lo, top + 1):
         padded_left, left_factor, left_orbit = _at(left, n)
         padded_right, right_factor, right_orbit = _at(right, n)
@@ -410,15 +405,12 @@ def _universal_by_characters(left, right):
             label, c = _top_label(left, right)
             level = {label: c}
         else:
-            most = bound - n
             scale = left_factor * right_factor
             product = ch.class_product(padded_left, padded_right)
-            level = {delta: scale * c for delta, c in product.items() if delta.m1 <= most}
+            level = {delta: scale * c for delta, c in product.items()}
             for gamma, c in terms.items():
-                # pad(gamma, n) has m1(gamma) + n - |gamma| 1-parts
-                if gamma.m1 + n - gamma.size <= most:
-                    delta, factor, _ = _at(gamma, n)
-                    level[delta] = level.get(delta, 0) - c * factor
+                delta, factor, _ = _at(gamma, n)
+                level[delta] = level.get(delta, 0) - c * factor
         level_mass = 0
         for delta, c in level.items():
             if c < 0:

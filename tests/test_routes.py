@@ -6,20 +6,29 @@ tests call the routes themselves, each character route in both orders.
 On the smallest draws two slow oracles join them: the transport map's
 multiplicativity (`verify_iso`) on universal products, and a tally over
 the class scanned out of the whole group (`strategy="filter"`) on group
-products.  Draws are derandomized so that tier-1 is reproducible, and
-capped in size at each k <= 3 so that the module stays cheap.
+products.  Every answer the tests compute must also keep the second
+filtration, the reflection-length bound and the signed masses
+(`assert_filtrations_and_signed_masses`).  Draws are derandomized so that
+tier-1 is reproducible, and capped in size at each k <= 3 so that the
+module stays cheap.
 """
 
 from collections import Counter
+from math import prod
 
 from hypothesis import given, settings, strategies as st
 
 from wreathcenter import blockperm as bp
 from wreathcenter import center as ct
 from wreathcenter import characters as ch
-from wreathcenter.blockperm import DEFAULT_BUDGET
-from wreathcenter.errors import exact_quotient
-from wreathcenter.families import binomial_pad_factor, class_size, families_with_size, pad_family
+from wreathcenter.errors import DEFAULT_BUDGET, exact_quotient
+from wreathcenter.families import (
+    binomial_pad_factor,
+    class_size,
+    families_with_size,
+    pad_family,
+    partial_class_size,
+)
 
 # the largest |L| + |R| of a drawn universal product, and the largest n of a
 # drawn group product, at each k
@@ -63,15 +72,61 @@ def projected_pairs(draw):
     return label(draw, k, size), label(draw, k, other), n
 
 
+def _sign(mu):
+    return (-1) ** (sum(mu) - len(mu))
+
+
+def _degree_one_values(fam):
+    """The four degree-1 characters at fam: trivial, base sign, top sign and their product."""
+    base = prod(_sign(rho) ** len(lam) for rho, lam in fam.items())
+    top = prod(_sign(lam) for _, lam in fam.items())
+    return 1, base, top, base * top
+
+
+def _reflection_length(fam):
+    # k|fam| less the cycles on [k|fam|] of a member: a cycle of the label
+    # with S_k class rho splits into l(rho) cycles there
+    return fam.k * fam.size - sum(len(rho) * len(lam) for rho, lam in fam.items())
+
+
+def assert_filtrations_and_signed_masses(vector, left, right, stage):
+    """Check what every product of left and right at `stage` keeps, without the tables.
+
+    Each label gamma has deg1(gamma) <= deg1(left) + deg1(right), and
+    l_T(gamma) <= l_T(left) + l_T(right) with the same parity.  For each
+    degree-1 character eps, taken in closed form (padding changes none of
+    them), the sum of c_gamma * partial_class_size(gamma, stage) * eps(gamma)
+    is the same sum for left times that for right.
+    """
+    bound = ct.deg1(left) + ct.deg1(right)
+    length = _reflection_length(left) + _reflection_length(right)
+    masses = [0] * 4
+    for gamma, c in vector.items():
+        assert ct.deg1(gamma) <= bound
+        shorter = length - _reflection_length(gamma)
+        assert shorter >= 0 and shorter % 2 == 0
+        members = c * partial_class_size(gamma, stage)
+        masses = [m + members * eps for m, eps in zip(masses, _degree_one_values(gamma))]
+    left_members, right_members = partial_class_size(left, stage), partial_class_size(right, stage)
+    assert masses == [
+        left_members * a * right_members * b
+        for a, b in zip(_degree_one_values(left), _degree_one_values(right))
+    ]
+
+
 @ROUTES
 @given(universal_pairs())
 def test_universal_characters_match_enumeration(pair):
     left, right = pair
+    stage = left.size + right.size
     enumerated = ct._by_enumeration(left, right, None, DEFAULT_BUDGET, False)
-    assert ct._universal_by_characters(left, right) == enumerated
+    forward = ct._universal_by_characters(left, right)
     # the centre is commutative: the other order gives the same product
-    assert ct._universal_by_characters(right, left) == enumerated
-    if left.size + right.size <= VERIFY_MOST[left.k]:
+    backward = ct._universal_by_characters(right, left)
+    assert forward == backward == enumerated
+    for answer, a, b in [(enumerated, left, right), (forward, left, right), (backward, right, left)]:
+        assert_filtrations_and_signed_masses(answer, a, b, stage)
+    if stage <= VERIFY_MOST[left.k]:
         assert ch.verify_iso(left.k, left, right)
 
 
@@ -80,8 +135,11 @@ def test_universal_characters_match_enumeration(pair):
 def test_group_characters_match_enumeration(drawn):
     left, right, n = drawn
     enumerated = ct._by_enumeration(left, right, n, DEFAULT_BUDGET, False)
-    assert ct._group_by_characters(left, right, n) == enumerated
-    assert ct._group_by_characters(right, left, n) == enumerated
+    forward = ct._group_by_characters(left, right, n)
+    backward = ct._group_by_characters(right, left, n)
+    assert forward == backward == enumerated
+    for answer, a, b in [(enumerated, left, right), (forward, left, right), (backward, right, left)]:
+        assert_filtrations_and_signed_masses(answer, a, b, n)
     if n <= FILTER_MOST[left.k]:
         # x y over the class of R scanned out of the group, at one x in C_L,
         # lands in C_gamma c_gamma |C_gamma| / |C_L| times
@@ -100,6 +158,10 @@ def test_projection_is_the_group_product_of_the_padded_inputs(drawn):
     # bpf(L, n) bpf(R, n) C_pad(L, n) C_pad(R, n) = project(C_L C_R, n)
     left, right, n = drawn
     scale = binomial_pad_factor(left, n) * binomial_pad_factor(right, n)
-    group = ct.multiply_group(pad_family(left, n), pad_family(right, n), n)
+    padded_left, padded_right = pad_family(left, n), pad_family(right, n)
+    group = ct.multiply_group(padded_left, padded_right, n)
+    universal = ct.multiply_universal(left, right)
+    assert_filtrations_and_signed_masses(group, padded_left, padded_right, n)
+    assert_filtrations_and_signed_masses(universal, left, right, left.size + right.size)
     scaled = ct.ClassSumVector(left.k, {g: scale * c for g, c in group.items()}, n=n)
-    assert ct.project(ct.multiply_universal(left, right), n) == scaled
+    assert ct.project(universal, n) == scaled
