@@ -172,6 +172,9 @@ class BlockPermutation:
     def __setattr__(self, name, value):
         raise AttributeError("BlockPermutation is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("BlockPermutation is immutable")
+
     def __reduce__(self):
         return BlockPermutation, (self.k, self.n, self.images, True)
 

@@ -30,14 +30,16 @@ reads every coefficient of a group product off the character table at
 entries, is the group route.  A universal product is fixed by its
 projections, the group products of the padded inputs at every n from
 max(|left|, |right|) to N, and is recovered from them one size at a time:
-each size below N is one class_product, less the labels of smaller sizes
-found so far, padded to that size.  Its one label of size N, the union of
-the inputs (the top-degree term of Ivanov-Kerov's product), has a
-coefficient in closed form, a product of binomials, so only the tables
-below N are read.  The group route is one class_product, not the one-level
-case of the universal loop, which costs more per product.  `_product`
-weighs enumeration against characters by one rule and takes the cheaper
-route.
+each size below N is one class_product, whose own new dict is scaled in
+place when a pad factor is above 1, less the labels of smaller sizes found
+so far, padded to that size.  Its one label of size N, the union of the
+inputs (the top-degree term of Ivanov-Kerov's product), has a coefficient
+in closed form, a product of binomials, and is added after the loop over
+the smaller sizes, so only the tables below N are read and a product with
+an empty input runs no level.  The group route is one class_product, not
+the one-level case of the universal loop, which costs more per product.
+`_product` weighs enumeration against characters by one rule and takes
+the cheaper route.
 
 What cannot change between products is kept for the process: per
 (label, n), the padded form, pad factor and orbit size at stage n (`_at`,
@@ -97,10 +99,11 @@ class ClassSumVector:
     """A sparse integer combination of class labels.
 
     `n` is None for universal vectors; otherwise n >= 0 and every key must
-    be a family of size n.  A coefficient is an integer (`operator.index`:
-    a float or a string raises TypeError, a bool is taken as 0 or 1), and
-    zero coefficients are dropped.  The terms are
-    kept as one flat tuple (label, coefficient, label, coefficient, ...) in
+    be a family of size n.  A key that is not a family raises TypeError, one
+    of another k or size SizeMismatch.  A coefficient is an integer
+    (`operator.index`: a float or a string raises TypeError, a bool is taken
+    as 0 or 1), and zero coefficients are dropped.  The terms are kept as
+    one flat tuple (label, coefficient, label, coefficient, ...) in
     the order given, so a kept vector is small and cannot be changed;
     `items` iterates them, and `terms` is a new dict of them.
     """
@@ -111,17 +114,22 @@ class ClassSumVector:
         if n is not None and n < 0:
             raise SizeMismatch(f"a vector over size {n}")
         flat = []
-        for fam, coeff in terms.items():
-            if fam.k != k:
-                raise SizeMismatch("all keys must share the same k")
-            if n is not None and fam.size != n:
-                raise SizeMismatch(f"key of size {fam.size} in a vector over size {n}")
-            coeff = index(coeff)
-            if coeff:
-                flat += fam, coeff
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_flat", tuple(flat))
+        pairs = terms.items()
+        try:
+            for fam, coeff in pairs:
+                if fam.k != k:
+                    raise SizeMismatch("all keys must share the same k")
+                if n is not None and fam.size != n:
+                    raise SizeMismatch(f"key of size {fam.size} in a vector over size {n}")
+                coeff = index(coeff)
+                if coeff:
+                    flat += fam, coeff
+        except AttributeError:
+            # only a key that is not a family lacks k or size
+            raise TypeError(f"a key {fam!r} that is not a family") from None
+        _set_k(self, k)
+        _set_n(self, n)
+        _set_flat(self, tuple(flat))
 
     @property
     def context(self) -> str:
@@ -146,6 +154,9 @@ class ClassSumVector:
     def __setattr__(self, name, value):
         raise AttributeError("ClassSumVector is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("ClassSumVector is immutable")
+
     def __reduce__(self):
         return ClassSumVector, (self.k, self.terms, self.n)
 
@@ -161,6 +172,12 @@ class ClassSumVector:
     def __repr__(self):
         body = " + ".join(f"{c}*C{format_family(f)}" for f, c in self.items_sorted())
         return f"<{self.context}: {body or '0'}>"
+
+
+# the slots' own setters, bound once: __setattr__ refuses every write
+_set_k = ClassSumVector.k.__set__
+_set_n = ClassSumVector.n.__set__
+_set_flat = ClassSumVector._flat.__set__
 
 
 def deg(fam: PartitionFamily) -> int:
@@ -371,9 +388,13 @@ def _universal_by_characters(left, right):
     with factor 1, so going up from n = max(|left|, |right|), where no
     smaller label occurs, to n = |left| + |right| - 1, c_delta for each
     delta of size n is what remains of the left side at delta once the
-    labels already found that pad to delta are subtracted.  The top size
-    |left| + |right| has one label, in closed form (`_top_label`), so no
-    table is read there; with an empty input the product is the other one.
+    labels already found that pad to delta are subtracted.  A level is the
+    new dict class_product returns, scaled in place only when
+    bpf(left, n) bpf(right, n) is above 1 (never for proper inputs), with the
+    found labels subtracted into it.  The top size |left| + |right| has one
+    label, in closed form (`_top_label`), added after the loop, so no table
+    is read there; with an empty input the loop is empty and the product is
+    the other input.
 
     Counting elements is multiplicative at every stage n, so each level is
     checked on the coefficients found so far: the sum over |gamma| <= n of
@@ -387,8 +408,8 @@ def _universal_by_characters(left, right):
 
     Each level keeps every label that its class product and the subtraction
     leave nonzero.  A negative coefficient is refused at the level that finds
-    it, and the top stage's check, which covers the whole answer, stands in
-    for check_mass.
+    it, or at the top label, and the top stage's check, which covers the
+    whole answer, stands in for check_mass.
 
     pad(gamma, n), bpf(gamma, n) and the input orbit sizes at stage n are
     read from `_at`, once per (label, n), and |C_gamma| of each label found
@@ -398,19 +419,18 @@ def _universal_by_characters(left, right):
     terms = {}
     masses = []
     lo, top = max(left.size, right.size), left.size + right.size
-    for n in range(lo, top + 1):
+    for n in range(lo, top):
         padded_left, left_factor, left_orbit = _at(left, n)
         padded_right, right_factor, right_orbit = _at(right, n)
-        if n == top:
-            label, c = _top_label(left, right)
-            level = {label: c}
-        else:
-            scale = left_factor * right_factor
-            product = ch.class_product(padded_left, padded_right)
-            level = {delta: scale * c for delta, c in product.items()}
-            for gamma, c in terms.items():
-                delta, factor, _ = _at(gamma, n)
-                level[delta] = level.get(delta, 0) - c * factor
+        # class_product's own new dict: a pad factor above 1 scales it in place
+        level = ch.class_product(padded_left, padded_right)
+        scale = left_factor * right_factor
+        if scale != 1:
+            for delta in level:
+                level[delta] *= scale
+        for gamma, c in terms.items():
+            delta, factor, _ = _at(gamma, n)
+            level[delta] = level.get(delta, 0) - c * factor
         level_mass = 0
         for delta, c in level.items():
             if c < 0:
@@ -426,6 +446,16 @@ def _universal_by_characters(left, right):
             mass += comb(n, s) * m
         if mass != left_orbit * right_orbit:
             raise InvariantViolation(f"universal product mass at stage {n} is {mass}")
+    label, c = _top_label(left, right)
+    if c < 0:
+        where = format_family(label)
+        raise InvariantViolation(f"universal product cannot have c = {c} at {where}")
+    terms[label] = c
+    mass = c * _orbit_size(label)
+    for s, m in enumerate(masses, lo):
+        mass += comb(top, s) * m
+    if mass != _at(left, top)[2] * _at(right, top)[2]:
+        raise InvariantViolation(f"universal product mass at stage {top} is {mass}")
     return ClassSumVector(left.k, terms)
 
 
@@ -553,6 +583,9 @@ class PolynomialStructure:
         return structure
 
     def __setattr__(self, name, value):
+        raise AttributeError("PolynomialStructure is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("PolynomialStructure is immutable")
 
     def __reduce__(self):

@@ -344,7 +344,8 @@ def class_product(left: PartitionFamily, right: PartitionFamily) -> dict:
     big_z(right) with 0 <= c_gamma |C_gamma| <= |C_left| |C_right|, so
     0 <= S_gamma <= |G| z_gamma <= |G| ** 2, which the slot width holds: no
     slot borrows from or carries into the next, and S_gamma is read off its
-    slot exactly.
+    slot exactly.  Each call returns a new dict, so the caller may change it:
+    a universal level scales and subtracts into it in place.
     """
     if left.k != right.k or left.size != right.size:
         raise SizeMismatch("a class product needs two families of the same k and size")

@@ -145,6 +145,9 @@ class PartitionFamily:
     def __setattr__(self, name, value):
         raise AttributeError("PartitionFamily is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("PartitionFamily is immutable")
+
     def __reduce__(self):
         return PartitionFamily._of, (self.k, self.components)
 

@@ -85,6 +85,9 @@ class KPartialPermutation:
     def __setattr__(self, name, value):
         raise AttributeError("KPartialPermutation is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("KPartialPermutation is immutable")
+
     def __reduce__(self):
         return _padded, (self.k, self.blocks, self.images)
 

@@ -723,6 +723,41 @@ def test_universal_character_route_matches_enumeration():
         assert ct._universal_by_characters(left, right) == enumerated
 
 
+def test_universal_route_reads_each_size_below_the_top_once(monkeypatch):
+    # on every product with k <= 3 and |L| + |R| <= 4 the character route
+    # reads one class product at each size max(|L|, |R|) ... |L| + |R| - 1,
+    # in increasing order, none at the top size (closed form) and none at all
+    # with an empty input, whose product is the other input
+    from wreathcenter import characters as ch
+
+    true_class_product = ch.class_product
+    read = []
+
+    def class_product(left, right):
+        read.append(left.size)
+        return true_class_product(left, right)
+
+    monkeypatch.setattr(ch, "class_product", class_product)
+    products = empty = 0
+    for k in (1, 2, 3):
+        fams = [f for s in range(5) for f in families_with_size(k, s)]
+        for left in fams:
+            for right in fams:
+                if left.size + right.size > 4:
+                    continue
+                read.clear()
+                ct._universal_by_characters(left, right)
+                assert read == list(range(max(left.size, right.size), left.size + right.size))
+                empty += not (left.size and right.size)
+                products += 1
+    assert (products, empty) == (649, 269)
+    monkeypatch.undo()
+    # each call returns a new dict, which a level scales and subtracts into
+    for left, right in [(fam(1, (2, 1)), fam(1, (3,))), (fam(2, (1,), (2,)), fam(2, (), (3,)))]:
+        first, second = ch.class_product(left, right), ch.class_product(left, right)
+        assert first == second and first is not second
+
+
 def test_top_stage_in_closed_form_matches_enumeration():
     # the one label of size |L| + |R| is the union of the inputs, with a
     # product of binomials as its coefficient; every ordered pair with k = 1

@@ -37,6 +37,10 @@ def test_block_permutation_refusals():
 def test_center_refusals():
     with pytest.raises(SizeMismatch):
         ct.ClassSumVector(1, {fam(2, (1,), ()): 1})
+    # a key that is not a family, with or without a size to check
+    for n in (None, 1):
+        with pytest.raises(TypeError, match="'x'"):
+            ct.ClassSumVector(1, {"x": 1}, n=n)
     with pytest.raises(AttributeError):
         ct.ClassSumVector(1, {}).n = 2
     rows = ct.polynomial_structure(fam(1, (2,)), fam(1, (2,)))
@@ -78,6 +82,26 @@ def test_polynomial_structure_refuses_a_non_integer_coefficient():
     label = fam(1, (2,))
     with pytest.raises(TypeError):
         ct.PolynomialStructure(1, label, label, {(label, 1): 2.5})
+
+
+def test_immutable_types_refuse_del_on_every_slot():
+    # a label is shared, so deleting one of its slots would break every equal
+    # family; a cached representative and a vector are shared the same way
+    built = fam(2, (2,), (1,))
+    values = [
+        built,
+        bp.class_representative(built, 3),
+        kp.partial_class_representative(built, 3),
+        ct.multiply_universal(built, built),
+        ct.polynomial_structure(built, built),
+    ]
+    for value in values:
+        for name in type(value).__slots__:
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(value, name)
+            getattr(value, name)
+    twin = PartitionFamily(2, {(1, 1): (2,), (2,): (1,)})
+    assert twin is built and (twin.k, twin.size, twin.m1) == (2, 3, 0)
 
 
 def test_characters_refusals():
