@@ -16,9 +16,13 @@ representative, not walked.  It runs on one of two layers:
     that many blocks.  `families.partial_class_size` sizes every orbit at
     the stage N: C(N, |gamma|) |C_gamma|, which is |C_gamma| at |gamma| = N.
 
-Only `_by_enumeration` imports the two enumeration layers, on its first
-call, so a process that counts every product by characters or reads it
-from a cache never loads them.
+Each route imports its layer on first use: `_by_enumeration` the two
+enumeration layers, and the character route `characters`, which binds the
+`ch` global.  So a process that reads every product from a cache loads
+neither, and one that counts every product by characters never loads the
+enumeration layers.  Until `characters` is loaded no table is built, so
+pricing charges every table its build; a table built through `characters`
+before the first product is priced counts as built.
 
 Either product may instead be counted by characters, for every k.  The
 Frobenius formula
@@ -57,12 +61,12 @@ vector, re-keyed by (proper family, r) on read, gives the binomial-basis
 coefficients that make every group-level structure constant a polynomial in n.
 """
 
+import sys
 from collections import Counter
 from functools import cache
 from math import comb
 from operator import index
 
-from . import characters as ch
 from .errors import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -114,19 +118,16 @@ class ClassSumVector:
         if n is not None and n < 0:
             raise SizeMismatch(f"a vector over size {n}")
         flat = []
-        pairs = terms.items()
-        try:
-            for fam, coeff in pairs:
-                if fam.k != k:
-                    raise SizeMismatch("all keys must share the same k")
-                if n is not None and fam.size != n:
-                    raise SizeMismatch(f"key of size {fam.size} in a vector over size {n}")
-                coeff = index(coeff)
-                if coeff:
-                    flat += fam, coeff
-        except AttributeError:
-            # only a key that is not a family lacks k or size
-            raise TypeError(f"a key {fam!r} that is not a family") from None
+        for fam, coeff in terms.items():
+            if not isinstance(fam, PartitionFamily):
+                raise TypeError(f"a key {fam!r} that is not a family")
+            if fam.k != k:
+                raise SizeMismatch("all keys must share the same k")
+            if n is not None and fam.size != n:
+                raise SizeMismatch(f"key of size {fam.size} in a vector over size {n}")
+            coeff = index(coeff)
+            if coeff:
+                flat += fam, coeff
         _set_k(self, k)
         _set_n(self, n)
         _set_flat(self, tuple(flat))
@@ -232,6 +233,10 @@ _BUILD_COST = 152
 # character route reads that table; it pays down the cost of building it
 _enumerated: Counter = Counter()
 
+# the characters module once a product is priced after it is loaded, or takes
+# the character route; None until then, when no table can be built
+ch = None
+
 
 def _product(left, right, n, budget, verify_representative):
     """The product of two class sums at size n, or in the universal algebra when n is None.
@@ -294,11 +299,24 @@ def _product(left, right, n, budget, verify_representative):
 
 
 def _characters_cost(k, sizes, entries):
-    """`entries` plus the build charge of each table at sizes that is not built yet."""
+    """`entries` plus the build charge of each table at sizes that is not built yet.
+
+    Before `characters` is loaded no table is built, so each is charged; once
+    it is, by this module or another, `ch` is bound to it.
+    """
+    global ch
+    if ch is None:
+        ch = sys.modules.get(f"{__package__}.characters")
     for m in sizes:
-        if not ch.has_character_table(k, m):
+        if ch is None or not ch.has_character_table(k, m):
             entries += max(_class_count(k, m) ** 2 * _BUILD_COST - _enumerated[k, m], 0)
     return entries
+
+
+def _import_characters():
+    """Bind `ch` to the characters module, importing it: the character route's first use."""
+    global ch
+    from . import characters as ch
 
 
 @cache
@@ -371,6 +389,8 @@ def _by_enumeration(left, right, n, budget, verify_representative):
 
 def _group_by_characters(left, right, n):
     """The group product by the Frobenius formula, mass-checked."""
+    if ch is None:
+        _import_characters()
     vector = ClassSumVector(left.k, ch.class_product(left, right), n=n)
     check_mass(vector, left, right)
     return vector
@@ -393,8 +413,8 @@ def _universal_by_characters(left, right):
     bpf(left, n) bpf(right, n) is above 1 (never for proper inputs), with the
     found labels subtracted into it.  The top size |left| + |right| has one
     label, in closed form (`_top_label`), added after the loop, so no table
-    is read there; with an empty input the loop is empty and the product is
-    the other input.
+    is read there; with an empty input the loop is empty, `characters` is
+    not imported, and the product is the other input.
 
     Counting elements is multiplicative at every stage n, so each level is
     checked on the coefficients found so far: the sum over |gamma| <= n of
@@ -419,6 +439,8 @@ def _universal_by_characters(left, right):
     terms = {}
     masses = []
     lo, top = max(left.size, right.size), left.size + right.size
+    if lo < top and ch is None:
+        _import_characters()
     for n in range(lo, top):
         padded_left, left_factor, left_orbit = _at(left, n)
         padded_right, right_factor, right_orbit = _at(right, n)

@@ -19,7 +19,9 @@ its term in that sum unchanged, so the rows are kept, and summed, for one
 irreducible per orbit of twists; a table whose twists are not among its
 rows is refused when it is built.  Shifted Schur and power-sum values are
 exact rationals; only the two functions that return them import
-`fractions`, so a process that asks for neither does not load it.  The
+`fractions`, so a process that asks for neither does not load it, and only
+`verify_iso` imports `center`, for its product, so a process that builds
+tables and reads characters loads no product code.  The
 shifted power sum of a class label, on one alphabet per irreducible of
 S_k, is a normalized wreath character at a family;
 sending each label to its scaled power sum gives an integer at every
@@ -31,7 +33,6 @@ from math import factorial, perm
 from operator import mul
 from types import MappingProxyType
 
-from . import center
 from . import partitions as pt
 from .errors import DEFAULT_BUDGET, BudgetExceeded, InvariantViolation, SizeMismatch, exact_quotient
 from .families import (
@@ -467,6 +468,8 @@ def verify_iso(
     the product and, before any is made, the transport evaluations: one per
     expansion term and one per input at every point.
     """
+    from . import center
+
     if left.k != k or right.k != k:
         raise SizeMismatch("family k does not match the requested k")
     if eval_points is None:

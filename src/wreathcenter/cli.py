@@ -8,6 +8,9 @@ computed and appended, then are filtered by --gamma and sorted.
 Every command gives a head and rows, and one emitter prints them: each
 row as a record, the head fields and then the row's values joined by "; ",
 or with --json, for every command, one JSON array of the rows as objects.
+A process loads only what its command runs: the product path imports
+center, chartable characters, verify both, and classes neither; the
+parser gives flags to the named command only.
 Exit codes: 1 for usage/parse errors and unusable cache paths, 2 when a
 budget is exceeded, 3 when an internal invariant check fails.
 """
@@ -16,8 +19,6 @@ import argparse
 import os
 import sys
 
-from . import center as ct
-from . import characters as ch
 from . import partitions as pt
 from .errors import DEFAULT_BUDGET, BudgetExceeded, InvariantViolation, WreathError
 from .families import (
@@ -193,7 +194,15 @@ class Cache:
         )
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv) -> _Parser:
+    """The parser of every command, with the flags of the command that argv names only.
+
+    argv names a command by its first token that is not an option.  argparse
+    parses no other command and prints only its name and help line, so the
+    others get no flags, not even -h, and each error, help text and exit
+    code is the one the full parser gives.
+    """
+    named = next((token for token in argv if not token.startswith("-")), None)
     parser = _Parser(prog="wreathcenter", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     pair_product = {"pair", "budget", "product"}
@@ -206,6 +215,9 @@ def _build_parser() -> _Parser:
         ("chartable", "character table records", {"n"}, _cmd_chartable),
         ("verify", "pointwise multiplicativity of the transport map", {"pair", "budget"}, _cmd_verify),
     ):
+        if name != named:
+            sub.add_parser(name, help=help_text, add_help=False)
+            continue
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--k", type=int, required=True)
@@ -225,16 +237,22 @@ def _build_parser() -> _Parser:
 
 
 def _emit(args, head, rows):
-    """Print each row as `head; values` (booleans as true/false), or all rows as one JSON array."""
+    """Print each row as `head; values` (booleans as true/false), or all rows as one JSON array.
+
+    The lines are joined and written at once: a table of thousands of rows
+    costs one write, not one print per row.
+    """
     if args.json:
         # imported only here: about 3 ms that plain-text output need not pay
         import json
 
         print(json.dumps(rows, indent=2))
     else:
+        lines = []
         for row in rows:
             values = (str(v).lower() if isinstance(v, bool) else v for v in row.values())
-            print("; ".join(map(str, [*head, *values])))
+            lines.append("; ".join(map(str, [*head, *values])) + "\n")
+        sys.stdout.write("".join(lines))
 
 
 def _parse_pair(args):
@@ -250,6 +268,8 @@ def _cmd_classes(args):
 
 def _cmd_product(args):
     """multiply, universal, poly: rows keyed (gamma,) or (gamma, r), filtered and sorted."""
+    from . import center as ct
+
     left, right = _parse_pair(args)
     wanted = parse_family(args.gamma, args.k) if args.gamma else None
     given = [fam for fam in (left, right, wanted) if fam is not None]
@@ -292,6 +312,8 @@ def _cached_rows(args, cache, left, right, lt, rt, options):
     not a target of the product, or a zero or repeated row, raises
     InvariantViolation naming the record, and the vector passes check_mass.
     """
+    from . import center as ct
+
     group = args.command == "multiply"
     key = (args.k, args.n, lt, rt) if group else (args.k, lt, rt)
     cached = cache.get_group(*key) if group else cache.get_poly(*key)
@@ -328,6 +350,8 @@ def _cmd_chartable(args):
     bipartitions_of order; k >= 3 labels are families in
     families_with_size order.
     """
+    from . import characters as ch
+
     k, n = args.k, args.n
     if k == 1:
         labels = [(pt.format_partition(p), PartitionFamily(1, {(1,): p})) for p in pt.partitions_of(n)]
@@ -348,13 +372,16 @@ def _cmd_chartable(args):
 
 
 def _cmd_verify(args):
+    from . import characters as ch
+
     left, right = _parse_pair(args)
     ok = ch.verify_iso(args.k, left, right, budget=args.max_group_size)
     return [args.k, format_family(left), format_family(right)], [{"verified": ok}]
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         if min(getattr(args, "n", 0), getattr(args, "max_group_size", 0)) < 0:

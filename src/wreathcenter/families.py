@@ -12,10 +12,10 @@ families are therefore the same object, so `==` and `hash` are identity.
 A family carries its total size and the number `m1` of 1-parts in its
 all-ones component, both computed once when the label is first built.
 
-Four results are kept for the life of the process.  Per label: `big_z`, the orbit size
-|C_fam| at stage |fam| (`_orbit_size`), and the class representative, a
-`BlockPermutation` and a `KPartialPermutation` that share one image tuple
-(`blockperm.class_representative`, `kpartial.partial_class_representative`).  Per
+Five results are kept for the life of the process.  Per label: `big_z`, the orbit size
+|C_fam| at stage |fam| (`_orbit_size`), the text form (`format_family`), and the class
+representative, a `BlockPermutation` and a `KPartialPermutation` that share one image
+tuple (`blockperm.class_representative`, `kpartial.partial_class_representative`).  Per
 (k, n): `group_order`.  The per-label memos grow with the distinct labels a process sees,
 so they are bounded by the number of families of the sizes in use (415 at k = 3 and sizes
 up to 6, whose representatives take about 0.5 MB); the group orders hold one integer per
@@ -246,8 +246,12 @@ def binomial_pad_factor(fam: PartitionFamily, n: int) -> int:
     return comb(n - fam.size + fam.m1, fam.m1)
 
 
+@cache
 def format_family(fam: PartitionFamily) -> str:
-    """Text form `{[1,1]:[3,1]; [2]:[2]}`: empty components omitted, `{}` if all empty."""
+    """Text form `{[1,1]:[3,1]; [2]:[2]}`: empty components omitted, `{}` if all empty.
+
+    Computed once per label.
+    """
     entries = [
         f"{pt.format_partition(rho)}:{pt.format_partition(comp)}"
         for rho, comp in fam.items()

@@ -1,8 +1,11 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from wreathcenter import center as ct
 from wreathcenter import characters as ch
@@ -320,6 +323,8 @@ ON_FIRST_USE = [
     "hashlib",
     "json",
     "wreathcenter.blockperm",
+    "wreathcenter.center",
+    "wreathcenter.characters",
     "wreathcenter.kpartial",
 ]
 
@@ -337,27 +342,65 @@ def loaded_on_first_use(statements):
 def test_import_loads_neither_hashlib_nor_json():
     # a cache lookup takes sha256 from CPython's own module and only --json
     # output needs json; only enumeration needs blockperm and kpartial, and
-    # only a rational result needs fractions (which loads decimal)
+    # only a rational result needs fractions (which loads decimal).  The
+    # product path loads center and the character commands characters
     assert loaded_on_first_use("import wreathcenter.cli") == "[]"
+
+
+TRANSPOSITION_N7 = "{[1]:[2,1,1,1,1,1]}"
 
 
 def test_each_command_loads_the_enumeration_layers_only_when_it_enumerates(capsys, tmp_path):
     # a multiply cache hit is parsed and mass-checked, and a poly miss the
     # character route serves reads the tables: neither loads what it does
-    # not run.  verify expands its product by enumeration
+    # not run.  A cold S_7 product whose 21 members cost less than building
+    # the table enumerates; chartable runs no product and classes neither.
+    # verify expands its product by enumeration
     cache = tmp_path / "coeffs.cache"
     assert call(capsys, *TRANSPOSITIONS_N4, "--cache", str(cache))[0] == 0
     hit = [*TRANSPOSITIONS_N4, "--cache", str(cache)]
     poly = ["poly", "--k", "2", "--left", "{[2]:[4]}", "--right", "{[1,1]:[4]}"]
     poly += ["--cache", str(tmp_path / "miss.cache")]
+    enumerated = ["multiply", "--k", "1", "--n", "7", "--left", TRANSPOSITION_N7, "--right", TRANSPOSITION_N7]
+    enumerated += ["--cache", str(tmp_path / "enumerated.cache")]
+    # a product with an empty input is the other input and reads no table
+    empty = ["universal", "--k", "2", "--left", "{}", "--right", "{[2]:[4]}"]
     verify = ["verify", "--k", "1", "--left", "{[1]:[2]}", "--right", "{[1]:[3]}"]
+    center, characters = "wreathcenter.center", "wreathcenter.characters"
     for argv, loaded in [
-        (hit, []),
-        (poly, []),
-        (verify, ["wreathcenter.blockperm", "wreathcenter.kpartial"]),
+        (hit, [center]),
+        (poly, [center, characters]),
+        (empty, [center]),
+        (enumerated, ["wreathcenter.blockperm", center, "wreathcenter.kpartial"]),
+        (["chartable", "--k", "2", "--n", "3"], [characters]),
+        (["classes", "--k", "2", "--n", "3"], []),
+        (verify, ["wreathcenter.blockperm", center, characters, "wreathcenter.kpartial"]),
     ]:
         statements = f"from wreathcenter import cli\nif cli.run({argv!r}):\n    sys.exit(1)"
         assert loaded_on_first_use(statements) == repr(loaded), argv
+
+
+def test_a_table_built_before_the_first_product_counts_as_built():
+    # center loads characters only when a product takes the character route;
+    # a table that characters built first still prices as built.  The S_7
+    # table's 15^2 entries then undercut the 21 members of the transposition
+    # class, which a cold process enumerates instead, charging them to (1, 7)
+    def product(ledger):
+        return (
+            "from wreathcenter import center\n"
+            "from wreathcenter.families import parse_family\n"
+            f"t = parse_family({TRANSPOSITION_N7!r}, 1)\n"
+            "center.multiply_group(t, t, 7)\n"
+            f"if dict(center._enumerated) != {ledger!r}:\n    sys.exit(1)"
+        )
+
+    built = "from wreathcenter import characters\ncharacters.character_table(1, 7)\n"
+    assert loaded_on_first_use(built + product({})) == repr(
+        ["wreathcenter.center", "wreathcenter.characters"]
+    )
+    assert loaded_on_first_use(product({(1, 7): 30240})) == repr(
+        ["wreathcenter.blockperm", "wreathcenter.center", "wreathcenter.kpartial"]
+    )
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
@@ -725,6 +768,40 @@ def test_each_command_takes_only_its_flags(capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("error: usage")
+
+
+# each command's flags, in the order README lists them
+PAIR_PRODUCT = ["--left", "--right", "--json", "--max-group-size", "--cache", "--verify-representative", "--gamma"]
+FLAGS = {
+    "classes": ["--k", "--n", "--json"],
+    "multiply": ["--k", "--n", *PAIR_PRODUCT],
+    "universal": ["--k", *PAIR_PRODUCT],
+    "poly": ["--k", *PAIR_PRODUCT],
+    "chartable": ["--k", "--n", "--json"],
+    "verify": ["--k", "--left", "--right", "--json", "--max-group-size"],
+}
+
+
+def help_text(capsys, *argv):
+    with pytest.raises(SystemExit) as exit_:
+        run(list(argv))
+    assert exit_.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_each_command_help_lists_exactly_its_flags(capsys):
+    # the parser gives flags only to the command argv names, so each help
+    # text lists the full flag set of that command
+    for command, flags in FLAGS.items():
+        for argv in ([command, "--help"], [command, "--k", "1", "-h"]):
+            text = help_text(capsys, *argv)
+            assert text.startswith(f"usage: wreathcenter {command} [-h]"), argv
+            listed = dict.fromkeys(re.findall(r"--[a-z][a-z-]*", text))
+            assert list(listed) == [*flags, "--help"], argv
+    top = help_text(capsys, "--help")
+    assert "{classes,multiply,universal,poly,chartable,verify}" in top
+    for command in FLAGS:
+        assert re.search(rf"^    {command} +\S", top, re.MULTILINE), command
 
 
 def test_split_fields_keeps_an_unclosed_family_as_the_last_field():

@@ -203,6 +203,18 @@ def test_text_format():
         parse_family("[2]:[1]", 2)
 
 
+def test_text_form_is_computed_once_per_label():
+    # format_family keeps each label's text: a repeated call returns the same
+    # string, which is the uncached text and parses back to the label
+    for k in (1, 2, 3):
+        for size in range(5):
+            for f in families_with_size(k, size):
+                text = format_family(f)
+                assert format_family(f) is text
+                assert text == format_family.__wrapped__(f)
+                assert parse_family(text, k) is f
+
+
 def test_every_way_to_a_label_returns_the_shared_object():
     f = fam(2, (2, 1), (1,))
     shared = PartitionFamily._of(2, ((2, 1), (1,)))

@@ -3,6 +3,8 @@
 One assertion per check; the inputs are the smallest that reach it.
 """
 
+from collections import namedtuple
+
 import pytest
 
 from wreathcenter import blockperm as bp
@@ -41,6 +43,10 @@ def test_center_refusals():
     for n in (None, 1):
         with pytest.raises(TypeError, match="'x'"):
             ct.ClassSumVector(1, {"x": 1}, n=n)
+        # nor is a vector, or any other object with a k and a size
+        for key in (ct.ClassSumVector(1, {}), namedtuple("Label", "k size")(1, 1)):
+            with pytest.raises(TypeError, match="not a family"):
+                ct.ClassSumVector(1, {key: 1}, n=n)
     with pytest.raises(AttributeError):
         ct.ClassSumVector(1, {}).n = 2
     rows = ct.polynomial_structure(fam(1, (2,)), fam(1, (2,)))
