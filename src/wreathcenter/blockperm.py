@@ -199,6 +199,8 @@ def conjugate(sigma: BlockPermutation, omega: BlockPermutation) -> BlockPermutat
 
 def enumerate_group(k: int, n: int, budget: int = DEFAULT_BUDGET):
     """All k-block permutations of [kn], each exactly once, in a fixed order."""
+    if k < 1:
+        raise ValueError("k must be a positive integer")
     order = group_order(k, n)
     if order > budget:
         raise BudgetExceeded(order, budget, "group enumeration")

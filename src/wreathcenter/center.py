@@ -43,7 +43,7 @@ the smaller sizes, so only the tables below N are read and a product with
 an empty input runs no level.  The group route is one class_product, not
 the one-level case of the universal loop, which costs more per product.
 `_product` weighs enumeration against characters by one rule and takes
-the cheaper route.
+the cheaper route, or both with verify_representative, which must agree.
 
 What cannot change between products is kept for the process: per
 (label, n), the padded form, pad factor and orbit size at stage n (`_at`,
@@ -200,7 +200,7 @@ def multiply_group(
 ) -> ClassSumVector:
     """Product of two class sums in the group of k-block permutations of [kn].
 
-    `_product` counts it; `budget` and `verify_representative` act as there.
+    `_product` counts it by one route, or by both with `verify_representative`.
     """
     if left.size != n or right.size != n:
         raise SizeMismatch("group products need both families of size exactly n")
@@ -215,7 +215,7 @@ def multiply_universal(
 ) -> ClassSumVector:
     """Product of two orbit sums in the universal algebra, at stage |left| + |right|.
 
-    `_product` counts it; `budget` and `verify_representative` act as there.
+    `_product` counts it by one route, or by both with `verify_representative`.
     """
     return _product(left, right, None, budget, verify_representative)
 
@@ -263,9 +263,11 @@ def _product(left, right, n, budget, verify_representative):
 
     `budget` bounds the count of the route taken: |B| elements, or the table
     entries summed over the sizes.  When only one route fits, it is taken;
-    when neither fits, BudgetExceeded reports the smaller count.  With
-    verify_representative the smaller orbit is always enumerated, since only
-    enumeration has a second member of the larger orbit to recount at.
+    when neither fits, BudgetExceeded reports the smaller count.
+
+    With verify_representative both routes count it and a difference raises
+    InvariantViolation.  Both counts must fit `budget` (else BudgetExceeded
+    reports the larger, first), and nothing is charged to `_enumerated`.
     """
     if left.k != right.k:
         raise SizeMismatch("families must share the same k")
@@ -273,29 +275,35 @@ def _product(left, right, n, budget, verify_representative):
     if n is None:
         stage = left.size + right.size
         sizes = range(max(left.size, right.size), stage)
+        by_characters = _universal_by_characters
     else:
         stage, sizes = n, range(n, n + 1)
+        by_characters = lambda a, b: _group_by_characters(a, b, n)
     smaller = min(_at(left, stage)[2], _at(right, stage)[2])
-    if not verify_representative:
-        entries = _entries(k, sizes.start, sizes.stop)
-        characters = (
-            _characters_cost(k, sizes, entries) < smaller * _ELEMENT_COST
-            if max(entries, smaller) <= budget
-            else entries < smaller
-        )
-        if characters:
-            if entries > budget:
-                raise BudgetExceeded(entries, budget, "character table")
-            if n is None:
-                return _universal_by_characters(left, right)
-            return _group_by_characters(left, right, n)
+    entries = _entries(k, sizes.start, sizes.stop)
+    what = "partial class enumeration" if n is None else "class enumeration"
+    if verify_representative:
+        if max(entries, smaller) > budget:
+            needed, what = (entries, "character table") if entries > smaller else (smaller, what)
+            raise BudgetExceeded(needed, budget, what)
+        vector = _by_enumeration(left, right, n, budget)
+        if vector != by_characters(left, right):
+            raise InvariantViolation(f"{vector.context} product differs between the two routes")
+        return vector
+    characters = (
+        _characters_cost(k, sizes, entries) < smaller * _ELEMENT_COST
+        if max(entries, smaller) <= budget
+        else entries < smaller
+    )
+    if characters:
+        if entries > budget:
+            raise BudgetExceeded(entries, budget, "character table")
+        return by_characters(left, right)
     if smaller > budget:
-        what = "partial class enumeration" if n is None else "class enumeration"
         raise BudgetExceeded(smaller, budget, what)
-    if not verify_representative:
-        for m in sizes:
-            _enumerated[k, m] += smaller * _ELEMENT_COST
-    return _by_enumeration(left, right, n, budget, verify_representative)
+    for m in sizes:
+        _enumerated[k, m] += smaller * _ELEMENT_COST
+    return _by_enumeration(left, right, n, budget)
 
 
 def _characters_cost(k, sizes, entries):
@@ -330,18 +338,17 @@ def _class_count(k: int, n: int) -> int:
     return len(families_with_size(k, n))
 
 
-def _by_enumeration(left, right, n, budget, verify_representative):
+def _by_enumeration(left, right, n, budget):
     """The product at size n, or in the universal algebra when n is None, by enumeration.
 
     With x fixed in the larger orbit A and y running over the smaller B (so
     `budget` bounds |B|), c_gamma = |A| * T_gamma / |C_gamma|: T_gamma counts
-    the x y of type gamma (y x is conjugate to it).  verify_representative
-    tallies again at a second member of A.  The one fork picks the layer: the
-    block permutations of [kn], or the k-partial permutations at stage
-    |left| + |right|; `families.partial_class_size` sizes every orbit at the
-    stage.  An orbit of one member (the identity or another central class, or
-    the empty family in the universal algebra) is its cached representative,
-    so no walk builds it again.
+    the x y of type gamma (y x is conjugate to it).  The one fork picks the
+    layer: the block permutations of [kn], or the k-partial permutations at
+    stage |left| + |right|; `families.partial_class_size` sizes every orbit
+    at the stage.  An orbit of one member (the identity or another central
+    class, or the empty family in the universal algebra) is its cached
+    representative, so no walk builds it again.
     """
     # absolute: a relative import in a function body costs about 1.5 us more per call
     import wreathcenter.blockperm as bp
@@ -349,34 +356,21 @@ def _by_enumeration(left, right, n, budget, verify_representative):
 
     if n is None:
         stage = left.size + right.size
-        members = lambda fam, limit: kp.universal_class_members(fam, stage, limit)
+        members = lambda fam: kp.universal_class_members(fam, stage, budget)
         representative, type_of = kp.partial_class_representative, kp.kp_type
     else:
         stage = n
-        members = lambda fam, limit: bp.enumerate_class(fam, n, budget=limit)
+        members = lambda fam: bp.enumerate_class(fam, n, budget=budget)
         representative, type_of = bp.class_representative, bp.BlockPermutation.type_of
     (fixed_size, fixed), (varied_size, varied) = sorted(
         ((partial_class_size(fam, stage), fam) for fam in (left, right)),
         key=lambda sized: -sized[0],
     )
-
-    def orbit(fam, size, limit):
-        return (representative(fam, stage),) if size == 1 else members(fam, limit)
-
-    def tally(x):
-        counts = {}
-        for y in orbit(varied, varied_size, budget):
-            gamma = type_of(x * y)
-            counts[gamma] = counts.get(gamma, 0) + 1
-        return counts
-
-    rep = representative(fixed, stage)
-    counts = tally(rep)
-    if verify_representative:
-        # the larger orbit is walked only up to its second member
-        other = next((x for x in orbit(fixed, fixed_size, fixed_size) if x != rep), None)
-        if other is not None and tally(other) != counts:
-            raise InvariantViolation("product types depend on the representative")
+    x = representative(fixed, stage)
+    counts = {}
+    for y in (representative(varied, stage),) if varied_size == 1 else members(varied):
+        gamma = type_of(x * y)
+        counts[gamma] = counts.get(gamma, 0) + 1
 
     terms = {
         gamma: exact_quotient(fixed_size * count, partial_class_size(gamma, stage), gamma)
@@ -658,7 +652,7 @@ def polynomial_structure(
     The structure holds multiply_universal's vector as it is and re-keys it
     on read: the row sum over r weighted by binomials in n reproduces the
     group coefficient for every n, including the constant r = 0 term.
-    `budget` and `verify_representative` act as in multiply_universal.
+    `budget` and `verify_representative` (count by both routes) act as in multiply_universal.
     """
     if not left.is_proper() or not right.is_proper():
         raise NotProper("polynomial structure requires proper input families")

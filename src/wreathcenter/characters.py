@@ -475,7 +475,7 @@ def verify_iso(
     if eval_points is None:
         eval_points = default_eval_points(k, left.size + right.size + 2)
     points = [_as_point(k, point) for point in eval_points]
-    expansion = center._by_enumeration(left, right, None, budget, False)
+    expansion = center._by_enumeration(left, right, None, budget)
     needed = len(points) * (len(expansion.terms) + 2)
     if needed > budget:
         raise BudgetExceeded(needed, budget, "transport evaluations")

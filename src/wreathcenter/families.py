@@ -114,6 +114,8 @@ class PartitionFamily:
     @classmethod
     def identity(cls, k: int, n: int) -> "PartitionFamily":
         """The family of the identity element of the k-block group on [kn]."""
+        if n < 0:
+            raise SizeMismatch(f"no identity at size {n}")
         return cls(k, {(1,) * k: (1,) * n})
 
     def component(self, rho) -> Partition:

@@ -187,6 +187,8 @@ def kp_type(p: KPartialPermutation) -> PartitionFamily:
 
 def count_all(k: int, n: int) -> int:
     """Total number of k-partial permutations of n: sum of (n falling r) * (k!)^r."""
+    if k < 1:
+        raise ValueError("k must be a positive integer")
     return sum(perm(n, r) * factorial(k) ** r for r in range(n + 1))
 
 

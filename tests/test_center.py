@@ -148,14 +148,14 @@ def test_mislabelled_product_is_caught(monkeypatch):
 
     def enumerated(left, right):
         # only the enumeration route extracts types
-        return ct._by_enumeration(left, right, None, DEFAULT_BUDGET, False)
+        return ct._by_enumeration(left, right, None, DEFAULT_BUDGET)
 
     # T_(3) drops from 4 to 3: 6 * 3 / |C_(3)| = 18 / 8 is not an integer
     mislabel_once({fam(1, (3,)): fam(1, (2, 2))})
     with pytest.raises(InvariantViolation):
         enumerated(lam, lam)
     # moving the one (2,2) product to (1,1) keeps every quotient integral
-    # and the mass unchanged; only a second representative sees it
+    # and the mass unchanged; only the check against characters sees it
     mislabel_once({fam(1, (2, 2)): fam(1, (1, 1))})
     assert enumerated(lam, lam).terms == {fam(1, (1, 1)): 2, fam(1, (3,)): 3}
     mislabel_once({fam(1, (2, 2)): fam(1, (1, 1))})
@@ -183,7 +183,7 @@ def test_mislabelled_product_is_caught(monkeypatch):
 
     transposition, identity = fam(1, (2, 1, 1)), fam(1, (1, 1, 1, 1))
     mislabel_group_once({fam(1, (2, 2)): identity})
-    assert ct._by_enumeration(transposition, transposition, 4, DEFAULT_BUDGET, False).terms == {
+    assert ct._by_enumeration(transposition, transposition, 4, DEFAULT_BUDGET).terms == {
         identity: 12,
         fam(1, (3, 1)): 3,
     }
@@ -250,7 +250,7 @@ def test_universal_associates():
     # (L M) R = L (M R), each side extended bilinearly, with every product
     # taken by the character route called directly, so that the route rule
     # cannot hide it; the triples of total size <= 3 also by enumeration
-    enumerate_ = lambda a, b: ct._by_enumeration(a, b, None, DEFAULT_BUDGET, False)
+    enumerate_ = lambda a, b: ct._by_enumeration(a, b, None, DEFAULT_BUDGET)
     for left, middle, right in _seeded_triples():
         routes = [ct._universal_by_characters]
         if left.size + middle.size + right.size <= 3:
@@ -481,7 +481,7 @@ def test_one_member_orbit_is_its_representative(monkeypatch):
     # a product with a one-member factor (the identity, the central class
     # {[2]:[1^n]} at k = 2, every class of S_1 and S_2, the empty family in
     # the universal algebra) equals the filter oracle, with and without the
-    # recount at a second member; no enumeration walks the one-member orbit,
+    # check by both routes; no enumeration walks the one-member orbit,
     # which is read as its cached representative
     from wreathcenter import blockperm as bp
 
@@ -526,12 +526,12 @@ def test_one_member_orbit_is_its_representative(monkeypatch):
             for other in families_with_size(k, stage):
                 check(empty, other, None, _filter_product(empty, other, *orbits))
                 check(other, empty, None, _filter_product(other, empty, *orbits))
-    assert walked and 1 not in walked
+    assert 1 not in walked
 
 
 def test_products_check_their_inputs():
-    # every route shares these checks, the enumeration that
-    # verify_representative forces included
+    # every route shares these checks, the count by both routes that
+    # verify_representative makes included
     one, two = fam(1, (2,)), fam(2, (), (1,))
     for verify in (False, True):
         options = {"verify_representative": verify}
@@ -572,27 +572,87 @@ def test_universal_mass_check_refuses_a_label_larger_than_the_stage():
         ct.check_mass(ct.ClassSumVector(1, terms), two, two)
 
 
-def test_verify_representative_reads_no_table(monkeypatch):
+def test_verify_representative_counts_both_routes(monkeypatch):
     from wreathcenter import characters as ch
 
-    def refuse(*args):
-        raise AssertionError("verify_representative must enumerate")
-
-    # products whose tables the character route would read, cold or warm
+    # products the character route serves, cold or warm: with the flag each
+    # is enumerated once and read off the tables, and the answer is the one
+    # both routes give; the check charges nothing to the route ledger
     seven, four = fam(1, (7,)), fam(1, (4,))
     five = fam(2, (), (5,))
-    k1_group = ct._by_enumeration(seven, seven, 7, DEFAULT_BUDGET, False)
-    k2_group = ct._by_enumeration(five, five, 5, DEFAULT_BUDGET, False)
-    universal = ct._by_enumeration(four, four, None, DEFAULT_BUDGET, False)
+    k1_group = ct._by_enumeration(seven, seven, 7, DEFAULT_BUDGET)
+    k2_group = ct._by_enumeration(five, five, 5, DEFAULT_BUDGET)
+    universal = ct._by_enumeration(four, four, None, DEFAULT_BUDGET)
+    assert ct._group_by_characters(seven, seven, 7) == k1_group
+    assert ct._group_by_characters(five, five, 5) == k2_group
+    assert ct._universal_by_characters(four, four) == universal
     structure = ct.polynomial_structure(four, four)
-    monkeypatch.setattr(ch, "class_product", refuse)
-    monkeypatch.setattr(ct, "_universal_by_characters", refuse)
+    calls = []
+
+    def counted(name, route):
+        def run(*args):
+            calls.append(name)
+            return route(*args)
+
+        return run
+
+    monkeypatch.setattr(ch, "class_product", counted("class_product", ch.class_product))
+    monkeypatch.setattr(
+        ct, "_universal_by_characters", counted("characters", ct._universal_by_characters)
+    )
+    monkeypatch.setattr(ct, "_by_enumeration", counted("enumeration", ct._by_enumeration))
     monkeypatch.setattr(ct, "_enumerated", Counter())
-    assert ct.multiply_group(seven, seven, 7, verify_representative=True) == k1_group
-    assert ct.multiply_universal(four, four, verify_representative=True) == universal
-    assert ct.polynomial_structure(four, four, verify_representative=True) == structure
-    assert ct.multiply_group(five, five, 5, verify_representative=True) == k2_group
+    # the universal route reads one class product at each size 4..7
+    by_both_universal = ["enumeration", "characters"] + ["class_product"] * 4
+    for product, expected, routes in [
+        (lambda: ct.multiply_group(seven, seven, 7, verify_representative=True), k1_group,
+         ["enumeration", "class_product"]),
+        (lambda: ct.multiply_universal(four, four, verify_representative=True), universal,
+         by_both_universal),
+        (lambda: ct.polynomial_structure(four, four, verify_representative=True), structure,
+         by_both_universal),
+        (lambda: ct.multiply_group(five, five, 5, verify_representative=True), k2_group,
+         ["enumeration", "class_product"]),
+    ]:
+        calls.clear()
+        assert product() == expected
+        assert calls == routes
     assert ct._enumerated == Counter()
+
+
+def test_verify_representative_refuses_a_table_value_that_keeps_the_mass(monkeypatch):
+    from wreathcenter import characters as ch
+
+    # (2,1,1) x (3,1) at n = 4 is 4 C(2,1,1) + 4 C(4); both classes have 6
+    # members, so a table that moves one unit from (4) to (2,1,1) keeps every
+    # coefficient positive and the mass
+    left, right, four_cycle = fam(1, (2, 1, 1)), fam(1, (3, 1)), fam(1, (4,))
+    assert ct.multiply_group(left, right, 4).terms == {left: 4, four_cycle: 4}
+    true_class_product = ch.class_product
+
+    def class_product(a, b):
+        level = true_class_product(a, b)
+        if (a, b) == (left, right):
+            level[four_cycle] -= 1
+            level[left] += 1
+        return level
+
+    monkeypatch.setattr(ch, "class_product", class_product)
+    # forced onto characters, the default product passes every check
+    monkeypatch.setattr(ct, "_ELEMENT_COST", 10**9)
+    assert ct.multiply_group(left, right, 4).terms == {left: 5, four_cycle: 3}
+    with pytest.raises(InvariantViolation):
+        ct.multiply_group(left, right, 4, verify_representative=True)
+
+
+def test_verify_representative_needs_both_counts_in_the_budget():
+    # |C_(2,1^4)| = 15 fits a budget of 20; the S_6 table's 11 ** 2 = 121
+    # entries do not, and are reported before anything is counted
+    lam = fam(1, (2, 1, 1, 1, 1))
+    assert ct.multiply_group(lam, lam, 6, budget=20).terms[PartitionFamily.identity(1, 6)] == 15
+    with pytest.raises(BudgetExceeded) as info:
+        ct.multiply_group(lam, lam, 6, budget=20, verify_representative=True)
+    assert (info.value.needed, info.value.what) == (121, "character table")
 
 
 def test_budget_exceeded():
@@ -615,7 +675,7 @@ def test_character_route_matches_enumeration():
                 for right in fams[i:]:
                     if most and min(class_size(left, n), class_size(right, n)) > most:
                         continue
-                    enumerated = ct._by_enumeration(left, right, n, 10**6, False)
+                    enumerated = ct._by_enumeration(left, right, n, 10**6)
                     assert ct._group_by_characters(left, right, n) == enumerated
 
 
@@ -632,7 +692,7 @@ def test_route_charges_the_table_build(monkeypatch):
     # repeated products at (3, 3) enumerate until the next enumeration
     # would bring their cost past the cost of building the table
     left, right = fam(3, (2, 1), (), ()), fam(3, (), (1,), (1, 1))
-    expected = ct._by_enumeration(left, right, 3, 10**6, False)
+    expected = ct._by_enumeration(left, right, 3, 10**6)
     element_cost = class_size(left, 3) * ct._ELEMENT_COST
     build_cost = len(families_with_size(3, 3)) ** 2 * (1 + ct._BUILD_COST)
     built_at = None
@@ -691,11 +751,11 @@ def test_route_rule_and_budget():
     # |C_(5,1)| = 144 at n = 6 exceeds the 11**2 = 121 entries of the S_6 table
     lam = fam(1, (5, 1))
     by_characters = ct.multiply_group(lam, lam, 6, budget=121)
-    assert by_characters == ct._by_enumeration(lam, lam, 6, 144, False)
+    assert by_characters == ct._by_enumeration(lam, lam, 6, 144)
     with pytest.raises(BudgetExceeded) as info:
         ct.multiply_group(lam, lam, 6, budget=120)
     assert info.value.needed == 121
-    # a second representative exists only for enumeration
+    # the check by both routes needs both counts in the budget
     assert ct.multiply_group(lam, lam, 6, budget=144, verify_representative=True) == by_characters
     with pytest.raises(BudgetExceeded) as info:
         ct.multiply_group(lam, lam, 6, budget=143, verify_representative=True)
@@ -719,7 +779,7 @@ def test_universal_character_route_matches_enumeration():
     ]
     cases += [(parse_family(a, k), parse_family(b, k)) for k, a, b in larger]
     for left, right in cases:
-        enumerated = ct._by_enumeration(left, right, None, 10**7, False)
+        enumerated = ct._by_enumeration(left, right, None, 10**7)
         assert ct._universal_by_characters(left, right) == enumerated
 
 
@@ -761,8 +821,8 @@ def test_universal_route_reads_each_size_below_the_top_once(monkeypatch):
 def test_top_stage_in_closed_form_matches_enumeration():
     # the one label of size |L| + |R| is the union of the inputs, with a
     # product of binomials as its coefficient; every ordered pair with k = 1
-    # and |L| + |R| <= 7, k = 2 and <= 5, k = 3 and <= 4 against forced
-    # enumeration, which recounts at a second member of the larger orbit
+    # and |L| + |R| <= 7, k = 2 and <= 5, k = 3 and <= 4 against
+    # enumeration, which verify_representative runs on every product
     pairs = 0
     for k, most in [(1, 7), (2, 5), (3, 4)]:
         fams = [f for s in range(most + 1) for f in families_with_size(k, s)]
@@ -949,7 +1009,7 @@ def test_blockperm_stays_the_reference_for_group_products():
                         coeff, remainder = divmod(class_size(left, n) * count, class_size(gamma, n))
                         assert remainder == 0
                         expected[gamma] = coeff
-                    assert ct._by_enumeration(left, right, n, DEFAULT_BUDGET, False).terms == expected
+                    assert ct._by_enumeration(left, right, n, DEFAULT_BUDGET).terms == expected
 
 
 def test_at_is_the_padded_label_its_factor_and_its_stage_size():
@@ -1039,7 +1099,7 @@ def test_universal_route_charges_the_table_builds(monkeypatch):
     left, right = fam(3, (1, 1), (), ()), fam(3, (), (), (2,))
     smaller, sizes = 6, (2, 3)
     assert smaller == kp.partial_class_size(left, 4) < kp.partial_class_size(right, 4)
-    expected = ct._by_enumeration(left, right, None, 10**6, False)
+    expected = ct._by_enumeration(left, right, None, 10**6)
     # a cold one-off product enumerates and builds no table
     assert ct.multiply_universal(left, right) == expected
     assert not any(ch.has_character_table(3, n) for n in sizes)
@@ -1082,7 +1142,7 @@ def test_route_pricing_does_not_outlive_the_tables(monkeypatch):
     universal = fam(3, (1, 1), (), ()), fam(3, (), (), (2,))
     group = fam(3, (2, 1), (), ()), fam(3, (), (1,), (1, 1))
     for (left, right), n, sizes in [(universal, None, (2, 3)), (group, 3, (3,))]:
-        case = left, right, n, sizes, ct._by_enumeration(left, right, n, 10**6, False)
+        case = left, right, n, sizes, ct._by_enumeration(left, right, n, 10**6)
         ch.character_table.cache_clear()
         first = products_until_built(*case)
         assert first[0] >= 2

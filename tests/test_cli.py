@@ -706,8 +706,8 @@ def test_a_lookup_reads_only_its_key(capsys, tmp_path, monkeypatch):
 def mislabel_one_22_product(monkeypatch):
     """Make kp.kp_type call the first (2,2) product at k = 1 a (1,1) one.
 
-    Every quotient stays integral and the mass is kept; only a recount at a
-    second representative sees the error.
+    Every quotient stays integral and the mass is kept; only the check
+    against the character route sees the error.
     """
     from wreathcenter import kpartial as kp
     from wreathcenter.families import PartitionFamily
@@ -735,7 +735,7 @@ def test_verify_representative_recounts_poly_and_universal(capsys, monkeypatch):
         assert code == 3
         assert out == ""
         assert "error: invariant-violation" in err
-    # control: without the flag every other check passes, so exit 3 above is the recount;
+    # control: without the flag every other check passes, so exit 3 above is the check;
     # free enumeration pins the product to the route that extracts types
     monkeypatch.setattr(ct, "_ELEMENT_COST", 0)
     mislabel_one_22_product(monkeypatch)

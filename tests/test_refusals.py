@@ -34,6 +34,9 @@ def test_block_permutation_refusals():
         next(bp.class_mappings_on_blocks(fam(1, (2,)), (1, 2, 3)))
     with pytest.raises(ValueError):
         next(bp.enumerate_class(fam(1, (2,)), 2, strategy="sorted"))
+    # the enumeration oracle refuses k = 0 as the constructors do
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        next(bp.enumerate_group(0, 2))
 
 
 def test_center_refusals():
@@ -134,6 +137,18 @@ def test_kpartial_refusals():
     # 16 partial permutations of 3 at k = 1: 1 + 3 + 6 + 6
     with pytest.raises(BudgetExceeded):
         next(kp.enumerate_kpartial(1, 3, budget=15))
+    # the enumeration oracle and its count refuse k = 0 as the constructor does
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        next(kp.enumerate_kpartial(0, 2))
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        kp.count_all(0, 2)
+
+
+def test_identity_family_refuses_a_negative_size():
+    for k, n in ((1, -1), (2, -2)):
+        with pytest.raises(SizeMismatch):
+            PartitionFamily.identity(k, n)
+    assert PartitionFamily.identity(2, 0) == PartitionFamily.empty(2)
 
 
 def test_text_and_partition_refusals():

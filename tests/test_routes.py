@@ -119,7 +119,7 @@ def assert_filtrations_and_signed_masses(vector, left, right, stage):
 def test_universal_characters_match_enumeration(pair):
     left, right = pair
     stage = left.size + right.size
-    enumerated = ct._by_enumeration(left, right, None, DEFAULT_BUDGET, False)
+    enumerated = ct._by_enumeration(left, right, None, DEFAULT_BUDGET)
     forward = ct._universal_by_characters(left, right)
     # the centre is commutative: the other order gives the same product
     backward = ct._universal_by_characters(right, left)
@@ -134,7 +134,7 @@ def test_universal_characters_match_enumeration(pair):
 @given(group_pairs())
 def test_group_characters_match_enumeration(drawn):
     left, right, n = drawn
-    enumerated = ct._by_enumeration(left, right, n, DEFAULT_BUDGET, False)
+    enumerated = ct._by_enumeration(left, right, n, DEFAULT_BUDGET)
     forward = ct._group_by_characters(left, right, n)
     backward = ct._group_by_characters(right, left, n)
     assert forward == backward == enumerated
