@@ -9,7 +9,8 @@ element are grouped into clusters according to how they meet a single
 block; a cluster meeting a block in point-counts rho and spanning m whole
 blocks contributes a part m to the component at rho.  Two elements are
 conjugate exactly when their types agree, and the class sizes come out of
-`families.class_size`.
+`families.class_size`.  Every element built here, or unpickled, comes from
+the unchecked `BlockPermutation._of`; only the public constructor checks.
 """
 
 from collections import Counter, defaultdict
@@ -24,7 +25,7 @@ from .errors import (
     InvariantViolation,
     SizeMismatch,
 )
-from .families import PartitionFamily, class_size, group_order, index_partitions
+from .families import Immutable, PartitionFamily, check_group, class_size, group_order, index_partitions
 from .partitions import Partition
 
 
@@ -116,26 +117,32 @@ def _component_slots(k: int) -> dict:
     return {rho: i for i, rho in enumerate(index_partitions(k))}
 
 
-class BlockPermutation:
+class BlockPermutation(Immutable):
     """A permutation of [kn] sending k-blocks to k-blocks, stored as a 1-based image tuple."""
 
     __slots__ = ("k", "n", "images")
 
-    def __init__(self, k: int, n: int, images, _checked: bool = False):
+    def __new__(cls, k: int, n: int, images):
         images = tuple(images)
         if len(images) != k * n:
             raise DimensionMismatch(f"expected {k * n} images, got {len(images)}")
-        if not _checked and not is_block_permutation(images, k):
+        if not is_block_permutation(images, k):
             raise ValueError("images do not define a block permutation")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "images", images)
+        return cls._of(k, n, images)
+
+    @classmethod
+    def _of(cls, k: int, n: int, images: tuple) -> "BlockPermutation":
+        """The element with these images, unchecked: `images` must be a block permutation tuple."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "k", k)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "images", images)
+        return p
 
     @classmethod
     def identity(cls, k: int, n: int) -> "BlockPermutation":
-        if k < 1:
-            raise ValueError("k must be a positive integer")
-        return cls(k, n, range(1, k * n + 1), _checked=True)
+        check_group(k, n)
+        return cls._of(k, n, tuple(range(1, k * n + 1)))
 
     def __call__(self, point: int) -> int:
         return self.images[point - 1]
@@ -143,15 +150,13 @@ class BlockPermutation:
     def __mul__(self, other: "BlockPermutation") -> "BlockPermutation":
         if self.k != other.k or self.n != other.n:
             raise DimensionMismatch("cannot compose elements of different groups")
-        return BlockPermutation(
-            self.k, self.n, tuple(self.images[y - 1] for y in other.images), _checked=True
-        )
+        return BlockPermutation._of(self.k, self.n, tuple(self.images[y - 1] for y in other.images))
 
     def inverse(self) -> "BlockPermutation":
         inv = [0] * len(self.images)
         for x, y in enumerate(self.images, start=1):
             inv[y - 1] = x
-        return BlockPermutation(self.k, self.n, tuple(inv), _checked=True)
+        return BlockPermutation._of(self.k, self.n, tuple(inv))
 
     def quotient(self) -> tuple[int, ...]:
         """The induced permutation of block indices, as a 1-based image tuple."""
@@ -169,14 +174,8 @@ class BlockPermutation:
         body = text.strip().removeprefix("(").removesuffix(")")
         return cls(k, n, (int(piece) for piece in body.split(",")) if body else ())
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BlockPermutation is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("BlockPermutation is immutable")
-
     def __reduce__(self):
-        return BlockPermutation, (self.k, self.n, self.images, True)
+        return BlockPermutation._of, (self.k, self.n, self.images)
 
     def __eq__(self, other):
         return (
@@ -199,8 +198,6 @@ def conjugate(sigma: BlockPermutation, omega: BlockPermutation) -> BlockPermutat
 
 def enumerate_group(k: int, n: int, budget: int = DEFAULT_BUDGET):
     """All k-block permutations of [kn], each exactly once, in a fixed order."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
     order = group_order(k, n)
     if order > budget:
         raise BudgetExceeded(order, budget, "group enumeration")
@@ -215,7 +212,7 @@ def enumerate_group(k: int, n: int, budget: int = DEFAULT_BUDGET):
                 for b in fills[i]:
                     images[pos] = base + b + 1
                     pos += 1
-            yield BlockPermutation(k, n, tuple(images), _checked=True)
+            yield BlockPermutation._of(k, n, tuple(images))
 
 
 # -- direct class construction ------------------------------------------------
@@ -323,7 +320,7 @@ def class_representative(fam: PartitionFamily, n: int) -> BlockPermutation:
 def _first_member(fam: PartitionFamily) -> BlockPermutation:
     n = fam.size
     images = next(class_mappings_on_blocks(fam, range(1, n + 1)))
-    return BlockPermutation(fam.k, n, images, _checked=True)
+    return BlockPermutation._of(fam.k, n, images)
 
 
 def enumerate_class(
@@ -348,7 +345,7 @@ def enumerate_class(
                 yield omega
     elif strategy == "direct":
         for images in class_mappings_on_blocks(fam, range(1, n + 1)):
-            yield BlockPermutation(fam.k, n, images, _checked=True)
+            yield BlockPermutation._of(fam.k, n, images)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 

@@ -59,6 +59,9 @@ multiplicities picked up by the extension map).  Every universal label
 splits uniquely into a proper family and r extra 1-parts, so the universal
 vector, re-keyed by (proper family, r) on read, gives the binomial-basis
 coefficients that make every group-level structure constant a polynomial in n.
+
+`polynomial_structure` wraps a product already checked in the unchecked
+`PolynomialStructure._of`; only a structure built from rows checks them.
 """
 
 import sys
@@ -76,9 +79,11 @@ from .errors import (
     exact_quotient,
 )
 from .families import (
+    Immutable,
     PartitionFamily,
     _orbit_size,
     binomial_pad_factor,
+    check_group,
     families_with_size,
     format_family,
     pad_family,
@@ -99,12 +104,12 @@ __all__ = [
 ]
 
 
-class ClassSumVector:
+class ClassSumVector(Immutable):
     """A sparse integer combination of class labels.
 
-    `n` is None for universal vectors; otherwise n >= 0 and every key must
-    be a family of size n.  A key that is not a family raises TypeError, one
-    of another k or size SizeMismatch.  A coefficient is an integer
+    `n` is None for universal vectors; otherwise k >= 1, n >= 0 and every
+    key must be a family of size n.  A key that is not a family raises TypeError,
+    one of another k or size SizeMismatch.  A coefficient is an integer
     (`operator.index`: a float or a string raises TypeError, a bool is taken
     as 0 or 1), and zero coefficients are dropped.  The terms are kept as
     one flat tuple (label, coefficient, label, coefficient, ...) in
@@ -115,8 +120,8 @@ class ClassSumVector:
     __slots__ = ("k", "n", "_flat")
 
     def __init__(self, k: int, terms: dict, n: int | None = None):
-        if n is not None and n < 0:
-            raise SizeMismatch(f"a vector over size {n}")
+        if n is not None:
+            check_group(k, n)
         flat = []
         for fam, coeff in terms.items():
             if not isinstance(fam, PartitionFamily):
@@ -152,12 +157,6 @@ class ClassSumVector:
     def coefficient(self, fam: PartitionFamily) -> int:
         return next((c for gamma, c in self.items() if gamma == fam), 0)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ClassSumVector is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("ClassSumVector is immutable")
-
     def __reduce__(self):
         return ClassSumVector, (self.k, self.terms, self.n)
 
@@ -175,7 +174,7 @@ class ClassSumVector:
         return f"<{self.context}: {body or '0'}>"
 
 
-# the slots' own setters, bound once: __setattr__ refuses every write
+# the slots' own setters, bound once: Immutable.__setattr__ refuses every write
 _set_k = ClassSumVector.k.__set__
 _set_n = ClassSumVector.n.__set__
 _set_flat = ClassSumVector._flat.__set__
@@ -555,7 +554,7 @@ def _at(fam: PartitionFamily, n: int) -> tuple:
     return pad_family(fam, n), binomial_pad_factor(fam, n), partial_class_size(fam, n)
 
 
-class PolynomialStructure:
+class PolynomialStructure(Immutable):
     """Binomial-basis coefficients of one product of two proper class sums.
 
     `vector` is the universal product.  Each of its labels is a proper gamma
@@ -572,7 +571,7 @@ class PolynomialStructure:
 
     __slots__ = ("k", "left", "right", "vector")
 
-    def __init__(self, k, left, right, rows):
+    def __new__(cls, k, left, right, rows):
         if left.k != k or right.k != k:
             raise SizeMismatch(f"k={left.k} and k={right.k} inputs in a k={k} structure")
         terms = {}
@@ -587,8 +586,7 @@ class PolynomialStructure:
             if r < 0:
                 raise ValueError(f"a row with r = {r} < 0")
             terms[pad_family(gamma, gamma.size + r)] = coeff
-        for name, value in zip(self.__slots__, (k, left, right, ClassSumVector(k, terms))):
-            object.__setattr__(self, name, value)
+        return cls._of(left, right, ClassSumVector(k, terms))
 
     @classmethod
     def _of(cls, left, right, vector):
@@ -597,12 +595,6 @@ class PolynomialStructure:
         for name, value in zip(cls.__slots__, (left.k, left, right, vector)):
             object.__setattr__(structure, name, value)
         return structure
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolynomialStructure is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("PolynomialStructure is immutable")
 
     def __reduce__(self):
         return PolynomialStructure, (self.k, self.left, self.right, self.rows)

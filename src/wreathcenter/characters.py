@@ -38,6 +38,7 @@ from .errors import DEFAULT_BUDGET, BudgetExceeded, InvariantViolation, SizeMism
 from .families import (
     PartitionFamily,
     big_z,
+    check_group,
     families_with_size,
     group_order,
     index_partitions,
@@ -374,8 +375,7 @@ def class_product(left: PartitionFamily, right: PartitionFamily) -> dict:
 def _table_entry(k, n):
     entry = _tables.get((k, n))
     if entry is None:
-        if n < 0:
-            raise SizeMismatch(f"no character table at size {n}")
+        check_group(k, n)
         entry = _tables[k, n] = _build_table(k, n)
     return entry
 
@@ -467,13 +467,18 @@ def verify_iso(
     transported expansion.  All arithmetic is exact.  The budget bounds
     the product and, before any is made, the transport evaluations: one per
     expansion term and one per input at every point.
+
+    The default points, the families of size at most N = |left| + |right|,
+    decide the identity: both sides are shifted symmetric functions of degree
+    at most N, and the images of the labels of size at most N have full rank
+    against these points (`test_transport_is_injective`).
     """
     from . import center
 
     if left.k != k or right.k != k:
         raise SizeMismatch("family k does not match the requested k")
     if eval_points is None:
-        eval_points = default_eval_points(k, left.size + right.size + 2)
+        eval_points = default_eval_points(k, left.size + right.size)
     points = [_as_point(k, point) for point in eval_points]
     expansion = center._by_enumeration(left, right, None, budget)
     needed = len(points) * (len(expansion.terms) + 2)

@@ -12,6 +12,10 @@ families are therefore the same object, so `==` and `hash` are identity.
 A family carries its total size and the number `m1` of 1-parts in its
 all-ones component, both computed once when the label is first built.
 
+Every value type derives from `Immutable`, which refuses writes and `del`; each but
+`ClassSumVector` sets its slots only in an unchecked `_of`, which its validating
+constructor returns.  `check_group` refuses an impossible (k, n) for every caller.
+
 Five results are kept for the life of the process.  Per label: `big_z`, the orbit size
 |C_fam| at stage |fam| (`_orbit_size`), the text form (`format_family`), and the class
 representative, a `BlockPermutation` and a `KPartialPermutation` that share one image
@@ -55,7 +59,27 @@ def index_partitions(k: int) -> tuple[Partition, ...]:
     return tuple(reversed(pt.partitions_of(k)))
 
 
-class PartitionFamily:
+def check_group(k: int, n: int) -> None:
+    """Refuse the group of k-block permutations of [kn]: ValueError if k < 1, SizeMismatch if n < 0."""
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    if n < 0:
+        raise SizeMismatch(f"no group of size {n}")
+
+
+class Immutable:
+    """A value whose slots are set once, when it is built: writes and `del` raise AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class PartitionFamily(Immutable):
     """An assignment of a partition to every partition of k, one shared object per label."""
 
     __slots__ = ("k", "components", "size", "m1")
@@ -66,8 +90,7 @@ class PartitionFamily:
         Missing keys mean the empty partition.  Keys must be partitions
         of exactly k.
         """
-        if k < 1:
-            raise ValueError("k must be a positive integer")
+        check_group(k, 0)
         keys = index_partitions(k)
         comps = {key: () for key in keys}
         if assignment:
@@ -83,8 +106,6 @@ class PartitionFamily:
         """The shared family with these components, unchecked.
 
         `components` must already be partitions in index_partitions(k) order.
-        A new label is stored with `setdefault`, so two threads that build it
-        at once both get the stored one.
         """
         fam = _LABELS.get((k, components))
         if fam is None:
@@ -114,8 +135,7 @@ class PartitionFamily:
     @classmethod
     def identity(cls, k: int, n: int) -> "PartitionFamily":
         """The family of the identity element of the k-block group on [kn]."""
-        if n < 0:
-            raise SizeMismatch(f"no identity at size {n}")
+        check_group(k, n)
         return cls(k, {(1,) * k: (1,) * n})
 
     def component(self, rho) -> Partition:
@@ -143,12 +163,6 @@ class PartitionFamily:
 
     def sort_key(self):
         return self.components
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PartitionFamily is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("PartitionFamily is immutable")
 
     def __reduce__(self):
         return PartitionFamily._of, (self.k, self.components)
@@ -187,6 +201,7 @@ def big_z(fam: PartitionFamily) -> int:
 @cache
 def group_order(k: int, n: int) -> int:
     """Order of the group of k-block permutations of [kn]: (k!)^n * n!, computed once per (k, n)."""
+    check_group(k, n)
     return factorial(k) ** n * factorial(n)
 
 
@@ -222,8 +237,7 @@ def families_with_size(k: int, n: int, proper_only: bool = False):
     With proper_only, restrict to families whose all-ones component has no
     1-parts.  Output is sorted by the canonical component order.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    check_group(k, n)
     keys = index_partitions(k)
 
     def gen(slot, remaining):

@@ -11,7 +11,8 @@ Every element is stored as its domain and one padded image tuple: the
 1-based images of all points of [k * max(domain)], with the identity on
 the blocks outside the domain.  Extending by the identity is then padding
 the tuple, and a product is a composition of two padded tuples, exactly
-as for `BlockPermutation`.
+as for `BlockPermutation`, and as there only the public constructor
+checks: every element built here comes from `KPartialPermutation._of`.
 
 An orbit of the conjugation action is one class of the k-block group on
 m blocks placed on every m-subset of the blocks: its members are built
@@ -42,10 +43,10 @@ from .errors import (
     DomainNotCovered,
     SizeMismatch,
 )
-from .families import PartitionFamily, partial_class_size
+from .families import Immutable, PartitionFamily, check_group, partial_class_size
 
 
-class KPartialPermutation:
+class KPartialPermutation(Immutable):
     """A pair (blocks, perm) stored as a padded image tuple.
 
     The constructor takes distinct domain blocks, in any order, and the
@@ -56,7 +57,7 @@ class KPartialPermutation:
 
     __slots__ = ("k", "blocks", "images")
 
-    def __init__(self, k: int, blocks, images):
+    def __new__(cls, k: int, blocks, images):
         blocks = tuple(sorted(blocks))
         images = tuple(images)
         if blocks and blocks[0] < 1:
@@ -71,7 +72,16 @@ class KPartialPermutation:
             padded[x - 1] = y
         if not is_block_permutation(padded, k):
             raise ValueError("perm must send each domain block onto a domain block")
-        _init(self, k, blocks, tuple(padded))
+        return cls._of(k, blocks, tuple(padded))
+
+    @classmethod
+    def _of(cls, k: int, blocks: tuple, images: tuple) -> "KPartialPermutation":
+        """An element from sorted blocks and an already padded image tuple, unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "k", k)
+        object.__setattr__(p, "blocks", blocks)
+        object.__setattr__(p, "images", images)
+        return p
 
     @classmethod
     def empty(cls, k: int) -> "KPartialPermutation":
@@ -82,14 +92,8 @@ class KPartialPermutation:
     def points(self) -> tuple[int, ...]:
         return tuple(x for b in self.blocks for x in block_points(b, self.k))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("KPartialPermutation is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("KPartialPermutation is immutable")
-
     def __reduce__(self):
-        return _padded, (self.k, self.blocks, self.images)
+        return KPartialPermutation._of, (self.k, self.blocks, self.images)
 
     def __eq__(self, other):
         return (
@@ -131,19 +135,6 @@ class KPartialPermutation:
         return product(self, other)
 
 
-def _init(p, k, blocks, images):
-    object.__setattr__(p, "k", k)
-    object.__setattr__(p, "blocks", blocks)
-    object.__setattr__(p, "images", images)
-
-
-def _padded(k: int, blocks: tuple, images: tuple) -> KPartialPermutation:
-    """An element from sorted blocks and an already padded image tuple, unchecked."""
-    p = object.__new__(KPartialPermutation)
-    _init(p, k, blocks, images)
-    return p
-
-
 def _pad(images: tuple, width: int) -> tuple:
     return images + tuple(range(len(images) + 1, width + 1))
 
@@ -155,7 +146,7 @@ def product(p: KPartialPermutation, q: KPartialPermutation) -> KPartialPermutati
     width = max(len(p.images), len(q.images))
     outer, inner = _pad(p.images, width), _pad(q.images, width)
     blocks = tuple(sorted(set(p.blocks).union(q.blocks)))
-    return _padded(p.k, blocks, tuple(outer[y - 1] for y in inner))
+    return KPartialPermutation._of(p.k, blocks, tuple(outer[y - 1] for y in inner))
 
 
 def support(p: KPartialPermutation) -> tuple[int, ...]:
@@ -170,14 +161,14 @@ def act(sigma: BlockPermutation, p: KPartialPermutation) -> KPartialPermutation:
     moved = conjugate(sigma, extend(p, sigma.n))
     k = p.k
     blocks = tuple(sorted(block_of(sigma((b - 1) * k + 1), k) for b in p.blocks))
-    return _padded(k, blocks, moved.images[: k * max(blocks, default=0)])
+    return KPartialPermutation._of(k, blocks, moved.images[: k * max(blocks, default=0)])
 
 
 def extend(p: KPartialPermutation, n: int) -> BlockPermutation:
     """The block permutation of [kn] agreeing with p on its domain, identity elsewhere."""
     if p.blocks and p.blocks[-1] > n:
         raise DomainNotCovered(f"domain blocks {p.blocks} do not fit in [{n}]")
-    return BlockPermutation(p.k, n, _pad(p.images, p.k * n), _checked=True)
+    return BlockPermutation._of(p.k, n, _pad(p.images, p.k * n))
 
 
 def kp_type(p: KPartialPermutation) -> PartitionFamily:
@@ -187,8 +178,7 @@ def kp_type(p: KPartialPermutation) -> PartitionFamily:
 
 def count_all(k: int, n: int) -> int:
     """Total number of k-partial permutations of n: sum of (n falling r) * (k!)^r."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    check_group(k, n)
     return sum(perm(n, r) * factorial(k) ** r for r in range(n + 1))
 
 
@@ -207,7 +197,7 @@ def _relabel(k: int, blocks, to_global, local) -> KPartialPermutation:
     images = list(range(1, k * max(blocks, default=0) + 1))
     for x, y in zip(to_global, local):
         images[x - 1] = to_global[y - 1]
-    return _padded(k, blocks, tuple(images))
+    return KPartialPermutation._of(k, blocks, tuple(images))
 
 
 def universal_class_members(
@@ -245,7 +235,7 @@ def partial_class_representative(fam: PartitionFamily, n: int) -> KPartialPermut
 @cache
 def _first_member(fam: PartitionFamily) -> KPartialPermutation:
     rep = class_representative(fam, fam.size)
-    return _padded(fam.k, tuple(range(1, fam.size + 1)), rep.images)
+    return KPartialPermutation._of(fam.k, tuple(range(1, fam.size + 1)), rep.images)
 
 
 def enumerate_kpartial(k: int, n: int, budget: int = DEFAULT_BUDGET):

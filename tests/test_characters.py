@@ -6,11 +6,19 @@ from operator import mul
 
 import pytest
 
+from wreathcenter import blockperm as bp
 from wreathcenter import center as ct
 from wreathcenter import characters as ch
+from wreathcenter import kpartial as kp
 from wreathcenter import partitions as pt
-from wreathcenter.errors import BudgetExceeded, InvariantViolation, SizeMismatch
-from wreathcenter.families import PartitionFamily, big_z, families_with_size, parse_family
+from wreathcenter.errors import DEFAULT_BUDGET, BudgetExceeded, InvariantViolation, SizeMismatch
+from wreathcenter.families import (
+    PartitionFamily,
+    big_z,
+    families_with_size,
+    group_order,
+    parse_family,
+)
 
 
 def fam(k, *components):
@@ -525,7 +533,7 @@ def test_transport_remainder_is_caught(monkeypatch):
 
 def test_verify_iso_budget_bounds_transport_evaluations(monkeypatch):
     left = right = fam(3, (), (1,), ())
-    points = ch.default_eval_points(3, 4)
+    points = ch.default_eval_points(3, 2)
     terms = ct.multiply_universal(left, right).terms
     needed = len(points) * (len(terms) + 2)
     evaluated = Counter()
@@ -542,6 +550,31 @@ def test_verify_iso_budget_bounds_transport_evaluations(monkeypatch):
     assert not evaluated
     assert ch.verify_iso(3, left, right, budget=needed)
     assert sum(evaluated.values()) == needed
+
+
+def test_verify_iso_refuses_a_unit_moved_onto_any_label_of_size_at_most_n(monkeypatch):
+    # the default points, of size <= N = |L| + |R|, decide the identity: for
+    # every pair of nonempty inputs, an expansion with one unit moved from its
+    # first label in sorted order onto any other label of size <= N is
+    # refused.  Some first labels have size N, so points of size < N, at
+    # which every label of size N vanishes, would pass some of these moves
+    enumerate_product, moved = ct._by_enumeration, {}
+    monkeypatch.setattr(ct, "_by_enumeration", lambda left, right, n, budget: moved["vector"])
+    for k, total in ((1, 5), (2, 3), (3, 3)):
+        labels = ch.default_eval_points(k, total)
+        for size in range(1, total):
+            for left in families_with_size(k, size):
+                for right in families_with_size(k, total - size):
+                    expansion = enumerate_product(left, right, None, DEFAULT_BUDGET)
+                    terms, first = expansion.terms, expansion.items_sorted()[0][0]
+                    for other in labels:
+                        if other is first:
+                            continue
+                        wrong = dict(terms)
+                        wrong[first] -= 1
+                        wrong[other] = wrong.get(other, 0) + 1
+                        moved["vector"] = ct.ClassSumVector(k, wrong)
+                        assert not ch.verify_iso(k, left, right), (left, right, other)
 
 
 def test_verify_iso_basic():
@@ -651,6 +684,23 @@ def test_negative_sizes_are_refused():
         ch.character_table(3, -1)
     assert not ch.has_character_table(3, -1)
     assert not ch.has_character_table(1, -3)
+    # every function handed a group's (k, n) refuses a negative size the same way
+    refused = [
+        lambda: families_with_size(1, -1),
+        lambda: group_order(1, -1),
+        lambda: list(bp.enumerate_group(1, -1)),
+        lambda: kp.count_all(1, -2),
+        lambda: list(kp.enumerate_kpartial(1, -1)),
+        lambda: bp.BlockPermutation.identity(1, -1),
+    ]
+    for call in refused:
+        with pytest.raises(SizeMismatch):
+            call()
+    # and a block size below 1 with ValueError
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        group_order(0, 2)
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        ct.ClassSumVector(0, {}, n=1)
 
 
 def test_wrong_degree_fails_the_identity_column_check(monkeypatch):

@@ -209,7 +209,7 @@ def test_verify_budget_bounds_transport_evaluations(capsys):
     pair = ["--left", "{[2,1]:[2]}", "--right", "{[3]:[1]}"]
     left, right = (parse_family(text, 3) for text in pair[1::2])
     terms = ct.multiply_universal(left, right).terms
-    needed = len(ch.default_eval_points(3, 5)) * (len(terms) + 2)
+    needed = len(ch.default_eval_points(3, 3)) * (len(terms) + 2)
     code, out, err = call(capsys, "verify", "--k", "3", *pair, "--max-group-size", str(needed - 1))
     assert code == 2
     assert out == ""

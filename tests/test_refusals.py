@@ -39,6 +39,14 @@ def test_block_permutation_refusals():
         next(bp.enumerate_group(0, 2))
 
 
+def test_block_permutation_constructor_always_checks():
+    # no flag skips the check: only the package's own `_of` builds unchecked
+    with pytest.raises(TypeError):
+        bp.BlockPermutation(1, 2, (1, 1), True)
+    with pytest.raises(ValueError):
+        bp.BlockPermutation(1, 2, (1, 1))
+
+
 def test_center_refusals():
     with pytest.raises(SizeMismatch):
         ct.ClassSumVector(1, {fam(2, (1,), ()): 1})

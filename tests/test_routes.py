@@ -35,7 +35,7 @@ from wreathcenter.families import (
 UNIVERSAL_MOST = {1: 6, 2: 5, 3: 4}
 GROUP_MOST = {1: 6, 2: 4, 3: 3}
 # the draws the slow oracles also check: verify_iso evaluates at every point
-# of size up to |L| + |R| + 2, and the filter scans the whole group, which
+# of size up to |L| + |R|, and the filter scans the whole group, which
 # has at most 120 elements at these n (S_5, S_2 wr S_3, S_3 wr S_2)
 VERIFY_MOST = {1: 5, 2: 4, 3: 3}
 FILTER_MOST = {1: 5, 2: 3, 3: 2}

@@ -60,6 +60,37 @@ def test_center_reads_the_tables_only_through_class_product():
     assert read == {"class_product", "has_character_table"}
 
 
+def test_only_immutable_refuses_writes_and_only_of_sets_slots():
+    # one base class refuses every write and del, and each value type sets its
+    # slots through object.__setattr__ in one unchecked constructor, `_of`
+    guards, setters = [], []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                guards.extend(
+                    f"{child.name}.{item.name}"
+                    for item in child.body
+                    if isinstance(item, ast.FunctionDef) and item.name in ("__setattr__", "__delattr__")
+                )
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "__setattr__"
+                and getattr(child.func.value, "id", None) == "object"
+            ):
+                setters.append((function, child.lineno))
+            visit(child, function)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None)
+    assert sorted(guards) == ["Immutable.__delattr__", "Immutable.__setattr__"]
+    assert setters and all(function == "_of" for function, _ in setters), setters
+
+
 # every name the package namespace bound when it imported its submodules eagerly,
 # by the module it was imported from
 PUBLIC = {
