@@ -123,6 +123,7 @@ class BlockPermutation(Immutable):
     __slots__ = ("k", "n", "images")
 
     def __new__(cls, k: int, n: int, images):
+        check_group(k, n)
         images = tuple(images)
         if len(images) != k * n:
             raise DimensionMismatch(f"expected {k * n} images, got {len(images)}")
@@ -308,11 +309,10 @@ def class_mappings_on_blocks(fam: PartitionFamily, blocks):
 def class_representative(fam: PartitionFamily, n: int) -> BlockPermutation:
     """The first member that class_mappings_on_blocks builds on blocks 1..n (requires size n).
 
-    The size is checked on every call; the member is built once per label
-    and shared, which is safe because elements are immutable.
+    `families.class_size` checks the size on every call; the member is built
+    once per label and shared, which is safe because elements are immutable.
     """
-    if fam.size != n:
-        raise SizeMismatch(f"family has size {fam.size}, expected {n}")
+    class_size(fam, n)
     return _first_member(fam)
 
 
@@ -335,10 +335,9 @@ def enumerate_class(
     the rest of the group; the filter strategy scans the whole group and is
     kept as an independent cross-check.
     """
-    if fam.size != n:
-        raise SizeMismatch(f"family has size {fam.size}, expected {n}")
-    if class_size(fam, n) > budget:
-        raise BudgetExceeded(class_size(fam, n), budget, "class enumeration")
+    size = class_size(fam, n)
+    if size > budget:
+        raise BudgetExceeded(size, budget, "class enumeration")
     if strategy == "filter":
         for omega in enumerate_group(fam.k, n, budget=budget):
             if omega.type_of() == fam:

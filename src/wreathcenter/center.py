@@ -560,7 +560,9 @@ class PolynomialStructure(Immutable):
     `vector` is the universal product.  Each of its labels is a proper gamma
     plus r extra 1-parts, and `rows` re-keys it on every read, as a new dict
     {(gamma, r): coefficient}; evaluating at n sums gamma's rows against
-    C(n - |gamma|, r), the group-level coefficient for every n.
+    C(n - |gamma|, r), the group-level coefficient for every n.  The CLI
+    cache also writes a product of inputs with 1-parts as such rows, which
+    are then only a record of its vector: `evaluate` needs proper inputs.
 
     Built from rows, the inputs and targets are families of k (SizeMismatch;
     TypeError for a target that is not a family), each target is proper

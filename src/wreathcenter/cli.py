@@ -2,15 +2,15 @@
 
 Commands: classes, multiply, universal, poly, chartable, verify.  Each
 takes --k and --json plus only the flags it acts on.  multiply, universal
-and poly share one product path, the only one that opens the cache: rows
-come from the asked product's cache records, product-checked, or are
-computed and appended, then are filtered by --gamma and sorted.
+and poly share one product path, the only one that opens the cache: the
+product comes from its cache record, product-checked, or is computed and
+appended (multiply's as group rows, universal's and poly's as the pair's
+poly rows), then its rows are filtered by --gamma and sorted.
 Every command gives a head and rows, and one emitter prints them: each
 row as a record, the head fields and then the row's values joined by "; ",
 or with --json, for every command, one JSON array of the rows as objects.
 A process loads only what its command runs: the product path imports
-center, chartable characters, verify both, and classes neither; the
-parser gives flags to the named command only.
+center, chartable characters, verify both, and classes neither.
 Exit codes: 1 for usage/parse errors and unusable cache paths, 2 when a
 budget is exceeded, 3 when an internal invariant check fails.
 """
@@ -87,21 +87,22 @@ class Cache:
 
     Group rows: `k; n; left; right; gamma; coeff`.
     Polynomial rows: `k; left; right; gamma; r; coeff`.
-    Each product is one record, appended by a single write.  Its first line
-    starts with a header field `#<rows>:<sha256>` holding the number of
-    rows and the sha256 of the row lines (each with its newline, header
-    field left out).  A lookup reads only its key's records.  A key whose
-    rows lack a header, whose record has a wrong count or digest or repeats
-    a target, or whose records disagree is rejected whatever other keys
-    hold: looking it up raises InvariantViolation.  Identical records
-    collapse; only keys written before are served, so replays are identical.
+    Polynomial rows hold a universal product's terms, each as a proper
+    target and its number of extra 1-parts.  Each product is one record,
+    appended by a single write.  Its first line starts with a header field
+    `#<rows>:<sha256>` holding the number of rows and the sha256 of the row
+    lines (each with its newline, header field left out).  A lookup reads
+    only its key's records, and raises InvariantViolation at the first one
+    whose rows lack a header, whose count or digest is wrong, which repeats
+    a target or which disagrees with an earlier record, whatever other keys
+    hold.  Identical records collapse; only keys written before are served,
+    so replays are identical.
     """
 
     def __init__(self, path: str | None):
         self.path = path
         self.group: dict = {}
         self.poly: dict = {}
-        self.rejected: dict = {}
 
     def _read(self, handle, table, key):
         record = None  # [header, row lines with newlines, rows] of an open record of key
@@ -119,9 +120,9 @@ class Cache:
             if header or row_key != key:
                 self._close(table, key, record)
                 record = [header, [], {}] if row_key == key else None
-            if row_key == key and record is None:
-                self.rejected[key] = "has rows without a record header"
-            elif row_key == key:
+            if row_key == key:
+                if record is None:
+                    raise InvariantViolation(f"cache record {key} has rows without a record header")
                 record[1].append(line + "\n")
                 record[2][target] = coeff
         self._close(table, key, record)
@@ -149,20 +150,21 @@ class Cache:
             return
         header, lines, rows = record
         if header != f"#{len(lines)}:{_digest(''.join(lines))}":
-            self.rejected[key] = "does not match its record header"
+            reason = "does not match its record header"
         elif None in rows.values():
-            self.rejected[key] = "has a row whose numeric fields are not integers"
+            reason = "has a row whose numeric fields are not integers"
         elif len(rows) != len(lines):
-            self.rejected[key] = "repeats a target"
+            reason = "repeats a target"
         elif table.setdefault(key, rows) != rows:
-            self.rejected[key] = "has records that disagree"
+            reason = "has records that disagree"
+        else:
+            return
+        raise InvariantViolation(f"cache record {key} {reason}")
 
     def _get(self, table, key):
         if key not in table and self.path and os.path.exists(self.path):
             with open(self.path, encoding="utf-8") as handle:
                 self._read(handle, table, key)
-        if key in self.rejected:
-            raise InvariantViolation(f"cache record {key} {self.rejected[key]}")
         return table.get(key)
 
     def _append(self, lines):
@@ -194,15 +196,7 @@ class Cache:
         )
 
 
-def _build_parser(argv) -> _Parser:
-    """The parser of every command, with the flags of the command that argv names only.
-
-    argv names a command by its first token that is not an option.  argparse
-    parses no other command and prints only its name and help line, so the
-    others get no flags, not even -h, and each error, help text and exit
-    code is the one the full parser gives.
-    """
-    named = next((token for token in argv if not token.startswith("-")), None)
+def _build_parser() -> _Parser:
     parser = _Parser(prog="wreathcenter", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     pair_product = {"pair", "budget", "product"}
@@ -215,9 +209,6 @@ def _build_parser(argv) -> _Parser:
         ("chartable", "character table records", {"n"}, _cmd_chartable),
         ("verify", "pointwise multiplicativity of the transport map", {"pair", "budget"}, _cmd_verify),
     ):
-        if name != named:
-            sub.add_parser(name, help=help_text, add_help=False)
-            continue
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--k", type=int, required=True)
@@ -277,17 +268,16 @@ def _cmd_product(args):
         raise UsageError("multiply requires families of size exactly n")
     if args.command == "poly" and not all(fam.is_proper() for fam in given):
         raise UsageError("poly requires proper families (no 1-parts in the all-ones component)")
-    lt, rt = format_family(left), format_family(right)
     options = {"budget": args.max_group_size, "verify_representative": args.verify_representative}
-    if args.command == "universal" and not (left.is_proper() and right.is_proper()):
-        vector = ct.multiply_universal(left, right, **options)
-        rows = {(gamma,): coeff for gamma, coeff in vector.items()}
+    path = args.cache or os.environ.get(CACHE_ENV)
+    try:
+        vector = _cached_vector(args, Cache(path), left, right, options)
+    except OSError as exc:
+        raise UsageError(f"unusable cache: {exc}") from exc
+    if args.command == "poly":
+        rows = ct.PolynomialStructure._of(left, right, vector).rows
     else:
-        path = args.cache or os.environ.get(CACHE_ENV)
-        try:
-            rows = _cached_rows(args, Cache(path), left, right, lt, rt, options)
-        except OSError as exc:
-            raise UsageError(f"unusable cache: {exc}") from exc
+        rows = {(gamma,): coeff for gamma, coeff in vector.items()}
 
     def order(item):
         (gamma, *r), _ = item
@@ -296,6 +286,7 @@ def _cmd_product(args):
     items = sorted(rows.items(), key=order)
     if wanted is not None:
         items = [item for item in items if item[0][0] == wanted]
+    lt, rt = format_family(left), format_family(right)
     head = [args.k, args.n, lt, rt] if args.command == "multiply" else [args.k, lt, rt]
     return head, [
         {"gamma": format_family(gamma), **dict(zip(["r"], r)), "coeff": coeff}
@@ -303,27 +294,28 @@ def _cmd_product(args):
     ]
 
 
-def _cached_rows(args, cache, left, right, lt, rt, options):
-    """Group rows {(gamma,): coeff} for multiply, polynomial rows {(gamma, r): coeff} for
-    poly, and the universal vector's terms {(gamma,): coeff} for universal.
+def _cached_vector(args, cache, left, right, options):
+    """The checked product: the group vector for multiply, the universal vector for
+    universal and poly, which share the pair's poly record.
 
     A miss is computed, appended to the cache and returned as computed.  A
-    hit is parsed once, a poly hit into a PolynomialStructure; a row that is
-    not a target of the product, or a zero or repeated row, raises
-    InvariantViolation naming the record, and the vector passes check_mass.
+    hit is parsed once; a row that is not a target of the product, or a zero
+    or repeated row, raises InvariantViolation naming the record, and the
+    vector passes check_mass.
     """
     from . import center as ct
 
     group = args.command == "multiply"
+    lt, rt = format_family(left), format_family(right)
     key = (args.k, args.n, lt, rt) if group else (args.k, lt, rt)
     cached = cache.get_group(*key) if group else cache.get_poly(*key)
     if cached is None and group:
         vector = ct.multiply_group(left, right, args.n, **options)
         cache.put_group(*key, {format_family(g): c for g, c in vector.items()})
     elif cached is None:
-        structure = ct.polynomial_structure(left, right, **options)
-        vector = structure.vector
-        cache.put_poly(*key, {(format_family(g), r): c for (g, r), c in structure.rows.items()})
+        vector = ct.multiply_universal(left, right, **options)
+        rows = ct.PolynomialStructure._of(left, right, vector).rows
+        cache.put_poly(*key, {(format_family(g), r): c for (g, r), c in rows.items()})
     else:
         try:
             if group:
@@ -331,16 +323,13 @@ def _cached_rows(args, cache, left, right, lt, rt, options):
                 vector = ct.ClassSumVector(args.k, terms, n=args.n)
             else:
                 rows = {(parse_family(g, args.k), r): c for (g, r), c in cached.items()}
-                structure = ct.PolynomialStructure(args.k, left, right, rows)
-                vector = structure.vector
+                vector = ct.PolynomialStructure(args.k, left, right, rows).vector
             if len(vector.terms) != len(cached):
                 raise ValueError("a row has coefficient 0 or repeats a target")
         except (ValueError, WreathError) as exc:
             raise InvariantViolation(f"cache record {key} is not a product's rows: {exc}") from exc
         ct.check_mass(vector, left, right)
-    if args.command == "poly":
-        return structure.rows
-    return {(gamma,): coeff for gamma, coeff in vector.items()}
+    return vector
 
 
 def _cmd_chartable(args):
@@ -380,10 +369,8 @@ def _cmd_verify(args):
 
 
 def run(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if min(getattr(args, "n", 0), getattr(args, "max_group_size", 0)) < 0:
             raise UsageError("--n and --max-group-size must be nonnegative integers")
         head, rows = args.handler(args)

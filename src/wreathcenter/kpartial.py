@@ -58,6 +58,7 @@ class KPartialPermutation(Immutable):
     __slots__ = ("k", "blocks", "images")
 
     def __new__(cls, k: int, blocks, images):
+        check_group(k, 0)
         blocks = tuple(sorted(blocks))
         images = tuple(images)
         if blocks and blocks[0] < 1:

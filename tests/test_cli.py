@@ -12,7 +12,7 @@ from wreathcenter import characters as ch
 from wreathcenter import cli
 from wreathcenter import partitions as pt
 from wreathcenter.cli import run, split_fields
-from wreathcenter.errors import SizeMismatch
+from wreathcenter.errors import InvariantViolation, SizeMismatch
 from wreathcenter.families import parse_family
 
 
@@ -757,6 +757,40 @@ def test_unusable_cache_path_is_a_usage_error(capsys, tmp_path, monkeypatch):
     assert out
 
 
+def test_universal_with_one_parts_reads_and_writes_its_poly_record(capsys, tmp_path):
+    cache = tmp_path / "coeffs.cache"
+    argv = ["universal", "--k", "1", "--left", "{[1]:[2,1]}", "--right", "{[1]:[2]}"]
+    code, cold, _ = call(capsys, *argv, "--cache", str(cache))
+    assert code == 0
+    # one record of 5 rows: each term as a proper target and its extra 1-parts
+    lines = cache.read_text(encoding="utf-8").splitlines(True)
+    assert len(lines) == 5
+    assert lines[0].startswith("#5:")
+    assert split_fields(lines[-1])[3:] == ["{}", "3", "3"]
+    assert call(capsys, *argv, "--cache", str(cache)) == (0, cold, "")
+    assert cache.read_text(encoding="utf-8") == "".join(lines)
+    edited = "".join(lines).replace("{[1]:[3]}; 1; 3\n", "{[1]:[3]}; 1; 4\n")
+    assert edited != "".join(lines)
+    cache.write_text(edited, encoding="utf-8")
+    code, out, err = call(capsys, *argv, "--cache", str(cache))
+    assert (code, out) == (3, "")
+    assert "error: invariant-violation" in err
+    code, out, err = call(capsys, *argv, "--cache", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: usage; unusable cache")
+
+
+def test_a_lookup_reports_the_first_bad_record_of_its_key(tmp_path):
+    from wreathcenter.cli import Cache
+
+    path = tmp_path / "coeffs.cache"
+    row = "1; 2; {[1]:[2]}; {[1]:[2]}; {[1]:[1,1]}; 1\n"
+    # rows without a header, then a record whose digest does not match
+    path.write_text(row + f"#1:{'0' * 64}; {row}", encoding="utf-8")
+    with pytest.raises(InvariantViolation, match="without a record header"):
+        Cache(str(path)).get_group(1, 2, "{[1]:[2]}", "{[1]:[2]}")
+
+
 def test_each_command_takes_only_its_flags(capsys):
     pair = ["--left", "{[1]:[2]}", "--right", "{[1]:[3]}"]
     for argv in (
@@ -790,8 +824,7 @@ def help_text(capsys, *argv):
 
 
 def test_each_command_help_lists_exactly_its_flags(capsys):
-    # the parser gives flags only to the command argv names, so each help
-    # text lists the full flag set of that command
+    # each command's help text lists exactly its flags, in README's order
     for command, flags in FLAGS.items():
         for argv in ([command, "--help"], [command, "--k", "1", "-h"]):
             text = help_text(capsys, *argv)

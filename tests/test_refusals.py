@@ -47,6 +47,18 @@ def test_block_permutation_constructor_always_checks():
         bp.BlockPermutation(1, 2, (1, 1))
 
 
+def test_element_constructors_refuse_an_impossible_group():
+    # as every other function does: SizeMismatch for n < 0, ValueError for k < 1
+    with pytest.raises(SizeMismatch):
+        bp.BlockPermutation(1, -1, ())
+    with pytest.raises(SizeMismatch):
+        bp.BlockPermutation.from_text("()", 1, -1)
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        bp.BlockPermutation(0, 2, ())
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        KPartialPermutation(0, (), ())
+
+
 def test_center_refusals():
     with pytest.raises(SizeMismatch):
         ct.ClassSumVector(1, {fam(2, (1,), ()): 1})
