@@ -11,9 +11,9 @@ The package computes, over arbitrary-precision integers and rationals:
   * the binomial-basis rows that make every group-level structure
     coefficient a polynomial in n with nonnegative integer coefficients;
   * symmetric group characters, the character table of the k-block group
-    for every k (signed-pair characters at k = 2), shifted Schur and
-    shifted power-sum evaluations, and a pointwise check, at every k,
-    that the transport map onto shifted power sums is multiplicative.
+    for every k (signed-pair characters at k = 2), shifted power-sum
+    evaluations, and a pointwise check, at every k, that the transport
+    map onto shifted power sums is multiplicative.
 
 Names load on first use: `wreathcenter.multiply_group` imports `center`
 then, and each submodule is imported when one of its names or the module
@@ -38,8 +38,6 @@ _EXPORTS = {
     "center": (
         "ClassSumVector",
         "PolynomialStructure",
-        "deg",
-        "deg1",
         "multiply_group",
         "multiply_universal",
         "polynomial_structure",
@@ -49,8 +47,6 @@ _EXPORTS = {
         "dim_irrep",
         "hyperoct_character",
         "shifted_power_sum_eval",
-        "shifted_schur_eval",
-        "skew_syt_count",
         "sym_character",
         "verify_iso",
     ),

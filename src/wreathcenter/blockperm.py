@@ -323,28 +323,15 @@ def _first_member(fam: PartitionFamily) -> BlockPermutation:
     return BlockPermutation._of(fam.k, n, images)
 
 
-def enumerate_class(
-    fam: PartitionFamily,
-    n: int,
-    strategy: str = "direct",
-    budget: int = DEFAULT_BUDGET,
-):
+def enumerate_class(fam: PartitionFamily, n: int, budget: int = DEFAULT_BUDGET):
     """All elements of the conjugacy class labelled by `fam`, each exactly once.
 
-    The direct strategy builds the class constructively and never touches
-    the rest of the group; the filter strategy scans the whole group and is
-    kept as an independent cross-check.
+    The class is built cluster by cluster and the rest of the group is
+    never touched.  A class larger than `budget` raises BudgetExceeded
+    before any element is built.
     """
     size = class_size(fam, n)
     if size > budget:
         raise BudgetExceeded(size, budget, "class enumeration")
-    if strategy == "filter":
-        for omega in enumerate_group(fam.k, n, budget=budget):
-            if omega.type_of() == fam:
-                yield omega
-    elif strategy == "direct":
-        for images in class_mappings_on_blocks(fam, range(1, n + 1)):
-            yield BlockPermutation._of(fam.k, n, images)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-
+    for images in class_mappings_on_blocks(fam, range(1, n + 1)):
+        yield BlockPermutation._of(fam.k, n, images)

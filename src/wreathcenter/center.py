@@ -99,8 +99,6 @@ __all__ = [
     "check_mass",
     "project",
     "polynomial_structure",
-    "deg",
-    "deg1",
 ]
 
 
@@ -178,16 +176,6 @@ class ClassSumVector(Immutable):
 _set_k = ClassSumVector.k.__set__
 _set_n = ClassSumVector.n.__set__
 _set_flat = ClassSumVector._flat.__set__
-
-
-def deg(fam: PartitionFamily) -> int:
-    """First filtration degree: the total size of the family."""
-    return fam.size
-
-
-def deg1(fam: PartitionFamily) -> int:
-    """Second filtration degree: total size plus the 1-parts of the all-ones component."""
-    return fam.size + fam.m1
 
 
 def multiply_group(

@@ -17,15 +17,14 @@ with each table, gives a group's class-multiplication coefficients by the
 Frobenius formula.  Twisting an irreducible by a degree-1 character leaves
 its term in that sum unchanged, so the rows are kept, and summed, for one
 irreducible per orbit of twists; a table whose twists are not among its
-rows is refused when it is built.  Shifted Schur and power-sum values are
-exact rationals; only the two functions that return them import
-`fractions`, so a process that asks for neither does not load it, and only
-`verify_iso` imports `center`, for its product, so a process that builds
-tables and reads characters loads no product code.  The
-shifted power sum of a class label, on one alphabet per irreducible of
-S_k, is a normalized wreath character at a family;
-sending each label to its scaled power sum gives an integer at every
-family, and is verified to be multiplicative pointwise, for every k.
+rows is refused when it is built.  Shifted power-sum values are exact
+rationals; only `shifted_power_sum_eval` imports `fractions`, so a process
+that does not call it does not load it.  Only `verify_iso` imports
+`center`, for its product, so a process that builds tables and reads
+characters loads no product code.  The shifted power sum of a class label,
+on one alphabet per irreducible of S_k, is a normalized wreath character at
+a family; sending each label to its scaled power sum gives an integer at
+every family, and is verified to be multiplicative pointwise, for every k.
 """
 
 from functools import cache
@@ -49,8 +48,6 @@ from .partitions import Partition
 __all__ = [
     "sym_character",
     "dim_irrep",
-    "skew_syt_count",
-    "shifted_schur_eval",
     "shifted_power_sum_eval",
     "hyperoct_character",
     "wreath_character",
@@ -64,13 +61,6 @@ __all__ = [
 ]
 
 Bipartition = tuple[Partition, Partition]
-
-
-def contains(outer: Partition, inner: Partition) -> bool:
-    """Young-diagram containment, row by row."""
-    return len(inner) <= len(outer) and all(
-        inner[i] <= outer[i] for i in range(len(inner))
-    )
 
 
 def _beta_set(shape: Partition) -> tuple[int, ...]:
@@ -137,42 +127,6 @@ def dim_irrep(rho: Partition) -> int:
         for j in range(row):
             hooks *= (row - j) + (col_heights[j] - i) - 1
     return exact_quotient(factorial(sum(rho)), hooks, "hook length formula")
-
-
-@cache
-def skew_syt_count(outer: Partition, inner: Partition) -> int:
-    """Number of standard fillings of the skew shape outer/inner; 0 if not contained.
-
-    Recursion on where the largest entry sits: it must occupy a removable
-    corner of the outer shape that stays outside the inner shape.  A shape
-    that is not a partition raises ValueError.
-    """
-    _require_partitions(outer, inner)
-    if not contains(outer, inner):
-        return 0
-    if sum(outer) == sum(inner):
-        return 1
-    total = 0
-    for i, row in enumerate(outer):
-        below = outer[i + 1] if i + 1 < len(outer) else 0
-        if row > below and (i >= len(inner) or row - 1 >= inner[i]):
-            smaller = list(outer)
-            smaller[i] -= 1
-            total += skew_syt_count(pt.as_partition(smaller), inner)
-    return total
-
-
-def shifted_schur_eval(rho: Partition, lam: Partition) -> "Fraction":
-    """Value of the shifted Schur function indexed by rho at the point lam.
-
-    A shape that is not a partition raises ValueError, from skew_syt_count.
-    """
-    from fractions import Fraction
-
-    count = skew_syt_count(lam, rho)
-    if not count:
-        return Fraction(0)
-    return Fraction(perm(sum(lam), sum(rho)) * count, dim_irrep(lam))
 
 
 def shifted_power_sum_eval(delta, lam) -> "Fraction":

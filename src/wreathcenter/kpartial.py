@@ -167,6 +167,7 @@ def act(sigma: BlockPermutation, p: KPartialPermutation) -> KPartialPermutation:
 
 def extend(p: KPartialPermutation, n: int) -> BlockPermutation:
     """The block permutation of [kn] agreeing with p on its domain, identity elsewhere."""
+    check_group(p.k, n)
     if p.blocks and p.blocks[-1] > n:
         raise DomainNotCovered(f"domain blocks {p.blocks} do not fit in [{n}]")
     return BlockPermutation._of(p.k, n, _pad(p.images, p.k * n))

@@ -249,22 +249,23 @@ def test_criterion_6_filtrations():
         checked = 0
         for left, right, _ in golden_universal_cases():
             for gamma in universal(left, right).terms:
-                assert ct.deg(gamma) <= ct.deg(left) + ct.deg(right)
-                assert ct.deg1(gamma) <= ct.deg1(left) + ct.deg1(right)
+                assert gamma.size <= left.size + right.size
+                assert gamma.size + gamma.m1 <= left.size + left.m1 + right.size + right.m1
                 assert gamma.size >= max(left.size, right.size)
                 checked += 1
         for k in (1, 2):
             for left, right in proper_pairs(k, 4):
                 for gamma in universal(left, right).terms:
-                    assert ct.deg(gamma) <= ct.deg(left) + ct.deg(right)
-                    assert ct.deg1(gamma) <= ct.deg1(left) + ct.deg1(right)
+                    assert gamma.size <= left.size + right.size
+                    assert gamma.size + gamma.m1 <= left.size + left.m1 + right.size + right.m1
                     assert gamma.size >= max(left.size, right.size)
                     checked += 1
         for left, right, n, _ in golden_projected_cases():
             padded_left, padded_right = pad_family(left, n), pad_family(right, n)
             for gamma in group_product(padded_left, padded_right, n).terms:
-                assert ct.deg(gamma) <= ct.deg(padded_left) + ct.deg(padded_right)
-                assert ct.deg1(gamma) <= ct.deg1(padded_left) + ct.deg1(padded_right)
+                assert gamma.size <= padded_left.size + padded_right.size
+                bound = padded_left.size + padded_left.m1 + padded_right.size + padded_right.m1
+                assert gamma.size + gamma.m1 <= bound
                 checked += 1
         assert checked > 100
 

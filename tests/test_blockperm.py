@@ -184,10 +184,10 @@ def test_equal_type_means_conjugate():
 def test_enumerate_class_counts_and_strategies():
     for k, n in [(1, 3), (1, 5), (2, 2), (2, 3), (2, 4), (3, 2)]:
         for f in families_with_size(k, n):
-            direct = list(bp.enumerate_class(f, n, strategy="direct"))
+            direct = list(bp.enumerate_class(f, n))
             assert len(direct) == len(set(direct)) == class_size(f, n)
             assert all(w.type_of() == f for w in direct)
-            assert set(direct) == set(bp.enumerate_class(f, n, strategy="filter"))
+            assert set(direct) == {w for w in bp.enumerate_group(k, n) if w.type_of() == f}
 
 
 def test_enumerate_class_identity():

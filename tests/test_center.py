@@ -281,19 +281,10 @@ def test_filtration_subadditivity_full_sweep():
                     continue
                 for gamma in ct.multiply_universal(left, right).terms:
                     assert max(left.size, right.size) <= gamma.size
-                    assert ct.deg(gamma) <= ct.deg(left) + ct.deg(right)
-                    assert ct.deg1(gamma) <= ct.deg1(left) + ct.deg1(right)
+                    assert gamma.size <= left.size + right.size
+                    assert gamma.size + gamma.m1 <= left.size + left.m1 + right.size + right.m1
                     checked += 1
     assert checked > 1000
-
-
-def test_deg_examples():
-    empty = PartitionFamily.empty(2)
-    assert ct.deg(empty) == ct.deg1(empty) == 0
-    f = fam(2, (1, 1), (2,))
-    assert ct.deg(f) == 4
-    assert ct.deg1(f) == 6
-    assert ct.deg1(f) - ct.deg(f) == f.m1
 
 
 def test_project_drops_oversized_keys():
@@ -445,8 +436,8 @@ def test_representative_independence_flag():
 def _filter_orbits(k, n=None, stage=None):
     """Every element of the group of [kn], or every k-partial permutation at `stage`, by type.
 
-    One scan sorts the elements as `enumerate_class(..., strategy="filter")`
-    does one class at a time; the type sizes each orbit at the stage.
+    One scan sorts the elements by type, as `enumerate_group` filtered by
+    `type_of` would one class at a time; the type sizes each orbit at the stage.
     """
     from wreathcenter import blockperm as bp
 
@@ -886,8 +877,8 @@ def test_wrong_top_label_or_coefficient_is_caught(monkeypatch):
 
 def _kept(terms, left, right):
     """The labels of a level's group product that the second filtration allows, sorted."""
-    bound = ct.deg1(left) + ct.deg1(right)
-    return sorted((g for g in terms if ct.deg1(g) <= bound), key=PartitionFamily.sort_key)
+    bound = left.size + left.m1 + right.size + right.m1
+    return sorted((g for g in terms if g.size + g.m1 <= bound), key=PartitionFamily.sort_key)
 
 
 def test_wrong_level_of_the_universal_character_route_is_caught(monkeypatch):
@@ -931,7 +922,7 @@ def test_wrong_padded_label_at_any_level_is_caught(monkeypatch):
                  ("{[3]:[2]}", "{[3]:[2]}"),
                  ("{[2,1]:[1]; [3]:[1]}", "{[2,1]:[1]; [3]:[1]}")]:
         left, right = parse_family(a, 3), parse_family(b, 3)
-        top = min(left.size + right.size - 1, ct.deg1(left) + ct.deg1(right) - 1)
+        top = left.size + right.size - 1
         for wrong_at in range(max(left.size, right.size), top + 1):
             bumped = []
 
@@ -997,7 +988,7 @@ def test_blockperm_stays_the_reference_for_group_products():
         for n in range(top + 1):
             fams = families_with_size(k, n)
             for right in fams:
-                ys = list(bp.enumerate_class(right, n, strategy="filter"))
+                ys = [y for y in bp.enumerate_group(k, n) if y.type_of() == right]
                 kp_ys = list(kp.universal_class_members(right, n))
                 for left in fams:
                     x = bp.class_representative(left, n)

@@ -32,8 +32,6 @@ def test_block_permutation_refusals():
         bp.BlockPermutation.identity(1, 2).n = 3
     with pytest.raises(SizeMismatch):
         next(bp.class_mappings_on_blocks(fam(1, (2,)), (1, 2, 3)))
-    with pytest.raises(ValueError):
-        next(bp.enumerate_class(fam(1, (2,)), 2, strategy="sorted"))
     # the enumeration oracle refuses k = 0 as the constructors do
     with pytest.raises(ValueError, match="k must be a positive integer"):
         next(bp.enumerate_group(0, 2))
@@ -53,6 +51,8 @@ def test_element_constructors_refuse_an_impossible_group():
         bp.BlockPermutation(1, -1, ())
     with pytest.raises(SizeMismatch):
         bp.BlockPermutation.from_text("()", 1, -1)
+    with pytest.raises(SizeMismatch):
+        kp.extend(KPartialPermutation.empty(1), -1)
     with pytest.raises(ValueError, match="k must be a positive integer"):
         bp.BlockPermutation(0, 2, ())
     with pytest.raises(ValueError, match="k must be a positive integer"):

@@ -5,12 +5,12 @@ route it never picks for some inputs would go unchecked there; these
 tests call the routes themselves, each character route in both orders.
 On the smallest draws two slow oracles join them: the transport map's
 multiplicativity (`verify_iso`) on universal products, and a tally over
-the class scanned out of the whole group (`strategy="filter"`) on group
-products.  Every answer the tests compute must also keep the second
-filtration, the reflection-length bound and the signed masses
-(`assert_filtrations_and_signed_masses`).  Draws are derandomized so that
-tier-1 is reproducible, and capped in size at each k <= 3 so that the
-module stays cheap.
+the class scanned out of the whole group (`enumerate_group` filtered by
+`type_of`) on group products.  Every answer the tests compute must also
+keep the second filtration, the reflection-length bound and the signed
+masses (`assert_filtrations_and_signed_masses`).  Draws are derandomized
+so that tier-1 is reproducible, and capped in size at each k <= 3 so that
+the module stays cheap.
 """
 
 from collections import Counter
@@ -92,17 +92,18 @@ def _reflection_length(fam):
 def assert_filtrations_and_signed_masses(vector, left, right, stage):
     """Check what every product of left and right at `stage` keeps, without the tables.
 
-    Each label gamma has deg1(gamma) <= deg1(left) + deg1(right), and
+    Each label gamma has deg1(gamma) <= deg1(left) + deg1(right), where
+    deg1 is the size plus the 1-parts of the all-ones component, and
     l_T(gamma) <= l_T(left) + l_T(right) with the same parity.  For each
     degree-1 character eps, taken in closed form (padding changes none of
     them), the sum of c_gamma * partial_class_size(gamma, stage) * eps(gamma)
     is the same sum for left times that for right.
     """
-    bound = ct.deg1(left) + ct.deg1(right)
+    bound = left.size + left.m1 + right.size + right.m1
     length = _reflection_length(left) + _reflection_length(right)
     masses = [0] * 4
     for gamma, c in vector.items():
-        assert ct.deg1(gamma) <= bound
+        assert gamma.size + gamma.m1 <= bound
         shorter = length - _reflection_length(gamma)
         assert shorter >= 0 and shorter % 2 == 0
         members = c * partial_class_size(gamma, stage)
@@ -144,7 +145,7 @@ def test_group_characters_match_enumeration(drawn):
         # x y over the class of R scanned out of the group, at one x in C_L,
         # lands in C_gamma c_gamma |C_gamma| / |C_L| times
         x = bp.class_representative(left, n)
-        ys = bp.enumerate_class(right, n, strategy="filter")
+        ys = (y for y in bp.enumerate_group(left.k, n) if y.type_of() == right)
         counts = Counter(bp.BlockPermutation.type_of(x * y) for y in ys)
         assert enumerated.terms == {
             gamma: exact_quotient(class_size(left, n) * count, class_size(gamma, n), gamma)
