@@ -10,7 +10,8 @@ block; a cluster meeting a block in point-counts rho and spanning m whole
 blocks contributes a part m to the component at rho.  Two elements are
 conjugate exactly when their types agree, and the class sizes come out of
 `families.class_size`.  Every element built here, or unpickled, comes from
-the unchecked `BlockPermutation._of`; only the public constructor checks.
+the unchecked `BlockPermutation._of(k, n, images)`, whose images must
+already be a block permutation tuple; only the public constructor checks.
 """
 
 from collections import Counter, defaultdict
@@ -132,15 +133,6 @@ class BlockPermutation(Immutable):
         return cls._of(k, n, images)
 
     @classmethod
-    def _of(cls, k: int, n: int, images: tuple) -> "BlockPermutation":
-        """The element with these images, unchecked: `images` must be a block permutation tuple."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "k", k)
-        object.__setattr__(p, "n", n)
-        object.__setattr__(p, "images", images)
-        return p
-
-    @classmethod
     def identity(cls, k: int, n: int) -> "BlockPermutation":
         check_group(k, n)
         return cls._of(k, n, tuple(range(1, k * n + 1)))
@@ -174,19 +166,6 @@ class BlockPermutation(Immutable):
     def from_text(cls, text: str, k: int, n: int) -> "BlockPermutation":
         body = text.strip().removeprefix("(").removesuffix(")")
         return cls(k, n, (int(piece) for piece in body.split(",")) if body else ())
-
-    def __reduce__(self):
-        return BlockPermutation._of, (self.k, self.n, self.images)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BlockPermutation)
-            and self.k == other.k
-            and self.images == other.images
-        )
-
-    def __hash__(self):
-        return hash((self.k, self.images))
 
     def __repr__(self):
         return f"BlockPermutation(k={self.k}, n={self.n}, {self.to_text()})"

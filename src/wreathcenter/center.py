@@ -61,7 +61,8 @@ vector, re-keyed by (proper family, r) on read, gives the binomial-basis
 coefficients that make every group-level structure constant a polynomial in n.
 
 `polynomial_structure` wraps a product already checked in the unchecked
-`PolynomialStructure._of`; only a structure built from rows checks them.
+`PolynomialStructure._of(left, right, vector)`; only a structure built from
+rows checks them.
 """
 
 import sys
@@ -118,8 +119,7 @@ class ClassSumVector(Immutable):
     __slots__ = ("k", "n", "_flat")
 
     def __init__(self, k: int, terms: dict, n: int | None = None):
-        if n is not None:
-            check_group(k, n)
+        check_group(k, 0 if n is None else n)
         flat = []
         for fam, coeff in terms.items():
             if not isinstance(fam, PartitionFamily):
@@ -154,9 +154,6 @@ class ClassSumVector(Immutable):
 
     def coefficient(self, fam: PartitionFamily) -> int:
         return next((c for gamma, c in self.items() if gamma == fam), 0)
-
-    def __reduce__(self):
-        return ClassSumVector, (self.k, self.terms, self.n)
 
     def __eq__(self, other):
         return (
@@ -380,42 +377,19 @@ def _group_by_characters(left, right, n):
 def _universal_by_characters(left, right):
     """The universal product from the group products of the padded inputs.
 
-    Projection to size n is a homomorphism, so with G_n the group product
-    of pad(left, n) and pad(right, n), `ch.class_product`,
-
-        bpf(left, n) bpf(right, n) G_n = sum over |gamma| <= n of c_gamma bpf(gamma, n) C_pad(gamma, n),
-
-    where bpf is binomial_pad_factor.  A label of size n pads to itself
-    with factor 1, so going up from n = max(|left|, |right|), where no
-    smaller label occurs, to n = |left| + |right| - 1, c_delta for each
-    delta of size n is what remains of the left side at delta once the
-    labels already found that pad to delta are subtracted.  A level is the
-    new dict class_product returns, scaled in place only when
-    bpf(left, n) bpf(right, n) is above 1 (never for proper inputs), with the
-    found labels subtracted into it.  The top size |left| + |right| has one
-    label, in closed form (`_top_label`), added after the loop, so no table
-    is read there; with an empty input the loop is empty, `characters` is
-    not imported, and the product is the other input.
-
-    Counting elements is multiplicative at every stage n, so each level is
-    checked on the coefficients found so far: the sum over |gamma| <= n of
-    c_gamma times the orbit size of gamma at stage n equals the product of
-    the input orbit sizes there.  This check on the answer stands in for
-    checking each group product, and also covers the subtraction.  The orbit
-    of gamma at stage n has C(n, |gamma|) |C_gamma| members, so the sum is
-    taken as sum over s of C(n, s) M_s, where M_s, the sum over |gamma| = s
-    of c_gamma |C_gamma|, is appended to a list once, when the labels of size
-    s are found.
-
-    Each level keeps every label that its class product and the subtraction
-    leave nonzero.  A negative coefficient is refused at the level that finds
-    it, or at the top label, and the top stage's check, which covers the
-    whole answer, stands in for check_mass.
-
-    pad(gamma, n), bpf(gamma, n) and the input orbit sizes at stage n are
-    read from `_at`, once per (label, n), and |C_gamma| of each label found
-    from `families._orbit_size`, once per label.  The class products, the
-    subtraction, the top label and every check run for each product.
+    Going up from n = max(|left|, |right|) to |left| + |right| - 1, the
+    labels of size n are what `ch.class_product` of the inputs padded to n,
+    times their binomial pad factors, leaves once the labels already found,
+    padded to n, are subtracted; each level is class_product's own new dict,
+    changed in place.  The one label of size |left| + |right| is
+    `_top_label`, read off no table, so a product with an empty input runs
+    no level and does not import `characters`.  Each stage n is checked: the
+    masses of the labels found so far, sum over s of C(n, s) M_s with M_s
+    the mass of the labels of size s, must equal the product of the input
+    orbit sizes; the top stage's check stands in for check_mass.  A negative
+    coefficient or a stage whose masses differ raises InvariantViolation.
+    Pad forms, pad factors and orbit sizes are read from `_at`.  README "How
+    a product is counted" has the derivation.
     """
     terms = {}
     masses = []
@@ -492,9 +466,12 @@ def check_mass(vector: ClassSumVector, left: PartitionFamily, right: PartitionFa
 
     Masses: sum of c_gamma * |C_gamma| = |C_left| * |C_right|, each by
     `families.partial_class_size` (read through `_at`) at stage n (SizeMismatch unless
-    |left| = |right| = n) or, for universal vectors, at stage |left| + |right|.  Every
+    |left| = |right| = n) or, for universal vectors, at stage |left| + |right|.  A
+    vector and inputs of different k raise SizeMismatch first.  Every
     answer passes it (by characters, a universal one as its last stage).
     """
+    if not vector.k == left.k == right.k:
+        raise SizeMismatch("the vector and families must share the same k")
     stage = left.size + right.size if vector.n is None else vector.n
     if vector.n is not None and not left.size == right.size == stage:
         raise SizeMismatch("group products need both families of size exactly n")
@@ -545,12 +522,16 @@ def _at(fam: PartitionFamily, n: int) -> tuple:
 class PolynomialStructure(Immutable):
     """Binomial-basis coefficients of one product of two proper class sums.
 
-    `vector` is the universal product.  Each of its labels is a proper gamma
-    plus r extra 1-parts, and `rows` re-keys it on every read, as a new dict
-    {(gamma, r): coefficient}; evaluating at n sums gamma's rows against
-    C(n - |gamma|, r), the group-level coefficient for every n.  The CLI
-    cache also writes a product of inputs with 1-parts as such rows, which
-    are then only a record of its vector: `evaluate` needs proper inputs.
+    A structure holds only its inputs `left` and `right` and `vector`, the
+    universal product; `k` is `left.k`.  Each label of the vector is a
+    proper gamma plus r extra 1-parts, and `rows` re-keys it on every read,
+    as a new dict {(gamma, r): coefficient}; evaluating at n weighs gamma's
+    labels by their binomial pad factors to n, C(n - |gamma|, r), as `project`
+    does, which gives the group-level coefficient for every n.  The CLI cache also writes a
+    product of inputs with 1-parts as such rows, which are then only a
+    record of its vector: `evaluate` needs proper inputs.  A structure
+    pickles and copies through `_of(left, right, vector)`, so the rows are
+    not checked again.
 
     Built from rows, the inputs and targets are families of k (SizeMismatch;
     TypeError for a target that is not a family), each target is proper
@@ -559,7 +540,7 @@ class PolynomialStructure(Immutable):
     so a zero row is dropped.
     """
 
-    __slots__ = ("k", "left", "right", "vector")
+    __slots__ = ("left", "right", "vector")
 
     def __new__(cls, k, left, right, rows):
         if left.k != k or right.k != k:
@@ -578,16 +559,9 @@ class PolynomialStructure(Immutable):
             terms[pad_family(gamma, gamma.size + r)] = coeff
         return cls._of(left, right, ClassSumVector(k, terms))
 
-    @classmethod
-    def _of(cls, left, right, vector):
-        """The structure of a universal product already computed and checked, unchecked."""
-        structure = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (left.k, left, right, vector)):
-            object.__setattr__(structure, name, value)
-        return structure
-
-    def __reduce__(self):
-        return PolynomialStructure, (self.k, self.left, self.right, self.rows)
+    @property
+    def k(self) -> int:
+        return self.left.k
 
     @property
     def rows(self) -> dict:
@@ -601,19 +575,15 @@ class PolynomialStructure(Immutable):
         return sorted(self.rows.items(), key=lambda item: (item[0][0].sort_key(), item[0][1]))
 
     def evaluate(self, gamma: PartitionFamily, n: int) -> int:
-        """Coefficient of the class pad(gamma, n) over [kn], read at gamma's proper part."""
+        """Coefficient of the class pad(gamma, n) over [kn]."""
         if gamma.k != self.k:
             raise SizeMismatch(f"a k={gamma.k} class in a k={self.k} structure")
         if n < gamma.size:
             raise SizeMismatch(f"evaluation needs n >= {gamma.size}")
+        # the pad rule read per label, as project would, without padding each label to n
         gamma = _proper_family(gamma)
-        return sum(c * comb(n - gamma.size, r) for (g, r), c in self.rows.items() if g == gamma)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolynomialStructure)
-            and (self.k, self.left, self.right, self.vector)
-            == (other.k, other.left, other.right, other.vector)
+        return sum(
+            c * binomial_pad_factor(fam, n) for fam, c in self.vector.items() if _proper_family(fam) is gamma
         )
 
     def __repr__(self):

@@ -284,24 +284,14 @@ def character_table(k: int, n: int):
 def class_product(left: PartitionFamily, right: PartitionFamily) -> dict:
     """C_left C_right as {gamma: c_gamma}, in the group of size n = |left| = |right|.
 
-    By the Frobenius formula, c_gamma = S_gamma / (big_z(left) big_z(right)),
-    where S_gamma sums chi(left) chi(right) chi(gamma) |G| / chi(1) over the
-    irreducible characters chi of character_table(k, n), which is built if
-    needed; a remainder raises InvariantViolation, and inputs of different k
-    or size raise SizeMismatch.  A degree-1 character eps is multiplicative,
-    so c_gamma = 0 unless gamma's values at the degree-1 characters are the
-    products of left's and right's: only that group of classes is summed.
-    There eps(gamma) = eps(left) eps(right) = +-1, so the twist chi eps adds
-    the term of chi, and each orbit of twists is summed as its
-    representative times the orbit's size.  The S_gamma are summed at once,
-    as one integer: the sum over the representatives chi with chi(left)
-    chi(right) != 0 of chi(left) chi(right) |orbit| |G| / chi(1) times chi's
-    row packed over the group.  Each S_gamma is c_gamma big_z(left)
-    big_z(right) with 0 <= c_gamma |C_gamma| <= |C_left| |C_right|, so
-    0 <= S_gamma <= |G| z_gamma <= |G| ** 2, which the slot width holds: no
-    slot borrows from or carries into the next, and S_gamma is read off its
-    slot exactly.  Each call returns a new dict, so the caller may change it:
-    a universal level scales and subtracts into it in place.
+    The Frobenius formula over character_table(k, n), which is built if
+    needed, summed over one irreducible per twist orbit, and only at the
+    classes whose degree-1 values are the products of left's and right's, as
+    one integer of packed slots; README "How a product is counted" has the
+    derivation and the slot bound.  A remainder raises InvariantViolation,
+    and inputs of different k or size raise SizeMismatch.  Each call returns
+    a new dict, so the caller may change it: a universal level scales and
+    subtracts into it in place.
     """
     if left.k != right.k or left.size != right.size:
         raise SizeMismatch("a class product needs two families of the same k and size")

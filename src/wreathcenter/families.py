@@ -12,9 +12,12 @@ families are therefore the same object, so `==` and `hash` are identity.
 A family carries its total size and the number `m1` of 1-parts in its
 all-ones component, both computed once when the label is first built.
 
-Every value type derives from `Immutable`, which refuses writes and `del`; each but
-`ClassSumVector` sets its slots only in an unchecked `_of`, which its validating
-constructor returns.  `check_group` refuses an impossible (k, n) for every caller.
+Every value type derives from `Immutable`, which refuses writes and `del`.  It also
+gives them the one unchecked constructor `_of`, which each validating constructor
+returns, and equality, hashing and pickling by slots.  `PartitionFamily` keeps its
+own interning `_of`, its pickling and identity equality.  `ClassSumVector` sets its
+slots in its validating `__init__` and compares its terms in any order.
+`check_group` refuses an impossible (k, n) for every caller.
 
 Five results are kept for the life of the process.  Per label: `big_z`, the orbit size
 |C_fam| at stage |fam| (`_orbit_size`), the text form (`format_family`), and the class
@@ -68,9 +71,32 @@ def check_group(k: int, n: int) -> None:
 
 
 class Immutable:
-    """A value whose slots are set once, when it is built: writes and `del` raise AttributeError."""
+    """A value whose slots are set once, when it is built: writes and `del` raise AttributeError.
+
+    `_of(*slots)` is the one unchecked constructor: it sets the slots in
+    `__slots__` order and runs no check, so a subclass's validating
+    constructor returns it.  Two values are equal when they have the same
+    type and equal slots, and hash by their slots; pickling and copying go
+    through `_of`, so an unpickled value is not checked again.
+    """
 
     __slots__ = ()
+
+    @classmethod
+    def _of(cls, *slots):
+        value = object.__new__(cls)
+        for name, slot in zip(cls.__slots__, slots):
+            object.__setattr__(value, name, slot)
+        return value
+
+    def __reduce__(self):
+        return type(self)._of, tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -167,6 +193,9 @@ class PartitionFamily(Immutable):
     def __reduce__(self):
         return PartitionFamily._of, (self.k, self.components)
 
+    # one shared object per label, so equality and hashing are identity
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
     def __repr__(self):
         return f"PartitionFamily(k={self.k}, {format_family(self)!r})"
 
@@ -224,8 +253,9 @@ def partial_class_size(fam: PartitionFamily, n: int) -> int:
     A member is a choice of |fam| domain blocks and a permutation of type
     `fam` on them: C(n, |fam|) * class_size(fam, |fam|), the class size kept
     per label.  Returns 0 when the family is too large to fit, which makes
-    projection formulas total.
+    projection formulas total; an impossible (k, n) is refused by `check_group`.
     """
+    check_group(fam.k, n)
     if fam.size > n:
         return 0
     return comb(n, fam.size) * _orbit_size(fam)

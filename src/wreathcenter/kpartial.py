@@ -12,7 +12,9 @@ Every element is stored as its domain and one padded image tuple: the
 the blocks outside the domain.  Extending by the identity is then padding
 the tuple, and a product is a composition of two padded tuples, exactly
 as for `BlockPermutation`, and as there only the public constructor
-checks: every element built here comes from `KPartialPermutation._of`.
+checks: every element built here comes from the unchecked
+`KPartialPermutation._of(k, blocks, images)`, from sorted blocks and an
+already padded image tuple.
 
 An orbit of the conjugation action is one class of the k-block group on
 m blocks placed on every m-subset of the blocks: its members are built
@@ -76,15 +78,6 @@ class KPartialPermutation(Immutable):
         return cls._of(k, blocks, tuple(padded))
 
     @classmethod
-    def _of(cls, k: int, blocks: tuple, images: tuple) -> "KPartialPermutation":
-        """An element from sorted blocks and an already padded image tuple, unchecked."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "k", k)
-        object.__setattr__(p, "blocks", blocks)
-        object.__setattr__(p, "images", images)
-        return p
-
-    @classmethod
     def empty(cls, k: int) -> "KPartialPermutation":
         """The semigroup identity: the trivial permutation of the empty set."""
         return cls(k, (), ())
@@ -92,20 +85,6 @@ class KPartialPermutation(Immutable):
     @property
     def points(self) -> tuple[int, ...]:
         return tuple(x for b in self.blocks for x in block_points(b, self.k))
-
-    def __reduce__(self):
-        return KPartialPermutation._of, (self.k, self.blocks, self.images)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, KPartialPermutation)
-            and self.k == other.k
-            and self.blocks == other.blocks
-            and self.images == other.images
-        )
-
-    def __hash__(self):
-        return hash((self.k, self.blocks, self.images))
 
     def to_text(self) -> str:
         blocks = "[" + ",".join(str(b) for b in self.blocks) + "]"

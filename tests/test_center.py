@@ -1286,7 +1286,7 @@ def test_wrong_packed_rows_are_caught(monkeypatch):
     assert ct.multiply_group(lam, lam, 6) == expected
 
 
-def test_immutable_types_pickle_and_copy():
+def test_immutable_types_pickle_and_copy(monkeypatch):
     from wreathcenter.blockperm import BlockPermutation
     from wreathcenter.kpartial import KPartialPermutation
 
@@ -1306,7 +1306,18 @@ def test_immutable_types_pickle_and_copy():
         for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
             assert type(twin) is type(value)
             assert twin == value
+            assert hash(twin) == hash(value)
     # a label comes back as the shared object type extraction returns
     for twin in (pickle.loads(pickle.dumps(label)), copy.copy(label), copy.deepcopy(label)):
         assert twin is label
     assert pickle.loads(pickle.dumps(built)) is PartitionFamily._of(2, built.components)
+    # a structure unpickles through its vector, without its validating constructor
+    structure = ct.polynomial_structure(built, built)
+    kept = pickle.dumps(structure)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the validating constructor ran")
+
+    monkeypatch.setattr(ct.PolynomialStructure, "__new__", refuse)
+    assert pickle.loads(kept) == structure
+    assert copy.deepcopy(structure) == structure

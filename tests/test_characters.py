@@ -19,6 +19,7 @@ from wreathcenter.families import (
     families_with_size,
     group_order,
     parse_family,
+    partial_class_size,
 )
 
 
@@ -718,6 +719,7 @@ def test_negative_sizes_are_refused():
         lambda: kp.count_all(1, -2),
         lambda: list(kp.enumerate_kpartial(1, -1)),
         lambda: bp.BlockPermutation.identity(1, -1),
+        lambda: partial_class_size(PartitionFamily.empty(1), -1),
     ]
     for call in refused:
         with pytest.raises(SizeMismatch):
@@ -727,6 +729,9 @@ def test_negative_sizes_are_refused():
         group_order(0, 2)
     with pytest.raises(ValueError, match="k must be a positive integer"):
         ct.ClassSumVector(0, {}, n=1)
+    # a universal vector too, which has no size to check
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        ct.ClassSumVector(0, {})
 
 
 def test_wrong_degree_fails_the_identity_column_check(monkeypatch):

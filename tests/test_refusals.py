@@ -77,6 +77,10 @@ def test_center_refusals():
         rows.k = 2
     with pytest.raises(SizeMismatch):
         rows.evaluate(fam(1, (2,)), 1)
+    # a vector of another k than its inputs is a refused input, not a broken invariant
+    one, two = fam(1, (2,)), fam(2, (2,), ())
+    with pytest.raises(SizeMismatch, match="same k"):
+        ct.check_mass(ct.multiply_group(one, one, 2), two, two)
 
 
 def test_class_sum_vector_takes_integer_coefficients():

@@ -62,17 +62,26 @@ def test_center_reads_the_tables_only_through_class_product():
 
 def test_only_immutable_refuses_writes_and_only_of_sets_slots():
     # one base class refuses every write and del, and each value type sets its
-    # slots through object.__setattr__ in one unchecked constructor, `_of`
-    guards, setters = [], []
+    # slots through object.__setattr__ in one unchecked constructor, `_of`.
+    # Immutable writes `_of`, equality, hashing and pickling once for every value
+    # type; only the interned PartitionFamily has its own `_of`, pickling and
+    # identity equality, and ClassSumVector its order-free equality
+    guards, setters, defined = [], [], {}
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                guards.extend(
-                    f"{child.name}.{item.name}"
-                    for item in child.body
-                    if isinstance(item, ast.FunctionDef) and item.name in ("__setattr__", "__delattr__")
-                )
+                names = []
+                for item in child.body:
+                    if isinstance(item, ast.FunctionDef):
+                        names.append(item.name)
+                    elif isinstance(item, ast.Assign):
+                        for target in item.targets:
+                            elts = target.elts if isinstance(target, ast.Tuple) else [target]
+                            names += [elt.id for elt in elts if isinstance(elt, ast.Name)]
+                for name in names:
+                    defined.setdefault(name, []).append(child.name)
+                guards.extend(f"{child.name}.{name}" for name in names if name in ("__setattr__", "__delattr__"))
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
@@ -89,6 +98,10 @@ def test_only_immutable_refuses_writes_and_only_of_sets_slots():
         visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None)
     assert sorted(guards) == ["Immutable.__delattr__", "Immutable.__setattr__"]
     assert setters and all(function == "_of" for function, _ in setters), setters
+    for name in ("_of", "__reduce__"):
+        assert sorted(defined[name]) == ["Immutable", "PartitionFamily"], name
+    for name in ("__eq__", "__hash__"):
+        assert sorted(defined[name]) == ["ClassSumVector", "Immutable", "PartitionFamily"], name
 
 
 # every name the package exports, by the module it lives in
