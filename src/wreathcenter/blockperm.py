@@ -23,7 +23,6 @@ from .errors import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     DimensionMismatch,
-    InvariantViolation,
     SizeMismatch,
 )
 from .families import Immutable, PartitionFamily, check_group, class_size, group_order, index_partitions
@@ -105,8 +104,6 @@ def type_from_images(k: int, blocks, images) -> PartitionFamily:
     slots = _component_slots(k)
     components = [()] * len(slots)
     for rho, ms in parts.items():
-        if rho not in slots:
-            raise InvariantViolation(f"meeting pattern {rho} is not a partition of {k}")
         ms.sort(reverse=True)
         components[slots[rho]] = tuple(ms)
     return PartitionFamily._of(k, tuple(components))
@@ -161,11 +158,6 @@ class BlockPermutation(Immutable):
 
     def to_text(self) -> str:
         return "(" + ",".join(str(y) for y in self.images) + ")"
-
-    @classmethod
-    def from_text(cls, text: str, k: int, n: int) -> "BlockPermutation":
-        body = text.strip().removeprefix("(").removesuffix(")")
-        return cls(k, n, (int(piece) for piece in body.split(",")) if body else ())
 
     def __repr__(self):
         return f"BlockPermutation(k={self.k}, n={self.n}, {self.to_text()})"

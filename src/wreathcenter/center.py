@@ -387,9 +387,9 @@ def _universal_by_characters(left, right):
     masses of the labels found so far, sum over s of C(n, s) M_s with M_s
     the mass of the labels of size s, must equal the product of the input
     orbit sizes; the top stage's check stands in for check_mass.  A negative
-    coefficient or a stage whose masses differ raises InvariantViolation.
-    Pad forms, pad factors and orbit sizes are read from `_at`.  README "How
-    a product is counted" has the derivation.
+    coefficient at a level, or a stage whose masses differ, raises
+    InvariantViolation.  Pad forms, pad factors and orbit sizes are read
+    from `_at`.  README "How a product is counted" has the derivation.
     """
     terms = {}
     masses = []
@@ -424,9 +424,6 @@ def _universal_by_characters(left, right):
         if mass != left_orbit * right_orbit:
             raise InvariantViolation(f"universal product mass at stage {n} is {mass}")
     label, c = _top_label(left, right)
-    if c < 0:
-        where = format_family(label)
-        raise InvariantViolation(f"universal product cannot have c = {c} at {where}")
     terms[label] = c
     mass = c * _orbit_size(label)
     for s, m in enumerate(masses, lo):

@@ -89,9 +89,11 @@ class Cache:
     Polynomial rows: `k; left; right; gamma; r; coeff`.
     Polynomial rows hold a universal product's terms, each as a proper
     target and its number of extra 1-parts.  Each product is one record,
-    appended by a single write.  Its first line starts with a header field
-    `#<rows>:<sha256>` holding the number of rows and the sha256 of the row
-    lines (each with its newline, header field left out).  A lookup reads
+    appended by a single write on a line of its own, so a torn last line
+    (a crash, a full disk) spoils only its own record.  Its first line
+    starts with a header field `#<rows>:<sha256>` holding the number of rows
+    and the sha256 of the row lines (each with its newline, header field
+    left out).  A lookup reads
     only its key's records, and raises InvariantViolation at the first one
     whose rows lack a header, whose count or digest is wrong, which repeats
     a target or which disagrees with an earlier record, whatever other keys
@@ -172,8 +174,13 @@ class Cache:
         if not self.path or not lines:
             return
         text = "".join(line + "\n" for line in lines)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(f"#{len(lines)}:{_digest(text)}; {text}")
+        record = f"#{len(lines)}:{_digest(text)}; {text}".encode()
+        with open(self.path, "ab+") as handle:
+            if handle.seek(0, os.SEEK_END):
+                handle.seek(-1, os.SEEK_END)
+                if handle.read(1) != b"\n":
+                    record = b"\n" + record
+            handle.write(record)
 
     def get_group(self, k, n, left, right):
         return self._get(self.group, (k, n, left, right))

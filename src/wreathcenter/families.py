@@ -19,16 +19,12 @@ own interning `_of`, its pickling and identity equality.  `ClassSumVector` sets 
 slots in its validating `__init__` and compares its terms in any order.
 `check_group` refuses an impossible (k, n) for every caller.
 
-Five results are kept for the life of the process.  Per label: `big_z`, the orbit size
-|C_fam| at stage |fam| (`_orbit_size`), the text form (`format_family`), and the class
-representative, a `BlockPermutation` and a `KPartialPermutation` that share one image
-tuple (`blockperm.class_representative`, `kpartial.partial_class_representative`).  Per
-(k, n): `group_order`.  The per-label memos grow with the distinct labels a process sees,
-so they are bounded by the number of families of the sizes in use (415 at k = 3 and sizes
-up to 6, whose representatives take about 0.5 MB); the group orders hold one integer per
-size in use.  An orbit size is checked to divide the group order when it is first
-computed; `class_size`, `partial_class_size` and the product checks read it.
-The representative functions and `class_size` still check the size on every call.
+Per label this module keeps the label itself (`_LABELS`), `big_z`, the orbit
+size |C_fam| at stage |fam| (`_orbit_size`, checked to divide the group order
+when first computed) and the text form (`format_family`), and per (k, n)
+`group_order`, each for the life of the process; README "What a process keeps"
+lists every memo of the package, its key and what bounds it.  `class_size` and
+`partial_class_size` read the orbit size and still check the size on every call.
 """
 
 from functools import cache

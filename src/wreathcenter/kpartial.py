@@ -91,23 +91,6 @@ class KPartialPermutation(Immutable):
         images = "(" + ",".join(str(self.images[x - 1]) for x in self.points) + ")"
         return f"{{blocks:{blocks}; k:{self.k}; images:{images}}}"
 
-    @classmethod
-    def from_text(cls, text: str) -> "KPartialPermutation":
-        body = text.strip().removeprefix("{").removesuffix("}")
-        fields = {}
-        for entry in body.split(";"):
-            name, _, value = entry.strip().partition(":")
-            fields[name.strip()] = value.strip()
-        for name in ("k", "blocks", "images"):
-            if name not in fields:
-                raise ValueError(f"k-partial permutation text without a {name!r} field")
-        k = int(fields["k"])
-        blocks_body = fields["blocks"].removeprefix("[").removesuffix("]")
-        blocks = [int(b) for b in blocks_body.split(",")] if blocks_body else []
-        images_body = fields["images"].removeprefix("(").removesuffix(")")
-        images = [int(y) for y in images_body.split(",")] if images_body else []
-        return cls(k, blocks, images)
-
     def __repr__(self):
         return f"KPartialPermutation({self.to_text()})"
 

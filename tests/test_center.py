@@ -857,8 +857,8 @@ def test_top_label_matches_its_definition():
 
 def test_wrong_top_label_or_coefficient_is_caught(monkeypatch):
     # the top stage's mass check weighs the closed-form coefficient, counted
-    # from the inputs alone, by the class size of the label: a wrong label
-    # or a coefficient one too large is refused there
+    # from the inputs alone, by the class size of the label: a wrong label,
+    # a coefficient one too large or a negative one is refused there
     true_top_label = ct._top_label
     for k, a, b, wrong in [(1, "{[1]:[2]}", "{[1]:[2]}", "{[1]:[4]}"),
                            (1, "{[1]:[3,1]}", "{[1]:[2]}", "{[1]:[3,3]}"),
@@ -868,7 +868,7 @@ def test_wrong_top_label_or_coefficient_is_caught(monkeypatch):
         union, c = true_top_label(left, right)
         assert ct._universal_by_characters(left, right).coefficient(union) == c
         top = left.size + right.size
-        for corrupted in [(parse_family(wrong, k), c), (union, c + 1)]:
+        for corrupted in [(parse_family(wrong, k), c), (union, c + 1), (union, -c)]:
             monkeypatch.setattr(ct, "_top_label", lambda l, r, corrupted=corrupted: corrupted)
             with pytest.raises(InvariantViolation, match=f"mass at stage {top} "):
                 ct._universal_by_characters(left, right)

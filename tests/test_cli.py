@@ -497,6 +497,28 @@ def test_rows_without_a_header_are_rejected(capsys, tmp_path):
     assert "error: invariant-violation" in err
 
 
+def test_a_torn_last_line_spoils_only_its_own_record(capsys, tmp_path):
+    # a crash or a full disk cuts the last record short; the next record
+    # appended starts on a line of its own, so only the torn product is refused
+    def square(part):
+        fam = f"{{[1]:[{part}]}}"
+        return ["multiply", "--k", "1", "--n", "3", "--left", fam, "--right", fam]
+
+    alone = tmp_path / "alone.cache"
+    assert call(capsys, *square("3"), "--cache", str(alone))[0] == 0
+    cache = tmp_path / "coeffs.cache"
+    assert call(capsys, *square("2,1"), "--cache", str(cache))[0] == 0
+    torn = cache.read_bytes()[:-7]
+    cache.write_bytes(torn)
+    code, miss, _ = call(capsys, *square("3"), "--cache", str(cache))
+    assert (code, len(miss.splitlines())) == (0, 2)
+    assert cache.read_bytes() == torn + b"\n" + alone.read_bytes()
+    assert call(capsys, *square("3"), "--cache", str(cache)) == (0, miss, "")
+    code, out, err = call(capsys, *square("2,1"), "--cache", str(cache))
+    assert (code, out) == (3, "")
+    assert "does not match its record header" in err
+
+
 def test_disagreeing_records_are_rejected(capsys, tmp_path):
     from wreathcenter.cli import Cache
 

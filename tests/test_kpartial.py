@@ -252,10 +252,8 @@ def test_partial_representative_is_built_once_per_label():
 def test_text_roundtrip():
     text = EXAMPLE.to_text()
     assert text == "{blocks:[1,2,4,6]; k:3; images:(12,10,11,4,5,6,16,18,17,1,2,3)}"
-    assert KPartialPermutation.from_text(text) == EXAMPLE
     assert repr(EXAMPLE) == f"KPartialPermutation({text})"
-    empty = KPartialPermutation.empty(2)
-    assert KPartialPermutation.from_text(empty.to_text()) == empty
+    assert KPartialPermutation.empty(2).to_text() == "{blocks:[]; k:2; images:()}"
 
 
 def test_enumerate_kpartial_passes_its_budget_on(monkeypatch):

@@ -50,8 +50,6 @@ def test_element_constructors_refuse_an_impossible_group():
     with pytest.raises(SizeMismatch):
         bp.BlockPermutation(1, -1, ())
     with pytest.raises(SizeMismatch):
-        bp.BlockPermutation.from_text("()", 1, -1)
-    with pytest.raises(SizeMismatch):
         kp.extend(KPartialPermutation.empty(1), -1)
     with pytest.raises(ValueError, match="k must be a positive integer"):
         bp.BlockPermutation(0, 2, ())
@@ -182,11 +180,6 @@ def test_text_and_partition_refusals():
         pt.as_partition((2, -1))
     with pytest.raises(ValueError):
         pt.parse_partition("[a,1]")
-    # a k-partial permutation text without one of its fields, or not in that form
-    for name, text in [("k", "{blocks:[1]; images:(1)}"), ("blocks", "{k:1; images:(1)}"),
-                       ("images", "{blocks:[1]; k:1}"), ("k", "(1)")]:
-        with pytest.raises(ValueError, match=f"'{name}' field"):
-            KPartialPermutation.from_text(text)
 
 
 def test_cached_polynomial_rows_refuse_a_zero_or_repeated_row(capsys, tmp_path):
