@@ -13,11 +13,21 @@ A process loads only what its command runs: the product path imports
 center, chartable characters, verify both, and classes neither.
 Exit codes: 1 for usage/parse errors and unusable cache paths, 2 when a
 budget is exceeded, 3 when an internal invariant check fails.
+
+The top-level help shows the two paragraphs above; the rest is about how
+the module works.  The commands and their flags are declared once, in
+_COMMANDS and _FLAGS.  _read_plain reads a plain command line from that
+table into the namespace argparse would give it; every other line, help
+and usage errors included, goes to the argparse parser that _build_parser
+builds from the same table, which alone imports argparse.  A cache hit
+imports only `answers`, the answer types and their checks; a miss imports
+`center`, the counting routes, too.  Writing to a pipe its reader has
+closed ends the command with exit code 1 and no traceback.
 """
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import partitions as pt
 from .errors import DEFAULT_BUDGET, BudgetExceeded, InvariantViolation, WreathError
@@ -35,11 +45,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_INVARIANT = 3
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
 
 
 class UsageError(Exception):
@@ -203,34 +208,96 @@ class Cache:
         )
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="wreathcenter", description=__doc__)
+# each flag: its type (bool for a switch that stores True), whether it is
+# required, and its default
+_FLAGS = {
+    "--k": (int, True, None),
+    "--n": (int, True, None),
+    "--left": (str, True, None),
+    "--right": (str, True, None),
+    "--json": (bool, False, False),
+    "--max-group-size": (int, False, DEFAULT_BUDGET),
+    "--cache": (str, False, None),
+    "--verify-representative": (bool, False, False),
+    "--gamma": (str, False, None),
+}
+_PAIR_PRODUCT = ("--left", "--right", "--json", "--max-group-size", "--cache", "--verify-representative", "--gamma")
+# each command: its help line, the name of its handler (read when a line is
+# read, so a patched handler is the one run) and its flags, in help order
+_COMMANDS = {
+    "classes": ("list conjugacy classes with sizes", "_cmd_classes", ("--k", "--n", "--json")),
+    "multiply": ("product of two class sums in the group", "_cmd_product", ("--k", "--n", *_PAIR_PRODUCT)),
+    "universal": ("product of two orbit sums in the universal algebra", "_cmd_product", ("--k", *_PAIR_PRODUCT)),
+    "poly": ("binomial-basis rows of a product of proper families", "_cmd_product", ("--k", *_PAIR_PRODUCT)),
+    "chartable": ("character table records", "_cmd_chartable", ("--k", "--n", "--json")),
+    "verify": (
+        "pointwise multiplicativity of the transport map",
+        "_cmd_verify",
+        ("--k", "--left", "--right", "--json", "--max-group-size"),
+    ),
+}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _read_plain(argv: list) -> SimpleNamespace | None:
+    """The namespace argparse gives a plain command line, or None to leave the line to argparse.
+
+    A plain line is a command, then only that command's own flags written
+    out in full, each valued one followed by a value that does not start
+    with "-" (an int flag's passing int()), with every required flag given;
+    a repeated flag keeps its last value.  Help, abbreviated or "="-joined
+    flags, negative numbers and every usage error are argparse's to read,
+    so their text is argparse's own.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, flags = _COMMANDS[argv[0]]
+    args = {"command": argv[0], "handler": globals()[handler]}
+    args.update((_dest(flag), _FLAGS[flag][2]) for flag in flags if not _FLAGS[flag][1])
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in flags:
+            return None
+        kind = _FLAGS[flag][0]
+        if kind is bool:
+            args[_dest(flag)] = True
+            continue
+        value = next(tokens, "-")  # a flag without a value is argparse's to report
+        if value.startswith("-"):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        args[_dest(flag)] = value
+    if any(_dest(flag) not in args for flag in flags):
+        return None
+    return SimpleNamespace(**args)
+
+
+def _build_parser():
+    """The argparse parser of the commands in _COMMANDS, which raises UsageError on a bad line."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
+    parser = Parser(prog="wreathcenter", description="\n\n".join(__doc__.split("\n\n")[:2]))
     sub = parser.add_subparsers(dest="command", required=True)
-    pair_product = {"pair", "budget", "product"}
-    # every command takes --k and --json, and only the other flags it acts on
-    for name, help_text, flags, handler in (
-        ("classes", "list conjugacy classes with sizes", {"n"}, _cmd_classes),
-        ("multiply", "product of two class sums in the group", {"n"} | pair_product, _cmd_product),
-        ("universal", "product of two orbit sums in the universal algebra", pair_product, _cmd_product),
-        ("poly", "binomial-basis rows of a product of proper families", pair_product, _cmd_product),
-        ("chartable", "character table records", {"n"}, _cmd_chartable),
-        ("verify", "pointwise multiplicativity of the transport map", {"pair", "budget"}, _cmd_verify),
-    ):
+    for name, (help_text, handler, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        p.add_argument("--k", type=int, required=True)
-        if "n" in flags:
-            p.add_argument("--n", type=int, required=True)
-        if "pair" in flags:
-            p.add_argument("--left", required=True)
-            p.add_argument("--right", required=True)
-        p.add_argument("--json", action="store_true")
-        if "budget" in flags:
-            p.add_argument("--max-group-size", type=int, default=DEFAULT_BUDGET)
-        if "product" in flags:
-            p.add_argument("--cache", default=None)
-            p.add_argument("--verify-representative", action="store_true")
-            p.add_argument("--gamma", default=None)
+        p.set_defaults(handler=globals()[handler])
+        for flag in flags:
+            kind, required, default = _FLAGS[flag]
+            if kind is bool:
+                p.add_argument(flag, action="store_true")
+            else:
+                p.add_argument(flag, type=kind, required=required, default=default)
     return parser
 
 
@@ -266,7 +333,7 @@ def _cmd_classes(args):
 
 def _cmd_product(args):
     """multiply, universal, poly: rows keyed (gamma,) or (gamma, r), filtered and sorted."""
-    from . import center as ct
+    from .answers import PolynomialStructure
 
     left, right = _parse_pair(args)
     wanted = parse_family(args.gamma, args.k) if args.gamma else None
@@ -282,7 +349,7 @@ def _cmd_product(args):
     except OSError as exc:
         raise UsageError(f"unusable cache: {exc}") from exc
     if args.command == "poly":
-        rows = ct.PolynomialStructure._of(left, right, vector).rows
+        rows = PolynomialStructure._of(left, right, vector).rows
     else:
         rows = {(gamma,): coeff for gamma, coeff in vector.items()}
 
@@ -305,37 +372,41 @@ def _cached_vector(args, cache, left, right, options):
     """The checked product: the group vector for multiply, the universal vector for
     universal and poly, which share the pair's poly record.
 
-    A miss is computed, appended to the cache and returned as computed.  A
-    hit is parsed once; a row that is not a target of the product, or a zero
-    or repeated row, raises InvariantViolation naming the record, and the
-    vector passes check_mass.
+    A miss is computed, appended to the cache and returned as computed; only
+    a miss loads the counting routes of `center`.  A hit is parsed once; a
+    row that is not a target of the product, or a zero or repeated row,
+    raises InvariantViolation naming the record, and the vector passes
+    check_mass.
     """
-    from . import center as ct
+    from .answers import ClassSumVector, PolynomialStructure, check_mass
 
     group = args.command == "multiply"
     lt, rt = format_family(left), format_family(right)
     key = (args.k, args.n, lt, rt) if group else (args.k, lt, rt)
     cached = cache.get_group(*key) if group else cache.get_poly(*key)
-    if cached is None and group:
-        vector = ct.multiply_group(left, right, args.n, **options)
-        cache.put_group(*key, {format_family(g): c for g, c in vector.items()})
-    elif cached is None:
-        vector = ct.multiply_universal(left, right, **options)
-        rows = ct.PolynomialStructure._of(left, right, vector).rows
-        cache.put_poly(*key, {(format_family(g), r): c for (g, r), c in rows.items()})
-    else:
-        try:
-            if group:
-                terms = {parse_family(g, args.k): c for g, c in cached.items()}
-                vector = ct.ClassSumVector(args.k, terms, n=args.n)
-            else:
-                rows = {(parse_family(g, args.k), r): c for (g, r), c in cached.items()}
-                vector = ct.PolynomialStructure(args.k, left, right, rows).vector
-            if len(vector.terms) != len(cached):
-                raise ValueError("a row has coefficient 0 or repeats a target")
-        except (ValueError, WreathError) as exc:
-            raise InvariantViolation(f"cache record {key} is not a product's rows: {exc}") from exc
-        ct.check_mass(vector, left, right)
+    if cached is None:
+        from . import center as ct
+
+        if group:
+            vector = ct.multiply_group(left, right, args.n, **options)
+            cache.put_group(*key, {format_family(g): c for g, c in vector.items()})
+        else:
+            vector = ct.multiply_universal(left, right, **options)
+            rows = PolynomialStructure._of(left, right, vector).rows
+            cache.put_poly(*key, {(format_family(g), r): c for (g, r), c in rows.items()})
+        return vector
+    try:
+        if group:
+            terms = {parse_family(g, args.k): c for g, c in cached.items()}
+            vector = ClassSumVector(args.k, terms, n=args.n)
+        else:
+            rows = {(parse_family(g, args.k), r): c for (g, r), c in cached.items()}
+            vector = PolynomialStructure(args.k, left, right, rows).vector
+        if len(vector.terms) != len(cached):
+            raise ValueError("a row has coefficient 0 or repeats a target")
+    except (ValueError, WreathError) as exc:
+        raise InvariantViolation(f"cache record {key} is not a product's rows: {exc}") from exc
+    check_mass(vector, left, right)
     return vector
 
 
@@ -377,7 +448,10 @@ def _cmd_verify(args):
 
 def run(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _read_plain(argv)
+        if args is None:
+            args = _build_parser().parse_args(argv)
         if min(getattr(args, "n", 0), getattr(args, "max_group_size", 0)) < 0:
             raise UsageError("--n and --max-group-size must be nonnegative integers")
         head, rows = args.handler(args)
@@ -398,7 +472,19 @@ def run(argv=None) -> int:
 
 
 def main():
-    sys.exit(run())
+    """Run the command line of this process and exit with its code.
+
+    A reader that closes the pipe early (`| head`) ends the command with
+    exit code 1 and no traceback: stdout is pointed at os.devnull, so the
+    interpreter's last flush cannot raise again.
+    """
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

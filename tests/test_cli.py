@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -318,10 +319,12 @@ def test_digest_is_sha256():
 
 # modules that cost milliseconds to load in a process that runs one command
 ON_FIRST_USE = [
+    "argparse",
     "decimal",
     "fractions",
     "hashlib",
     "json",
+    "wreathcenter.answers",
     "wreathcenter.blockperm",
     "wreathcenter.center",
     "wreathcenter.characters",
@@ -343,7 +346,8 @@ def test_import_loads_neither_hashlib_nor_json():
     # a cache lookup takes sha256 from CPython's own module and only --json
     # output needs json; only enumeration needs blockperm and kpartial, and
     # only a rational result needs fractions (which loads decimal).  The
-    # product path loads center and the character commands characters
+    # product path loads answers, a miss center, the character commands
+    # characters, and only a line the table reader leaves to it argparse
     assert loaded_on_first_use("import wreathcenter.cli") == "[]"
 
 
@@ -351,11 +355,12 @@ TRANSPOSITION_N7 = "{[1]:[2,1,1,1,1,1]}"
 
 
 def test_each_command_loads_the_enumeration_layers_only_when_it_enumerates(capsys, tmp_path):
-    # a multiply cache hit is parsed and mass-checked, and a poly miss the
-    # character route serves reads the tables: neither loads what it does
-    # not run.  A cold S_7 product whose 21 members cost less than building
-    # the table enumerates; chartable runs no product and classes neither.
-    # verify expands its product by enumeration
+    # a multiply cache hit is parsed and mass-checked without the routes of
+    # center, and a poly miss the character route serves reads the tables:
+    # neither loads what it does not run.  A cold S_7 product whose 21
+    # members cost less than building the table enumerates; chartable runs
+    # no product and classes neither.  verify expands its product by
+    # enumeration.  Only help and usage errors build the argparse parser
     cache = tmp_path / "coeffs.cache"
     assert call(capsys, *TRANSPOSITIONS_N4, "--cache", str(cache))[0] == 0
     hit = [*TRANSPOSITIONS_N4, "--cache", str(cache)]
@@ -366,17 +371,24 @@ def test_each_command_loads_the_enumeration_layers_only_when_it_enumerates(capsy
     # a product with an empty input is the other input and reads no table
     empty = ["universal", "--k", "2", "--left", "{}", "--right", "{[2]:[4]}"]
     verify = ["verify", "--k", "1", "--left", "{[1]:[2]}", "--right", "{[1]:[3]}"]
-    center, characters = "wreathcenter.center", "wreathcenter.characters"
-    for argv, loaded in [
-        (hit, [center]),
-        (poly, [center, characters]),
-        (empty, [center]),
-        (enumerated, ["wreathcenter.blockperm", center, "wreathcenter.kpartial"]),
-        (["chartable", "--k", "2", "--n", "3"], [characters]),
-        (["classes", "--k", "2", "--n", "3"], []),
-        (verify, ["wreathcenter.blockperm", center, characters, "wreathcenter.kpartial"]),
+    answers, center, characters = "wreathcenter.answers", "wreathcenter.center", "wreathcenter.characters"
+    for argv, code, loaded in [
+        (hit, 0, [answers]),
+        (poly, 0, [answers, center, characters]),
+        (empty, 0, [answers, center]),
+        (enumerated, 0, [answers, "wreathcenter.blockperm", center, "wreathcenter.kpartial"]),
+        (["chartable", "--k", "2", "--n", "3"], 0, [characters]),
+        (["classes", "--k", "2", "--n", "3"], 0, []),
+        (verify, 0, [answers, "wreathcenter.blockperm", center, characters, "wreathcenter.kpartial"]),
+        (["multiply", "--help"], 0, ["argparse"]),
+        (["classes", "--k", "2"], 1, ["argparse"]),
     ]:
-        statements = f"from wreathcenter import cli\nif cli.run({argv!r}):\n    sys.exit(1)"
+        # help exits through SystemExit, which is caught before the list is printed
+        statements = (
+            "from wreathcenter import cli\n"
+            f"try:\n    code = cli.run({argv!r})\nexcept SystemExit as exc:\n    code = exc.code\n"
+            f"if code != {code}:\n    sys.exit(1)"
+        )
         assert loaded_on_first_use(statements) == repr(loaded), argv
 
 
@@ -396,10 +408,10 @@ def test_a_table_built_before_the_first_product_counts_as_built():
 
     built = "from wreathcenter import characters\ncharacters.character_table(1, 7)\n"
     assert loaded_on_first_use(built + product({})) == repr(
-        ["wreathcenter.center", "wreathcenter.characters"]
+        ["wreathcenter.answers", "wreathcenter.center", "wreathcenter.characters"]
     )
     assert loaded_on_first_use(product({(1, 7): 30240})) == repr(
-        ["wreathcenter.blockperm", "wreathcenter.center", "wreathcenter.kpartial"]
+        ["wreathcenter.answers", "wreathcenter.blockperm", "wreathcenter.center", "wreathcenter.kpartial"]
     )
 
 
@@ -857,6 +869,84 @@ def test_each_command_help_lists_exactly_its_flags(capsys):
     assert "{classes,multiply,universal,poly,chartable,verify}" in top
     for command in FLAGS:
         assert re.search(rf"^    {command} +\S", top, re.MULTILINE), command
+
+
+REQUIRED = {"--k", "--n", "--left", "--right"}
+SWITCHES = {"--json", "--verify-representative"}
+INT_FLAGS = {"--k", "--n", "--max-group-size"}
+INT_VALUES = ["0", "1", "2", "3", "7", "12"] * 12 + ["-1", "-2.5", "-x", "3_0", " 4", "x", "", "1.5", "07"]
+TEXT_VALUES = ["{[1]:[2]}", "{}", "{[2]:[1]}"] * 20 + ["-x", "-1", "--json", "a b", ""]
+
+
+def random_command_line(rng):
+    """A plain command line, or one that is not plain in one or more ways."""
+    command = rng.choice([*FLAGS] * 16 + ["nosuch", "mult", "", "--k", "-h", "--help"])
+    own = FLAGS.get(command, FLAGS["multiply"])
+    flags = [flag for flag in own if rng.random() < (0.95 if flag in REQUIRED else 0.3)]
+    flags += rng.choices(own, k=rng.choice([0, 0, 1, 2]))
+    rng.shuffle(flags)
+    line = [command]
+    for flag in flags:
+        value = rng.choice(INT_VALUES if flag in INT_FLAGS else TEXT_VALUES)
+        roll = rng.random()
+        if roll < 0.03:
+            flag = rng.choice([flag for flags in FLAGS.values() for flag in flags])
+        elif roll < 0.06:
+            flag = flag[: max(3, len(flag) - 3)]  # abbreviated, unless it is --k or --n
+        roll = rng.random()
+        if roll < 0.04:
+            line.append(f"{flag}={value}")
+        elif flag in SWITCHES or roll < 0.06:
+            line.append(flag)
+        else:
+            line += [flag, value]
+    if rng.random() < 0.05:
+        line.insert(rng.randint(1, len(line)), rng.choice(["--bogus", "-h", "--help", "extra", "--verif", "--"]))
+    return line
+
+
+def test_the_table_reader_reads_a_line_as_argparse_does(capsys):
+    # whenever the reader takes a line, its namespace is argparse's; whenever
+    # argparse refuses a line or prints help, the reader leaves it to argparse
+    rng = random.Random(0)
+    parser = cli._build_parser()
+    taken = left = 0
+    for _ in range(20_000):
+        line = random_command_line(rng)
+        ours = cli._read_plain(line)
+        try:
+            theirs = parser.parse_args(line)
+        except cli.UsageError:
+            theirs = None
+        except SystemExit as exc:
+            assert exc.code == 0, line
+            theirs = None
+        if theirs is None:
+            assert ours is None, line
+            left += 1
+        elif ours is not None:
+            assert vars(ours) == vars(theirs), line
+            taken += 1
+    capsys.readouterr()
+    assert taken > 5_000 and left > 5_000, (taken, left)
+
+
+def test_a_closed_pipe_ends_the_command_with_exit_1_and_no_traceback():
+    # the reader stops after a few bytes of a table far larger than a pipe
+    # holds, as `| head -c 10` does.  The child's stdout is buffered, as it is
+    # by default: unbuffered, a write cut short drops the rest without an error
+    import wreathcenter
+
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(wreathcenter.__file__).parents[1])
+    for json_flag in (["--json"], []):
+        argv = [sys.executable, "-m", "wreathcenter.cli", "chartable", "--k", "2", "--n", "6", *json_flag]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+            assert child.stdout.read(10)
+            child.stdout.close()
+            err = child.stderr.read()
+            assert child.wait(timeout=60) == 1, json_flag
+        assert b"Traceback" not in err, json_flag
 
 
 def test_split_fields_keeps_an_unclosed_family_as_the_last_field():
