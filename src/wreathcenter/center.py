@@ -164,21 +164,20 @@ def _product(left, right, n, budget, verify_representative):
     (`_universal_by_characters`), whose one label of size N is in closed
     form.  So a universal product with an empty input reads no table.
 
-    The cheaper route is taken, in Frobenius terms: enumeration costs
-    |B| * _ELEMENT_COST; characters cost #classes ** 2 per table, plus
-    _BUILD_COST per entry while it is not built, less what enumeration at
-    that size has already cost in this process (`_enumerated`).  So a one-off
-    product never pays for a build that outweighs it, and a long-lived
-    process builds each table it keeps needing once.  `ch.class_product` reads
-    only the entries that can contribute, so #classes ** 2 bounds what it reads.
-    |B| is read from `_at`, kept per (label, stage), and the #classes ** 2 sum
-    from `_entries`, kept per (k, sizes); whether each table is built, and so
-    its build charge, is asked on every product, so no price outlives
+    `_candidates` lists them as (name, count, cost, run), and the cheapest
+    candidate whose count fits `budget` is taken, the first listed on a tie;
+    when none fits, BudgetExceeded reports the smallest count.  Costs are in
+    Frobenius terms: enumeration costs |B| * _ELEMENT_COST; characters cost
+    #classes ** 2 per table, plus _BUILD_COST per entry while it is not
+    built, less what enumeration at that size has already cost in this
+    process (`_enumerated`).  So a one-off product never pays for a build
+    that outweighs it, and a long-lived process builds each table it keeps
+    needing once.  `ch.class_product` reads only the entries that can
+    contribute, so #classes ** 2 bounds what it reads.  |B| is read from
+    `_at`, kept per (label, stage), and the #classes ** 2 sum from
+    `_entries`, kept per (k, sizes); whether each table is built, and so its
+    build charge, is asked on every product, so no price outlives
     `character_table.cache_clear()`.
-
-    `budget` bounds the count of the route taken: |B| elements, or the table
-    entries summed over the sizes.  When only one route fits, it is taken;
-    when neither fits, BudgetExceeded reports the smaller count.
 
     With verify_representative both routes count it and a difference raises
     InvariantViolation.  Both counts must fit `budget` (else BudgetExceeded
@@ -186,39 +185,64 @@ def _product(left, right, n, budget, verify_representative):
     """
     if left.k != right.k:
         raise SizeMismatch("families must share the same k")
+    candidates = _candidates(left, right, n, budget)
+    if verify_representative:
+        enumeration, characters = candidates[0], _cheapest(candidates[1:], budget)
+        larger = characters if characters[1] > enumeration[1] else enumeration
+        if larger[1] > budget:
+            raise BudgetExceeded(larger[1], budget, larger[0])
+        vector = _by_enumeration(left, right, n, budget)
+        if vector != characters[3]():
+            raise InvariantViolation(f"{vector.context} product differs between the two routes")
+        return vector
+    name, count, _, run = _cheapest(candidates, budget)
+    if count > budget:
+        raise BudgetExceeded(count, budget, name)
+    return run()
+
+
+def _candidates(left, right, n, budget):
+    """The routes of one product as (name, budget count, cost, run), enumeration first.
+
+    A cost is worked out only for a count that fits `budget`; a candidate
+    whose count does not fit is never taken, so its cost is None.
+    """
     k = left.k
     if n is None:
         stage = left.size + right.size
         sizes = range(max(left.size, right.size), stage)
-        by_characters = _universal_by_characters
+        name = "partial class enumeration"
+        by_characters = lambda: _universal_by_characters(left, right)
     else:
         stage, sizes = n, range(n, n + 1)
-        by_characters = lambda a, b: _group_by_characters(a, b, n)
+        name = "class enumeration"
+        by_characters = lambda: _group_by_characters(left, right, n)
     smaller = min(_at(left, stage)[2], _at(right, stage)[2])
     entries = _entries(k, sizes.start, sizes.stop)
-    what = "partial class enumeration" if n is None else "class enumeration"
-    if verify_representative:
-        if max(entries, smaller) > budget:
-            needed, what = (entries, "character table") if entries > smaller else (smaller, what)
-            raise BudgetExceeded(needed, budget, what)
-        vector = _by_enumeration(left, right, n, budget)
-        if vector != by_characters(left, right):
-            raise InvariantViolation(f"{vector.context} product differs between the two routes")
-        return vector
-    characters = (
-        _characters_cost(k, sizes, entries) < smaller * _ELEMENT_COST
-        if max(entries, smaller) <= budget
-        else entries < smaller
-    )
-    if characters:
-        if entries > budget:
-            raise BudgetExceeded(entries, budget, "character table")
-        return by_characters(left, right)
-    if smaller > budget:
-        raise BudgetExceeded(smaller, budget, what)
-    for m in sizes:
-        _enumerated[k, m] += smaller * _ELEMENT_COST
-    return _by_enumeration(left, right, n, budget)
+    enumeration_cost = smaller * _ELEMENT_COST
+
+    def by_enumeration():
+        for m in sizes:
+            _enumerated[k, m] += enumeration_cost
+        return _by_enumeration(left, right, n, budget)
+
+    return [
+        (name, smaller, enumeration_cost, by_enumeration),
+        ("character table", entries, _characters_cost(k, sizes, entries) if entries <= budget else None, by_characters),
+    ]
+
+
+def _cheapest(candidates, budget):
+    """The cheapest candidate whose count fits `budget`, the first on a tie; else the smallest count."""
+    best = None
+    for candidate in candidates:
+        if candidate[1] <= budget and (best is None or candidate[2] < best[2]):
+            best = candidate
+    if best is None:
+        for candidate in candidates:
+            if best is None or candidate[1] < best[1]:
+                best = candidate
+    return best
 
 
 def _characters_cost(k, sizes, entries):
