@@ -70,7 +70,6 @@ from collections import Counter
 from functools import cache
 from math import comb
 
-# _proper_family is not read here; it is kept importable from this module
 from .answers import (
     ClassSumVector,
     PolynomialStructure,
@@ -90,8 +89,8 @@ from .errors import (
 from .families import (
     PartitionFamily,
     _orbit_size,
-    families_with_size,
     format_family,
+    index_partitions,
     partial_class_size,
 )
 
@@ -138,10 +137,14 @@ def multiply_universal(
 # Route costs in Frobenius terms: a term is 1 / #classes ** 2 of a Frobenius
 # sum, which reads only the entries that can contribute.  _ELEMENT_COST is the
 # time of an enumerated element and _BUILD_COST that of building a table entry
-# once the smaller tables are built, each in terms (measured in CHANGES.md);
-# one element cost serves group and universal products.
+# once the smaller tables are built, each in terms; one element cost serves
+# group and universal products.  _ENUMERATION_COST is enumeration's fixed cost
+# per product, and _LEVEL_COST a projected product's per stage it reads, the
+# projection included; README "How a product is counted" has the measurements
 _ELEMENT_COST = 1440
 _BUILD_COST = 152
+_ENUMERATION_COST = 2 * _ELEMENT_COST
+_LEVEL_COST = 3 * _ELEMENT_COST
 
 # the cost in Frobenius terms of the elements enumerated at each (k, n) in
 # this process, by group products at (k, n) and by universal products whose
@@ -156,80 +159,107 @@ ch = None
 def _product(left, right, n, budget, verify_representative):
     """The product of two class sums at size n, or in the universal algebra when n is None.
 
-    Two routes count the same coefficients, for every k: `_by_enumeration`
-    over the smaller orbit B at stage N (n, or |left| + |right|), and
-    characters, from the table at (k, n) for a group product
-    (`_group_by_characters`) and the tables at every size from
-    max(|left|, |right|) to N - 1 for a universal one
-    (`_universal_by_characters`), whose one label of size N is in closed
-    form.  So a universal product with an empty input reads no table.
+    The candidates, each (name, budget count, cost, run):
 
-    `_candidates` lists them as (name, count, cost, run), and the cheapest
-    candidate whose count fits `budget` is taken, the first listed on a tie;
-    when none fits, BudgetExceeded reports the smallest count.  Costs are in
-    Frobenius terms: enumeration costs |B| * _ELEMENT_COST; characters cost
-    #classes ** 2 per table, plus _BUILD_COST per entry while it is not
-    built, less what enumeration at that size has already cost in this
-    process (`_enumerated`).  So a one-off product never pays for a build
-    that outweighs it, and a long-lived process builds each table it keeps
-    needing once.  `ch.class_product` reads only the entries that can
-    contribute, so #classes ** 2 bounds what it reads.  |B| is read from
-    `_at`, kept per (label, stage), and the #classes ** 2 sum from
+      * `_by_enumeration` over the smaller orbit B at stage N (n, or
+        |left| + |right|), for every product;
+      * characters: the table at (k, n) for a group product
+        (`_group_by_characters`), the tables at every size from
+        max(|left|, |right|) to N - 1 for a universal one
+        (`_universal_by_characters`), whose one label of size N is in closed
+        form, so a universal product with an empty input reads no table;
+      * for a group product, the projection to n of the universal product of
+        the proper parts (`_projection`), which costs the same at every n.
+
+    The cheapest candidate whose count fits `budget` is taken, the first
+    listed on a tie; when none fits, BudgetExceeded reports the smallest
+    count.  Costs are in Frobenius terms: enumeration costs
+    (|B| * _ELEMENT_COST) + _ENUMERATION_COST; characters cost #classes ** 2
+    per table, plus _BUILD_COST per entry while it is not built, less what
+    enumeration at that size has already cost in this process
+    (`_enumerated`); the projection costs its universal product's cheapest
+    candidate plus _LEVEL_COST per stage it reads.  It is priced only when
+    the cheapest of the other two costs more than _LEVEL_COST, its floor, or
+    fits no budget, so a product whose table is built never prices it.  A
+    one-off product never pays for a build that outweighs it, and a
+    long-lived process builds each table it keeps needing once.  |B| is read
+    from `_at`, kept per (label, stage), and the #classes ** 2 sum from
     `_entries`, kept per (k, sizes); whether each table is built, and so its
     build charge, is asked on every product, so no price outlives
     `character_table.cache_clear()`.
 
-    With verify_representative both routes count it and a difference raises
-    InvariantViolation.  Both counts must fit `budget` (else BudgetExceeded
-    reports the larger, first), and nothing is charged to `_enumerated`.
+    With verify_representative, enumeration and the cheapest of the other
+    candidates both count it, and a difference raises InvariantViolation.
+    Both counts must fit `budget` (else BudgetExceeded reports the larger,
+    enumeration's on a tie), and enumeration charges nothing to
+    `_enumerated`.
     """
     if left.k != right.k:
         raise SizeMismatch("families must share the same k")
     candidates = _candidates(left, right, n, budget)
+    route = _cheapest(candidates, budget)
+    if n is not None and (route[1] > budget or route[2] > _LEVEL_COST):
+        candidates.append(_projection(left, right, n, budget))
+        route = _cheapest(candidates, budget)
     if verify_representative:
         enumeration, characters = candidates[0], _cheapest(candidates[1:], budget)
         larger = characters if characters[1] > enumeration[1] else enumeration
         if larger[1] > budget:
             raise BudgetExceeded(larger[1], budget, larger[0])
         vector = _by_enumeration(left, right, n, budget)
-        if vector != characters[3]():
+        if vector != characters[3](left, right, n, budget):
             raise InvariantViolation(f"{vector.context} product differs between the two routes")
         return vector
-    name, count, _, run = _cheapest(candidates, budget)
+    name, count, _, run = route
     if count > budget:
         raise BudgetExceeded(count, budget, name)
-    return run()
+    return run(left, right, n, budget)
 
 
 def _candidates(left, right, n, budget):
-    """The routes of one product as (name, budget count, cost, run), enumeration first.
+    """Enumeration and the character route of one product, as (name, budget count, cost, run).
 
-    A cost is worked out only for a count that fits `budget`; a candidate
-    whose count does not fit is never taken, so its cost is None.
+    Each run takes (left, right, n, budget).  A cost is worked out only for
+    a count that fits `budget`; a candidate whose count does not fit is
+    never taken, so its cost is None.
     """
     k = left.k
+    stage, lo, hi = _stages(left, right, n)
+    if n is None:
+        name, by_characters = "partial class enumeration", _universal_route
+    else:
+        name, by_characters = "class enumeration", _group_route
+    smaller = min(_at(left, stage)[2], _at(right, stage)[2])
+    entries = _entries(k, lo, hi)
+    return [
+        (name, smaller, smaller * _ELEMENT_COST + _ENUMERATION_COST, _enumerate),
+        ("character table", entries, _characters_cost(k, lo, hi, entries) if entries <= budget else None, by_characters),
+    ]
+
+
+def _stages(left, right, n):
+    """(N, lo, hi): enumeration's stage, and the sizes lo..hi - 1 of the tables the character route reads."""
     if n is None:
         stage = left.size + right.size
-        sizes = range(max(left.size, right.size), stage)
-        name = "partial class enumeration"
-        by_characters = lambda: _universal_by_characters(left, right)
-    else:
-        stage, sizes = n, range(n, n + 1)
-        name = "class enumeration"
-        by_characters = lambda: _group_by_characters(left, right, n)
-    smaller = min(_at(left, stage)[2], _at(right, stage)[2])
-    entries = _entries(k, sizes.start, sizes.stop)
-    enumeration_cost = smaller * _ELEMENT_COST
+        return stage, max(left.size, right.size), stage
+    return n, n, n + 1
 
-    def by_enumeration():
-        for m in sizes:
-            _enumerated[k, m] += enumeration_cost
-        return _by_enumeration(left, right, n, budget)
 
-    return [
-        (name, smaller, enumeration_cost, by_enumeration),
-        ("character table", entries, _characters_cost(k, sizes, entries) if entries <= budget else None, by_characters),
-    ]
+def _enumerate(left, right, n, budget):
+    """`_by_enumeration`, charging its elements to `_enumerated` at each size the character route reads."""
+    stage, lo, hi = _stages(left, right, n)
+    elements = min(_at(left, stage)[2], _at(right, stage)[2]) * _ELEMENT_COST
+    for m in range(lo, hi):
+        _enumerated[left.k, m] += elements
+    return _by_enumeration(left, right, n, budget)
+
+
+def _group_route(left, right, n, budget):
+    return _group_by_characters(left, right, n)
+
+
+def _universal_route(left, right, n, budget):
+    return _universal_by_characters(left, right)
 
 
 def _cheapest(candidates, budget):
@@ -245,8 +275,33 @@ def _cheapest(candidates, budget):
     return best
 
 
-def _characters_cost(k, sizes, entries):
-    """`entries` plus the build charge of each table at sizes that is not built yet.
+def _projection(left, right, n, budget):
+    """The group product at n as the projection of the universal product of the proper parts.
+
+    The paper's universal algebra maps onto the centre of the group algebra
+    at every n, and the group product of L and R, padded from their proper
+    parts P and Q, is project(P * Q, n) divided by the binomial pad factors
+    of P and Q to n, which are 1 for proper families.  P * Q is counted by
+    its own cheapest candidate, whose name and count this candidate takes;
+    it reads the stages max(|P|, |Q|) to |P| + |Q|, so its cost is that
+    candidate's plus _LEVEL_COST for each of those min(|P|, |Q|) + 1 stages.
+    The projected answer passes check_mass.
+    """
+    proper_left, proper_right = _proper_family(left), _proper_family(right)
+    name, count, cost, run = _cheapest(_candidates(proper_left, proper_right, None, budget), budget)
+    if count <= budget:
+        cost += _LEVEL_COST * (min(proper_left.size, proper_right.size) + 1)
+
+    def projected(left, right, n, budget):
+        vector = project(run(proper_left, proper_right, None, budget), n)
+        check_mass(vector, left, right)
+        return vector
+
+    return name, count, cost, projected
+
+
+def _characters_cost(k, lo, hi, entries):
+    """`entries` plus the build charge of each table at sizes lo..hi - 1 that is not built yet.
 
     Before `characters` is loaded no table is built, so each is charged; once
     it is, by this module or another, `ch` is bound to it.
@@ -254,7 +309,7 @@ def _characters_cost(k, sizes, entries):
     global ch
     if ch is None:
         ch = sys.modules.get(f"{__package__}.characters")
-    for m in sizes:
+    for m in range(lo, hi):
         if ch is None or not ch.has_character_table(k, m):
             entries += max(_class_count(k, m) ** 2 * _BUILD_COST - _enumerated[k, m], 0)
     return entries
@@ -274,7 +329,13 @@ def _entries(k: int, lo: int, hi: int) -> int:
 
 @cache
 def _class_count(k: int, n: int) -> int:
-    return len(families_with_size(k, n))
+    """#classes at (k, n): partitions of n whose parts take one of the p(k) classes of S_k, counted, not listed."""
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for _ in index_partitions(k):
+            for m in range(part, n + 1):
+                counts[m] += counts[m - part]
+    return counts[n]
 
 
 def _by_enumeration(left, right, n, budget):

@@ -638,12 +638,22 @@ def test_verify_representative_refuses_a_table_value_that_keeps_the_mass(monkeyp
 
 def test_verify_representative_needs_both_counts_in_the_budget():
     # |C_(2,1^4)| = 15 fits a budget of 20; the S_6 table's 11 ** 2 = 121
-    # entries do not, and are reported before anything is counted
-    lam = fam(1, (2, 1, 1, 1, 1))
-    assert ct.multiply_group(lam, lam, 6, budget=20).terms[PartitionFamily.identity(1, 6)] == 15
+    # entries do not, and neither does the projection of (2) * (3,3), whose
+    # smaller orbit at stage 8 has C(8, 2) = 28 members: the larger count of
+    # the two routes, the projection's, is reported before anything is counted
+    lam, mu = fam(1, (2, 1, 1, 1, 1)), fam(1, (3, 3))
+    assert ct.multiply_group(lam, mu, 6, budget=20) == ct._by_enumeration(lam, mu, 6, DEFAULT_BUDGET)
     with pytest.raises(BudgetExceeded) as info:
-        ct.multiply_group(lam, lam, 6, budget=20, verify_representative=True)
-    assert (info.value.needed, info.value.what) == (121, "character table")
+        ct.multiply_group(lam, mu, 6, budget=20, verify_representative=True)
+    assert (info.value.needed, info.value.what) == (28, "partial class enumeration")
+    # lam * lam projects from (2) * (2), whose 6 members at stage 4 fit a
+    # budget of 10 while the class of 15 does not: the class is reported
+    with pytest.raises(BudgetExceeded) as info:
+        ct.multiply_group(lam, lam, 6, budget=10, verify_representative=True)
+    assert (info.value.needed, info.value.what) == (15, "class enumeration")
+    assert ct.multiply_group(lam, lam, 6, budget=15, verify_representative=True).terms[
+        PartitionFamily.identity(1, 6)
+    ] == 15
 
 
 def test_budget_exceeded():

@@ -124,8 +124,8 @@ def test_budget_exit_code(capsys):
         capsys,
         "multiply",
         "--k", "2", "--n", "3",
-        "--left", "{[1,1]:[1,1,1]}",
-        "--right", "{[1,1]:[1,1,1]}",
+        "--left", "{[2]:[1,1,1]}",
+        "--right", "{[2]:[1,1,1]}",
         "--max-group-size", "0",
     )
     assert code == 2
@@ -133,10 +133,11 @@ def test_budget_exit_code(capsys):
 
 
 def test_group_product_over_budget_reports_its_class(capsys, monkeypatch):
-    # |C_(2,1,1,1,1)| = 15 at n = 6 and the S_6 table has 11 ** 2 entries:
-    # neither route fits, and the smaller count, the class, is reported
+    # |C_(2,1,1,1,1)| = 15 at n = 6, the S_6 table has 11 ** 2 entries, and
+    # the projection from (2) * (3,3) counts 28 members at stage 8: no route
+    # fits, and the smallest count, the class, is reported
     monkeypatch.delenv("WREATH_CACHE", raising=False)
-    pair = ["--left", "{[1]:[2,1,1,1,1]}", "--right", "{[1]:[2,1,1,1,1]}"]
+    pair = ["--left", "{[1]:[2,1,1,1,1]}", "--right", "{[1]:[3,3]}"]
     code, out, err = call(capsys, "multiply", "--k", "1", "--n", "6", *pair, "--max-group-size", "10")
     assert (code, out) == (2, "")
     assert err == "error: budget-exceeded; needed=15; budget=10; what=class enumeration\n"
@@ -352,13 +353,15 @@ def test_import_loads_neither_hashlib_nor_json():
 
 
 TRANSPOSITION_N7 = "{[1]:[2,1,1,1,1,1]}"
+SEVEN_CYCLE = "{[1]:[7]}"
 
 
 def test_each_command_loads_the_enumeration_layers_only_when_it_enumerates(capsys, tmp_path):
     # a multiply cache hit is parsed and mass-checked without the routes of
     # center, and a poly miss the character route serves reads the tables:
     # neither loads what it does not run.  A cold S_7 product whose 21
-    # members cost less than building the table enumerates; chartable runs
+    # members cost less than building the table, or projecting from the
+    # tables up to (1, 8), enumerates; chartable runs
     # no product and classes neither.  verify expands its product by
     # enumeration.  Only help and usage errors build the argparse parser
     cache = tmp_path / "coeffs.cache"
@@ -366,7 +369,7 @@ def test_each_command_loads_the_enumeration_layers_only_when_it_enumerates(capsy
     hit = [*TRANSPOSITIONS_N4, "--cache", str(cache)]
     poly = ["poly", "--k", "2", "--left", "{[2]:[4]}", "--right", "{[1,1]:[4]}"]
     poly += ["--cache", str(tmp_path / "miss.cache")]
-    enumerated = ["multiply", "--k", "1", "--n", "7", "--left", TRANSPOSITION_N7, "--right", TRANSPOSITION_N7]
+    enumerated = ["multiply", "--k", "1", "--n", "7", "--left", TRANSPOSITION_N7, "--right", SEVEN_CYCLE]
     enumerated += ["--cache", str(tmp_path / "enumerated.cache")]
     # a product with an empty input is the other input and reads no table
     empty = ["universal", "--k", "2", "--left", "{}", "--right", "{[2]:[4]}"]
@@ -396,13 +399,14 @@ def test_a_table_built_before_the_first_product_counts_as_built():
     # center loads characters only when a product takes the character route;
     # a table that characters built first still prices as built.  The S_7
     # table's 15^2 entries then undercut the 21 members of the transposition
-    # class, which a cold process enumerates instead, charging them to (1, 7)
+    # class, which a cold process enumerates instead, charging them to (1, 7);
+    # times the 7-cycle, the product's projection would read tables up to (1, 8)
     def product(ledger):
         return (
             "from wreathcenter import center\n"
             "from wreathcenter.families import parse_family\n"
-            f"t = parse_family({TRANSPOSITION_N7!r}, 1)\n"
-            "center.multiply_group(t, t, 7)\n"
+            f"t, c = parse_family({TRANSPOSITION_N7!r}, 1), parse_family({SEVEN_CYCLE!r}, 1)\n"
+            "center.multiply_group(t, c, 7)\n"
             f"if dict(center._enumerated) != {ledger!r}:\n    sys.exit(1)"
         )
 
@@ -772,6 +776,7 @@ def test_verify_representative_recounts_poly_and_universal(capsys, monkeypatch):
     # control: without the flag every other check passes, so exit 3 above is the check;
     # free enumeration pins the product to the route that extracts types
     monkeypatch.setattr(ct, "_ELEMENT_COST", 0)
+    monkeypatch.setattr(ct, "_ENUMERATION_COST", 0)
     mislabel_one_22_product(monkeypatch)
     code, out, _ = call(capsys, "universal", *pair)
     assert code == 0
