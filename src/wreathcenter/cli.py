@@ -25,6 +25,7 @@ imports only `answers`, the answer types and their checks; a miss imports
 closed ends the command with exit code 1 and no traceback.
 """
 
+import io
 import os
 import sys
 from types import SimpleNamespace
@@ -311,13 +312,31 @@ def _emit(args, head, rows):
         # imported only here: about 3 ms that plain-text output need not pay
         import json
 
-        print(json.dumps(rows, indent=2))
+        _write(json.dumps(rows, indent=2) + "\n")
     else:
         lines = []
         for row in rows:
             values = (str(v).lower() if isinstance(v, bool) else v for v in row.values())
             lines.append("; ".join(map(str, [*head, *values])) + "\n")
-        sys.stdout.write("".join(lines))
+        _write("".join(lines))
+
+
+def _write(text):
+    """Write text to stdout whole.
+
+    Unbuffered (PYTHONUNBUFFERED or -u), stdout's bytes go straight to a raw
+    file, whose write to a pipe may take only part of them and drop the rest
+    without an error.  So what is left is written again, until all of it is
+    taken or the closed pipe raises BrokenPipeError.
+    """
+    raw = getattr(sys.stdout, "buffer", None)
+    if not isinstance(raw, io.FileIO):
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[raw.write(data) :]
 
 
 def _parse_pair(args):

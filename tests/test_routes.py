@@ -16,17 +16,20 @@ the module stays cheap.
 from collections import Counter
 from math import prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from wreathcenter import blockperm as bp
 from wreathcenter import center as ct
 from wreathcenter import characters as ch
-from wreathcenter.errors import DEFAULT_BUDGET, exact_quotient
+from wreathcenter.errors import DEFAULT_BUDGET, InvariantViolation, exact_quotient
 from wreathcenter.families import (
+    PartitionFamily,
     binomial_pad_factor,
     class_size,
     families_with_size,
     pad_family,
+    parse_family,
     partial_class_size,
 )
 
@@ -131,6 +134,12 @@ def test_universal_characters_match_enumeration(pair):
         assert ch.verify_iso(left.k, left, right)
 
 
+def projected(left, right, n):
+    """The group product by the projection candidate's own run, whatever the other routes cost."""
+    run = ct._projection(left, right, n, DEFAULT_BUDGET)[3]
+    return run(left, right, n, DEFAULT_BUDGET)
+
+
 @ROUTES
 @given(group_pairs())
 def test_group_characters_match_enumeration(drawn):
@@ -138,7 +147,8 @@ def test_group_characters_match_enumeration(drawn):
     enumerated = ct._by_enumeration(left, right, n, DEFAULT_BUDGET)
     forward = ct._group_by_characters(left, right, n)
     backward = ct._group_by_characters(right, left, n)
-    assert forward == backward == enumerated
+    # the projection of the proper parts' universal product, in both orders
+    assert forward == backward == projected(left, right, n) == projected(right, left, n) == enumerated
     for answer, a, b in [(enumerated, left, right), (forward, left, right), (backward, right, left)]:
         assert_filtrations_and_signed_masses(answer, a, b, n)
     if n <= FILTER_MOST[left.k]:
@@ -166,3 +176,53 @@ def test_projection_is_the_group_product_of_the_padded_inputs(drawn):
     assert_filtrations_and_signed_masses(universal, left, right, left.size + right.size)
     scaled = ct.ClassSumVector(left.k, {g: scale * c for g, c in group.items()}, n=n)
     assert ct.project(universal, n) == scaled
+
+
+# group products at large n with small proper parts: (k, n, L, R), each padded to n
+LARGE_N_ROWS = [
+    (1, 12, "{[1]:[3]}", "{[1]:[3]}"),
+    (2, 14, "{[2]:[2]}", "{[2]:[3]}"),
+    (3, 9, "{[3]:[2]}", "{[3]:[2]}"),
+]
+
+
+@pytest.mark.parametrize("k, n, left, right", LARGE_N_ROWS)
+def test_projection_matches_the_group_routes_at_large_n(k, n, left, right):
+    # the (2, 14) and (3, 9) tables hold 7.1 M and 2.2 M entries (the second
+    # builds in about 5 s), so there the oracle is enumeration, 20-30 ms each
+    left, right = pad_family(parse_family(left, k), n), pad_family(parse_family(right, k), n)
+    answer = projected(left, right, n)
+    oracle = ct._group_by_characters if k == 1 else lambda a, b, m: ct._by_enumeration(a, b, m, DEFAULT_BUDGET)
+    assert answer == oracle(left, right, n)
+    assert_filtrations_and_signed_masses(answer, left, right, n)
+
+
+def test_a_cold_product_at_large_n_projects_from_the_small_tables(monkeypatch):
+    # transposition squared at n = 40: enumeration walks 780 members, the
+    # Frobenius sum would read the (1, 40) table of 37,338 ** 2 entries, and
+    # the universal product of (2) * (2) reads the tables at n = 2, 3 only
+    monkeypatch.setattr(ct, "_enumerated", Counter())
+    ch.character_table.cache_clear()
+    transposition = pad_family(parse_family("{[1]:[2]}", 1), 40)
+    assert class_size(transposition, 40) == 780
+    answer = ct.multiply_group(transposition, transposition, 40)
+    assert ch.has_character_table(1, 3)
+    assert not any(ch.has_character_table(1, m) for m in range(4, 41))
+    assert answer == ct._by_enumeration(transposition, transposition, 40, DEFAULT_BUDGET)
+    assert answer.terms[PartitionFamily.identity(1, 40)] == 780
+
+
+def test_a_projected_coefficient_moved_by_one_unit_is_refused(monkeypatch):
+    transposition = pad_family(parse_family("{[1]:[2]}", 1), 40)
+    true_project = ct.project
+
+    def project(vector, n):
+        answer = true_project(vector, n)
+        gamma, c = next(iter(answer.items()))
+        return ct.ClassSumVector(answer.k, {**answer.terms, gamma: c + 1}, n=n)
+
+    monkeypatch.setattr(ct, "project", project)
+    with pytest.raises(InvariantViolation):
+        ct.multiply_group(transposition, transposition, 40)
+    with pytest.raises(InvariantViolation):
+        projected(transposition, transposition, 40)
