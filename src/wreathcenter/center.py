@@ -42,22 +42,29 @@ in closed form, a product of binomials, and is added after the loop over
 the smaller sizes, so only the tables below N are read and a product with
 an empty input runs no level.  The group route is one class_product, not
 the one-level case of the universal loop, which costs more per product.
-`_product` weighs enumeration against characters by one rule and takes
-the cheaper route, or both with verify_representative, which must agree.
+
+A group product has a third route, the paper's projection: the universal
+algebra maps onto the centre of every group algebra, so the product of L
+and R at n is project(P * Q, n) for their proper parts P and Q, whose cost
+does not depend on n.  `_product` prices every route in one candidate list
+and takes the cheapest that fits the budget, or enumeration and the
+cheapest other route with verify_representative, which must agree.
 
 What cannot change between products is kept for the process: per
 (label, n), the padded form, pad factor and orbit size at stage n (`_at`,
 read by the route choice, the levels, check_mass and project); per label,
-the class size (`families._orbit_size`); per (k, sizes), the #classes ** 2
-sum that prices the character route (`_entries`).  Every product still
+the class size (`families._orbit_size`) and the proper part
+(`_proper_family`, read by the projection); per (k, sizes), the
+#classes ** 2 sum that prices the character route (`_entries`), from the
+class count (`_class_count`).  Every product still
 asks which tables are built, runs its Frobenius sums, subtraction and top
 label, and passes every check.
 
 The answer types `ClassSumVector` and `PolynomialStructure`, `check_mass`,
 `project` and the memos `_at` and `_proper_family` live in `answers`, so a
 cache hit reads its product without loading the routes; they are imported
-here, and read from here, as before.  Patching `check_mass` or `_at` on
-this module changes what the routes here call, not what `answers`' own
+here, and read from here, as before.  Patching `check_mass`, `project` or
+`_at` on this module changes what the routes here call, not what `answers`' own
 functions call.
 
 `polynomial_structure` wraps a product already checked in the unchecked
@@ -69,6 +76,7 @@ import sys
 from collections import Counter
 from functools import cache
 from math import comb
+from operator import itemgetter
 
 from .answers import (
     ClassSumVector,
@@ -191,8 +199,8 @@ def _product(left, right, n, budget, verify_representative):
     With verify_representative, enumeration and the cheapest of the other
     candidates both count it, and a difference raises InvariantViolation.
     Both counts must fit `budget` (else BudgetExceeded reports the larger,
-    enumeration's on a tie), and enumeration charges nothing to
-    `_enumerated`.
+    enumeration's on a tie), and the enumeration that checks the other route
+    charges nothing to `_enumerated`.
     """
     if left.k != right.k:
         raise SizeMismatch("families must share the same k")
@@ -254,6 +262,8 @@ def _enumerate(left, right, n, budget):
     return _by_enumeration(left, right, n, budget)
 
 
+# the character routes as candidates run them; the routes keep their own
+# signatures, which the tests call and patch
 def _group_route(left, right, n, budget):
     return _group_by_characters(left, right, n)
 
@@ -268,11 +278,7 @@ def _cheapest(candidates, budget):
     for candidate in candidates:
         if candidate[1] <= budget and (best is None or candidate[2] < best[2]):
             best = candidate
-    if best is None:
-        for candidate in candidates:
-            if best is None or candidate[1] < best[1]:
-                best = candidate
-    return best
+    return best or min(candidates, key=itemgetter(1))
 
 
 def _projection(left, right, n, budget):
