@@ -239,9 +239,10 @@ def _candidates(left, right, n, budget):
         name, by_characters = "class enumeration", _group_route
     smaller = min(_at(left, stage)[2], _at(right, stage)[2])
     entries = _entries(k, lo, hi)
+    characters_cost = _characters_cost(k, lo, hi, entries) if entries <= budget else None
     return [
         (name, smaller, smaller * _ELEMENT_COST + _ENUMERATION_COST, _enumerate),
-        ("character table", entries, _characters_cost(k, lo, hi, entries) if entries <= budget else None, by_characters),
+        ("character table", entries, characters_cost, by_characters),
     ]
 
 
@@ -298,7 +299,7 @@ def _projection(left, right, n, budget):
     if count <= budget:
         cost += _LEVEL_COST * (min(proper_left.size, proper_right.size) + 1)
 
-    def projected(left, right, n, budget):
+    def projected(*_):
         vector = project(run(proper_left, proper_right, None, budget), n)
         check_mass(vector, left, right)
         return vector
@@ -335,7 +336,11 @@ def _entries(k: int, lo: int, hi: int) -> int:
 
 @cache
 def _class_count(k: int, n: int) -> int:
-    """#classes at (k, n): partitions of n whose parts take one of the p(k) classes of S_k, counted, not listed."""
+    """#classes at (k, n), counted without listing them.
+
+    A class is a partition of n whose parts each take one of the p(k)
+    classes of S_k, as `families_with_size` lists them.
+    """
     counts = [1] + [0] * n
     for part in range(1, n + 1):
         for _ in index_partitions(k):
