@@ -234,9 +234,9 @@ def _candidates(left, right, n, budget):
     k = left.k
     stage, lo, hi = _stages(left, right, n)
     if n is None:
-        name, by_characters = "partial class enumeration", _universal_route
+        name, by_characters = "partial class enumeration", _universal_by_characters
     else:
-        name, by_characters = "class enumeration", _group_route
+        name, by_characters = "class enumeration", _group_by_characters
     smaller = min(_at(left, stage)[2], _at(right, stage)[2])
     entries = _entries(k, lo, hi)
     characters_cost = _characters_cost(k, lo, hi, entries) if entries <= budget else None
@@ -261,16 +261,6 @@ def _enumerate(left, right, n, budget):
     for m in range(lo, hi):
         _enumerated[left.k, m] += elements
     return _by_enumeration(left, right, n, budget)
-
-
-# the character routes as candidates run them; the routes keep their own
-# signatures, which the tests call and patch
-def _group_route(left, right, n, budget):
-    return _group_by_characters(left, right, n)
-
-
-def _universal_route(left, right, n, budget):
-    return _universal_by_characters(left, right)
 
 
 def _cheapest(candidates, budget):
@@ -392,8 +382,12 @@ def _by_enumeration(left, right, n, budget):
     return vector
 
 
-def _group_by_characters(left, right, n):
-    """The group product by the Frobenius formula, mass-checked."""
+def _group_by_characters(left, right, n, *_):
+    """The group product by the Frobenius formula, mass-checked.
+
+    A candidate's run also passes its budget, which a character route does
+    not read: its count was checked before it runs.
+    """
     if ch is None:
         _import_characters()
     vector = ClassSumVector(left.k, ch.class_product(left, right), n=n)
@@ -401,7 +395,7 @@ def _group_by_characters(left, right, n):
     return vector
 
 
-def _universal_by_characters(left, right):
+def _universal_by_characters(left, right, *_):
     """The universal product from the group products of the padded inputs.
 
     Going up from n = max(|left|, |right|) to |left| + |right| - 1, the
@@ -417,6 +411,8 @@ def _universal_by_characters(left, right):
     coefficient at a level, or a stage whose masses differ, raises
     InvariantViolation.  Pad forms, pad factors and orbit sizes are read
     from `_at`.  README "How a product is counted" has the derivation.
+    A candidate's run also passes n (None) and its budget, which it does not
+    read.
     """
     terms = {}
     masses = []

@@ -638,7 +638,7 @@ def test_verify_iso_expands_by_enumeration(monkeypatch):
     for n in (2, 3, 4):
         ch.character_table(1, n)
 
-    def refuse(left, right):
+    def refuse(*args):
         raise AssertionError("character route taken")
 
     monkeypatch.setattr(ct, "_universal_by_characters", refuse)
