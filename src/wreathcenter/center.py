@@ -1,75 +1,51 @@
 """Products of conjugacy-class sums, exactly.
 
-One function, `_by_enumeration`, enumerates products.  Conjugation
-permutes each input orbit and preserves products, so for a fixed x in the
-larger orbit A,
+Every product has two routes to the same coefficients.  `_by_enumeration`
+fixes a member x of the larger orbit A and tallies the types of x y over
+the smaller orbit B, so c_gamma * |C_gamma| = |A| * #{y in B : type(x y) =
+gamma}; an orbit of one member is its cached representative, not walked.
+multiply_group runs it over the block permutations of [kn] (blockperm),
+multiply_universal over the k-partial permutations (kpartial) at stage
+|left| + |right|.  The character routes read the Frobenius formula off the
+tables: a group product is one `characters.class_product` at (k, n), and a
+universal product is recovered from the group products of its padded
+inputs at each size max(|left|, |right|) .. |left| + |right| - 1, its one
+label of top size in closed form (`_top_label`).  A group product has a
+third route, the paper's projection: the universal algebra maps onto the
+centre of every group algebra, so the product of L and R at n is
+project(P * Q, n) for their proper parts P and Q.  README "How a product
+is counted" has the derivations.
 
-    c_gamma * |C_gamma| = |A| * #{y in B : type(x y) = gamma}.
-
-It enumerates the smaller orbit B once against a fixed representative of
-A and tallies the product types; an orbit of one member is its cached
-representative, not walked.  It runs on one of two layers:
-
-  * multiply_group uses block permutations of [kn] (blockperm), stage n;
-  * multiply_universal uses k-partial permutations (kpartial) at the
-    smallest faithful stage |left| + |right|, as a product moves at most
-    that many blocks.  `families.partial_class_size` sizes every orbit at
-    the stage N: C(N, |gamma|) |C_gamma|, which is |C_gamma| at |gamma| = N.
+`_product` chooses the route.  A product whose tables are all built, and
+whose count of table entries fits the budget and lies below enumeration's
+floor, runs its character route unpriced; every other product takes the
+cheapest route of one priced candidate list that fits the budget.  With
+verify_representative it is counted by enumeration and by the cheapest
+other route, which must agree.
 
 Each route imports its layer on first use: `_by_enumeration` the two
 enumeration layers, and the character route `characters`, which binds the
 `ch` global.  So a process that counts every product by characters never
 loads the enumeration layers, and one that reads every product from a
-cache does not load this module at all, only `answers`.  Until `characters` is loaded no table is built, so
-pricing charges every table its build; a table built through `characters`
-before the first product is priced counts as built.
-
-Either product may instead be counted by characters, for every k.  The
-Frobenius formula
-
-    c_gamma = |C_A| |C_B| / |G| * sum_chi chi(A) chi(B) chi(gamma) / chi(1)
-
-reads every coefficient of a group product off the character table at
-(k, n): `characters.class_product`, which reads at most #classes ** 2
-entries, is the group route.  A universal product is fixed by its
-projections, the group products of the padded inputs at every n from
-max(|left|, |right|) to N, and is recovered from them one size at a time:
-each size below N is one class_product, whose own new dict is scaled in
-place when a pad factor is above 1, less the labels of smaller sizes found
-so far, padded to that size.  Its one label of size N, the union of the
-inputs (the top-degree term of Ivanov-Kerov's product), has a coefficient
-in closed form, a product of binomials, and is added after the loop over
-the smaller sizes, so only the tables below N are read and a product with
-an empty input runs no level.  The group route is one class_product, not
-the one-level case of the universal loop, which costs more per product.
-
-A group product has a third route, the paper's projection: the universal
-algebra maps onto the centre of every group algebra, so the product of L
-and R at n is project(P * Q, n) for their proper parts P and Q, whose cost
-does not depend on n.  `_product` prices every route in one candidate list
-and takes the cheapest that fits the budget, or enumeration and the
-cheapest other route with verify_representative, which must agree.
+cache does not load this module at all, only `answers`.  Until
+`characters` is loaded no table is built, so pricing charges every table
+its build; a table built through `characters` before the first product
+counts as built.
 
 What cannot change between products is kept for the process: per
-(label, n), the padded form, pad factor and orbit size at stage n (`_at`,
-read by the route choice, the levels, check_mass and project); per label,
-the class size (`families._orbit_size`) and the proper part
-(`_proper_family`, read by the projection); per (k, sizes), the
-#classes ** 2 sum that prices the character route (`_entries`), from the
-class count (`_class_count`).  Every product still
-asks which tables are built, runs its Frobenius sums, subtraction and top
-label, and passes every check.
+(label, n), the padded form, pad factor and orbit size at stage n (`_at`);
+per label, the class size (`families._orbit_size`) and the proper part
+(`_proper_family`); per (k, sizes), the #classes ** 2 sum (`_entries`),
+from the class count (`_class_count`).  Every product still asks which
+tables are built, runs its Frobenius sums, subtraction and top label, and
+passes every check.
 
 The answer types `ClassSumVector` and `PolynomialStructure`, `check_mass`,
 `project` and the memos `_at` and `_proper_family` live in `answers`, so a
 cache hit reads its product without loading the routes; they are imported
 here, and read from here, as before.  Patching `check_mass`, `project` or
-`_at` on this module changes what the routes here call, not what `answers`' own
-functions call.
-
-`polynomial_structure` wraps a product already checked in the unchecked
-`PolynomialStructure._of(left, right, vector)`; only a structure built from
-rows checks them.
+`_at` on this module changes what the routes here call, not what
+`answers`' own functions call.
 """
 
 import sys
@@ -159,51 +135,43 @@ _LEVEL_COST = 3 * _ELEMENT_COST
 # character route reads that table; it pays down the cost of building it
 _enumerated: Counter = Counter()
 
-# the characters module once a product is priced after it is loaded, or takes
-# the character route; None until then, when no table can be built
+# the characters module once a product is routed or priced after it is loaded,
+# or takes the character route; None until then, when no table can be built
 ch = None
 
 
 def _product(left, right, n, budget, verify_representative):
     """The product of two class sums at size n, or in the universal algebra when n is None.
 
-    The candidates, each (name, budget count, cost, run):
+    A product whose character tables are all built, and whose #classes ** 2
+    count fits `budget` and lies below enumeration's floor (_ENUMERATION_COST
+    + _ELEMENT_COST) and, for a group product, below _LEVEL_COST, runs its
+    character route unpriced: the list below would pick it too.  Any other
+    product takes the cheapest (name, budget count, cost, run) of
+    `_candidates` whose count fits `budget`, the first on a tie; a group
+    product adds `_projection` when that cheapest costs more than
+    _LEVEL_COST or fits no budget.  When none fits, BudgetExceeded reports
+    the smallest count.  README "How a product is counted" has the costs.
 
-      * `_by_enumeration` over the smaller orbit B at stage N (n, or
-        |left| + |right|), for every product;
-      * characters: the table at (k, n) for a group product
-        (`_group_by_characters`), the tables at every size from
-        max(|left|, |right|) to N - 1 for a universal one
-        (`_universal_by_characters`), whose one label of size N is in closed
-        form, so a universal product with an empty input reads no table;
-      * for a group product, the projection to n of the universal product of
-        the proper parts (`_projection`), which costs the same at every n.
-
-    The cheapest candidate whose count fits `budget` is taken, the first
-    listed on a tie; when none fits, BudgetExceeded reports the smallest
-    count.  Costs are in Frobenius terms: enumeration costs
-    (|B| * _ELEMENT_COST) + _ENUMERATION_COST; characters cost #classes ** 2
-    per table, plus _BUILD_COST per entry while it is not built, less what
-    enumeration at that size has already cost in this process
-    (`_enumerated`); the projection costs its universal product's cheapest
-    candidate plus _LEVEL_COST per stage it reads.  It is priced only when
-    the cheapest of the other two costs more than _LEVEL_COST, its floor, or
-    fits no budget, so a product whose table is built never prices it.  A
-    one-off product never pays for a build that outweighs it, and a
-    long-lived process builds each table it keeps needing once.  |B| is read
-    from `_at`, kept per (label, stage), and the #classes ** 2 sum from
-    `_entries`, kept per (k, sizes); whether each table is built, and so its
-    build charge, is asked on every product, so no price outlives
-    `character_table.cache_clear()`.
-
-    With verify_representative, enumeration and the cheapest of the other
-    candidates both count it, and a difference raises InvariantViolation.
+    With verify_representative, enumeration and the cheapest other
+    candidate both count it, and a difference raises InvariantViolation.
     Both counts must fit `budget` (else BudgetExceeded reports the larger,
-    enumeration's on a tie), and the enumeration that checks the other route
-    charges nothing to `_enumerated`.
+    enumeration's on a tie), and this enumeration charges nothing to
+    `_enumerated`.
     """
     if left.k != right.k:
         raise SizeMismatch("families must share the same k")
+    if not verify_representative:
+        _, lo, hi = _stages(left, right, n)
+        entries = _entries(left.k, lo, hi)
+        # the floors are read per product, so patching a cost moves them
+        floor = _ENUMERATION_COST + _ELEMENT_COST
+        if n is not None and _LEVEL_COST < floor:
+            floor = _LEVEL_COST
+        if entries <= budget and entries < floor and _built(left.k, lo, hi):
+            if n is None:
+                return _universal_by_characters(left, right, n, budget)
+            return _group_by_characters(left, right, n, budget)
     candidates = _candidates(left, right, n, budget)
     route = _cheapest(candidates, budget)
     if n is not None and (route[1] > budget or route[2] > _LEVEL_COST):
@@ -298,18 +266,33 @@ def _projection(left, right, n, budget):
 
 
 def _characters_cost(k, lo, hi, entries):
-    """`entries` plus the build charge of each table at sizes lo..hi - 1 that is not built yet.
-
-    Before `characters` is loaded no table is built, so each is charged; once
-    it is, by this module or another, `ch` is bound to it.
-    """
-    global ch
-    if ch is None:
-        ch = sys.modules.get(f"{__package__}.characters")
+    """`entries` plus the build charge of each table at sizes lo..hi - 1 that is not built yet."""
+    _bind_characters()
     for m in range(lo, hi):
         if ch is None or not ch.has_character_table(k, m):
             entries += max(_class_count(k, m) ** 2 * _BUILD_COST - _enumerated[k, m], 0)
     return entries
+
+
+def _built(k, lo, hi):
+    """True when every table at sizes lo..hi - 1 is built."""
+    _bind_characters()
+    if ch is None:
+        return False
+    for m in range(lo, hi):
+        if not ch.has_character_table(k, m):
+            return False
+    return True
+
+
+def _bind_characters():
+    """Bind `ch` to the characters module once it is loaded, by this module or another.
+
+    Until then `ch` is None, and no table is built.
+    """
+    global ch
+    if ch is None:
+        ch = sys.modules.get(f"{__package__}.characters")
 
 
 def _import_characters():
@@ -493,6 +476,8 @@ def polynomial_structure(
     on read: the row sum over r weighted by binomials in n reproduces the
     group coefficient for every n, including the constant r = 0 term.
     `budget` and `verify_representative` (count by both routes) act as in multiply_universal.
+    The checked product is wrapped in the unchecked `PolynomialStructure._of`;
+    only a structure built from rows checks them.
     """
     if not left.is_proper() or not right.is_proper():
         raise NotProper("polynomial structure requires proper input families")

@@ -33,18 +33,24 @@ class NotProper(WreathError):
     """A proper family (no 1-parts in the all-singletons component) was required."""
 
 
-# the element budget every enumeration and character route takes by default
+# the budget every enumeration and character route takes by default
 DEFAULT_BUDGET = 10_000_000
 
 
+# what a budget count counts, by the `what` of its BudgetExceeded; every other
+# count is of enumerated elements
+_UNITS = {"character table": "table entries", "transport evaluations": "transport values"}
+
+
 class BudgetExceeded(WreathError):
-    """An enumeration would exceed the configured element budget."""
+    """A route would count more than the configured budget: elements, table entries or transport values."""
 
     def __init__(self, needed, budget, what="enumeration"):
         self.needed = needed
         self.budget = budget
         self.what = what
-        super().__init__(f"{what} needs {needed} elements, budget is {budget}")
+        unit = _UNITS.get(what, "elements")
+        super().__init__(f"{what}: {needed} {unit} needed, budget is {budget}")
 
 
 class InvariantViolation(WreathError):

@@ -748,6 +748,50 @@ def test_budget_falls_back_to_the_route_that_fits(monkeypatch):
     assert info.value.needed == smaller
 
 
+def test_a_warm_product_with_its_tables_built_is_not_priced(monkeypatch):
+    from wreathcenter import characters as ch
+
+    # the (1, 7) table's 15 ** 2 = 225 entries, and the 420 of the tables at
+    # (1, 4..7), lie below enumeration's floor of 3 elements: once the tables
+    # are built, both products run their character route without a
+    # candidate list.  verify_representative still lists and runs both routes
+    seven, four = fam(1, (7,)), fam(1, (4,))
+    group = ct._by_enumeration(seven, seven, 7, DEFAULT_BUDGET)
+    universal = ct._by_enumeration(four, four, None, DEFAULT_BUDGET)
+    ch.character_table(1, 7)
+    listed = []
+    list_candidates = ct._candidates
+    monkeypatch.setattr(ct, "_candidates", lambda *args: listed.append(args) or list_candidates(*args))
+    assert ct.multiply_group(seven, seven, 7) == group
+    assert ct.multiply_universal(four, four) == universal
+    assert ct.polynomial_structure(four, four).vector == universal
+    assert listed == []
+    assert ct.multiply_group(seven, seven, 7, verify_representative=True) == group
+    assert ct.multiply_universal(four, four, verify_representative=True) == universal
+    assert [args[2] for args in listed] == [7, None]
+
+
+def test_a_cold_one_off_leaves_its_table_unbuilt(monkeypatch):
+    from wreathcenter import characters as ch
+
+    # README's one-off: {[3]:[1^8]} squared at (3, 8), from cleared tables and
+    # ledger, enumerates its 256 members rather than build the (3, 8) table
+    # of 810 ** 2 entries, 0.74 s cold; nor does it project, as its proper
+    # parts are the whole labels
+    monkeypatch.setattr(ct, "_enumerated", Counter())
+    ch.character_table.cache_clear()
+    label = parse_family("{[3]:[1,1,1,1,1,1,1,1]}", 3)
+    assert class_size(label, 8) == 256 and ct._class_count(3, 8) == 810
+    routes = []
+    enumerate_product = ct._by_enumeration
+    monkeypatch.setattr(ct, "_by_enumeration", lambda *args: routes.append(args) or enumerate_product(*args))
+    answer = ct.multiply_group(label, label, 8)
+    assert routes == [(label, label, 8, DEFAULT_BUDGET)]
+    assert answer.terms[PartitionFamily.identity(3, 8)] == 256
+    assert not ch.has_character_table(3, 8)
+    assert dict(ct._enumerated) == {(3, 8): 256 * ct._ELEMENT_COST}
+
+
 def test_route_rule_and_budget():
     # |C_(5,1)| = 144 at n = 6 exceeds the 11**2 = 121 entries of the S_6 table
     lam = fam(1, (5, 1))

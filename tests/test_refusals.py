@@ -166,6 +166,23 @@ def test_kpartial_refusals():
         kp.count_all(0, 2)
 
 
+def test_budget_exceeded_names_what_its_count_counts():
+    # the fields are read by the CLI; the message says what the count is of
+    seven, two = fam(1, (7,)), fam(1, (2,))
+    with pytest.raises(BudgetExceeded) as info:
+        ct.multiply_group(seven, seven, 7, budget=100)
+    assert str(info.value) == "character table: 225 table entries needed, budget is 100"
+    with pytest.raises(BudgetExceeded) as info:
+        ct.multiply_universal(two, two, budget=2)
+    assert str(info.value) == "partial class enumeration: 6 elements needed, budget is 2"
+    three = fam(1, (3,))
+    needed = len(ch.default_eval_points(1, 5)) * (len(ct.multiply_universal(two, three).terms) + 2)
+    with pytest.raises(BudgetExceeded) as info:
+        ch.verify_iso(1, two, three, budget=needed - 1)
+    message = f"transport evaluations: {needed} transport values needed, budget is {needed - 1}"
+    assert str(info.value) == message
+
+
 def test_identity_family_refuses_a_negative_size():
     for k, n in ((1, -1), (2, -2)):
         with pytest.raises(SizeMismatch):

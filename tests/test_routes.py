@@ -3,6 +3,8 @@
 The route rule in `center._product` picks one route per product, so a
 route it never picks for some inputs would go unchecked there; these
 tests call the routes themselves, each character route in both orders.
+One seeded test checks the rule itself: `_product` runs the route that the
+priced candidate list picks, also where it runs a character route unpriced.
 On the smallest draws two slow oracles join them: the transport map's
 multiplicativity (`verify_iso`) on universal products, and a tally over
 the class scanned out of the whole group (`enumerate_group` filtered by
@@ -13,6 +15,7 @@ so that tier-1 is reproducible, and capped in size at each k <= 3 so that
 the module stays cheap.
 """
 
+import random
 from collections import Counter
 from math import prod
 
@@ -22,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from wreathcenter import blockperm as bp
 from wreathcenter import center as ct
 from wreathcenter import characters as ch
-from wreathcenter.errors import DEFAULT_BUDGET, InvariantViolation, exact_quotient
+from wreathcenter.errors import DEFAULT_BUDGET, BudgetExceeded, InvariantViolation, exact_quotient
 from wreathcenter.families import (
     PartitionFamily,
     binomial_pad_factor,
@@ -226,3 +229,115 @@ def test_a_projected_coefficient_moved_by_one_unit_is_refused(monkeypatch):
         ct.multiply_group(transposition, transposition, 40)
     with pytest.raises(InvariantViolation):
         projected(transposition, transposition, 40)
+
+
+# the largest n of a group product, and |L| + |R| of a universal one, that the
+# route-choice test draws at each k; the tables up to each n are built once,
+# and each case keeps a drawn subset of them
+CHOICE_GROUP_MOST = {1: 12, 2: 6, 3: 5}
+CHOICE_UNIVERSAL_MOST = {1: 9, 2: 7, 3: 6}
+CHOICE_CASES = 3000
+
+
+def priced_route(left, right, n, budget):
+    """The (name, count, cost, run) that the priced candidate list picks, as `_product` lists it."""
+    candidates = ct._candidates(left, right, n, budget)
+    route = ct._cheapest(candidates, budget)
+    if n is not None and (route[1] > budget or route[2] > ct._LEVEL_COST):
+        candidates.append(ct._projection(left, right, n, budget))
+        route = ct._cheapest(candidates, budget)
+    return route
+
+
+def test_product_runs_the_route_the_priced_list_picks(monkeypatch):
+    # a product whose tables are all built, whose count fits and lies below
+    # enumeration's floor (and, for a group product, below a level) runs its
+    # character route unpriced.  On drawn products, built tables, ledgers,
+    # budgets and route costs, _product runs what the priced list picks, or
+    # refuses as it would.  The runs are spies that record their call and
+    # count nothing, so each case costs only its pricing
+    rng = random.Random(2019)
+    calls = []
+
+    def spy(name):
+        def run(left, right, n, budget):
+            calls.append((name, left, right, n))
+            return name
+
+        return run
+
+    listed = []
+    list_candidates = ct._candidates
+    monkeypatch.setattr(ct, "_candidates", lambda *args: listed.append(args) or list_candidates(*args))
+    monkeypatch.setattr(ct, "_enumerate", spy("enumeration"))
+    monkeypatch.setattr(ct, "_group_by_characters", spy("frobenius"))
+    monkeypatch.setattr(ct, "_universal_by_characters", spy("universal characters"))
+    monkeypatch.setattr(ct, "project", lambda vector, n: calls.append(("project", vector, n)))
+    monkeypatch.setattr(ct, "check_mass", lambda *args: None)
+    monkeypatch.setattr(ct, "_enumerated", Counter())
+    costs = {name: getattr(ct, name) for name in ("_ELEMENT_COST", "_ENUMERATION_COST", "_LEVEL_COST")}
+    kept = dict(ch._tables)
+    ch.character_table.cache_clear()
+    for k, n in CHOICE_GROUP_MOST.items():
+        ch.character_table(k, n)
+    built = dict(ch._tables)
+    seen = Counter()
+    try:
+        for _ in range(CHOICE_CASES):
+            k = rng.randint(1, 3)
+            if rng.random() < 0.5:
+                n = rng.randint(0, CHOICE_GROUP_MOST[k])
+                left, right = (rng.choice(families_with_size(k, n)) for _ in "LR")
+            else:
+                n, total = None, rng.randint(0, CHOICE_UNIVERSAL_MOST[k])
+                size = rng.randint(0, total)
+                left = rng.choice(families_with_size(k, size))
+                right = rng.choice(families_with_size(k, total - size))
+            share = rng.random()
+            ch.character_table.cache_clear()
+            ch._tables.update((key, entry) for key, entry in built.items() if rng.random() < share)
+            ct._enumerated.clear()
+            for key in built:
+                if rng.random() < 0.3:
+                    charge = ct._class_count(*key) ** 2 * ct._BUILD_COST
+                    ct._enumerated[key] = rng.randint(0, charge + charge // 4)
+            _, lo, hi = ct._stages(left, right, n)
+            entries = ct._entries(k, lo, hi)
+            drawn = list(costs.values())
+            patched = rng.random() < 0.4
+            if patched:
+                # costs from 0 up; some put enumeration's floor, or a level, at the count
+                drawn = [rng.choice([0, int(10 ** rng.uniform(0, 4))]) for _ in costs]
+                if rng.random() < 0.3:
+                    drawn[1] = max(entries - drawn[0], 0)
+                    drawn[2] = rng.choice([entries, drawn[2]])
+            for name, cost in zip(costs, drawn):
+                monkeypatch.setattr(ct, name, cost)
+            budget = rng.choice([DEFAULT_BUDGET, int(10 ** rng.uniform(0, 5)), entries, entries - 1])
+            name, count, _, run = priced_route(left, right, n, budget)
+            calls.clear()
+            if count > budget:
+                with pytest.raises(BudgetExceeded) as info:
+                    ct._product(left, right, n, budget, False)
+                assert (info.value.needed, info.value.budget, info.value.what) == (count, budget, name)
+                assert calls == []
+                seen["refused"] += 1
+                continue
+            run(left, right, n, budget)
+            expected = calls[:]
+            calls.clear()
+            listed.clear()
+            ct._product(left, right, n, budget, False)
+            assert calls == expected, (left, right, n, budget)
+            route = "projection" if expected[-1][0] == "project" else expected[0][0]
+            seen["unpriced" if not listed else "priced", patched, route] += 1
+    finally:
+        ch.character_table.cache_clear()
+        ch._tables.update(kept)
+    # every kind of case is met, under the costs as they stand and patched
+    for patched in (False, True):
+        for route in ("frobenius", "universal characters"):
+            assert seen["unpriced", patched, route] >= 20
+        for route in ("frobenius", "universal characters", "enumeration", "projection"):
+            assert seen["priced", patched, route] >= 20
+    assert seen["refused"] >= 20
