@@ -1,11 +1,12 @@
 """The answer types of a product, and the checks that need no counting route.
 
 `ClassSumVector` holds a product, `PolynomialStructure` reads a universal
-one as binomial-basis rows, `check_mass` checks the mass identity every
-answer passes, and `project` pushes a universal vector into a group.  They
-live apart from the routes in `center`, which imports them from here, so a
-process that reads every product from a cache loads this module and not
-`center`.
+one as binomial-basis rows, `check_mass` checks the mass identity that
+every answer passes (a group product by Frobenius passes it inside
+`characters.group_terms`, and is wrapped by `_checked_vector`), and
+`project` pushes a universal vector into a group.  They live apart from the
+routes in `center`, which imports them from here, so a process that reads
+every product from a cache loads this module and not `center`.
 
 Projecting the universal product down to a group recovers the group
 product (for proper inputs on the nose; in general up to the binomial
@@ -41,9 +42,10 @@ __all__ = ["ClassSumVector", "PolynomialStructure", "check_mass", "project"]
 class ClassSumVector(Immutable):
     """A sparse integer combination of class labels.
 
-    `n` is None for universal vectors; otherwise k >= 1, n >= 0 and every
-    key must be a family of size n.  A key that is not a family raises TypeError,
-    one of another k or size SizeMismatch.  A coefficient is an integer
+    `n` is None for universal vectors; otherwise it is read through
+    `operator.index` (a float raises TypeError, a bool is 0 or 1), k >= 1,
+    n >= 0 and every key must be a family of size n.  A key that is not a
+    family raises TypeError, one of another k or size SizeMismatch.  A coefficient is an integer
     (`operator.index`: a float or a string raises TypeError, a bool is taken
     as 0 or 1), and zero coefficients are dropped.  The terms are kept as
     one flat tuple (label, coefficient, label, coefficient, ...) in
@@ -54,6 +56,8 @@ class ClassSumVector(Immutable):
     __slots__ = ("k", "n", "_flat")
 
     def __init__(self, k: int, terms: dict, n: int | None = None):
+        if n is not None:
+            n = index(n)
         check_group(k, 0 if n is None else n)
         flat = []
         for fam, coeff in terms.items():
@@ -105,9 +109,21 @@ class ClassSumVector(Immutable):
 
 
 # the slots' own setters, bound once: Immutable.__setattr__ refuses every write
-_set_k = ClassSumVector.k.__set__
-_set_n = ClassSumVector.n.__set__
-_set_flat = ClassSumVector._flat.__set__
+_set_k, _set_n, _set_flat = ClassSumVector._setters
+
+
+def _checked_vector(k: int, n: int, flat: tuple) -> ClassSumVector:
+    """A group vector of terms its route has checked, built unchecked: `flat` is (label, coefficient, ...).
+
+    The labels must be distinct classes at (k, n) and the coefficients
+    positive, and the route must have checked the mass identity, as
+    `characters.group_terms` does.
+    """
+    vector = object.__new__(ClassSumVector)
+    _set_k(vector, k)
+    _set_n(vector, n)
+    _set_flat(vector, flat)
+    return vector
 
 
 def check_mass(vector: ClassSumVector, left: PartitionFamily, right: PartitionFamily):
@@ -117,7 +133,10 @@ def check_mass(vector: ClassSumVector, left: PartitionFamily, right: PartitionFa
     `families.partial_class_size` (read through `_at`) at stage n (SizeMismatch unless
     |left| = |right| = n) or, for universal vectors, at stage |left| + |right|.  A
     vector and inputs of different k raise SizeMismatch first.  Every
-    answer passes it (by characters, a universal one as its last stage).
+    answer passes the identity: an enumerated or projected one here, a
+    universal one by characters as its last stage, and a group one by
+    Frobenius in `characters.group_terms`, in the loop that reads its
+    coefficients.
     """
     if not vector.k == left.k == right.k:
         raise SizeMismatch("the vector and families must share the same k")

@@ -7,11 +7,12 @@ gamma}; an orbit of one member is its cached representative, not walked.
 multiply_group runs it over the block permutations of [kn] (blockperm),
 multiply_universal over the k-partial permutations (kpartial) at stage
 |left| + |right|.  The character routes read the Frobenius formula off the
-tables: a group product is one `characters.class_product` at (k, n), and a
-universal product is recovered from the group products of its padded
-inputs at each size max(|left|, |right|) .. |left| + |right| - 1, its one
-label of top size in closed form (`_top_label`).  A group product has a
-third route, the paper's projection: the universal algebra maps onto the
+tables: a group product is one `characters.group_terms` at (k, n), whose
+flat terms are mass-checked as they are read and wrapped unchecked, and a
+universal product is recovered from the `characters.class_product` dicts
+of its padded inputs at each size from max(|left|, |right|) up to
+|left| + |right| - 1, its one label of top size in closed form
+(`_top_label`).  A group product has a third route, the paper's projection: the universal algebra maps onto the
 centre of every group algebra, so the product of L and R at n is
 project(P * Q, n) for their proper parts P and Q.  README "How a product
 is counted" has the derivations.
@@ -52,12 +53,13 @@ import sys
 from collections import Counter
 from functools import cache
 from math import comb
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .answers import (
     ClassSumVector,
     PolynomialStructure,
     _at,
+    _checked_vector,
     _proper_family,
     check_mass,
     project,
@@ -99,7 +101,9 @@ def multiply_group(
     """Product of two class sums in the group of k-block permutations of [kn].
 
     `_product` counts it by one route, or by both with `verify_representative`.
+    `n` is read through `operator.index`: a bool is 0 or 1, a float raises TypeError.
     """
+    n = index(n)
     if left.size != n or right.size != n:
         raise SizeMismatch("group products need both families of size exactly n")
     return _product(left, right, n, budget, verify_representative)
@@ -368,14 +372,16 @@ def _by_enumeration(left, right, n, budget):
 def _group_by_characters(left, right, n, *_):
     """The group product by the Frobenius formula, mass-checked.
 
-    A candidate's run also passes its budget, which a character route does
-    not read: its count was checked before it runs.
+    `ch.group_terms` reads the coefficients off the packed sum, each an
+    exact quotient, and checks the mass identity in the same loop; its
+    terms are the table's own classes at (k, n), so they are wrapped as
+    they are, not checked again.  A candidate's run also passes its budget,
+    which a character route does not read: its count was checked before it
+    runs.
     """
     if ch is None:
         _import_characters()
-    vector = ClassSumVector(left.k, ch.class_product(left, right), n=n)
-    check_mass(vector, left, right)
-    return vector
+    return _checked_vector(left.k, n, ch.group_terms(left, right))
 
 
 def _universal_by_characters(left, right, *_):

@@ -12,11 +12,13 @@ App. B).  The rule runs only in `character_table(k, n)`, which reads what
 remains from the tables at (k, m < n), building them first; a single value
 at k >= 2 (`wreath_character`, `hyperoct_character` at k = 2) is read from
 its table, so it costs that table; at k = 1 it is `sym_character`'s and
-builds no table.  `class_product`, the only reader of the packed rows kept
-with each table, gives a group's class-multiplication coefficients by the
-Frobenius formula.  Twisting an irreducible by a degree-1 character leaves
-its term in that sum unchanged, so the rows are kept, and summed, for one
-irreducible per orbit of twists; a table whose twists are not among its
+builds no table.  The packed rows kept with each table are read by two
+readers of one Frobenius sum (`_frobenius_sum`), which give a group's
+class-multiplication coefficients: `class_product` as a new dict, for the
+universal levels, and `group_terms` as the flat terms of a group product,
+mass-checked in the loop that reads them.  Twisting an irreducible by a
+degree-1 character leaves its term in that sum unchanged, so the rows are
+kept, and summed, for one irreducible per orbit of twists; a table whose twists are not among its
 rows is refused when it is built.  Shifted power-sum values are exact
 rationals; only `shifted_power_sum_eval` imports `fractions`, so a process
 that does not call it does not load it.  Only `verify_iso` imports
@@ -36,6 +38,7 @@ from . import partitions as pt
 from .errors import DEFAULT_BUDGET, BudgetExceeded, InvariantViolation, SizeMismatch, exact_quotient
 from .families import (
     PartitionFamily,
+    _orbit_size,
     big_z,
     check_group,
     families_with_size,
@@ -55,6 +58,7 @@ __all__ = [
     "character_table",
     "has_character_table",
     "class_product",
+    "group_terms",
     "verify_iso",
     "bipartitions_of",
     "transport_value",
@@ -287,24 +291,13 @@ def class_product(left: PartitionFamily, right: PartitionFamily) -> dict:
     The Frobenius formula over character_table(k, n), which is built if
     needed, summed over one irreducible per twist orbit, and only at the
     classes whose degree-1 values are the products of left's and right's, as
-    one integer of packed slots; README "How a product is counted" has the
-    derivation and the slot bound.  A remainder raises InvariantViolation,
-    and inputs of different k or size raise SizeMismatch.  Each call returns
-    a new dict, so the caller may change it: a universal level scales and
-    subtracts into it in place.
+    one integer of packed slots (`_frobenius_sum`); README "How a product is
+    counted" has the derivation and the slot bound.  A remainder raises
+    InvariantViolation, and inputs of different k or size raise
+    SizeMismatch.  Each call returns a new dict, so the caller may change
+    it: a universal level scales and subtracts into it in place.
     """
-    if left.k != right.k or left.size != right.size:
-        raise SizeMismatch("a class product needs two families of the same k and size")
-    _, (width, values, weights, folded, groups) = _table_entry(left.k, left.size)
-    target = tuple(map(mul, values[left], values[right]))
-    if target not in groups:
-        # only a wrong table lacks them; the empty answer fails its mass check
-        return {}
-    classes, rows = groups[target]
-    total = 0
-    for a, b, weight, row in zip(folded[left], folded[right], weights, rows):
-        if a and b:
-            total += a * b * weight * row
+    width, classes, total = _frobenius_sum(left, right)
     z = big_z(left) * big_z(right)
     mask = (1 << width) - 1
     terms = {}
@@ -314,6 +307,60 @@ def class_product(left: PartitionFamily, right: PartitionFamily) -> dict:
             terms[gamma] = exact_quotient(slot, z, gamma)
         total >>= width
     return terms
+
+
+def group_terms(left: PartitionFamily, right: PartitionFamily) -> tuple:
+    """C_left C_right as a flat tuple (gamma, c_gamma, gamma, c_gamma, ...), mass-checked.
+
+    The same sum as class_product, read in one loop over its slots, in
+    table order: each nonzero slot is an exact quotient, so positive, and
+    sum of c_gamma * |C_gamma| must equal |C_left| * |C_right|, else
+    InvariantViolation, as `answers.check_mass` raises it.  The group
+    route wraps the tuple as its vector without checking its terms again.
+    """
+    width, classes, total = _frobenius_sum(left, right)
+    z = big_z(left) * big_z(right)
+    mask = (1 << width) - 1
+    flat = []
+    mass = 0
+    for gamma in classes:
+        slot = total & mask
+        if slot:
+            c = exact_quotient(slot, z, gamma)
+            flat += gamma, c
+            mass += c * _orbit_size(gamma)
+        total >>= width
+    expected = _orbit_size(left) * _orbit_size(right)
+    if mass != expected:
+        raise InvariantViolation(
+            f"group({left.size}) product mass {mass} != |C_left|*|C_right| = {expected}"
+        )
+    return tuple(flat)
+
+
+def _frobenius_sum(left, right):
+    """(width, classes, total): the packed Frobenius sum of left and right, and how to read it.
+
+    `classes` are those whose degree-1 values are the products of left's
+    and right's, in table order, and `total` holds c_gamma * z(left) *
+    z(right) for the j-th of them in its slot j of `width` bits.  A table
+    that gives no class those values gives no classes, and the empty product.
+    """
+    if left.k != right.k or left.size != right.size:
+        raise SizeMismatch("a class product needs two families of the same k and size")
+    key = left.k, left.size
+    # a built table is read without a call: this runs once per product or level
+    _, (width, values, weights, folded, groups) = _tables.get(key) or _table_entry(*key)
+    group = groups.get(tuple(map(mul, values[left], values[right])))
+    if group is None:
+        # only a wrong table lacks them; the empty answer fails its mass check
+        return width, (), 0
+    classes, rows = group
+    total = 0
+    for a, b, weight, row in zip(folded[left], folded[right], weights, rows):
+        if a and b:
+            total += a * b * weight * row
+    return width, classes, total
 
 
 def _table_entry(k, n):

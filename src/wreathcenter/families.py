@@ -14,9 +14,11 @@ all-ones component, both computed once when the label is first built.
 
 Every value type derives from `Immutable`, which refuses writes and `del`.  It also
 gives them the one unchecked constructor `_of`, which each validating constructor
-returns, and equality, hashing and pickling by slots.  `PartitionFamily` keeps its
-own interning `_of`, its pickling and identity equality.  `ClassSumVector` sets its
-slots in its validating `__init__` and compares its terms in any order.
+returns, and equality, hashing and pickling by slots; each subclass binds its slot
+setters once, when it is defined.  `PartitionFamily` keeps its own interning `_of`,
+its pickling and identity equality.  `ClassSumVector` sets its slots with those
+setters in its validating `__init__` and in `answers._checked_vector`, which wraps
+terms a route has checked, and compares its terms in any order.
 `check_group` refuses an impossible (k, n) for every caller.
 
 Per label this module keeps the label itself (`_LABELS`), `big_z`, the orbit
@@ -71,18 +73,25 @@ class Immutable:
 
     `_of(*slots)` is the one unchecked constructor: it sets the slots in
     `__slots__` order and runs no check, so a subclass's validating
-    constructor returns it.  Two values are equal when they have the same
-    type and equal slots, and hash by their slots; pickling and copying go
-    through `_of`, so an unpickled value is not checked again.
+    constructor returns it.  Each subclass binds its slots' own setters
+    once, as `_setters` in `__slots__` order, and `_of` calls them.  Two
+    values are equal when they have the same type and equal slots, and hash
+    by their slots; pickling and copying go through `_of`, so an unpickled
+    value is not checked again.
     """
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the slot descriptors' setters bypass __setattr__ below, which refuses every write
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     @classmethod
     def _of(cls, *slots):
         value = object.__new__(cls)
-        for name, slot in zip(cls.__slots__, slots):
-            object.__setattr__(value, name, slot)
+        for setter, slot in zip(cls._setters, slots):
+            setter(value, slot)
         return value
 
     def __reduce__(self):

@@ -588,6 +588,7 @@ def test_verify_representative_counts_both_routes(monkeypatch):
         return run
 
     monkeypatch.setattr(ch, "class_product", counted("class_product", ch.class_product))
+    monkeypatch.setattr(ch, "group_terms", counted("group_terms", ch.group_terms))
     monkeypatch.setattr(
         ct, "_universal_by_characters", counted("characters", ct._universal_by_characters)
     )
@@ -597,13 +598,13 @@ def test_verify_representative_counts_both_routes(monkeypatch):
     by_both_universal = ["enumeration", "characters"] + ["class_product"] * 4
     for product, expected, routes in [
         (lambda: ct.multiply_group(seven, seven, 7, verify_representative=True), k1_group,
-         ["enumeration", "class_product"]),
+         ["enumeration", "group_terms"]),
         (lambda: ct.multiply_universal(four, four, verify_representative=True), universal,
          by_both_universal),
         (lambda: ct.polynomial_structure(four, four, verify_representative=True), structure,
          by_both_universal),
         (lambda: ct.multiply_group(five, five, 5, verify_representative=True), k2_group,
-         ["enumeration", "class_product"]),
+         ["enumeration", "group_terms"]),
     ]:
         calls.clear()
         assert product() == expected
@@ -619,16 +620,17 @@ def test_verify_representative_refuses_a_table_value_that_keeps_the_mass(monkeyp
     # coefficient positive and the mass
     left, right, four_cycle = fam(1, (2, 1, 1)), fam(1, (3, 1)), fam(1, (4,))
     assert ct.multiply_group(left, right, 4).terms == {left: 4, four_cycle: 4}
-    true_class_product = ch.class_product
+    true_group_terms = ch.group_terms
 
-    def class_product(a, b):
-        level = true_class_product(a, b)
+    def group_terms(a, b):
+        flat = true_group_terms(a, b)
+        terms = dict(zip(flat[::2], flat[1::2]))
         if (a, b) == (left, right):
-            level[four_cycle] -= 1
-            level[left] += 1
-        return level
+            terms[four_cycle] -= 1
+            terms[left] += 1
+        return tuple(x for term in terms.items() for x in term)
 
-    monkeypatch.setattr(ch, "class_product", class_product)
+    monkeypatch.setattr(ch, "group_terms", group_terms)
     # forced onto characters, the default product passes every check
     monkeypatch.setattr(ct, "_ELEMENT_COST", 10**9)
     assert ct.multiply_group(left, right, 4).terms == {left: 5, four_cycle: 3}
@@ -717,6 +719,7 @@ def test_warm_routes(monkeypatch):
     ch.character_table(3, 5)
     ident, gamma = PartitionFamily.identity(3, 5), fam(3, (1, 1), (2,), (1,))
     monkeypatch.setattr(ch, "class_product", refuse)
+    monkeypatch.setattr(ch, "group_terms", refuse)
     assert ct.multiply_group(ident, gamma, 5).terms == {gamma: 1}
     monkeypatch.undo()
     # a poly-rows product with the (2, 5) table built is read off it: 36 ** 2
@@ -1282,6 +1285,26 @@ def _frobenius_by_class(left, right, n):
     return terms
 
 
+def _check_readers(left, right, n):
+    """Both readers of the packed sum against the sum per class, and the group vector against a built one.
+
+    The group reader's vector, wrapped without checks, must be the vector the
+    validating constructor builds from the same terms, which passes
+    check_mass: equal, with the same hash and repr, before and after a
+    pickle round trip.
+    """
+    from wreathcenter import characters as ch
+
+    expected = _frobenius_by_class(left, right, n)
+    assert ch.class_product(left, right) == expected
+    vector = ct._group_by_characters(left, right, n)
+    assert vector.terms == expected
+    built = ct.ClassSumVector(left.k, expected, n)
+    ct.check_mass(built, left, right)
+    for twin in (vector, pickle.loads(pickle.dumps(vector))):
+        assert twin == built and hash(twin) == hash(built) and repr(twin) == repr(built)
+
+
 def test_packed_frobenius_sum_equals_the_sum_per_class():
     from wreathcenter import characters as ch
 
@@ -1293,14 +1316,14 @@ def test_packed_frobenius_sum_equals_the_sum_per_class():
             labels = families_with_size(k, n)
             for left in labels:
                 for right in labels:
-                    assert ch.class_product(left, right) == _frobenius_by_class(left, right, n)
+                    _check_readers(left, right, n)
     # at (1, 13) a slot is wider than a machine word
     assert ch._table_entry(1, 13)[1][0] > 64
     labels = families_with_size(1, 13)
     rng = random.Random(13)
     for _ in range(30):
         left, right = rng.choice(labels), rng.choice(labels)
-        assert ch.class_product(left, right) == _frobenius_by_class(left, right, 13)
+        _check_readers(left, right, 13)
 
 
 def test_wrong_packed_rows_are_caught(monkeypatch):
@@ -1338,6 +1361,73 @@ def test_wrong_packed_rows_are_caught(monkeypatch):
         ct.multiply_group(lam, lam, 6)
     monkeypatch.undo()
     assert ct.multiply_group(lam, lam, 6) == expected
+
+
+def test_a_raised_row_that_keeps_every_quotient_exact_fails_the_mass_check(monkeypatch):
+    from wreathcenter import characters as ch
+
+    # one representative's row, at a slot j that lam * lam reaches, is raised
+    # by m << width * j with m = z / gcd(a b w, z), where z = z(lam) ** 2 and
+    # a b w = chi(lam) ** 2 |orbit| |G| / chi(1): slot j gains a b w m, a
+    # multiple of z, so every quotient stays exact and one coefficient rises
+    # by a b w m / z.  Only the mass identity tells, and the product is
+    # refused without verify_representative
+    for k, n, text in [(1, 6, "{[1]:[5,1]}"), (2, 4, "{[2]:[2]; [1,1]:[1,1]}"),
+                       (3, 3, "{[2,1]:[2]; [3]:[1]}")]:
+        lam = parse_family(text, k)
+        table, (width, values, weights, folded, groups) = ch._table_entry(k, n)
+        expected = ct.multiply_group(lam, lam, n)
+        target = tuple(v * v for v in values[lam])
+        classes, rows = groups[target]
+        z = big_z(lam) ** 2
+        raised = 0
+        for r, a in enumerate(folded[lam]):
+            if not a:
+                continue
+            abw = a * a * weights[r]
+            m = z // gcd(abw, z)
+            for gamma, c in expected.items():
+                assert c * z + abw * m < 1 << width - 1  # no carry into the next slot
+                j = classes.index(gamma)
+                wrong = list(rows)
+                wrong[r] += m << width * j
+                packed = {**groups, target: (classes, tuple(wrong))}
+                monkeypatch.setitem(ch._tables, (k, n), (table, (width, values, weights, folded, packed)))
+                terms = expected.terms
+                terms[gamma] += abw * m // z
+                assert ch.class_product(lam, lam) == terms
+                with pytest.raises(InvariantViolation, match="product mass"):
+                    ct.multiply_group(lam, lam, n)
+                monkeypatch.undo()
+                raised += 1
+        assert raised > 1
+        assert ct.multiply_group(lam, lam, n) == expected
+
+
+def test_a_raised_row_that_keeps_every_floor_is_caught_by_the_exact_quotient(monkeypatch):
+    from wreathcenter import characters as ch
+
+    # the identity squared: its slot holds z = z(1) ** 2 = |G| ** 2, and a
+    # representative's row raised by 1 there adds chi(1) |orbit| |G| < z, so
+    # every coefficient read by floor division, and so the mass, would stay
+    # as it is; only the remainder of the slot by z tells
+    for k, n in [(1, 4), (2, 3), (3, 2)]:
+        ident = PartitionFamily.identity(k, n)
+        table, (width, values, weights, folded, groups) = ch._table_entry(k, n)
+        target = tuple(v * v for v in values[ident])
+        classes, rows = groups[target]
+        j, z = classes.index(ident), big_z(ident) ** 2
+        for r, dim in enumerate(folded[ident]):
+            step = dim * dim * weights[r]
+            assert 0 < step < z
+            wrong = list(rows)
+            wrong[r] += 1 << width * j
+            packed = {**groups, target: (classes, tuple(wrong))}
+            monkeypatch.setitem(ch._tables, (k, n), (table, (width, values, weights, folded, packed)))
+            with pytest.raises(InvariantViolation, match="is not an integer"):
+                ct.multiply_group(ident, ident, n)
+            monkeypatch.undo()
+        assert ct.multiply_group(ident, ident, n).terms == {ident: 1}
 
 
 def test_immutable_types_pickle_and_copy(monkeypatch):

@@ -89,6 +89,19 @@ def test_class_sum_vector_takes_integer_coefficients():
     assert repr(ct.ClassSumVector(1, {label: True})) == "<universal: 1*C{[1]:[2]}>"
 
 
+def test_group_size_is_read_as_an_integer():
+    # n is read through operator.index, as a coefficient is, before any size is
+    # compared: a bool is 0 or 1, and a float is refused at the call
+    one = fam(1, (1,))
+    for vector in (ct.multiply_group(one, one, True), ct.ClassSumVector(1, {one: 1}, n=True)):
+        assert type(vector.n) is int
+        assert repr(vector) == "<group(1): 1*C{[1]:[1]}>"
+    with pytest.raises(TypeError):
+        ct.multiply_group(one, one, 1.0)
+    with pytest.raises(TypeError):
+        ct.ClassSumVector(1, {one: 1}, n=1.0)
+
+
 def test_polynomial_structure_refuses_inputs_of_another_k():
     one, two = fam(1, (2,)), fam(2, (), (1,))
     with pytest.raises(SizeMismatch):
