@@ -3,7 +3,8 @@
 `ClassSumVector` holds a product, `PolynomialStructure` reads a universal
 one as binomial-basis rows, `check_mass` checks the mass identity that
 every answer passes (a group product by Frobenius passes it inside
-`characters.group_terms`, and is wrapped by `_checked_vector`), and
+`characters.group_terms`, a universal one by characters at its stage
+checks, and both are wrapped by `_checked_vector`), and
 `project` pushes a universal vector into a group.  They live apart from the
 routes in `center`, which imports them from here, so a process that reads
 every product from a cache loads this module and not `center`.
@@ -112,12 +113,14 @@ class ClassSumVector(Immutable):
 _set_k, _set_n, _set_flat = ClassSumVector._setters
 
 
-def _checked_vector(k: int, n: int, flat: tuple) -> ClassSumVector:
-    """A group vector of terms its route has checked, built unchecked: `flat` is (label, coefficient, ...).
+def _checked_vector(k: int, n: int | None, flat: tuple) -> ClassSumVector:
+    """A vector of terms its route has checked, built unchecked: `flat` is (label, coefficient, ...).
 
-    The labels must be distinct classes at (k, n) and the coefficients
-    positive, and the route must have checked the mass identity, as
-    `characters.group_terms` does.
+    The labels must be distinct families of k, classes at (k, n) for a
+    group vector (n None for a universal one), the coefficients positive,
+    and the route must have checked the mass identity, as
+    `characters.group_terms` does for a group product and the stage checks
+    of `center._universal_by_characters` do for a universal one.
     """
     vector = object.__new__(ClassSumVector)
     _set_k(vector, k)

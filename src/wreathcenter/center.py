@@ -9,12 +9,13 @@ multiply_universal over the k-partial permutations (kpartial) at stage
 |left| + |right|.  The character routes read the Frobenius formula off the
 tables: a group product is one `characters.group_terms` at (k, n), whose
 flat terms are mass-checked as they are read and wrapped unchecked, and a
-universal product is recovered from the `characters.class_product` dicts
-of its padded inputs at each size from max(|left|, |right|) up to
+universal product is recovered from one `characters.level_terms` of its
+padded inputs at each size from max(|left|, |right|) up to
 |left| + |right| - 1, its one label of top size in closed form
-(`_top_label`).  A group product has a third route, the paper's projection: the universal algebra maps onto the
-centre of every group algebra, so the product of L and R at n is
-project(P * Q, n) for their proper parts P and Q.  README "How a product
+(`_top_label`), and wrapped unchecked after its stage checks.  A group
+product has a third route, the paper's projection: the universal algebra
+maps onto the centre of every group algebra, so the product of L and R at
+n is project(P * Q, n) for their proper parts P and Q.  README "How a product
 is counted" has the derivations.
 
 `_product` chooses the route.  A product whose tables are all built, and
@@ -75,7 +76,6 @@ from .errors import (
 from .families import (
     PartitionFamily,
     _orbit_size,
-    format_family,
     index_partitions,
     partial_class_size,
 )
@@ -388,22 +388,24 @@ def _universal_by_characters(left, right, *_):
     """The universal product from the group products of the padded inputs.
 
     Going up from n = max(|left|, |right|) to |left| + |right| - 1, the
-    labels of size n are what `ch.class_product` of the inputs padded to n,
+    labels of size n are what the group product of the inputs padded to n,
     times their binomial pad factors, leaves once the labels already found,
-    padded to n, are subtracted; each level is class_product's own new dict,
-    changed in place.  The one label of size |left| + |right| is
-    `_top_label`, read off no table, so a product with an empty input runs
-    no level and does not import `characters`.  Each stage n is checked: the
-    masses of the labels found so far, sum over s of C(n, s) M_s with M_s
-    the mass of the labels of size s, must equal the product of the input
-    orbit sizes; the top stage's check stands in for check_mass.  A negative
-    coefficient at a level, or a stage whose masses differ, raises
-    InvariantViolation.  Pad forms, pad factors and orbit sizes are read
-    from `_at`.  README "How a product is counted" has the derivation.
-    A candidate's run also passes n (None) and its budget, which it does not
-    read.
+    padded to n, are subtracted: one `ch.level_terms` reads them, with the
+    found labels' padded contributions gathered in a new `lower` dict, and
+    returns them as flat terms with their mass.  The one label of size
+    |left| + |right| is `_top_label`, read off no table, so a product with
+    an empty input runs no level and does not import `characters`.  Each
+    stage n is checked: the masses of the labels found so far, sum over s of
+    C(n, s) M_s with M_s the mass of the labels of size s, must equal the
+    product of the input orbit sizes.  A negative coefficient at a level,
+    or a stage whose masses differ, raises InvariantViolation.  The terms,
+    the top label last, are wrapped by `_checked_vector` unchecked: the top
+    stage's check stands in for check_mass.  Pad forms, pad factors and
+    orbit sizes are read from `_at`.  README "How a product is counted" has
+    the derivation.  A candidate's run also passes n (None) and its budget,
+    which it does not read.
     """
-    terms = {}
+    flat = []
     masses = []
     lo, top = max(left.size, right.size), left.size + right.size
     if lo < top and ch is None:
@@ -411,24 +413,15 @@ def _universal_by_characters(left, right, *_):
     for n in range(lo, top):
         padded_left, left_factor, left_orbit = _at(left, n)
         padded_right, right_factor, right_orbit = _at(right, n)
-        # class_product's own new dict: a pad factor above 1 scales it in place
-        level = ch.class_product(padded_left, padded_right)
-        scale = left_factor * right_factor
-        if scale != 1:
-            for delta in level:
-                level[delta] *= scale
-        for gamma, c in terms.items():
+        lower = {}
+        pairs = iter(flat)
+        for gamma, c in zip(pairs, pairs):
             delta, factor, _ = _at(gamma, n)
-            level[delta] = level.get(delta, 0) - c * factor
-        level_mass = 0
-        for delta, c in level.items():
-            if c < 0:
-                where = format_family(delta)
-                raise InvariantViolation(f"universal product cannot have c = {c} at {where}")
-            if c:
-                terms[delta] = c
-                # delta has size n, so its orbit at stage n is its class
-                level_mass += c * _orbit_size(delta)
+            # distinct labels of different sizes may pad to one label
+            lower[delta] = lower.get(delta, 0) + c * factor
+        scale = left_factor * right_factor
+        level, level_mass = ch.level_terms(padded_left, padded_right, scale, lower)
+        flat += level
         masses.append(level_mass)
         mass = 0
         for s, m in enumerate(masses, lo):
@@ -436,13 +429,13 @@ def _universal_by_characters(left, right, *_):
         if mass != left_orbit * right_orbit:
             raise InvariantViolation(f"universal product mass at stage {n} is {mass}")
     label, c = _top_label(left, right)
-    terms[label] = c
+    flat += label, c
     mass = c * _orbit_size(label)
     for s, m in enumerate(masses, lo):
         mass += comb(top, s) * m
     if mass != _at(left, top)[2] * _at(right, top)[2]:
         raise InvariantViolation(f"universal product mass at stage {top} is {mass}")
-    return ClassSumVector(left.k, terms)
+    return _checked_vector(left.k, None, tuple(flat))
 
 
 def _top_label(left, right):

@@ -14,12 +14,15 @@ at k >= 2 (`wreath_character`, `hyperoct_character` at k = 2) is read from
 its table, so it costs that table; at k = 1 it is `sym_character`'s and
 builds no table.  The packed rows kept with each table are read by two
 readers of one Frobenius sum (`_frobenius_sum`), which give a group's
-class-multiplication coefficients: `class_product` as a new dict, for the
-universal levels, and `group_terms` as the flat terms of a group product,
-mass-checked in the loop that reads them.  Twisting an irreducible by a
-degree-1 character leaves its term in that sum unchanged, so the rows are
-kept, and summed, for one irreducible per orbit of twists; a table whose twists are not among its
-rows is refused when it is built.  Shifted power-sum values are exact
+class-multiplication coefficients as flat terms in one loop over the
+slots: `level_terms` for a universal level, scaled by its pad factor and
+less the labels already found, and `group_terms` for a group product,
+mass-checked in the loop that reads them; `class_product` is the first
+reader's dict, with no scale and nothing subtracted.  Twisting an
+irreducible by a degree-1 character leaves its term in that sum
+unchanged, so the rows are kept, and summed, for one irreducible per
+orbit of twists; a table whose twists are not among its rows is refused
+when it is built.  Shifted power-sum values are exact
 rationals; only `shifted_power_sum_eval` imports `fractions`, so a process
 that does not call it does not load it.  Only `verify_iso` imports
 `center`, for its product, so a process that builds tables and reads
@@ -42,6 +45,7 @@ from .families import (
     big_z,
     check_group,
     families_with_size,
+    format_family,
     group_order,
     index_partitions,
     pad_family,
@@ -58,6 +62,7 @@ __all__ = [
     "character_table",
     "has_character_table",
     "class_product",
+    "level_terms",
     "group_terms",
     "verify_iso",
     "bipartitions_of",
@@ -295,18 +300,49 @@ def class_product(left: PartitionFamily, right: PartitionFamily) -> dict:
     counted" has the derivation and the slot bound.  A remainder raises
     InvariantViolation, and inputs of different k or size raise
     SizeMismatch.  Each call returns a new dict, so the caller may change
-    it: a universal level scales and subtracts into it in place.
+    it; it holds `level_terms`' terms with no scale and nothing subtracted.
+    """
+    flat, _ = level_terms(left, right)
+    pairs = iter(flat)
+    return dict(zip(pairs, pairs))
+
+
+def level_terms(left: PartitionFamily, right: PartitionFamily, scale: int = 1, lower=None) -> tuple:
+    """(flat, mass): one level of a universal product, read off the packed sum of left and right.
+
+    Each slot of the sum, in table order, is an exact quotient c_gamma (a
+    remainder raises InvariantViolation), times `scale`, less what `lower`
+    holds at gamma: `lower` maps the labels already found, padded to this
+    size, to their contributions, and is consumed as it is read.  The
+    nonzero results are `flat`, (gamma, c, gamma, c, ...), and `mass` is
+    the sum of c * |C_gamma|.  A negative result, or an entry of `lower`
+    that no slot consumed, raises InvariantViolation.
     """
     width, classes, total = _frobenius_sum(left, right)
     z = big_z(left) * big_z(right)
     mask = (1 << width) - 1
-    terms = {}
+    flat = []
+    mass = 0
     for gamma in classes:
         slot = total & mask
-        if slot:
-            terms[gamma] = exact_quotient(slot, z, gamma)
         total >>= width
-    return terms
+        # divide first: a slot scaled or lowered before the division could hide a remainder
+        c = exact_quotient(slot, z, gamma) * scale if slot else 0
+        if lower:
+            c -= lower.pop(gamma, 0)
+        if c > 0:
+            flat += gamma, c
+            mass += c * _orbit_size(gamma)
+        elif c:
+            _refuse(gamma, c)
+    if lower:
+        gamma, c = next(iter(lower.items()))
+        _refuse(gamma, -c)
+    return tuple(flat), mass
+
+
+def _refuse(gamma, c):
+    raise InvariantViolation(f"universal product cannot have c = {c} at {format_family(gamma)}")
 
 
 def group_terms(left: PartitionFamily, right: PartitionFamily) -> tuple:

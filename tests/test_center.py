@@ -587,15 +587,15 @@ def test_verify_representative_counts_both_routes(monkeypatch):
 
         return run
 
-    monkeypatch.setattr(ch, "class_product", counted("class_product", ch.class_product))
+    monkeypatch.setattr(ch, "level_terms", counted("level_terms", ch.level_terms))
     monkeypatch.setattr(ch, "group_terms", counted("group_terms", ch.group_terms))
     monkeypatch.setattr(
         ct, "_universal_by_characters", counted("characters", ct._universal_by_characters)
     )
     monkeypatch.setattr(ct, "_by_enumeration", counted("enumeration", ct._by_enumeration))
     monkeypatch.setattr(ct, "_enumerated", Counter())
-    # the universal route reads one class product at each size 4..7
-    by_both_universal = ["enumeration", "characters"] + ["class_product"] * 4
+    # the universal route reads one level at each size 4..7
+    by_both_universal = ["enumeration", "characters"] + ["level_terms"] * 4
     for product, expected, routes in [
         (lambda: ct.multiply_group(seven, seven, 7, verify_representative=True), k1_group,
          ["enumeration", "group_terms"]),
@@ -718,7 +718,7 @@ def test_warm_routes(monkeypatch):
     # bounds the Frobenius sum's reads and is what it is charged
     ch.character_table(3, 5)
     ident, gamma = PartitionFamily.identity(3, 5), fam(3, (1, 1), (2,), (1,))
-    monkeypatch.setattr(ch, "class_product", refuse)
+    monkeypatch.setattr(ch, "level_terms", refuse)
     monkeypatch.setattr(ch, "group_terms", refuse)
     assert ct.multiply_group(ident, gamma, 5).terms == {gamma: 1}
     monkeypatch.undo()
@@ -833,19 +833,19 @@ def test_universal_character_route_matches_enumeration():
 
 def test_universal_route_reads_each_size_below_the_top_once(monkeypatch):
     # on every product with k <= 3 and |L| + |R| <= 4 the character route
-    # reads one class product at each size max(|L|, |R|) ... |L| + |R| - 1,
-    # in increasing order, none at the top size (closed form) and none at all
+    # reads one level at each size max(|L|, |R|) ... |L| + |R| - 1, in
+    # increasing order, none at the top size (closed form) and none at all
     # with an empty input, whose product is the other input
     from wreathcenter import characters as ch
 
-    true_class_product = ch.class_product
+    true_level_terms = ch.level_terms
     read = []
 
-    def class_product(left, right):
+    def level_terms(left, right, *rest):
         read.append(left.size)
-        return true_class_product(left, right)
+        return true_level_terms(left, right, *rest)
 
-    monkeypatch.setattr(ch, "class_product", class_product)
+    monkeypatch.setattr(ch, "level_terms", level_terms)
     products = empty = 0
     for k in (1, 2, 3):
         fams = [f for s in range(5) for f in families_with_size(k, s)]
@@ -860,7 +860,7 @@ def test_universal_route_reads_each_size_below_the_top_once(monkeypatch):
                 products += 1
     assert (products, empty) == (649, 269)
     monkeypatch.undo()
-    # each call returns a new dict, which a level scales and subtracts into
+    # class_product returns a new dict on each call, which its caller may change
     for left, right in [(fam(1, (2, 1)), fam(1, (3,))), (fam(2, (1,), (2,)), fam(2, (), (3,)))]:
         first, second = ch.class_product(left, right), ch.class_product(left, right)
         assert first == second and first is not second
@@ -942,22 +942,23 @@ def test_wrong_level_of_the_universal_character_route_is_caught(monkeypatch):
     # one coefficient that one size's level keeps from its group product is
     # one too large; a wrong size below the top keeps the mass at stage
     # |L| + |R|, so every stage must be checked.  The sizes below the top are
-    # the ones read off tables
+    # the ones read off tables.  A group coefficient one too large reads as
+    # `scale` more at its level, as if `lower` held `scale` less there
     from wreathcenter import characters as ch
 
-    true_class_product = ch.class_product
+    true_level_terms = ch.level_terms
     for k, a, b in [(1, "{[1]:[1]}", "{[1]:[1]}"), (1, "{[1]:[2]}", "{[1]:[2]}"),
                     (2, "{[2]:[1]; [1,1]:[1]}", "{[2]:[1]}"), (2, "{[2]:[2]}", "{[1,1]:[2]}")]:
         left, right = parse_family(a, k), parse_family(b, k)
         for wrong_at in range(max(left.size, right.size), left.size + right.size):
 
-            def class_product(l, r, wrong_at=wrong_at):
-                terms = true_class_product(l, r)
+            def level_terms(l, r, scale, lower, wrong_at=wrong_at):
                 if l.size == wrong_at:
-                    terms[_kept(terms, left, right)[0]] += 1
-                return terms
+                    gamma = _kept(_frobenius_by_class(l, r, l.size), left, right)[0]
+                    lower[gamma] = lower.get(gamma, 0) - scale
+                return true_level_terms(l, r, scale, lower)
 
-            monkeypatch.setattr(ch, "class_product", class_product)
+            monkeypatch.setattr(ch, "level_terms", level_terms)
             with pytest.raises(InvariantViolation):
                 ct._universal_by_characters(left, right)
             monkeypatch.undo()
@@ -971,10 +972,11 @@ def test_wrong_padded_label_at_any_level_is_caught(monkeypatch):
     # checked.  Those stage checks are the only mass checks this route
     # makes.  Every size below the top, which is read off no table, is
     # bumped where a level reads such a label: where the second filtration
-    # lets its new labels have a 1-part
+    # lets its new labels have a 1-part.  A group coefficient one too large
+    # reads as `scale` more at its level, as if `lower` held `scale` less
     from wreathcenter import characters as ch
 
-    true_class_product = ch.class_product
+    true_level_terms = ch.level_terms
     for a, b in [("{[3]:[1]}", "{[3]:[1]}"), ("{[1,1,1]:[1]; [3]:[1]}", "{[2,1]:[1]}"),
                  ("{[3]:[2]}", "{[3]:[2]}"),
                  ("{[2,1]:[1]; [3]:[1]}", "{[2,1]:[1]; [3]:[1]}")]:
@@ -983,15 +985,14 @@ def test_wrong_padded_label_at_any_level_is_caught(monkeypatch):
         for wrong_at in range(max(left.size, right.size), top + 1):
             bumped = []
 
-            def class_product(l, r, wrong_at=wrong_at, bumped=bumped):
-                terms = true_class_product(l, r)
+            def level_terms(l, r, scale, lower, wrong_at=wrong_at, bumped=bumped):
                 if l.size == wrong_at:
-                    padded = next(g for g in _kept(terms, left, right) if g.m1)
-                    terms[padded] += 1
+                    padded = next(g for g in _kept(_frobenius_by_class(l, r, l.size), left, right) if g.m1)
+                    lower[padded] = lower.get(padded, 0) - scale
                     bumped.append(padded)
-                return terms
+                return true_level_terms(l, r, scale, lower)
 
-            monkeypatch.setattr(ch, "class_product", class_product)
+            monkeypatch.setattr(ch, "level_terms", level_terms)
             monkeypatch.setattr(ct, "check_mass", lambda vector, left, right: None)
             with pytest.raises(InvariantViolation):
                 ct._universal_by_characters(left, right)
@@ -1004,30 +1005,31 @@ def test_negative_level_coefficient_with_its_mass_kept_is_caught(monkeypatch):
     # another until the first is negative; the mass of that stage, and so of
     # every later one, is kept, so only the refusal of a negative
     # coefficient at its level can catch it.  At k = 1, 2 and 3, at levels
-    # below the top, whose one coefficient is a product of binomials
+    # below the top, whose one coefficient is a product of binomials.  The
+    # move is made on `lower`, scaled as the level scales the group product
     from wreathcenter import characters as ch
 
-    true_class_product = ch.class_product
+    true_level_terms = ch.level_terms
     for k, a, b, wrong_at in [(1, "{[1]:[3,2]}", "{[1]:[2]}", 5), (1, "{[1]:[3,2]}", "{[1]:[2]}", 6),
                               (2, "{[2]:[1]; [1,1]:[1]}", "{[2]:[1]}", 2),
                               (3, "{[3]:[1]}", "{[3]:[1]}", 1)]:
         left, right = parse_family(a, k), parse_family(b, k)
 
-        def class_product(l, r, wrong_at=wrong_at):
-            terms = true_class_product(l, r)
+        def level_terms(l, r, scale, lower, wrong_at=wrong_at):
             n = l.size
             if n == wrong_at:
-                mass = sum(c * class_size(g, n) for g, c in terms.items())
+                terms = _frobenius_by_class(l, r, l.size)
                 low, high = _kept(terms, left, right)[:2]
                 sizes = class_size(low, n), class_size(high, n)
                 shift = terms[low] + 1
-                terms[low] -= shift * sizes[1] // gcd(*sizes)
-                terms[high] += shift * sizes[0] // gcd(*sizes)
-                assert terms[low] < 0
-                assert sum(c * class_size(g, n) for g, c in terms.items()) == mass
-            return terms
+                down, up = shift * sizes[1] // gcd(*sizes), shift * sizes[0] // gcd(*sizes)
+                assert terms[low] - down < 0
+                assert down * sizes[0] == up * sizes[1]
+                lower[low] = lower.get(low, 0) + scale * down
+                lower[high] = lower.get(high, 0) - scale * up
+            return true_level_terms(l, r, scale, lower)
 
-        monkeypatch.setattr(ch, "class_product", class_product)
+        monkeypatch.setattr(ch, "level_terms", level_terms)
         with pytest.raises(InvariantViolation, match="cannot have c = -"):
             ct._universal_by_characters(left, right)
         monkeypatch.undo()
@@ -1324,6 +1326,101 @@ def test_packed_frobenius_sum_equals_the_sum_per_class():
     for _ in range(30):
         left, right = rng.choice(labels), rng.choice(labels)
         _check_readers(left, right, 13)
+
+
+def test_level_reader_equals_the_sum_per_class_less_lower():
+    from wreathcenter import characters as ch
+
+    # the universal levels' reader with neither scale nor lower, with a
+    # scale alone, and with a `lower` that cancels a third of the labels,
+    # lowers a third (at scale 1, cancels them too) and leaves the rest, at
+    # scale 1 and above, against the sum per class: the same terms in table
+    # order, their mass, and `lower` consumed
+    for k, top in [(1, 7), (2, 5), (3, 4)]:
+        for n in range(top + 1):
+            labels = families_with_size(k, n)
+            for left in labels:
+                for right in labels:
+                    expected = _frobenius_by_class(left, right, n)
+                    for scale, cut in [(None, False), (3, False), (1, True), (2, True)]:
+                        lower = {}
+                        if cut:
+                            for i, (gamma, c) in enumerate(expected.items()):
+                                if i % 3 < 2:
+                                    lower[gamma] = c * scale if i % 3 == 0 else c
+                        want = {g: c * (scale or 1) - lower.get(g, 0) for g, c in expected.items()}
+                        want = [(g, c) for g, c in want.items() if c]
+                        if scale is None:
+                            flat, mass = ch.level_terms(left, right)
+                        else:
+                            flat, mass = ch.level_terms(left, right, scale, lower)
+                        pairs = iter(flat)
+                        assert list(zip(pairs, pairs)) == want and lower == {}
+                        assert mass == sum(c * class_size(g, n) for g, c in want)
+
+
+def test_a_lower_entry_that_no_slot_consumes_is_refused():
+    from wreathcenter import characters as ch
+
+    # the identity times (3,1) at (1, 4) is C(3,1): the even classes (1^4)
+    # and (2,2) are zero slots of its degree-1 group, and the odd (2,1,1)
+    # lies in another group, which the sum does not read.  A label already
+    # found that pads to either is one the level would hold with a negative
+    # coefficient
+    ident, three = PartitionFamily.identity(1, 4), fam(1, (3, 1))
+    _, classes, _ = ch._frobenius_sum(ident, three)
+    assert ident in classes and fam(1, (2, 2)) in classes and fam(1, (2, 1, 1)) not in classes
+    assert ch.level_terms(ident, three) == ((three, 1), 8)
+    for where in [ident, fam(1, (2, 2)), fam(1, (2, 1, 1))]:
+        for lower in [{where: 1}, {where: 2, three: 1}, {three: 1, where: 3}]:
+            with pytest.raises(InvariantViolation, match=r"cannot have c = -\d"):
+                ch.level_terms(ident, three, 1, lower)
+
+
+def test_a_slot_remainder_is_refused_at_any_scale(monkeypatch):
+    from wreathcenter import characters as ch
+
+    # the identity squared with the trivial representative's row raised by 1
+    # at the identity's slot, as in the exact-quotient test below: the slot
+    # leaves a remainder by z.  Each slot is divided before it is scaled and
+    # lowered, so no scale, z itself included, and no `lower` hides it
+    for k, n in [(1, 4), (2, 3), (3, 2)]:
+        ident = PartitionFamily.identity(k, n)
+        table, (width, values, weights, folded, groups) = ch._table_entry(k, n)
+        target = tuple(v * v for v in values[ident])
+        classes, rows = groups[target]
+        j, z = classes.index(ident), big_z(ident) ** 2
+        wrong = (rows[0] + (1 << width * j),) + rows[1:]
+        packed = {**groups, target: (classes, wrong)}
+        monkeypatch.setitem(ch._tables, (k, n), (table, (width, values, weights, folded, packed)))
+        for scale, lower in [(1, None), (2, {}), (z, None), (z, {ident: z}), (2, {ident: 1})]:
+            with pytest.raises(InvariantViolation, match="is not an integer"):
+                ch.level_terms(ident, ident, scale, lower)
+        monkeypatch.undo()
+        assert ch.level_terms(ident, ident, z, {ident: z - 1}) == ((ident, 1), 1)
+
+
+def test_universal_vectors_are_the_vectors_their_terms_build():
+    # the universal route wraps its terms unchecked: on every product of the
+    # sweep (k <= 3, |L| + |R| <= 4) its vector must be the one the
+    # validating constructor builds from the same terms, which passes
+    # check_mass: the same terms in the same order, no label twice, equal,
+    # with the same hash and repr, before and after a pickle round trip
+    products = 0
+    for k in (1, 2, 3):
+        fams = [f for s in range(5) for f in families_with_size(k, s)]
+        for left in fams:
+            for right in fams:
+                if left.size + right.size > 4:
+                    continue
+                vector = ct._universal_by_characters(left, right)
+                built = ct.ClassSumVector(k, vector.terms)
+                ct.check_mass(built, left, right)
+                for twin in (vector, pickle.loads(pickle.dumps(vector))):
+                    assert list(twin.items()) == list(built.items())
+                    assert twin == built and hash(twin) == hash(built) and repr(twin) == repr(built)
+                products += 1
+    assert products == 649
 
 
 def test_wrong_packed_rows_are_caught(monkeypatch):

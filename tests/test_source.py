@@ -41,7 +41,7 @@ def test_every_divmod_is_in_exact_quotient():
 
 
 def test_center_reads_the_tables_only_through_class_product():
-    # every character-route fault test patches characters.class_product, the
+    # every character-route fault test patches characters.level_terms, the
     # universal levels' reader, or characters.group_terms, the group route's;
     # a center read of any other table accessor would bypass those tests.
     # characters is imported once, as ch, and only its attributes are read
@@ -58,7 +58,7 @@ def test_center_reads_the_tables_only_through_class_product():
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "ch"
     }
-    assert read == {"class_product", "group_terms", "has_character_table"}
+    assert read == {"level_terms", "group_terms", "has_character_table"}
 
 
 def test_only_immutable_refuses_writes_and_only_of_sets_slots():
