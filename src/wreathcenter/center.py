@@ -3,44 +3,26 @@
 Every product has two routes to the same coefficients.  `_by_enumeration`
 fixes a member x of the larger orbit A and tallies the types of x y over
 the smaller orbit B, so c_gamma * |C_gamma| = |A| * #{y in B : type(x y) =
-gamma}; an orbit of one member is its cached representative, not walked.
-multiply_group runs it over the block permutations of [kn] (blockperm),
-multiply_universal over the k-partial permutations (kpartial) at stage
-|left| + |right|.  The character routes read the Frobenius formula off the
-tables: a group product is one `characters.group_terms` at (k, n), whose
-flat terms are mass-checked as they are read and wrapped unchecked, and a
-universal product is recovered from one `characters.level_terms` of its
-padded inputs at each size from max(|left|, |right|) up to
-|left| + |right| - 1, its one label of top size in closed form
-(`_top_label`), and wrapped unchecked after its stage checks.  A group
-product has a third route, the paper's projection: the universal algebra
-maps onto the centre of every group algebra, so the product of L and R at
-n is project(P * Q, n) for their proper parts P and Q.  README "How a product
-is counted" has the derivations.
-
-`_product` chooses the route.  A product whose tables are all built, and
-whose count of table entries fits the budget and lies below enumeration's
-floor, runs its character route unpriced; every other product takes the
-cheapest route of one priced candidate list that fits the budget.  With
-verify_representative it is counted by enumeration and by the cheapest
-other route, which must agree.
+gamma}: over the block permutations of [kn] (blockperm) for multiply_group,
+over the k-partial permutations (kpartial) at stage |left| + |right| for
+multiply_universal.  The character routes read the Frobenius formula off
+the tables: a group product is one `characters.group_terms` at (k, n), a
+universal product one `characters.level_terms` of its padded inputs at each
+size from max(|left|, |right|) to |left| + |right| - 1, and its one label
+of top size in closed form (`_top_label`).  A group product has a third
+route, the paper's projection: the universal algebra maps onto the centre
+of every group algebra, so the product of L and R at n is project(P * Q, n)
+for their proper parts P and Q.  `_product` picks the route by the rule in
+its docstring, from the structure of the product alone.  README "How a
+product is counted" has the derivations.
 
 Each route imports its layer on first use: `_by_enumeration` the two
 enumeration layers, and the character route `characters`, which binds the
 `ch` global.  So a process that counts every product by characters never
-loads the enumeration layers, and one that reads every product from a
-cache does not load this module at all, only `answers`.  Until
-`characters` is loaded no table is built, so pricing charges every table
-its build; a table built through `characters` before the first product
-counts as built.
-
-What cannot change between products is kept for the process: per
-(label, n), the padded form, pad factor and orbit size at stage n (`_at`);
-per label, the class size (`families._orbit_size`) and the proper part
-(`_proper_family`); per (k, sizes), the #classes ** 2 sum (`_entries`),
-from the class count (`_class_count`).  Every product still asks which
-tables are built, runs its Frobenius sums, subtraction and top label, and
-passes every check.
+loads the enumeration layers.  A table built through `characters` before
+the first product counts as built.  Kept for the process: per (label, n)
+the padded form, pad factor and orbit size (`_at`), per label the proper
+part (`_proper_family`), and the counts `_entries` and `_class_count`.
 
 The answer types `ClassSumVector` and `PolynomialStructure`, `check_mass`,
 `project` and the memos `_at` and `_proper_family` live in `answers`, so a
@@ -51,10 +33,9 @@ here, and read from here, as before.  Patching `check_mass`, `project` or
 """
 
 import sys
-from collections import Counter
 from functools import cache
 from math import comb
-from operator import index, itemgetter
+from operator import index
 
 from .answers import (
     ClassSumVector,
@@ -122,178 +103,135 @@ def multiply_universal(
     return _product(left, right, None, budget, verify_representative)
 
 
-# Route costs in Frobenius terms: a term is 1 / #classes ** 2 of a Frobenius
-# sum, which reads only the entries that can contribute.  _ELEMENT_COST is the
-# time of an enumerated element and _BUILD_COST that of building a table entry
-# once the smaller tables are built, each in terms; one element cost serves
-# group and universal products.  _ENUMERATION_COST is enumeration's fixed cost
-# per product, and _LEVEL_COST a projected product's per stage it reads, the
-# projection included; README "How a product is counted" has the measurements
-_ELEMENT_COST = 1440
-_BUILD_COST = 152
-_ENUMERATION_COST = 2 * _ELEMENT_COST
-_LEVEL_COST = 3 * _ELEMENT_COST
-
-# the cost in Frobenius terms of the elements enumerated at each (k, n) in
-# this process, by group products at (k, n) and by universal products whose
-# character route reads that table; it pays down the cost of building it
-_enumerated: Counter = Counter()
-
-# the characters module once a product is routed or priced after it is loaded,
-# or takes the character route; None until then, when no table can be built
+# the characters module once a group product is routed after it is loaded,
+# or a product takes a character route; None until then, when no table is built
 ch = None
 
 
 def _product(left, right, n, budget, verify_representative):
     """The product of two class sums at size n, or in the universal algebra when n is None.
 
-    A product whose character tables are all built, and whose #classes ** 2
-    count fits `budget` and lies below enumeration's floor (_ENUMERATION_COST
-    + _ELEMENT_COST) and, for a group product, below _LEVEL_COST, runs its
-    character route unpriced: the list below would pick it too.  Any other
-    product takes the cheapest (name, budget count, cost, run) of
-    `_candidates` whose count fits `budget`, the first on a tie; a group
-    product adds `_projection` when that cheapest costs more than
-    _LEVEL_COST or fits no budget.  When none fits, BudgetExceeded reports
-    the smallest count.  README "How a product is counted" has the costs.
+    A universal product takes its character route.  A group product at n,
+    with P and Q the proper parts of its factors, takes the first that applies:
+    1. Frobenius, when the (k, n) table is built;
+    2. enumeration, when the smaller orbit has one member;
+    3. project(P * Q, n), when |P| + |Q| <= n, with P * Q routed by this rule;
+    4. enumeration, when the smaller orbit has at most #classes(k, n) members;
+    5. Frobenius.
+    A route whose budget count does not fit `budget` gives way to
+    enumeration if that fits; when neither fits, BudgetExceeded reports the
+    smaller count, enumeration's on a tie.
 
-    With verify_representative, enumeration and the cheapest other
-    candidate both count it, and a difference raises InvariantViolation.
-    Both counts must fit `budget` (else BudgetExceeded reports the larger,
-    enumeration's on a tie), and this enumeration charges nothing to
-    `_enumerated`.
+    With verify_representative, enumeration and the rule's first other route
+    (clause 1, 3 or 5) both count it, and a difference raises
+    InvariantViolation.  A group product's other route that does not fit
+    gives way to the other of Frobenius and the projection, or to the
+    smaller count.  Both counts must fit, else BudgetExceeded reports the
+    larger, enumeration's on a tie.
     """
     if left.k != right.k:
         raise SizeMismatch("families must share the same k")
+    k = left.k
+    # the built-table path, inline: it builds no route
     if not verify_representative:
-        _, lo, hi = _stages(left, right, n)
-        entries = _entries(left.k, lo, hi)
-        # the floors are read per product, so patching a cost moves them
-        floor = _ENUMERATION_COST + _ELEMENT_COST
-        if n is not None and _LEVEL_COST < floor:
-            floor = _LEVEL_COST
-        if entries <= budget and entries < floor and _built(left.k, lo, hi):
-            if n is None:
-                return _universal_by_characters(left, right, n, budget)
-            return _group_by_characters(left, right, n, budget)
-    candidates = _candidates(left, right, n, budget)
-    route = _cheapest(candidates, budget)
-    if n is not None and (route[1] > budget or route[2] > _LEVEL_COST):
-        candidates.append(_projection(left, right, n, budget))
-        route = _cheapest(candidates, budget)
+        if n is None:
+            if _entries(k, max(left.size, right.size), left.size + right.size) <= budget:
+                return _universal_by_characters(left, right)
+        else:
+            if ch is None:
+                _bind_characters()
+            if ch is not None and ch.has_character_table(k, n) and _entries(k, n, n + 1) <= budget:
+                return _group_by_characters(left, right, n)
+    enumeration = _enumeration(left, right, n)
+    if n is None:
+        route = other = _universal_characters(left, right)
+    else:
+        route, other = _group_routes(left, right, n, enumeration, budget)
     if verify_representative:
-        enumeration, characters = candidates[0], _cheapest(candidates[1:], budget)
-        larger = characters if characters[1] > enumeration[1] else enumeration
+        if n is not None and other[1] > budget:
+            alternative = _frobenius(k, n) if other[2] is _by_projection else _projection(left, right, budget)
+            other = _fit(other, alternative, budget)
+        larger = other if other[1] > enumeration[1] else enumeration
         if larger[1] > budget:
             raise BudgetExceeded(larger[1], budget, larger[0])
         vector = _by_enumeration(left, right, n, budget)
-        if vector != characters[3](left, right, n, budget):
+        if vector != other[2](left, right, n, budget):
             raise InvariantViolation(f"{vector.context} product differs between the two routes")
         return vector
-    name, count, _, run = route
+    name, count, run = _fit(route, enumeration, budget)
     if count > budget:
         raise BudgetExceeded(count, budget, name)
     return run(left, right, n, budget)
 
 
-def _candidates(left, right, n, budget):
-    """Enumeration and the character route of one product, as (name, budget count, cost, run).
+def _group_routes(left, right, n, enumeration, budget):
+    """The rule's route for a group product, and its first route that is not enumeration.
 
-    Each run takes (left, right, n, budget).  A cost is worked out only for
-    a count that fits `budget`; a candidate whose count does not fit is
-    never taken, so its cost is None.
+    A route is (name, budget count, run), and a run takes (left, right, n, budget).
     """
-    k = left.k
-    stage, lo, hi = _stages(left, right, n)
-    if n is None:
-        name, by_characters = "partial class enumeration", _universal_by_characters
+    _bind_characters()
+    frobenius = _frobenius(left.k, n)
+    if ch is not None and ch.has_character_table(left.k, n):
+        return frobenius, frobenius
+    if _proper_family(left).size + _proper_family(right).size <= n:
+        other = _projection(left, right, budget)
     else:
-        name, by_characters = "class enumeration", _group_by_characters
-    smaller = min(_at(left, stage)[2], _at(right, stage)[2])
-    entries = _entries(k, lo, hi)
-    characters_cost = _characters_cost(k, lo, hi, entries) if entries <= budget else None
-    return [
-        (name, smaller, smaller * _ELEMENT_COST + _ENUMERATION_COST, _enumerate),
-        ("character table", entries, characters_cost, by_characters),
-    ]
+        other = frobenius
+    smaller = enumeration[1]
+    if smaller == 1 or other is frobenius and smaller <= _class_count(left.k, n):
+        return enumeration, other
+    return other, other
 
 
-def _stages(left, right, n):
-    """(N, lo, hi): enumeration's stage, and the sizes lo..hi - 1 of the tables the character route reads."""
+def _fit(route, fallback, budget):
+    """`route` if it fits `budget`, else `fallback` if it fits, else the smaller count, `fallback` on a tie."""
+    if route[1] <= budget or fallback[1] > budget and route[1] < fallback[1]:
+        return route
+    return fallback
+
+
+def _enumeration(left, right, n):
+    """Enumeration, counting the members of the smaller orbit at the stage."""
     if n is None:
-        stage = left.size + right.size
-        return stage, max(left.size, right.size), stage
-    return n, n, n + 1
+        stage, name = left.size + right.size, "partial class enumeration"
+    else:
+        stage, name = n, "class enumeration"
+    return name, min(_at(left, stage)[2], _at(right, stage)[2]), _by_enumeration
 
 
-def _enumerate(left, right, n, budget):
-    """`_by_enumeration`, charging its elements to `_enumerated` at each size the character route reads."""
-    stage, lo, hi = _stages(left, right, n)
-    elements = min(_at(left, stage)[2], _at(right, stage)[2]) * _ELEMENT_COST
-    for m in range(lo, hi):
-        _enumerated[left.k, m] += elements
-    return _by_enumeration(left, right, n, budget)
+def _frobenius(k, n):
+    """The Frobenius route at (k, n), counting #classes ** 2."""
+    return "character table", _entries(k, n, n + 1), _group_by_characters
 
 
-def _cheapest(candidates, budget):
-    """The cheapest candidate whose count fits `budget`, the first on a tie; else the smallest count."""
-    best = None
-    for candidate in candidates:
-        if candidate[1] <= budget and (best is None or candidate[2] < best[2]):
-            best = candidate
-    return best or min(candidates, key=itemgetter(1))
+def _universal_characters(left, right):
+    """The universal character route, counting #classes ** 2 over the sizes it reads."""
+    entries = _entries(left.k, max(left.size, right.size), left.size + right.size)
+    return "character table", entries, _universal_by_characters
 
 
-def _projection(left, right, n, budget):
-    """The group product at n as the projection of the universal product of the proper parts.
-
-    The paper's universal algebra maps onto the centre of the group algebra
-    at every n, and the group product of L and R, padded from their proper
-    parts P and Q, is project(P * Q, n) divided by the binomial pad factors
-    of P and Q to n, which are 1 for proper families.  P * Q is counted by
-    its own cheapest candidate, whose name and count this candidate takes;
-    it reads the stages max(|P|, |Q|) to |P| + |Q|, so its cost is that
-    candidate's plus _LEVEL_COST for each of those min(|P|, |Q|) + 1 stages.
-    The projected answer passes check_mass.
-    """
+def _projection(left, right, budget):
+    """The projection route of a group product, named and counted as P * Q's route."""
     proper_left, proper_right = _proper_family(left), _proper_family(right)
-    name, count, cost, run = _cheapest(_candidates(proper_left, proper_right, None, budget), budget)
-    if count <= budget:
-        cost += _LEVEL_COST * (min(proper_left.size, proper_right.size) + 1)
-
-    def projected(*_):
-        vector = project(run(proper_left, proper_right, None, budget), n)
-        check_mass(vector, left, right)
-        return vector
-
-    return name, count, cost, projected
+    characters = _universal_characters(proper_left, proper_right)
+    name, count, _ = _fit(characters, _enumeration(proper_left, proper_right, None), budget)
+    return name, count, _by_projection
 
 
-def _characters_cost(k, lo, hi, entries):
-    """`entries` plus the build charge of each table at sizes lo..hi - 1 that is not built yet."""
-    _bind_characters()
-    for m in range(lo, hi):
-        if ch is None or not ch.has_character_table(k, m):
-            entries += max(_class_count(k, m) ** 2 * _BUILD_COST - _enumerated[k, m], 0)
-    return entries
+def _by_projection(left, right, n, budget):
+    """The group product at n as project(P * Q, n), with P * Q routed by `_product`; mass-checked.
 
-
-def _built(k, lo, hi):
-    """True when every table at sizes lo..hi - 1 is built."""
-    _bind_characters()
-    if ch is None:
-        return False
-    for m in range(lo, hi):
-        if not ch.has_character_table(k, m):
-            return False
-    return True
+    The projection is divided by the binomial pad factors of P and Q to n,
+    which are 1 for proper families.
+    """
+    proper = _product(_proper_family(left), _proper_family(right), None, budget, False)
+    vector = project(proper, n)
+    check_mass(vector, left, right)
+    return vector
 
 
 def _bind_characters():
-    """Bind `ch` to the characters module once it is loaded, by this module or another.
-
-    Until then `ch` is None, and no table is built.
-    """
+    """Bind `ch` to the characters module once it is loaded, by this module or another."""
     global ch
     if ch is None:
         ch = sys.modules.get(f"{__package__}.characters")
@@ -372,12 +310,10 @@ def _by_enumeration(left, right, n, budget):
 def _group_by_characters(left, right, n, *_):
     """The group product by the Frobenius formula, mass-checked.
 
-    `ch.group_terms` reads the coefficients off the packed sum, each an
-    exact quotient, and checks the mass identity in the same loop; its
-    terms are the table's own classes at (k, n), so they are wrapped as
-    they are, not checked again.  A candidate's run also passes its budget,
-    which a character route does not read: its count was checked before it
-    runs.
+    `ch.group_terms` reads each coefficient off the packed sum as an exact
+    quotient and checks the mass in the same loop; its terms are the
+    table's own classes, so they are wrapped unchecked.  The budget a
+    route's run also passes is not read: the count was checked before.
     """
     if ch is None:
         _import_characters()
@@ -389,21 +325,15 @@ def _universal_by_characters(left, right, *_):
 
     Going up from n = max(|left|, |right|) to |left| + |right| - 1, the
     labels of size n are what the group product of the inputs padded to n,
-    times their binomial pad factors, leaves once the labels already found,
-    padded to n, are subtracted: one `ch.level_terms` reads them, with the
-    found labels' padded contributions gathered in a new `lower` dict, and
-    returns them as flat terms with their mass.  The one label of size
-    |left| + |right| is `_top_label`, read off no table, so a product with
-    an empty input runs no level and does not import `characters`.  Each
-    stage n is checked: the masses of the labels found so far, sum over s of
-    C(n, s) M_s with M_s the mass of the labels of size s, must equal the
-    product of the input orbit sizes.  A negative coefficient at a level,
-    or a stage whose masses differ, raises InvariantViolation.  The terms,
-    the top label last, are wrapped by `_checked_vector` unchecked: the top
-    stage's check stands in for check_mass.  Pad forms, pad factors and
-    orbit sizes are read from `_at`.  README "How a product is counted" has
-    the derivation.  A candidate's run also passes n (None) and its budget,
-    which it does not read.
+    times their pad factors, leaves once the labels already found, padded
+    to n (the `lower` dict), are subtracted: one `ch.level_terms` reads
+    them as flat terms with their mass.  The one label of size
+    |left| + |right| is `_top_label`, read off no table.  Each stage n is
+    checked: sum over s of C(n, s) M_s, with M_s the mass of the labels of
+    size s, must equal the product of the input orbit sizes; the top
+    stage's check stands in for check_mass, so the terms are wrapped
+    unchecked.  README "How a product is counted" has the derivation.  The
+    n (None) and budget a route's run also passes are not read.
     """
     flat = []
     masses = []
@@ -447,9 +377,8 @@ def _top_label(left, right):
     C(m_i(left) + m_i(right), m_i(left)) ways for each part i of each
     component, which is big_z(union) / (big_z(left) big_z(right)).  The
     coefficient is counted from the inputs alone, so the stage check, which
-    weighs it by the class size of the label, also checks the label.  A
-    component empty on one side is the other side's as it is, and only the
-    parts both sides share give a binomial other than 1: C(a + 0, a) = 1.
+    weighs it by the class size of the label, also checks the label.  Only
+    the parts both sides share give a binomial other than 1.
     """
     components, coefficient = [], 1
     for a, b in zip(left.components, right.components):

@@ -566,9 +566,9 @@ def test_universal_mass_check_refuses_a_label_larger_than_the_stage():
 def test_verify_representative_counts_both_routes(monkeypatch):
     from wreathcenter import characters as ch
 
-    # products the character route serves, cold or warm: with the flag each
-    # is enumerated once and read off the tables, and the answer is the one
-    # both routes give; the check charges nothing to the route ledger
+    # products the character route serves, with their tables built: with
+    # the flag each is enumerated once and read off the tables, and the
+    # answer is the one both routes give
     seven, four = fam(1, (7,)), fam(1, (4,))
     five = fam(2, (), (5,))
     k1_group = ct._by_enumeration(seven, seven, 7, DEFAULT_BUDGET)
@@ -593,7 +593,6 @@ def test_verify_representative_counts_both_routes(monkeypatch):
         ct, "_universal_by_characters", counted("characters", ct._universal_by_characters)
     )
     monkeypatch.setattr(ct, "_by_enumeration", counted("enumeration", ct._by_enumeration))
-    monkeypatch.setattr(ct, "_enumerated", Counter())
     # the universal route reads one level at each size 4..7
     by_both_universal = ["enumeration", "characters"] + ["level_terms"] * 4
     for product, expected, routes in [
@@ -609,7 +608,6 @@ def test_verify_representative_counts_both_routes(monkeypatch):
         calls.clear()
         assert product() == expected
         assert calls == routes
-    assert ct._enumerated == Counter()
 
 
 def test_verify_representative_refuses_a_table_value_that_keeps_the_mass(monkeypatch):
@@ -631,24 +629,29 @@ def test_verify_representative_refuses_a_table_value_that_keeps_the_mass(monkeyp
         return tuple(x for term in terms.items() for x in term)
 
     monkeypatch.setattr(ch, "group_terms", group_terms)
-    # forced onto characters, the default product passes every check
-    monkeypatch.setattr(ct, "_ELEMENT_COST", 10**9)
+    # with the (1, 4) table built the default product is read off it (rule
+    # clause 1), and passes every check
+    ch.character_table(1, 4)
     assert ct.multiply_group(left, right, 4).terms == {left: 5, four_cycle: 3}
     with pytest.raises(InvariantViolation):
         ct.multiply_group(left, right, 4, verify_representative=True)
 
 
 def test_verify_representative_needs_both_counts_in_the_budget():
-    # |C_(2,1^4)| = 15 fits a budget of 20; the S_6 table's 11 ** 2 = 121
-    # entries do not, and neither does the projection of (2) * (3,3), whose
-    # smaller orbit at stage 8 has C(8, 2) = 28 members: the larger count of
-    # the two routes, the projection's, is reported before anything is counted
+    # |C_(2,1^4)| = 15 fits a budget of 20; the rule's other route, Frobenius,
+    # reads the S_6 table's 11 ** 2 = 121 entries, which do not, so the
+    # projection stands in.  Its count is (2) * (3,3)'s own route's: neither
+    # the tables at n = 6, 7 (346 entries) nor the smaller orbit at stage 8,
+    # C(8, 2) = 28 members, fit, so it counts the smaller, 28.  The larger
+    # count of the two routes, the projection's, is reported before anything
+    # is counted
     lam, mu = fam(1, (2, 1, 1, 1, 1)), fam(1, (3, 3))
     assert ct.multiply_group(lam, mu, 6, budget=20) == ct._by_enumeration(lam, mu, 6, DEFAULT_BUDGET)
     with pytest.raises(BudgetExceeded) as info:
         ct.multiply_group(lam, mu, 6, budget=20, verify_representative=True)
     assert (info.value.needed, info.value.what) == (28, "partial class enumeration")
-    # lam * lam projects from (2) * (2), whose 6 members at stage 4 fit a
+    # lam * lam projects from (2) * (2) (rule clause 3, or in place of a
+    # built S_6 table that does not fit), whose 6 members at stage 4 fit a
     # budget of 10 while the class of 15 does not: the class is reported
     with pytest.raises(BudgetExceeded) as info:
         ct.multiply_group(lam, lam, 6, budget=10, verify_representative=True)
@@ -685,27 +688,36 @@ def test_character_route_matches_enumeration():
 def test_route_charges_the_table_build(monkeypatch):
     from wreathcenter import characters as ch
 
-    monkeypatch.setattr(ct, "_enumerated", Counter())
+    # a cold product builds its table only when its smaller orbit outnumbers
+    # the classes: the build reads at least #classes ** 2 entries, so fewer
+    # members enumerate (rule clauses 2 and 4), every time the product is asked
     ch.character_table.cache_clear()
-    # a cold one-off product of a 1-member class enumerates: the (3, 5)
-    # table has 108 ** 2 entries
+    routes = []
+    enumerate_product = ct._by_enumeration
+    monkeypatch.setattr(ct, "_by_enumeration", lambda *args: routes.append(args[:3]) or enumerate_product(*args))
+    # a one-member factor at (3, 5), whose table has 108 ** 2 entries, is one
+    # multiplication by its representative
     ident, gamma = PartitionFamily.identity(3, 5), fam(3, (1, 1), (2,), (1,))
     assert ct.multiply_group(ident, gamma, 5).terms == {gamma: 1}
-    assert not ch.has_character_table(3, 5)
-    # repeated products at (3, 3) enumerate until the next enumeration
-    # would bring their cost past the cost of building the table
+    # 18 members against the 22 classes at (3, 3); the proper parts have 2
+    # and 3 blocks, which do not fit in 3, so the product cannot project
     left, right = fam(3, (2, 1), (), ()), fam(3, (), (1,), (1, 1))
-    expected = ct._by_enumeration(left, right, 3, 10**6)
-    element_cost = class_size(left, 3) * ct._ELEMENT_COST
-    build_cost = len(families_with_size(3, 3)) ** 2 * (1 + ct._BUILD_COST)
-    built_at = None
-    for product in range(10):
+    assert class_size(left, 3) == 18 < class_size(right, 3) and ct._class_count(3, 3) == 22
+    expected = enumerate_product(left, right, 3, DEFAULT_BUDGET)
+    for _ in range(3):
         assert ct.multiply_group(left, right, 3) == expected
-        if built_at is None and ch.has_character_table(3, 3):
-            built_at = product
-    assert built_at >= 1
-    assert built_at * element_cost <= build_cost < (built_at + 1) * element_cost
-    assert ct._enumerated[3, 3] == built_at * element_cost
+    assert routes == [(ident, gamma, 5)] + [(left, right, 3)] * 3
+    assert not any(ch.has_character_table(3, m) for m in (3, 5))
+    # 36 members outnumber the classes (clause 5): the first product builds
+    # the (3, 3) table, and it and the next are read off it
+    other = fam(3, (), (1, 1), (1,))
+    assert class_size(other, 3) == 54 and class_size(right, 3) == 36
+    expected = enumerate_product(other, right, 3, DEFAULT_BUDGET)
+    routes.clear()
+    for _ in range(2):
+        assert ct.multiply_group(other, right, 3) == expected
+        assert ch.has_character_table(3, 3)
+    assert routes == []
 
 
 def test_warm_routes(monkeypatch):
@@ -714,12 +726,11 @@ def test_warm_routes(monkeypatch):
     def refuse(*args):
         raise AssertionError("this route must not be taken")
 
-    # a one-member orbit enumerates even with its table built: #classes ** 2
-    # bounds the Frobenius sum's reads and is what it is charged
+    # a one-member orbit with its table built is read off the table (rule
+    # clause 1), as every group product whose table is built is
     ch.character_table(3, 5)
     ident, gamma = PartitionFamily.identity(3, 5), fam(3, (1, 1), (2,), (1,))
-    monkeypatch.setattr(ch, "level_terms", refuse)
-    monkeypatch.setattr(ch, "group_terms", refuse)
+    monkeypatch.setattr(ct, "_by_enumeration", refuse)
     assert ct.multiply_group(ident, gamma, 5).terms == {gamma: 1}
     monkeypatch.undo()
     # a poly-rows product with the (2, 5) table built is read off it: 36 ** 2
@@ -739,11 +750,11 @@ def test_budget_falls_back_to_the_route_that_fits(monkeypatch):
     left, right = fam(3, (), (1, 1), (1,)), fam(3, (1,), (2,), ())
     ch.character_table(3, 3)
     smaller, entries = class_size(left, 3), len(families_with_size(3, 3)) ** 2
-    assert entries < smaller * ct._ELEMENT_COST and smaller < entries
+    assert smaller < entries
     by_characters = ct.multiply_group(left, right, 3)
     calls = []
     monkeypatch.setattr(ct, "_group_by_characters", lambda *args: calls.append(args))
-    # characters are cheaper, but only enumeration fits the budget
+    # the rule reads the built table (clause 1), but only enumeration fits the budget
     assert ct.multiply_group(left, right, 3, budget=smaller) == by_characters
     assert calls == []
     with pytest.raises(BudgetExceeded) as info:
@@ -754,17 +765,17 @@ def test_budget_falls_back_to_the_route_that_fits(monkeypatch):
 def test_a_warm_product_with_its_tables_built_is_not_priced(monkeypatch):
     from wreathcenter import characters as ch
 
-    # the (1, 7) table's 15 ** 2 = 225 entries, and the 420 of the tables at
-    # (1, 4..7), lie below enumeration's floor of 3 elements: once the tables
-    # are built, both products run their character route without a
-    # candidate list.  verify_representative still lists and runs both routes
+    # once the tables are built, a group product whose table entries fit the
+    # budget, and any universal product whose entries fit, runs its character
+    # route at once, without listing enumeration as its fallback.
+    # verify_representative still lists and counts both routes
     seven, four = fam(1, (7,)), fam(1, (4,))
     group = ct._by_enumeration(seven, seven, 7, DEFAULT_BUDGET)
     universal = ct._by_enumeration(four, four, None, DEFAULT_BUDGET)
     ch.character_table(1, 7)
     listed = []
-    list_candidates = ct._candidates
-    monkeypatch.setattr(ct, "_candidates", lambda *args: listed.append(args) or list_candidates(*args))
+    enumeration = ct._enumeration
+    monkeypatch.setattr(ct, "_enumeration", lambda *args: listed.append(args) or enumeration(*args))
     assert ct.multiply_group(seven, seven, 7) == group
     assert ct.multiply_universal(four, four) == universal
     assert ct.polynomial_structure(four, four).vector == universal
@@ -777,11 +788,10 @@ def test_a_warm_product_with_its_tables_built_is_not_priced(monkeypatch):
 def test_a_cold_one_off_leaves_its_table_unbuilt(monkeypatch):
     from wreathcenter import characters as ch
 
-    # README's one-off: {[3]:[1^8]} squared at (3, 8), from cleared tables and
-    # ledger, enumerates its 256 members rather than build the (3, 8) table
-    # of 810 ** 2 entries, 0.74 s cold; nor does it project, as its proper
-    # parts are the whole labels
-    monkeypatch.setattr(ct, "_enumerated", Counter())
+    # README's one-off: {[3]:[1^8]} squared at (3, 8), from cleared tables,
+    # enumerates its 256 members rather than build the (3, 8) table of
+    # 810 ** 2 entries, 0.74 s cold (rule clause 4: 256 members against 810
+    # classes); nor does it project, as its proper parts are the whole labels
     ch.character_table.cache_clear()
     label = parse_family("{[3]:[1,1,1,1,1,1,1,1]}", 3)
     assert class_size(label, 8) == 256 and ct._class_count(3, 8) == 810
@@ -792,7 +802,6 @@ def test_a_cold_one_off_leaves_its_table_unbuilt(monkeypatch):
     assert routes == [(label, label, 8, DEFAULT_BUDGET)]
     assert answer.terms[PartitionFamily.identity(3, 8)] == 256
     assert not ch.has_character_table(3, 8)
-    assert dict(ct._enumerated) == {(3, 8): 256 * ct._ELEMENT_COST}
 
 
 def test_route_rule_and_budget():
@@ -940,10 +949,13 @@ def _kept(terms, left, right):
 
 def test_wrong_level_of_the_universal_character_route_is_caught(monkeypatch):
     # one coefficient that one size's level keeps from its group product is
-    # one too large; a wrong size below the top keeps the mass at stage
-    # |L| + |R|, so every stage must be checked.  The sizes below the top are
-    # the ones read off tables.  A group coefficient one too large reads as
-    # `scale` more at its level, as if `lower` held `scale` less there
+    # one too large, at each size below the top (the sizes read off tables)
+    # in turn, and the route refuses it: at that stage's mass check, at the
+    # top stage's, or where the next level's subtraction turns negative.
+    # This pins that some check refuses each fault, not which one does; the
+    # per-stage check alone is pinned by the compensated fault test below.
+    # A group coefficient one too large reads as `scale` more at its level,
+    # as if `lower` held `scale` less there
     from wreathcenter import characters as ch
 
     true_level_terms = ch.level_terms
@@ -968,9 +980,10 @@ def test_wrong_padded_label_at_any_level_is_caught(monkeypatch):
     # at k = 3, one coefficient of each size's group product in turn is one
     # too large, always at a label that its level keeps with 1-parts in its
     # all-ones component: the labels that smaller ones pad to, so their
-    # level subtracts before the stage's mass, summed one size at a time, is
-    # checked.  Those stage checks are the only mass checks this route
-    # makes.  Every size below the top, which is read off no table, is
+    # level subtracts before the stage's mass is checked.  check_mass is
+    # switched off, so the route's own checks refuse each fault: a stage
+    # check or a later level's negative refusal, which this does not tell
+    # apart.  Every size below the top, which is read off no table, is
     # bumped where a level reads such a label: where the second filtration
     # lets its new labels have a 1-part.  A group coefficient one too large
     # reads as `scale` more at its level, as if `lower` held `scale` less
@@ -998,6 +1011,43 @@ def test_wrong_padded_label_at_any_level_is_caught(monkeypatch):
                 ct._universal_by_characters(left, right)
             monkeypatch.undo()
             assert len(bumped) == 1 and bumped[0].m1
+
+
+def test_a_level_fault_that_the_next_level_compensates_is_caught_at_its_stage(monkeypatch):
+    # (2) * (2) = 1 C(1,1) + 3 C(3) + 2 C(2,2) reads levels 2 and 3.  Four
+    # units more at (1,1) from level 2 and three fewer at (3) from level 3
+    # keep the mass at the top stage 4, 4 C(4, 2) 1 = 3 C(4, 3) 2, and every
+    # coefficient non-negative; level 3 reads `lower` as the true level 2
+    # leaves it, so it refuses nothing.  Only the checks of the stages below
+    # the top see the moved units, and the first, at stage 2, refuses them
+    from wreathcenter import characters as ch
+
+    two, ones, three = fam(1, (2,)), fam(1, (1, 1)), fam(1, (3,))
+    true_answer = ct._by_enumeration(two, two, None, DEFAULT_BUDGET)
+    assert true_answer.terms == {ones: 1, three: 3, fam(1, (2, 2)): 2}
+    moves = {2: {ones: 4}, 3: {three: -3}}
+    wrong = {g: c + moves[g.size].get(g, 0) for g, c in true_answer.items() if g.size < 4}
+    wrong[fam(1, (2, 2))] = 2
+    ct.check_mass(ct.ClassSumVector(1, wrong), two, two)
+    true_level_terms = ch.level_terms
+
+    def level_terms(left, right, scale, lower):
+        n = left.size
+        for gamma, moved in moves.get(n - 1, {}).items():
+            padded, factor, _ = ct._at(gamma, n)
+            lower[padded] -= moved * factor
+            if not lower[padded]:
+                del lower[padded]
+        flat, mass = true_level_terms(left, right, scale, lower)
+        terms = dict(zip(flat[::2], flat[1::2]))
+        for gamma, moved in moves[n].items():
+            terms[gamma] = terms.get(gamma, 0) + moved
+            mass += moved * class_size(gamma, n)
+        return tuple(x for term in terms.items() if term[1] for x in term), mass
+
+    monkeypatch.setattr(ch, "level_terms", level_terms)
+    with pytest.raises(InvariantViolation, match="at stage 2 is"):
+        ct._universal_by_characters(two, two)
 
 
 def test_negative_level_coefficient_with_its_mass_kept_is_caught(monkeypatch):
@@ -1140,65 +1190,50 @@ def test_mass_by_size_is_the_mass_by_label():
 def test_universal_route_charges_the_table_builds(monkeypatch):
     from wreathcenter import characters as ch
 
-    monkeypatch.setattr(ct, "_enumerated", Counter())
-    ch.character_table.cache_clear()
-    # the tables at (3, 2) and (3, 3) have 9 ** 2 + 22 ** 2 entries; one
-    # product enumerates the 6 members of the orbit of {[1,1,1]:[1,1]} at
-    # stage 4.  The top size, 4, is found in closed form, so the (3, 4) table
-    # is never read
+    # a cold universal product takes its character route, which builds the
+    # tables it reads: here (3, 2) and (3, 3), 9 ** 2 + 22 ** 2 = 565 entries,
+    # against the 6 members of the orbit of {[1,1,1]:[1,1]} at stage 4.  The
+    # top size, 4, is found in closed form, so the (3, 4) table is never read.
+    # The budget counts the entries whether or not the tables are built: below
+    # 565 the product enumerates, and builds nothing
     left, right = fam(3, (1, 1), (), ()), fam(3, (), (), (2,))
-    smaller, sizes = 6, (2, 3)
-    assert smaller == kp.partial_class_size(left, 4) < kp.partial_class_size(right, 4)
+    assert kp.partial_class_size(left, 4) == 6 < kp.partial_class_size(right, 4)
     expected = ct._by_enumeration(left, right, None, 10**6)
-    # a cold one-off product enumerates and builds no table
-    assert ct.multiply_universal(left, right) == expected
-    assert not any(ch.has_character_table(3, n) for n in sizes)
-    # repeated products enumerate until the tables' charge, less what the
-    # enumeration at each size has cost, falls below one more enumeration
-    enumeration = smaller * ct._ELEMENT_COST
-    entries = [len(families_with_size(3, n)) ** 2 for n in sizes]
-
-    def charge(products):
-        return sum(e + max(e * ct._BUILD_COST - products * enumeration, 0) for e in entries)
-
-    built_at = None
-    for product in range(1, 12):
-        assert ct.multiply_universal(left, right) == expected
-        if built_at is None and ch.has_character_table(3, 3):
-            built_at = product
-    assert built_at >= 2
-    assert charge(built_at - 1) >= enumeration > charge(built_at)
-    assert all(ch.has_character_table(3, n) for n in sizes)
+    routes = []
+    enumerate_product = ct._by_enumeration
+    monkeypatch.setattr(ct, "_by_enumeration", lambda *args: routes.append(args[:3]) or enumerate_product(*args))
+    ch.character_table.cache_clear()
+    assert ct.multiply_universal(left, right, budget=564) == expected
+    assert routes == [(left, right, None)]
+    assert not any(ch.has_character_table(3, n) for n in (2, 3))
+    routes.clear()
+    assert ct.multiply_universal(left, right, budget=565) == expected
+    assert routes == []
+    assert all(ch.has_character_table(3, n) for n in (2, 3))
     assert not ch.has_character_table(3, 4)
-    assert all(ct._enumerated[3, n] == built_at * enumeration for n in sizes)
-    assert ct._enumerated[3, 4] == 0
 
 
 def test_route_pricing_does_not_outlive_the_tables(monkeypatch):
-    # the #classes ** 2 sums are kept per (k, sizes), but whether a table is
-    # built is asked on every product: once character_table.cache_clear()
-    # drops the tables, the same products enumerate again and are charged the
-    # builds again, product for product as in a new process
+    # whether a table is built is asked on every product: a product that
+    # enumerates cold (rule clauses 2 and 4) is read off its table once it is
+    # built (clause 1), and once character_table.cache_clear() drops the
+    # tables it enumerates again, product for product as in a new process
     from wreathcenter import characters as ch
 
-    def products_until_built(left, right, n, sizes, expected):
-        monkeypatch.setattr(ct, "_enumerated", Counter())
-        for product in range(1, 12):
+    routes = []
+    enumerate_product = ct._by_enumeration
+    monkeypatch.setattr(ct, "_by_enumeration", lambda *args: routes.append(args[2]) or enumerate_product(*args))
+    one_member = PartitionFamily.identity(3, 5), fam(3, (1, 1), (2,), (1,)), 5
+    few_members = fam(3, (2, 1), (), ()), fam(3, (), (1,), (1, 1)), 3
+    for left, right, n in (one_member, few_members):
+        expected = enumerate_product(left, right, n, DEFAULT_BUDGET)
+        for build in (False, True, False):
+            ch.character_table.cache_clear()
+            if build:
+                ch.character_table(3, n)
+            routes.clear()
             assert ct._product(left, right, n, DEFAULT_BUDGET, False) == expected
-            if all(ch.has_character_table(3, m) for m in sizes):
-                return product, dict(ct._enumerated)
-        raise AssertionError("the tables were never built")
-
-    universal = fam(3, (1, 1), (), ()), fam(3, (), (), (2,))
-    group = fam(3, (2, 1), (), ()), fam(3, (), (1,), (1, 1))
-    for (left, right), n, sizes in [(universal, None, (2, 3)), (group, 3, (3,))]:
-        case = left, right, n, sizes, ct._by_enumeration(left, right, n, 10**6)
-        ch.character_table.cache_clear()
-        first = products_until_built(*case)
-        assert first[0] >= 2
-        ch.character_table.cache_clear()
-        assert not any(ch.has_character_table(3, m) for m in sizes)
-        assert products_until_built(*case) == first
+            assert routes == ([] if build else [n])
 
 
 def test_universal_budget_takes_the_route_that_fits(monkeypatch):

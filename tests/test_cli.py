@@ -353,24 +353,29 @@ def test_import_loads_neither_hashlib_nor_json():
 
 
 TRANSPOSITION_N7 = "{[1]:[2,1,1,1,1,1]}"
+IDENTITY_N7 = "{[1]:[1,1,1,1,1,1,1]}"
 SEVEN_CYCLE = "{[1]:[7]}"
 
 
 def test_each_command_loads_the_enumeration_layers_only_when_it_enumerates(capsys, tmp_path):
     # a multiply cache hit is parsed and mass-checked without the routes of
     # center, and a poly miss the character route serves reads the tables:
-    # neither loads what it does not run.  A cold S_7 product whose 21
-    # members cost less than building the table, or projecting from the
-    # tables up to (1, 8), enumerates; chartable runs
-    # no product and classes neither.  verify expands its product by
-    # enumeration.  Only help and usage errors build the argparse parser
+    # neither loads what it does not run.  A cold S_7 product of the identity
+    # is one multiplication by its representative (rule clause 2); a cold
+    # S_7 transposition times a 7-cycle, whose 21 members outnumber the 15
+    # classes and whose proper parts do not fit in 7, reads the table
+    # (clause 5).  chartable runs no product and classes neither.  verify
+    # expands its product by enumeration.  Only help and usage errors build
+    # the argparse parser
     cache = tmp_path / "coeffs.cache"
     assert call(capsys, *TRANSPOSITIONS_N4, "--cache", str(cache))[0] == 0
     hit = [*TRANSPOSITIONS_N4, "--cache", str(cache)]
     poly = ["poly", "--k", "2", "--left", "{[2]:[4]}", "--right", "{[1,1]:[4]}"]
     poly += ["--cache", str(tmp_path / "miss.cache")]
-    enumerated = ["multiply", "--k", "1", "--n", "7", "--left", TRANSPOSITION_N7, "--right", SEVEN_CYCLE]
+    enumerated = ["multiply", "--k", "1", "--n", "7", "--left", IDENTITY_N7, "--right", SEVEN_CYCLE]
     enumerated += ["--cache", str(tmp_path / "enumerated.cache")]
+    frobenius = ["multiply", "--k", "1", "--n", "7", "--left", TRANSPOSITION_N7, "--right", SEVEN_CYCLE]
+    frobenius += ["--cache", str(tmp_path / "frobenius.cache")]
     # a product with an empty input is the other input and reads no table
     empty = ["universal", "--k", "2", "--left", "{}", "--right", "{[2]:[4]}"]
     verify = ["verify", "--k", "1", "--left", "{[1]:[2]}", "--right", "{[1]:[3]}"]
@@ -380,6 +385,7 @@ def test_each_command_loads_the_enumeration_layers_only_when_it_enumerates(capsy
         (poly, 0, [answers, center, characters]),
         (empty, 0, [answers, center]),
         (enumerated, 0, [answers, "wreathcenter.blockperm", center, "wreathcenter.kpartial"]),
+        (frobenius, 0, [answers, center, characters]),
         (["chartable", "--k", "2", "--n", "3"], 0, [characters]),
         (["classes", "--k", "2", "--n", "3"], 0, []),
         (verify, 0, [answers, "wreathcenter.blockperm", center, characters, "wreathcenter.kpartial"]),
@@ -397,24 +403,21 @@ def test_each_command_loads_the_enumeration_layers_only_when_it_enumerates(capsy
 
 def test_a_table_built_before_the_first_product_counts_as_built():
     # center loads characters only when a product takes the character route;
-    # a table that characters built first still prices as built.  The S_7
-    # table's 15^2 entries then undercut the 21 members of the transposition
-    # class, which a cold process enumerates instead, charging them to (1, 7);
-    # times the 7-cycle, the product's projection would read tables up to (1, 8)
-    def product(ledger):
-        return (
-            "from wreathcenter import center\n"
-            "from wreathcenter.families import parse_family\n"
-            f"t, c = parse_family({TRANSPOSITION_N7!r}, 1), parse_family({SEVEN_CYCLE!r}, 1)\n"
-            "center.multiply_group(t, c, 7)\n"
-            f"if dict(center._enumerated) != {ledger!r}:\n    sys.exit(1)"
-        )
-
+    # a table that characters built first still counts as built.  The S_7
+    # identity times a 7-cycle is then read off the S_7 table (rule clause 1),
+    # and loads no enumeration layer; a cold process multiplies the identity's
+    # representative once (clause 2), and loads no characters
+    product = (
+        "from wreathcenter import center\n"
+        "from wreathcenter.families import parse_family\n"
+        f"e, c = parse_family({IDENTITY_N7!r}, 1), parse_family({SEVEN_CYCLE!r}, 1)\n"
+        "if center.multiply_group(e, c, 7).terms != {c: 1}:\n    sys.exit(1)"
+    )
     built = "from wreathcenter import characters\ncharacters.character_table(1, 7)\n"
-    assert loaded_on_first_use(built + product({})) == repr(
+    assert loaded_on_first_use(built + product) == repr(
         ["wreathcenter.answers", "wreathcenter.center", "wreathcenter.characters"]
     )
-    assert loaded_on_first_use(product({(1, 7): 30240})) == repr(
+    assert loaded_on_first_use(product) == repr(
         ["wreathcenter.answers", "wreathcenter.blockperm", "wreathcenter.center", "wreathcenter.kpartial"]
     )
 
@@ -774,11 +777,11 @@ def test_verify_representative_recounts_poly_and_universal(capsys, monkeypatch):
         assert out == ""
         assert "error: invariant-violation" in err
     # control: without the flag every other check passes, so exit 3 above is the check;
-    # free enumeration pins the product to the route that extracts types
-    monkeypatch.setattr(ct, "_ELEMENT_COST", 0)
-    monkeypatch.setattr(ct, "_ENUMERATION_COST", 0)
+    # a budget of 6 fits the 6 members of the smaller orbit at stage 4 and not the
+    # 2 ** 2 + 3 ** 2 = 13 table entries, so it pins the product to the route that
+    # extracts types
     mislabel_one_22_product(monkeypatch)
-    code, out, _ = call(capsys, "universal", *pair)
+    code, out, _ = call(capsys, "universal", *pair, "--max-group-size", "6")
     assert code == 0
     assert "{[1]:[2,2]}" not in out
 

@@ -3,8 +3,8 @@
 The route rule in `center._product` picks one route per product, so a
 route it never picks for some inputs would go unchecked there; these
 tests call the routes themselves, each character route in both orders.
-One seeded test checks the rule itself: `_product` runs the route that the
-priced candidate list picks, also where it runs a character route unpriced.
+One seeded test checks the rule itself: `_product` runs the clause that the
+rule names, whichever tables are built and whatever the budget.
 On the smallest draws two slow oracles join them: the transport map's
 multiplicativity (`verify_iso`) on universal products, and a tally over
 the class scanned out of the whole group (`enumerate_group` filtered by
@@ -138,9 +138,8 @@ def test_universal_characters_match_enumeration(pair):
 
 
 def projected(left, right, n):
-    """The group product by the projection candidate's own run, whatever the other routes cost."""
-    run = ct._projection(left, right, n, DEFAULT_BUDGET)[3]
-    return run(left, right, n, DEFAULT_BUDGET)
+    """The group product by the projection route's own run, whatever route the rule names."""
+    return ct._by_projection(left, right, n, DEFAULT_BUDGET)
 
 
 @ROUTES
@@ -200,11 +199,11 @@ def test_projection_matches_the_group_routes_at_large_n(k, n, left, right):
     assert_filtrations_and_signed_masses(answer, left, right, n)
 
 
-def test_a_cold_product_at_large_n_projects_from_the_small_tables(monkeypatch):
+def test_a_cold_product_at_large_n_projects_from_the_small_tables():
     # transposition squared at n = 40: enumeration walks 780 members, the
     # Frobenius sum would read the (1, 40) table of 37,338 ** 2 entries, and
-    # the universal product of (2) * (2) reads the tables at n = 2, 3 only
-    monkeypatch.setattr(ct, "_enumerated", Counter())
+    # the universal product of (2) * (2) reads the tables at n = 2, 3 only:
+    # its proper parts fit in n, so the rule projects (clause 3)
     ch.character_table.cache_clear()
     transposition = pad_family(parse_family("{[1]:[2]}", 1), 40)
     assert class_size(transposition, 40) == 780
@@ -232,112 +231,142 @@ def test_a_projected_coefficient_moved_by_one_unit_is_refused(monkeypatch):
 
 
 # the largest n of a group product, and |L| + |R| of a universal one, that the
-# route-choice test draws at each k; the tables up to each n are built once,
-# and each case keeps a drawn subset of them
-CHOICE_GROUP_MOST = {1: 12, 2: 6, 3: 5}
-CHOICE_UNIVERSAL_MOST = {1: 9, 2: 7, 3: 6}
-CHOICE_CASES = 3000
+# rule test draws at each k; the tables up to each are built once, and each
+# case keeps a drawn subset of them.  A draw whose smaller orbit has more
+# members than RULE_MOST_MEMBERS is drawn again, so that no route and no
+# oracle walks more than that
+RULE_GROUP_MOST = {1: 8, 2: 5, 3: 4}
+RULE_UNIVERSAL_MOST = {1: 8, 2: 6, 3: 5}
+RULE_MOST_MEMBERS = 800
+RULE_CASES = 3000
 
 
-def priced_route(left, right, n, budget):
-    """The (name, count, cost, run) that the priced candidate list picks, as `_product` lists it."""
-    candidates = ct._candidates(left, right, n, budget)
-    route = ct._cheapest(candidates, budget)
-    if n is not None and (route[1] > budget or route[2] > ct._LEVEL_COST):
-        candidates.append(ct._projection(left, right, n, budget))
-        route = ct._cheapest(candidates, budget)
+def fit(route, fallback, budget):
+    """`route` if it fits, else `fallback` if it fits, else the smaller count, `fallback` on a tie."""
+    if route[2] <= budget:
+        return route
+    if fallback[2] <= budget or fallback[2] <= route[2]:
+        return fallback
     return route
 
 
-def test_product_runs_the_route_the_priced_list_picks(monkeypatch):
-    # a product whose tables are all built, whose count fits and lies below
-    # enumeration's floor (and, for a group product, below a level) runs its
-    # character route unpriced.  On drawn products, built tables, ledgers,
-    # budgets and route costs, _product runs what the priced list picks, or
-    # refuses as it would.  The runs are spies that record their call and
-    # count nothing, so each case costs only its pricing
+def universal_rule(left, right, budget):
+    """(run, name, count) of the universal rule: the character route, or enumeration when only it fits."""
+    stage = left.size + right.size
+    entries = sum(len(families_with_size(left.k, m)) ** 2 for m in range(max(left.size, right.size), stage))
+    smaller = min(partial_class_size(left, stage), partial_class_size(right, stage))
+    return fit(("universal characters", "character table", entries),
+               ("enumeration", "partial class enumeration", smaller), budget)
+
+
+def group_rule(left, right, n, budget):
+    """(clause, (run, name, count)) of the group rule at n, the budget's fallback as clause "fallback"."""
+    k, smaller = left.k, min(class_size(left, n), class_size(right, n))
+    classes = len(families_with_size(k, n))
+    enumeration = ("enumeration", "class enumeration", smaller)
+    frobenius = ("frobenius", "character table", classes**2)
+    proper_left, proper_right = ct._proper_family(left), ct._proper_family(right)
+    if ch.has_character_table(k, n):
+        clause, route = 1, frobenius
+    elif smaller == 1:
+        clause, route = 2, enumeration
+    elif proper_left.size + proper_right.size <= n:
+        clause, route = 3, ("projection", *universal_rule(proper_left, proper_right, budget)[1:])
+    elif smaller <= classes:
+        clause, route = 4, enumeration
+    else:
+        clause, route = 5, frobenius
+    taken = fit(route, enumeration, budget)
+    return (clause if taken is route else "fallback"), taken
+
+
+def test_product_runs_the_clause_the_rule_names(monkeypatch):
+    # on drawn products, subsets of built tables and budgets, _product runs
+    # the route that the rule, restated here, names: a universal product its
+    # character route; a group product Frobenius when its table is built (1),
+    # enumeration when its smaller orbit has one member (2), the projection
+    # of its proper parts' product when they fit in n (3), enumeration when
+    # the smaller orbit has at most #classes members (4), else Frobenius (5).
+    # A route that does not fit gives way to enumeration if that fits, and
+    # else the smaller count is refused.  The runs are spies around the true
+    # routes, and every answer equals enumeration's
     rng = random.Random(2019)
     calls = []
+    true_enumeration = ct._by_enumeration
 
-    def spy(name):
-        def run(left, right, n, budget):
+    def spy(name, route):
+        def run(left, right, n=None, *rest):
             calls.append((name, left, right, n))
-            return name
+            return route(left, right, n, *rest)
 
         return run
 
-    listed = []
-    list_candidates = ct._candidates
-    monkeypatch.setattr(ct, "_candidates", lambda *args: listed.append(args) or list_candidates(*args))
-    monkeypatch.setattr(ct, "_enumerate", spy("enumeration"))
-    monkeypatch.setattr(ct, "_group_by_characters", spy("frobenius"))
-    monkeypatch.setattr(ct, "_universal_by_characters", spy("universal characters"))
-    monkeypatch.setattr(ct, "project", lambda vector, n: calls.append(("project", vector, n)))
-    monkeypatch.setattr(ct, "check_mass", lambda *args: None)
-    monkeypatch.setattr(ct, "_enumerated", Counter())
-    costs = {name: getattr(ct, name) for name in ("_ELEMENT_COST", "_ENUMERATION_COST", "_LEVEL_COST")}
+    true_project = ct.project
+    monkeypatch.setattr(ct, "_by_enumeration", spy("enumeration", true_enumeration))
+    monkeypatch.setattr(ct, "_group_by_characters", spy("frobenius", ct._group_by_characters))
+    monkeypatch.setattr(ct, "_universal_by_characters", spy("universal characters", ct._universal_by_characters))
+    monkeypatch.setattr(ct, "project", lambda vector, n: calls.append(("project", n)) or true_project(vector, n))
+    oracle = {}
     kept = dict(ch._tables)
     ch.character_table.cache_clear()
-    for k, n in CHOICE_GROUP_MOST.items():
-        ch.character_table(k, n)
+    for k in (1, 2, 3):
+        ch.character_table(k, max(RULE_GROUP_MOST[k], RULE_UNIVERSAL_MOST[k] - 1))
     built = dict(ch._tables)
     seen = Counter()
     try:
-        for _ in range(CHOICE_CASES):
+        while sum(seen.values()) < RULE_CASES:
             k = rng.randint(1, 3)
-            if rng.random() < 0.5:
-                n = rng.randint(0, CHOICE_GROUP_MOST[k])
+            if rng.random() < 0.6:
+                n = rng.randint(0, RULE_GROUP_MOST[k])
                 left, right = (rng.choice(families_with_size(k, n)) for _ in "LR")
+                stage = n
             else:
-                n, total = None, rng.randint(0, CHOICE_UNIVERSAL_MOST[k])
-                size = rng.randint(0, total)
+                n, stage = None, rng.randint(0, RULE_UNIVERSAL_MOST[k])
+                size = rng.randint(0, stage)
                 left = rng.choice(families_with_size(k, size))
-                right = rng.choice(families_with_size(k, total - size))
+                right = rng.choice(families_with_size(k, stage - size))
+            smaller = min(partial_class_size(left, stage), partial_class_size(right, stage))
+            if smaller > RULE_MOST_MEMBERS:
+                continue
             share = rng.random()
             ch.character_table.cache_clear()
             ch._tables.update((key, entry) for key, entry in built.items() if rng.random() < share)
-            ct._enumerated.clear()
-            for key in built:
-                if rng.random() < 0.3:
-                    charge = ct._class_count(*key) ** 2 * ct._BUILD_COST
-                    ct._enumerated[key] = rng.randint(0, charge + charge // 4)
-            _, lo, hi = ct._stages(left, right, n)
-            entries = ct._entries(k, lo, hi)
-            drawn = list(costs.values())
-            patched = rng.random() < 0.4
-            if patched:
-                # costs from 0 up; some put enumeration's floor, or a level, at the count
-                drawn = [rng.choice([0, int(10 ** rng.uniform(0, 4))]) for _ in costs]
-                if rng.random() < 0.3:
-                    drawn[1] = max(entries - drawn[0], 0)
-                    drawn[2] = rng.choice([entries, drawn[2]])
-            for name, cost in zip(costs, drawn):
-                monkeypatch.setattr(ct, name, cost)
-            budget = rng.choice([DEFAULT_BUDGET, int(10 ** rng.uniform(0, 5)), entries, entries - 1])
-            name, count, _, run = priced_route(left, right, n, budget)
+            if n is None:
+                taken = universal_rule(left, right, DEFAULT_BUDGET)
+            else:
+                taken = group_rule(left, right, n, DEFAULT_BUDGET)[1]
+            budget = rng.choice([DEFAULT_BUDGET, int(10 ** rng.uniform(0, 3)), smaller, smaller - 1,
+                                 taken[2], taken[2] - 1])
+            if n is None:
+                taken = universal_rule(left, right, budget)
+                clause = "characters" if taken[0] != "enumeration" else "fallback"
+            else:
+                clause, taken = group_rule(left, right, n, budget)
+            run, name, count = taken
             calls.clear()
             if count > budget:
                 with pytest.raises(BudgetExceeded) as info:
                     ct._product(left, right, n, budget, False)
                 assert (info.value.needed, info.value.budget, info.value.what) == (count, budget, name)
                 assert calls == []
-                seen["refused"] += 1
+                seen["refused", n is None] += 1
                 continue
-            run(left, right, n, budget)
-            expected = calls[:]
-            calls.clear()
-            listed.clear()
-            ct._product(left, right, n, budget, False)
-            assert calls == expected, (left, right, n, budget)
-            route = "projection" if expected[-1][0] == "project" else expected[0][0]
-            seen["unpriced" if not listed else "priced", patched, route] += 1
+            answer = ct._product(left, right, n, budget, False)
+            if (left, right, n) not in oracle:
+                oracle[left, right, n] = true_enumeration(left, right, n, DEFAULT_BUDGET)
+            assert answer == oracle[left, right, n]
+            if run == "projection":
+                proper_left, proper_right = ct._proper_family(left), ct._proper_family(right)
+                inner = universal_rule(proper_left, proper_right, budget)[0]
+                assert calls == [(inner, proper_left, proper_right, None), ("project", n)]
+            else:
+                assert calls == [(run, left, right, n)], (left, right, n, budget)
+            seen[clause, n is None] += 1
     finally:
         ch.character_table.cache_clear()
         ch._tables.update(kept)
-    # every kind of case is met, under the costs as they stand and patched
-    for patched in (False, True):
-        for route in ("frobenius", "universal characters"):
-            assert seen["unpriced", patched, route] >= 20
-        for route in ("frobenius", "universal characters", "enumeration", "projection"):
-            assert seen["priced", patched, route] >= 20
-    assert seen["refused"] >= 20
+    # every clause is met, and the budget's fallback and refusal on both kinds
+    for clause in (1, 2, 3, 4, 5, "fallback", "refused"):
+        assert seen[clause, False] >= 20, (clause, seen)
+    for clause in ("characters", "fallback", "refused"):
+        assert seen[clause, True] >= 20, (clause, seen)
