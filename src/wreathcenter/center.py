@@ -16,13 +16,12 @@ for their proper parts P and Q.  `_product` picks the route by the rule in
 its docstring, from the structure of the product alone.  README "How a
 product is counted" has the derivations.
 
-Each route imports its layer on first use: `_by_enumeration` the two
-enumeration layers, and the character route `characters`, which binds the
-`ch` global.  So a process that counts every product by characters never
-loads the enumeration layers.  A table built through `characters` before
-the first product counts as built.  Kept for the process: per (label, n)
-the padded form, pad factor and orbit size (`_at`), per label the proper
-part (`_proper_family`), and the counts `_entries` and `_class_count`.
+`_by_enumeration` imports the one enumeration layer it walks on first
+use: `blockperm` for a group product, `kpartial` for a universal one, so
+a process that counts every product by characters loads neither.  Kept
+for the process: per (label, n) the padded form, pad factor and orbit
+size (`_at`), per label the proper part (`_proper_family`), and the
+counts `_entries` and `_class_count`.
 
 The answer types `ClassSumVector` and `PolynomialStructure`, `check_mass`,
 `project` and the memos `_at` and `_proper_family` live in `answers`, so a
@@ -32,11 +31,11 @@ here, and read from here, as before.  Patching `check_mass`, `project` or
 `answers`' own functions call.
 """
 
-import sys
 from functools import cache
 from math import comb
 from operator import index
 
+from . import characters as ch
 from .answers import (
     ClassSumVector,
     PolynomialStructure,
@@ -103,11 +102,6 @@ def multiply_universal(
     return _product(left, right, None, budget, verify_representative)
 
 
-# the characters module once a group product is routed after it is loaded,
-# or a product takes a character route; None until then, when no table is built
-ch = None
-
-
 def _product(left, right, n, budget, verify_representative):
     """The product of two class sums at size n, or in the universal algebra when n is None.
 
@@ -137,11 +131,8 @@ def _product(left, right, n, budget, verify_representative):
         if n is None:
             if _entries(k, max(left.size, right.size), left.size + right.size) <= budget:
                 return _universal_by_characters(left, right)
-        else:
-            if ch is None:
-                _bind_characters()
-            if ch is not None and ch.has_character_table(k, n) and _entries(k, n, n + 1) <= budget:
-                return _group_by_characters(left, right, n)
+        elif ch.has_character_table(k, n) and _entries(k, n, n + 1) <= budget:
+            return _group_by_characters(left, right, n)
     enumeration = _enumeration(left, right, n)
     if n is None:
         route = other = _universal_characters(left, right)
@@ -169,9 +160,8 @@ def _group_routes(left, right, n, enumeration, budget):
 
     A route is (name, budget count, run), and a run takes (left, right, n, budget).
     """
-    _bind_characters()
     frobenius = _frobenius(left.k, n)
-    if ch is not None and ch.has_character_table(left.k, n):
+    if ch.has_character_table(left.k, n):
         return frobenius, frobenius
     if _proper_family(left).size + _proper_family(right).size <= n:
         other = _projection(left, right, budget)
@@ -230,19 +220,6 @@ def _by_projection(left, right, n, budget):
     return vector
 
 
-def _bind_characters():
-    """Bind `ch` to the characters module once it is loaded, by this module or another."""
-    global ch
-    if ch is None:
-        ch = sys.modules.get(f"{__package__}.characters")
-
-
-def _import_characters():
-    """Bind `ch` to the characters module, importing it: the character route's first use."""
-    global ch
-    from . import characters as ch
-
-
 @cache
 def _entries(k: int, lo: int, hi: int) -> int:
     """The sum of #classes ** 2 over the sizes lo..hi - 1; it holds counts only, never built-ness."""
@@ -277,14 +254,15 @@ def _by_enumeration(left, right, n, budget):
     representative, so no walk builds it again.
     """
     # absolute: a relative import in a function body costs about 1.5 us more per call
-    import wreathcenter.blockperm as bp
-    import wreathcenter.kpartial as kp
-
     if n is None:
+        import wreathcenter.kpartial as kp
+
         stage = left.size + right.size
         members = lambda fam: kp.universal_class_members(fam, stage, budget)
         representative, type_of = kp.partial_class_representative, kp.kp_type
     else:
+        import wreathcenter.blockperm as bp
+
         stage = n
         members = lambda fam: bp.enumerate_class(fam, n, budget=budget)
         representative, type_of = bp.class_representative, bp.BlockPermutation.type_of
@@ -315,8 +293,6 @@ def _group_by_characters(left, right, n, *_):
     table's own classes, so they are wrapped unchecked.  The budget a
     route's run also passes is not read: the count was checked before.
     """
-    if ch is None:
-        _import_characters()
     return _checked_vector(left.k, n, ch.group_terms(left, right))
 
 
@@ -338,8 +314,6 @@ def _universal_by_characters(left, right, *_):
     flat = []
     masses = []
     lo, top = max(left.size, right.size), left.size + right.size
-    if lo < top and ch is None:
-        _import_characters()
     for n in range(lo, top):
         padded_left, left_factor, left_orbit = _at(left, n)
         padded_right, right_factor, right_orbit = _at(right, n)

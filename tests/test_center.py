@@ -192,6 +192,20 @@ def test_mislabelled_product_is_caught(monkeypatch):
         ct.multiply_group(transposition, transposition, 4, verify_representative=True)
 
 
+def test_a_wrong_class_size_is_caught_by_the_enumeration_mass_check(monkeypatch):
+    # the identity sized as 2 members at n = 3 halves c_e in (3) * (3), from 2
+    # to 1, and keeps every quotient exact: 2 * 1 / 2 at e and 2 * 1 / 2 at
+    # (3).  check_mass sizes the classes through _at, which the patch does
+    # not reach, and reads the mass 1 * 1 + 1 * 2 = 3, not 2 * 2
+    real = ct.partial_class_size
+    identity, cycle = PartitionFamily.identity(1, 3), fam(1, (3,))
+    monkeypatch.setattr(
+        ct, "partial_class_size", lambda f, stage: 2 if (f, stage) == (identity, 3) else real(f, stage)
+    )
+    with pytest.raises(InvariantViolation, match="mass 3 != .* = 4"):
+        ct._by_enumeration(cycle, cycle, 3, DEFAULT_BUDGET)
+
+
 def test_budget_bounds_the_smaller_orbit():
     lam = fam(1, (2, 1, 1))
     assert ct.multiply_group(lam, lam, 4, budget=6) == ct.multiply_group(lam, lam, 4)
@@ -659,6 +673,20 @@ def test_verify_representative_needs_both_counts_in_the_budget():
     assert ct.multiply_group(lam, lam, 6, budget=15, verify_representative=True).terms[
         PartitionFamily.identity(1, 6)
     ] == 15
+
+
+def test_verify_representative_refuses_before_counting_either_route():
+    # (2,2) x (4) at n = 4: the 3 members of (2,2) fit a budget of 20, but
+    # its proper parts do not fit in 4, so the other route is Frobenius on
+    # the S_4 table's 5 ** 2 = 25 entries, which do not.  The larger count is
+    # refused before either route runs, so the table is not built
+    from wreathcenter import characters as ch
+
+    ch.character_table.cache_clear()
+    with pytest.raises(BudgetExceeded) as info:
+        ct.multiply_group(fam(1, (2, 2)), fam(1, (4,)), 4, budget=20, verify_representative=True)
+    assert (info.value.needed, info.value.budget, info.value.what) == (25, 20, "character table")
+    assert not ch.has_character_table(1, 4)
 
 
 def test_budget_exceeded():

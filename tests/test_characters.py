@@ -747,3 +747,20 @@ def test_wrong_degree_fails_the_identity_column_check(monkeypatch):
         assert not ch.has_character_table(2, 2)
     finally:
         ch.character_table.cache_clear()
+
+
+def test_swapped_degrees_fail_the_identity_column_check(monkeypatch):
+    # the degrees 3 and 2 of (3,1) and (2,2) at (1, 4) swapped: every
+    # |G| / chi(1) is still exact and the degree-1 characters are still the
+    # same rows, so only the identity column, built by the Murnaghan-Nakayama
+    # rule, tells the degrees wrong
+    real = ch.wreath_dim
+    swap = {fam(1, (3, 1)): fam(1, (2, 2)), fam(1, (2, 2)): fam(1, (3, 1))}
+    monkeypatch.setattr(ch, "wreath_dim", lambda irrep: real(swap.get(irrep, irrep)))
+    ch.character_table.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation, match="is not the degrees"):
+            ch.character_table(1, 4)
+        assert not ch.has_character_table(1, 4)
+    finally:
+        ch.character_table.cache_clear()

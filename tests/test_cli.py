@@ -361,12 +361,13 @@ def test_each_command_loads_the_enumeration_layers_only_when_it_enumerates(capsy
     # a multiply cache hit is parsed and mass-checked without the routes of
     # center, and a poly miss the character route serves reads the tables:
     # neither loads what it does not run.  A cold S_7 product of the identity
-    # is one multiplication by its representative (rule clause 2); a cold
-    # S_7 transposition times a 7-cycle, whose 21 members outnumber the 15
-    # classes and whose proper parts do not fit in 7, reads the table
-    # (clause 5).  chartable runs no product and classes neither.  verify
-    # expands its product by enumeration.  Only help and usage errors build
-    # the argparse parser
+    # is one multiplication by its representative (rule clause 2), which walks
+    # blockperm and not kpartial; a cold S_7 transposition times a 7-cycle,
+    # whose 21 members outnumber the 15 classes and whose proper parts do not
+    # fit in 7, reads the table (clause 5).  center imports characters.
+    # chartable runs no product and classes neither.  verify expands its
+    # product by enumeration.  Only help and usage errors build the argparse
+    # parser
     cache = tmp_path / "coeffs.cache"
     assert call(capsys, *TRANSPOSITIONS_N4, "--cache", str(cache))[0] == 0
     hit = [*TRANSPOSITIONS_N4, "--cache", str(cache)]
@@ -383,8 +384,8 @@ def test_each_command_loads_the_enumeration_layers_only_when_it_enumerates(capsy
     for argv, code, loaded in [
         (hit, 0, [answers]),
         (poly, 0, [answers, center, characters]),
-        (empty, 0, [answers, center]),
-        (enumerated, 0, [answers, "wreathcenter.blockperm", center, "wreathcenter.kpartial"]),
+        (empty, 0, [answers, center, characters]),
+        (enumerated, 0, [answers, "wreathcenter.blockperm", center, characters]),
         (frobenius, 0, [answers, center, characters]),
         (["chartable", "--k", "2", "--n", "3"], 0, [characters]),
         (["classes", "--k", "2", "--n", "3"], 0, []),
@@ -402,11 +403,12 @@ def test_each_command_loads_the_enumeration_layers_only_when_it_enumerates(capsy
 
 
 def test_a_table_built_before_the_first_product_counts_as_built():
-    # center loads characters only when a product takes the character route;
-    # a table that characters built first still counts as built.  The S_7
-    # identity times a 7-cycle is then read off the S_7 table (rule clause 1),
-    # and loads no enumeration layer; a cold process multiplies the identity's
-    # representative once (clause 2), and loads no characters
+    # center reads has_character_table off the characters module it imports,
+    # so a table that characters built before center was imported counts as
+    # built.  The S_7 identity times a 7-cycle is then read off the S_7 table
+    # (rule clause 1), and loads no enumeration layer; a cold process
+    # multiplies the identity's representative once (clause 2), and loads
+    # blockperm, the layer it walks, and not kpartial
     product = (
         "from wreathcenter import center\n"
         "from wreathcenter.families import parse_family\n"
@@ -418,7 +420,7 @@ def test_a_table_built_before_the_first_product_counts_as_built():
         ["wreathcenter.answers", "wreathcenter.center", "wreathcenter.characters"]
     )
     assert loaded_on_first_use(product) == repr(
-        ["wreathcenter.answers", "wreathcenter.blockperm", "wreathcenter.center", "wreathcenter.kpartial"]
+        ["wreathcenter.answers", "wreathcenter.blockperm", "wreathcenter.center", "wreathcenter.characters"]
     )
 
 

@@ -201,6 +201,10 @@ def test_text_format():
         parse_family("{[2]:[1]; [2]:[1]}", 2)
     with pytest.raises(ValueError):
         parse_family("[2]:[1]", 2)
+    # a body that would parse, in other braces
+    for text in ["([1]:[2])", "x[1]:[2]x"]:
+        with pytest.raises(ValueError, match="not a family literal"):
+            parse_family(text, 1)
 
 
 def test_text_form_is_computed_once_per_label():

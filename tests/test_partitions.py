@@ -100,6 +100,10 @@ def test_text_roundtrip():
     assert pt.parse_partition(" [ 2 , 1 ] ".replace(" ", "")) == (2, 1)
     with pytest.raises(ValueError):
         pt.parse_partition("3,1")
+    # bodies that would parse, in other brackets or none
+    for text in ["(3,1)", "3", ""]:
+        with pytest.raises(ValueError, match="not a partition literal"):
+            pt.parse_partition(text)
     with pytest.raises(ValueError):
         pt.parse_partition("[0,1]")
 

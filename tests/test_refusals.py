@@ -148,9 +148,13 @@ def test_immutable_types_refuse_del_on_every_slot():
     assert twin is built and (twin.k, twin.size, twin.m1) == (2, 3, 0)
 
 
-def test_characters_refusals():
-    with pytest.raises(SizeMismatch):
+def test_characters_refusals(monkeypatch):
+    # the k mismatch is refused before the product is enumerated
+    real, enumerated = ct._by_enumeration, []
+    monkeypatch.setattr(ct, "_by_enumeration", lambda *args: enumerated.append(args) or real(*args))
+    with pytest.raises(SizeMismatch, match="family k does not match"):
         ch.verify_iso(2, fam(1, (2,)), fam(1, (2,)))
+    assert enumerated == []
     with pytest.raises(SizeMismatch):
         ch.class_product(fam(1, (1,)), fam(2, (1,), ()))  # another k
     with pytest.raises(SizeMismatch):
@@ -162,6 +166,12 @@ def test_kpartial_refusals():
         KPartialPermutation.empty(1).k = 2
     with pytest.raises(ValueError):
         KPartialPermutation(1, [2, 2], [2])  # a repeated block
+    with pytest.raises(ValueError, match="distinct"):
+        KPartialPermutation(1, [2, 2], [2, 2])  # images a bijection of the points listed
+    # too few or too many images, which zip would truncate to a permutation
+    for k, blocks, images in [(1, [1, 2], [1]), (1, [1], [1, 1]), (2, [1], [2, 1, 3])]:
+        with pytest.raises(ValueError, match="bijection"):
+            KPartialPermutation(k, blocks, images)
     with pytest.raises(ValueError):
         KPartialPermutation.empty(0)
     with pytest.raises(DimensionMismatch):
