@@ -13,15 +13,19 @@ of top size in closed form (`_top_label`).  A group product has a third
 route, the paper's projection: the universal algebra maps onto the centre
 of every group algebra, so the product of L and R at n is project(P * Q, n)
 for their proper parts P and Q.  `_product` picks the route by the rule in
-its docstring, from the structure of the product alone.  README "How a
-product is counted" has the derivations.
+its docstring, from the structure of the product alone, and counts only
+what the clause it takes reads.  README "How a product is counted" has the
+derivations.
 
 `_by_enumeration` imports the one enumeration layer it walks on first
 use: `blockperm` for a group product, `kpartial` for a universal one, so
 a process that counts every product by characters loads neither.  Kept
 for the process: per (label, n) the padded form, pad factor and orbit
 size (`_at`), per label the proper part (`_proper_family`), and the
-counts `_entries` and `_class_count`.
+counts `_entries` and `_class_count`.  The class count at (k, n) is read by
+clause 4 and by the Frobenius route's budget count (clauses 1 and 5, and
+the route `verify_representative` may stand in), so a product that clause
+2 or 3 routes counts no classes at (k, n) unless it is verified.
 
 The answer types `ClassSumVector` and `PolynomialStructure`, `check_mass`,
 `project` and the memos `_at` and `_proper_family` live in `answers`, so a
@@ -112,6 +116,9 @@ def _product(left, right, n, budget, verify_representative):
     3. project(P * Q, n), when |P| + |Q| <= n, with P * Q routed by this rule;
     4. enumeration, when the smaller orbit has at most #classes(k, n) members;
     5. Frobenius.
+    A built table whose count fits is read before any route is built.  Each
+    clause counts only what it reads: clauses 2 and 3 count no classes at
+    (k, n), which takes O(p(k) n^2) steps over integers that grow like p(n).
     A route whose budget count does not fit `budget` gives way to
     enumeration if that fits; when neither fits, BudgetExceeded reports the
     smaller count, enumeration's on a tie.
@@ -133,14 +140,25 @@ def _product(left, right, n, budget, verify_representative):
                 return _universal_by_characters(left, right)
         elif ch.has_character_table(k, n) and _entries(k, n, n + 1) <= budget:
             return _group_by_characters(left, right, n)
+    # a route is (name, budget count, run), and a run takes (left, right, n,
+    # budget); `other` is the rule's first route that is not enumeration, None
+    # while it is Frobenius and not counted
     enumeration = _enumeration(left, right, n)
-    if n is None:
-        route = other = _universal_characters(left, right)
+    smaller = enumeration[1]
+    other = None
+    if n is None or ch.has_character_table(k, n):
+        route = other = _characters(left, right, n)
+    elif _proper_family(left).size + _proper_family(right).size <= n:
+        other = _projection(left, right, budget)
+        route = enumeration if smaller == 1 else other
+    elif smaller == 1 or smaller <= _class_count(k, n):
+        route = enumeration
     else:
-        route, other = _group_routes(left, right, n, enumeration, budget)
+        route = other = _characters(left, right, n)
     if verify_representative:
+        other = other or _characters(left, right, n)
         if n is not None and other[1] > budget:
-            alternative = _frobenius(k, n) if other[2] is _by_projection else _projection(left, right, budget)
+            alternative = _characters(left, right, n) if other[2] is _by_projection else _projection(left, right, budget)
             other = _fit(other, alternative, budget)
         larger = other if other[1] > enumeration[1] else enumeration
         if larger[1] > budget:
@@ -153,24 +171,6 @@ def _product(left, right, n, budget, verify_representative):
     if count > budget:
         raise BudgetExceeded(count, budget, name)
     return run(left, right, n, budget)
-
-
-def _group_routes(left, right, n, enumeration, budget):
-    """The rule's route for a group product, and its first route that is not enumeration.
-
-    A route is (name, budget count, run), and a run takes (left, right, n, budget).
-    """
-    frobenius = _frobenius(left.k, n)
-    if ch.has_character_table(left.k, n):
-        return frobenius, frobenius
-    if _proper_family(left).size + _proper_family(right).size <= n:
-        other = _projection(left, right, budget)
-    else:
-        other = frobenius
-    smaller = enumeration[1]
-    if smaller == 1 or other is frobenius and smaller <= _class_count(left.k, n):
-        return enumeration, other
-    return other, other
 
 
 def _fit(route, fallback, budget):
@@ -189,21 +189,18 @@ def _enumeration(left, right, n):
     return name, min(_at(left, stage)[2], _at(right, stage)[2]), _by_enumeration
 
 
-def _frobenius(k, n):
-    """The Frobenius route at (k, n), counting #classes ** 2."""
-    return "character table", _entries(k, n, n + 1), _group_by_characters
-
-
-def _universal_characters(left, right):
-    """The universal character route, counting #classes ** 2 over the sizes it reads."""
-    entries = _entries(left.k, max(left.size, right.size), left.size + right.size)
-    return "character table", entries, _universal_by_characters
+def _characters(left, right, n):
+    """The character route at size n, or the universal one when n is None, counting #classes ** 2 read."""
+    if n is None:
+        entries = _entries(left.k, max(left.size, right.size), left.size + right.size)
+        return "character table", entries, _universal_by_characters
+    return "character table", _entries(left.k, n, n + 1), _group_by_characters
 
 
 def _projection(left, right, budget):
     """The projection route of a group product, named and counted as P * Q's route."""
     proper_left, proper_right = _proper_family(left), _proper_family(right)
-    characters = _universal_characters(proper_left, proper_right)
+    characters = _characters(proper_left, proper_right, None)
     name, count, _ = _fit(characters, _enumeration(proper_left, proper_right, None), budget)
     return name, count, _by_projection
 

@@ -301,6 +301,8 @@ def class_product(left: PartitionFamily, right: PartitionFamily) -> dict:
     InvariantViolation, and inputs of different k or size raise
     SizeMismatch.  Each call returns a new dict, so the caller may change
     it; it holds `level_terms`' terms with no scale and nothing subtracted.
+    A public convenience that no route calls: `center` reads `group_terms`
+    for a group product and `level_terms` for a universal level.
     """
     flat, _ = level_terms(left, right)
     pairs = iter(flat)

@@ -832,6 +832,24 @@ def test_a_cold_one_off_leaves_its_table_unbuilt(monkeypatch):
     assert not ch.has_character_table(3, 8)
 
 
+def test_a_projected_product_at_large_n_counts_no_classes(monkeypatch):
+    # rule clause 3: proper parts that fit in n project from P * Q, so a first
+    # call at large n reads no class count at (k, n), which takes O(p(k) n^2)
+    # steps over integers that grow like p(n).  P * Q is counted first, while
+    # the count is still there: its character route reads the counts at the
+    # sizes from max(|P|, |Q|) to |P| + |Q| - 1, as its budget count
+    def refuse(k, n):
+        raise AssertionError(f"the classes at ({k}, {n}) were counted")
+
+    for k, n, left, right in ((1, 10_000, "{[1]:[2]}", "{[1]:[3,2]}"), (2, 2_000, "{[2]:[2]}", "{[2]:[3]}")):
+        left, right = parse_family(left, k), parse_family(right, k)
+        structure = ct.polynomial_structure(left, right)
+        with monkeypatch.context() as patch:
+            patch.setattr(ct, "_class_count", refuse)
+            answer = ct.multiply_group(pad_family(left, n), pad_family(right, n), n)
+        assert answer.terms == {pad_family(gamma, n): structure.evaluate(gamma, n) for gamma in structure.targets()}
+
+
 def test_route_rule_and_budget():
     # |C_(5,1)| = 144 at n = 6 exceeds the 11**2 = 121 entries of the S_6 table
     lam = fam(1, (5, 1))

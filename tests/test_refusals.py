@@ -239,3 +239,15 @@ def test_cached_polynomial_rows_refuse_a_zero_or_repeated_row(capsys, tmp_path):
             assert (code, out) == (3, "")
             assert f"cache record (1, '{two}', '{two}')" in err
         (tmp_path / "bad.cache").unlink()
+
+
+def test_outside_input_refusals_each_name_their_own_check():
+    # each input is also refused by a later check of the same type, so only
+    # the message tells that the check meant for it refused it
+    one, two = fam(1, (2,)), fam(2, (), (1,))
+    with pytest.raises(SizeMismatch, match="a k=2 target in a k=1 structure"):
+        ct.PolynomialStructure(1, one, one, {(two, 0): 1})
+    with pytest.raises(ValueError, match="family key"):
+        parse_family("{[1]:[2]}", 2)
+    with pytest.raises(ValueError, match="lacks a ':'"):
+        parse_family("{[2]}", 2)

@@ -40,7 +40,7 @@ def test_every_divmod_is_in_exact_quotient():
     assert [place.partition(":")[0] for place in found] == ["errors.exact_quotient"], found
 
 
-def test_center_reads_the_tables_only_through_class_product():
+def test_center_reads_the_tables_only_through_level_terms_group_terms_and_has_character_table():
     # every character-route fault test patches characters.level_terms, the
     # universal levels' reader, or characters.group_terms, the group route's;
     # a center read of any other table accessor would bypass those tests.
