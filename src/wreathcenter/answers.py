@@ -2,9 +2,10 @@
 
 `ClassSumVector` holds a product, `PolynomialStructure` reads a universal
 one as binomial-basis rows, `check_mass` checks the mass identity that
-every answer passes (a group product by Frobenius passes it inside
-`characters.group_terms`, a universal one by characters at its stage
-checks, and both are wrapped by `_checked_vector`), and
+every answer passes (a group product by Frobenius passes it in `center`,
+on the mass that `characters.level_terms` returns, a universal one by
+characters at its stage checks, and both are wrapped by
+`_checked_vector`), and
 `project` pushes a universal vector into a group.  They live apart from the
 routes in `center`, which imports them from here, so a process that reads
 every product from a cache loads this module and not `center`.
@@ -18,8 +19,9 @@ coefficients that make every group-level structure constant a polynomial in n.
 
 What cannot change between products is kept for the process: per
 (label, n), the padded form, pad factor and orbit size at stage n (`_at`,
-read by check_mass, project and `center`'s route choice and levels); per
-label, its proper part (`_proper_family`, which keys the rows).
+read by check_mass, project and `center`'s route choice and levels).  The
+proper part of a label, which keys the rows, is `families._proper_family`,
+kept once per label.
 """
 
 from functools import cache
@@ -29,13 +31,13 @@ from .errors import InvariantViolation, NotProper, SizeMismatch
 from .families import (
     Immutable,
     PartitionFamily,
+    _proper_family,
     binomial_pad_factor,
     check_group,
     format_family,
     pad_family,
     partial_class_size,
 )
-from .partitions import proper_part
 
 __all__ = ["ClassSumVector", "PolynomialStructure", "check_mass", "project"]
 
@@ -119,8 +121,8 @@ def _checked_vector(k: int, n: int | None, flat: tuple) -> ClassSumVector:
     The labels must be distinct families of k, classes at (k, n) for a
     group vector (n None for a universal one), the coefficients positive,
     and the route must have checked the mass identity, as
-    `characters.group_terms` does for a group product and the stage checks
-    of `center._universal_by_characters` do for a universal one.
+    `center._group_by_characters` does for a group product and the stage
+    checks of `center._universal_by_characters` do for a universal one.
     """
     vector = object.__new__(ClassSumVector)
     _set_k(vector, k)
@@ -138,8 +140,8 @@ def check_mass(vector: ClassSumVector, left: PartitionFamily, right: PartitionFa
     vector and inputs of different k raise SizeMismatch first.  Every
     answer passes the identity: an enumerated or projected one here, a
     universal one by characters as its last stage, and a group one by
-    Frobenius in `characters.group_terms`, in the loop that reads its
-    coefficients.
+    Frobenius in `center._group_by_characters`, on the mass that
+    `characters.level_terms` sums in the loop that reads its coefficients.
     """
     if not vector.k == left.k == right.k:
         raise SizeMismatch("the vector and families must share the same k")
@@ -264,7 +266,3 @@ class PolynomialStructure(Immutable):
         )
 
 
-@cache
-def _proper_family(fam: PartitionFamily) -> PartitionFamily:
-    """The shared family with the 1-parts of its all-ones component removed, once per label."""
-    return PartitionFamily._of(fam.k, (proper_part(fam.ones_component),) + fam.components[1:])

@@ -6,33 +6,33 @@ the smaller orbit B, so c_gamma * |C_gamma| = |A| * #{y in B : type(x y) =
 gamma}: over the block permutations of [kn] (blockperm) for multiply_group,
 over the k-partial permutations (kpartial) at stage |left| + |right| for
 multiply_universal.  The character routes read the Frobenius formula off
-the tables: a group product is one `characters.group_terms` at (k, n), a
-universal product one `characters.level_terms` of its padded inputs at each
-size from max(|left|, |right|) to |left| + |right| - 1, and its one label
-of top size in closed form (`_top_label`).  A group product has a third
-route, the paper's projection: the universal algebra maps onto the centre
-of every group algebra, so the product of L and R at n is project(P * Q, n)
-for their proper parts P and Q.  `_product` picks the route by the rule in
-its docstring, from the structure of the product alone, and counts only
-what the clause it takes reads.  README "How a product is counted" has the
+the tables, each level by one `characters.level_terms`: a group product
+is one level at (k, n), mass-checked here, and a universal product one
+level of its padded inputs at each size from max(|left|, |right|) to
+|left| + |right| - 1, with its one label of top size in closed form
+(`_top_label`).  A group product has a third route, the paper's
+projection: the universal algebra maps onto the centre of every group
+algebra, so the product of L and R at n is project(P * Q, n) for their
+proper parts P and Q.  `_product` picks the route by the rule in its
+docstring, from the structure of the product alone, and counts only what
+the clause it takes reads.  README "How a product is counted" has the
 derivations.
 
 `_by_enumeration` imports the one enumeration layer it walks on first
 use: `blockperm` for a group product, `kpartial` for a universal one, so
 a process that counts every product by characters loads neither.  Kept
 for the process: per (label, n) the padded form, pad factor and orbit
-size (`_at`), per label the proper part (`_proper_family`), and the
+size (`_at`), per label the proper part (`families._proper_family`), and the
 counts `_entries` and `_class_count`.  The class count at (k, n) is read by
 clause 4 and by the Frobenius route's budget count (clauses 1 and 5, and
 the route `verify_representative` may stand in), so a product that clause
 2 or 3 routes counts no classes at (k, n) unless it is verified.
 
 The answer types `ClassSumVector` and `PolynomialStructure`, `check_mass`,
-`project` and the memos `_at` and `_proper_family` live in `answers`, so a
-cache hit reads its product without loading the routes; they are imported
-here, and read from here, as before.  Patching `check_mass`, `project` or
-`_at` on this module changes what the routes here call, not what
-`answers`' own functions call.
+`project` and the memo `_at` live in `answers`, so a cache hit reads its
+product without loading the routes; they are imported here, and read from
+here, as before.  Patching `check_mass`, `project` or `_at` on this module
+changes what the routes here call, not what `answers`' own functions call.
 """
 
 from functools import cache
@@ -45,7 +45,6 @@ from .answers import (
     PolynomialStructure,
     _at,
     _checked_vector,
-    _proper_family,
     check_mass,
     project,
 )
@@ -60,6 +59,7 @@ from .errors import (
 from .families import (
     PartitionFamily,
     _orbit_size,
+    _proper_family,
     index_partitions,
     partial_class_size,
 )
@@ -285,12 +285,17 @@ def _by_enumeration(left, right, n, budget):
 def _group_by_characters(left, right, n, *_):
     """The group product by the Frobenius formula, mass-checked.
 
-    `ch.group_terms` reads each coefficient off the packed sum as an exact
-    quotient and checks the mass in the same loop; its terms are the
-    table's own classes, so they are wrapped unchecked.  The budget a
-    route's run also passes is not read: the count was checked before.
+    `ch.level_terms` reads each coefficient off the packed sum as an exact
+    quotient, with the mass of its terms, which must be |C_left| * |C_right|;
+    its terms are the table's own classes, so they are wrapped unchecked.
+    The budget a route's run also passes is not read: the count was checked
+    before.
     """
-    return _checked_vector(left.k, n, ch.group_terms(left, right))
+    flat, mass = ch.level_terms(left, right)
+    expected = _orbit_size(left) * _orbit_size(right)
+    if mass != expected:
+        raise InvariantViolation(f"group({n}) product mass {mass} != |C_left|*|C_right| = {expected}")
+    return _checked_vector(left.k, n, flat)
 
 
 def _universal_by_characters(left, right, *_):

@@ -12,17 +12,15 @@ App. B).  The rule runs only in `character_table(k, n)`, which reads what
 remains from the tables at (k, m < n), building them first; a single value
 at k >= 2 (`wreath_character`, `hyperoct_character` at k = 2) is read from
 its table, so it costs that table; at k = 1 it is `sym_character`'s and
-builds no table.  The packed rows kept with each table are read by two
-readers of one Frobenius sum (`_frobenius_sum`), which give a group's
-class-multiplication coefficients as flat terms in one loop over the
-slots: `level_terms` for a universal level, scaled by its pad factor and
-less the labels already found, and `group_terms` for a group product,
-mass-checked in the loop that reads them; `class_product` is the first
-reader's dict, with no scale and nothing subtracted.  Twisting an
-irreducible by a degree-1 character leaves its term in that sum
-unchanged, so the rows are kept, and summed, for one irreducible per
-orbit of twists; a table whose twists are not among its rows is refused
-when it is built.  Shifted power-sum values are exact
+builds no table.  The packed rows kept with each table are summed and
+read by one function, `level_terms`, which gives a group's
+class-multiplication coefficients as flat terms, with their mass, in one
+loop over the slots of one Frobenius sum: unscaled for a group product,
+and for a universal level scaled by its pad factor and less the labels
+already found.  Twisting an irreducible by a degree-1 character leaves its
+term in that sum unchanged, so the rows are kept, and summed, for one
+irreducible per orbit of twists; a table whose twists are not among its
+rows is refused when it is built.  Shifted power-sum values are exact
 rationals; only `shifted_power_sum_eval` imports `fractions`, so a process
 that does not call it does not load it.  Only `verify_iso` imports
 `center`, for its product, so a process that builds tables and reads
@@ -61,9 +59,7 @@ __all__ = [
     "wreath_dim",
     "character_table",
     "has_character_table",
-    "class_product",
     "level_terms",
-    "group_terms",
     "verify_iso",
     "bipartitions_of",
     "transport_value",
@@ -290,37 +286,34 @@ def character_table(k: int, n: int):
     return _table_entry(k, n)[0]
 
 
-def class_product(left: PartitionFamily, right: PartitionFamily) -> dict:
-    """C_left C_right as {gamma: c_gamma}, in the group of size n = |left| = |right|.
-
-    The Frobenius formula over character_table(k, n), which is built if
-    needed, summed over one irreducible per twist orbit, and only at the
-    classes whose degree-1 values are the products of left's and right's, as
-    one integer of packed slots (`_frobenius_sum`); README "How a product is
-    counted" has the derivation and the slot bound.  A remainder raises
-    InvariantViolation, and inputs of different k or size raise
-    SizeMismatch.  Each call returns a new dict, so the caller may change
-    it; it holds `level_terms`' terms with no scale and nothing subtracted.
-    A public convenience that no route calls: `center` reads `group_terms`
-    for a group product and `level_terms` for a universal level.
-    """
-    flat, _ = level_terms(left, right)
-    pairs = iter(flat)
-    return dict(zip(pairs, pairs))
-
-
 def level_terms(left: PartitionFamily, right: PartitionFamily, scale: int = 1, lower=None) -> tuple:
-    """(flat, mass): one level of a universal product, read off the packed sum of left and right.
+    """(flat, mass): C_left C_right, read off their packed Frobenius sum, times scale less lower.
 
-    Each slot of the sum, in table order, is an exact quotient c_gamma (a
-    remainder raises InvariantViolation), times `scale`, less what `lower`
-    holds at gamma: `lower` maps the labels already found, padded to this
-    size, to their contributions, and is consumed as it is read.  The
-    nonzero results are `flat`, (gamma, c, gamma, c, ...), and `mass` is
-    the sum of c * |C_gamma|.  A negative result, or an entry of `lower`
-    that no slot consumed, raises InvariantViolation.
+    The sum is taken over character_table(k, n), n = |left| = |right|,
+    which is built if needed, for one irreducible per twist orbit and only
+    at the classes whose degree-1 values are the products of left's and
+    right's; README "How a product is counted" has the derivation and the
+    slot bound.  Inputs of different k or size raise SizeMismatch.  Each
+    slot, in table order, is an exact quotient c_gamma (a remainder raises
+    InvariantViolation), times `scale`, less what `lower` holds at gamma:
+    `lower` maps the labels already found, padded to this size, to their
+    contributions, and is consumed as it is read.  The nonzero results are
+    `flat`, (gamma, c, gamma, c, ...), and `mass` is the sum of c *
+    |C_gamma|; the caller checks the mass.  A negative result, or an entry
+    of `lower` that no slot consumed, raises InvariantViolation.  A table
+    that gives no class those degree-1 values gives the empty product.
     """
-    width, classes, total = _frobenius_sum(left, right)
+    if left.k != right.k or left.size != right.size:
+        raise SizeMismatch("a class product needs two families of the same k and size")
+    key = left.k, left.size
+    # a built table is read without a call: this runs once per product or level
+    _, (width, values, weights, folded, groups) = _tables.get(key) or _table_entry(*key)
+    # only a wrong table lacks the group; the empty answer fails its mass check
+    classes, rows = groups.get(tuple(map(mul, values[left], values[right])), ((), ()))
+    total = 0
+    for a, b, weight, row in zip(folded[left], folded[right], weights, rows):
+        if a and b:
+            total += a * b * weight * row
     z = big_z(left) * big_z(right)
     mask = (1 << width) - 1
     flat = []
@@ -344,61 +337,7 @@ def level_terms(left: PartitionFamily, right: PartitionFamily, scale: int = 1, l
 
 
 def _refuse(gamma, c):
-    raise InvariantViolation(f"universal product cannot have c = {c} at {format_family(gamma)}")
-
-
-def group_terms(left: PartitionFamily, right: PartitionFamily) -> tuple:
-    """C_left C_right as a flat tuple (gamma, c_gamma, gamma, c_gamma, ...), mass-checked.
-
-    The same sum as class_product, read in one loop over its slots, in
-    table order: each nonzero slot is an exact quotient, so positive, and
-    sum of c_gamma * |C_gamma| must equal |C_left| * |C_right|, else
-    InvariantViolation, as `answers.check_mass` raises it.  The group
-    route wraps the tuple as its vector without checking its terms again.
-    """
-    width, classes, total = _frobenius_sum(left, right)
-    z = big_z(left) * big_z(right)
-    mask = (1 << width) - 1
-    flat = []
-    mass = 0
-    for gamma in classes:
-        slot = total & mask
-        if slot:
-            c = exact_quotient(slot, z, gamma)
-            flat += gamma, c
-            mass += c * _orbit_size(gamma)
-        total >>= width
-    expected = _orbit_size(left) * _orbit_size(right)
-    if mass != expected:
-        raise InvariantViolation(
-            f"group({left.size}) product mass {mass} != |C_left|*|C_right| = {expected}"
-        )
-    return tuple(flat)
-
-
-def _frobenius_sum(left, right):
-    """(width, classes, total): the packed Frobenius sum of left and right, and how to read it.
-
-    `classes` are those whose degree-1 values are the products of left's
-    and right's, in table order, and `total` holds c_gamma * z(left) *
-    z(right) for the j-th of them in its slot j of `width` bits.  A table
-    that gives no class those values gives no classes, and the empty product.
-    """
-    if left.k != right.k or left.size != right.size:
-        raise SizeMismatch("a class product needs two families of the same k and size")
-    key = left.k, left.size
-    # a built table is read without a call: this runs once per product or level
-    _, (width, values, weights, folded, groups) = _tables.get(key) or _table_entry(*key)
-    group = groups.get(tuple(map(mul, values[left], values[right])))
-    if group is None:
-        # only a wrong table lacks them; the empty answer fails its mass check
-        return width, (), 0
-    classes, rows = group
-    total = 0
-    for a, b, weight, row in zip(folded[left], folded[right], weights, rows):
-        if a and b:
-            total += a * b * weight * row
-    return width, classes, total
+    raise InvariantViolation(f"product cannot have c = {c} at {format_family(gamma)}")
 
 
 def _table_entry(k, n):

@@ -22,15 +22,17 @@ terms a route has checked, and compares its terms in any order.
 `check_group` refuses an impossible (k, n) for every caller.
 
 Per label this module keeps the label itself (`_LABELS`), `big_z`, the orbit
-size |C_fam| at stage |fam| (`_orbit_size`, checked to divide the group order
-when first computed) and the text form (`format_family`), and per (k, n)
-`group_order`, each for the life of the process; README "What a process keeps"
-lists every memo of the package, its key and what bounds it.  `class_size` and
-`partial_class_size` read the orbit size and still check the size on every call.
+size |C_fam| at stage |fam| (`_orbit_size`, an exact quotient checked when
+first computed, which takes no factorial of |fam|), the proper part
+(`_proper_family`) and the text form (`format_family`), and per (k, n)
+`group_order`, each for the life of the process; README "What a process
+keeps" lists every memo of the package, its key and what bounds it.
+`class_size` and `partial_class_size` read the orbit size and still check
+the size on every call.
 """
 
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from . import partitions as pt
 from .errors import SizeMismatch, TooSmall, exact_quotient
@@ -248,8 +250,20 @@ def class_size(fam: PartitionFamily, n: int) -> int:
 
 @cache
 def _orbit_size(fam: PartitionFamily) -> int:
-    """|C_fam| in the group on [k |fam|]: computed, and its divisibility checked, once per label."""
-    return exact_quotient(group_order(fam.k, fam.size), big_z(fam), "class size")
+    """|C_fam| in the group on [k |fam|]: computed, and its divisibility checked, once per label.
+
+    With s = |fam|, m1 its trivial 1-parts, p = s - m1 and pi the family
+    without them, |C_fam| = k!^s s! / big_z(fam) = k!^p (s)_p / big_z(pi):
+    big_z(fam) is big_z(pi) m1! k!^m1, so no factorial of s is taken.
+    """
+    p = fam.size - fam.m1
+    return exact_quotient(factorial(fam.k) ** p * perm(fam.size, p), big_z(_proper_family(fam)), "class size")
+
+
+@cache
+def _proper_family(fam: PartitionFamily) -> PartitionFamily:
+    """The shared family with the 1-parts of its all-ones component removed, once per label."""
+    return PartitionFamily._of(fam.k, (pt.proper_part(fam.ones_component),) + fam.components[1:])
 
 
 def partial_class_size(fam: PartitionFamily, n: int) -> int:

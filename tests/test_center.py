@@ -2,7 +2,7 @@ import copy
 import pickle
 import random
 from collections import Counter
-from math import comb, gcd
+from math import comb, factorial, gcd
 from operator import mul
 
 import pytest
@@ -602,7 +602,6 @@ def test_verify_representative_counts_both_routes(monkeypatch):
         return run
 
     monkeypatch.setattr(ch, "level_terms", counted("level_terms", ch.level_terms))
-    monkeypatch.setattr(ch, "group_terms", counted("group_terms", ch.group_terms))
     monkeypatch.setattr(
         ct, "_universal_by_characters", counted("characters", ct._universal_by_characters)
     )
@@ -611,13 +610,13 @@ def test_verify_representative_counts_both_routes(monkeypatch):
     by_both_universal = ["enumeration", "characters"] + ["level_terms"] * 4
     for product, expected, routes in [
         (lambda: ct.multiply_group(seven, seven, 7, verify_representative=True), k1_group,
-         ["enumeration", "group_terms"]),
+         ["enumeration", "level_terms"]),
         (lambda: ct.multiply_universal(four, four, verify_representative=True), universal,
          by_both_universal),
         (lambda: ct.polynomial_structure(four, four, verify_representative=True), structure,
          by_both_universal),
         (lambda: ct.multiply_group(five, five, 5, verify_representative=True), k2_group,
-         ["enumeration", "group_terms"]),
+         ["enumeration", "level_terms"]),
     ]:
         calls.clear()
         assert product() == expected
@@ -632,17 +631,17 @@ def test_verify_representative_refuses_a_table_value_that_keeps_the_mass(monkeyp
     # coefficient positive and the mass
     left, right, four_cycle = fam(1, (2, 1, 1)), fam(1, (3, 1)), fam(1, (4,))
     assert ct.multiply_group(left, right, 4).terms == {left: 4, four_cycle: 4}
-    true_group_terms = ch.group_terms
+    true_level_terms = ch.level_terms
 
-    def group_terms(a, b):
-        flat = true_group_terms(a, b)
+    def level_terms(a, b, *rest):
+        flat, mass = true_level_terms(a, b, *rest)
         terms = dict(zip(flat[::2], flat[1::2]))
         if (a, b) == (left, right):
             terms[four_cycle] -= 1
             terms[left] += 1
-        return tuple(x for term in terms.items() for x in term)
+        return tuple(x for term in terms.items() for x in term), mass
 
-    monkeypatch.setattr(ch, "group_terms", group_terms)
+    monkeypatch.setattr(ch, "level_terms", level_terms)
     # with the (1, 4) table built the default product is read off it (rule
     # clause 1), and passes every check
     ch.character_table(1, 4)
@@ -837,15 +836,30 @@ def test_a_projected_product_at_large_n_counts_no_classes(monkeypatch):
     # call at large n reads no class count at (k, n), which takes O(p(k) n^2)
     # steps over integers that grow like p(n).  P * Q is counted first, while
     # the count is still there: its character route reads the counts at the
-    # sizes from max(|P|, |Q|) to |P| + |Q| - 1, as its budget count
+    # sizes from max(|P|, |Q|) to |P| + |Q| - 1, as its budget count.  Nor
+    # does it take a factorial of n: the orbit sizes at n are falling
+    # factorials, so with their memos cleared the call still finishes with
+    # every factorial above 1,000 refused
+    from wreathcenter import families
+    from wreathcenter import partitions as pt
+
     def refuse(k, n):
         raise AssertionError(f"the classes at ({k}, {n}) were counted")
+
+    def small_factorial(m):
+        if m > 1_000:
+            raise AssertionError(f"{m}! was taken")
+        return factorial(m)
 
     for k, n, left, right in ((1, 10_000, "{[1]:[2]}", "{[1]:[3,2]}"), (2, 2_000, "{[2]:[2]}", "{[2]:[3]}")):
         left, right = parse_family(left, k), parse_family(right, k)
         structure = ct.polynomial_structure(left, right)
+        for memo in (families._orbit_size, big_z, ct._at):
+            memo.cache_clear()
         with monkeypatch.context() as patch:
             patch.setattr(ct, "_class_count", refuse)
+            patch.setattr(families, "factorial", small_factorial)
+            patch.setattr(pt, "factorial", small_factorial)
             answer = ct.multiply_group(pad_family(left, n), pad_family(right, n), n)
         assert answer.terms == {pad_family(gamma, n): structure.evaluate(gamma, n) for gamma in structure.targets()}
 
@@ -914,11 +928,6 @@ def test_universal_route_reads_each_size_below_the_top_once(monkeypatch):
                 empty += not (left.size and right.size)
                 products += 1
     assert (products, empty) == (649, 269)
-    monkeypatch.undo()
-    # class_product returns a new dict on each call, which its caller may change
-    for left, right in [(fam(1, (2, 1)), fam(1, (3,))), (fam(2, (1,), (2,)), fam(2, (), (3,)))]:
-        first, second = ch.class_product(left, right), ch.class_product(left, right)
-        assert first == second and first is not second
 
 
 def test_top_stage_in_closed_form_matches_enumeration():
@@ -1346,7 +1355,7 @@ def test_product_with_no_class_at_its_degree_one_values_is_caught(monkeypatch):
     wrong_values = {**values, lam: (1, 2)}
     entry = (table, (width, wrong_values, folded_weights, folded, groups))
     monkeypatch.setitem(ch._tables, (1, 6), entry)
-    assert ch.class_product(lam, lam) == {}
+    assert ch.level_terms(lam, lam) == ((), 0)
     with pytest.raises(InvariantViolation):
         ct.multiply_group(lam, lam, 6)
 
@@ -1369,17 +1378,21 @@ def _frobenius_by_class(left, right, n):
 
 
 def _check_readers(left, right, n):
-    """Both readers of the packed sum against the sum per class, and the group vector against a built one.
+    """The reader of the packed sum against the sum per class, and the group vector against a built one.
 
-    The group reader's vector, wrapped without checks, must be the vector the
-    validating constructor builds from the same terms, which passes
-    check_mass: equal, with the same hash and repr, before and after a
-    pickle round trip.
+    The reader's terms must be the sum per class's, in table order, with
+    their mass; the group route's vector, wrapped without checks, must be
+    the vector the validating constructor builds from the same terms, which
+    passes check_mass: equal, with the same hash and repr, before and after
+    a pickle round trip.
     """
     from wreathcenter import characters as ch
 
     expected = _frobenius_by_class(left, right, n)
-    assert ch.class_product(left, right) == expected
+    flat, mass = ch.level_terms(left, right)
+    pairs = iter(flat)
+    assert list(zip(pairs, pairs)) == list(expected.items())
+    assert mass == sum(c * class_size(gamma, n) for gamma, c in expected.items())
     vector = ct._group_by_characters(left, right, n)
     assert vector.terms == expected
     built = ct.ClassSumVector(left.k, expected, n)
@@ -1449,7 +1462,8 @@ def test_a_lower_entry_that_no_slot_consumes_is_refused():
     # found that pads to either is one the level would hold with a negative
     # coefficient
     ident, three = PartitionFamily.identity(1, 4), fam(1, (3, 1))
-    _, classes, _ = ch._frobenius_sum(ident, three)
+    _, (_, values, _, _, groups) = ch._table_entry(1, 4)
+    classes, _ = groups[tuple(map(mul, values[ident], values[three]))]
     assert ident in classes and fam(1, (2, 2)) in classes and fam(1, (2, 1, 1)) not in classes
     assert ch.level_terms(ident, three) == ((three, 1), 8)
     for where in [ident, fam(1, (2, 2)), fam(1, (2, 1, 1))]:
@@ -1573,7 +1587,8 @@ def test_a_raised_row_that_keeps_every_quotient_exact_fails_the_mass_check(monke
                 monkeypatch.setitem(ch._tables, (k, n), (table, (width, values, weights, folded, packed)))
                 terms = expected.terms
                 terms[gamma] += abw * m // z
-                assert ch.class_product(lam, lam) == terms
+                flat, _ = ch.level_terms(lam, lam)
+                assert dict(zip(flat[::2], flat[1::2])) == terms
                 with pytest.raises(InvariantViolation, match="product mass"):
                     ct.multiply_group(lam, lam, n)
                 monkeypatch.undo()

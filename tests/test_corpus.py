@@ -9,7 +9,10 @@ order, and a universal pair also by its `polynomial_structure` rows in
 `rows_sorted` order; not `repr`, so that a change of repr does not read as
 a change of answer.  Each (layer, k, size) stratum is hashed on its own,
 size being n or |L| + |R|, so that a failure names its strata.  A change
-that moves an answer on purpose changes DIGESTS, and says why.
+that moves an answer on purpose changes DIGESTS, and says why.  The 34
+smaller strata, group pairs at (1, n <= 6), (2, n <= 4) and (3, n <= 3)
+and universal pairs with |L| + |R| <= 7, 5 and 4, are also counted with
+`verify_representative=True`, so by enumeration and by a second route.
 
 Run as a script (`PYTHONPATH=src python tests/test_corpus.py`), it computes
 the corpus a second time with every product counted by
@@ -72,14 +75,20 @@ DIGESTS = {
 }
 
 
-def corpus(group, universal):
-    """{(layer, k, size): sha256 hex digest}, with group(L, R, n) a vector and universal(L, R) a structure."""
+def corpus(group, universal, group_most=GROUP_MOST, universal_most=UNIVERSAL_MOST):
+    """{(layer, k, size): sha256 hex digest}, with group(L, R, n) a vector and universal(L, R) a structure.
+
+    `group_most` and `universal_most` map each k to the largest n of a group
+    pair and the largest |L| + |R| of a universal pair; a smaller limit
+    leaves out whole strata, and each stratum kept has the digest it has in
+    the whole corpus.
+    """
     texts = {}
-    for k, most in GROUP_MOST.items():
+    for k, most in group_most.items():
         for n in range(most + 1):
             labels = families_with_size(k, n)
             texts["group", k, n] = [_line(left, right, group(left, right, n)) for left in labels for right in labels]
-    for k, most in UNIVERSAL_MOST.items():
+    for k, most in universal_most.items():
         labels = [label for size in range(most + 1) for label in families_with_size(k, size, proper_only=True)]
         for left in labels:
             for right in labels:
@@ -102,6 +111,20 @@ def _differing(digests):
 
 def test_every_small_answer_matches_its_stratum_digest():
     assert _differing(corpus(ct.multiply_group, ct.polynomial_structure)) == []
+
+
+def test_the_smaller_strata_match_their_digests_counted_by_both_routes():
+    # with verify_representative every product is counted by enumeration and
+    # by its rule's other route, which must agree, on a slice whose
+    # enumeration takes well under a second: 34 of the 40 strata
+    digests = corpus(
+        lambda left, right, n: ct.multiply_group(left, right, n, verify_representative=True),
+        lambda left, right: ct.polynomial_structure(left, right, verify_representative=True),
+        {1: 6, 2: 4, 3: 3},
+        {1: 7, 2: 5, 3: 4},
+    )
+    assert len(digests) == 34
+    assert {stratum: DIGESTS[stratum] for stratum in digests} == digests
 
 
 if __name__ == "__main__":

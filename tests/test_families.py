@@ -107,6 +107,19 @@ def test_class_size_against_enumeration():
     assert buckets5[f] == class_size(f, 5)
 
 
+def test_orbit_size_is_the_group_order_over_big_z():
+    # _orbit_size takes k!^p (s)_p / big_z of the label without its trivial
+    # 1-parts; it must be k!^s s! / big_z of the label, on every label at
+    # k <= 3 with |label| <= 6 and at k = 4 with |label| <= 3, each also
+    # padded by 1 to 5 trivial 1-parts
+    for k, most in [(1, 6), (2, 6), (3, 6), (4, 3)]:
+        for size in range(most + 1):
+            for label in families_with_size(k, size):
+                for n in range(size, size + 6):
+                    padded = pad_family(label, n)
+                    assert families._orbit_size(padded) == families.group_order(k, n) // big_z(padded)
+
+
 def test_labels_carry_size_and_hash_immutably():
     f = fam(3, (1, 1), (2,), (2, 1))
     assert f.size == 7 and hash(f) == hash(fam(3, (1, 1), (2,), (2, 1)))

@@ -156,9 +156,9 @@ def test_characters_refusals(monkeypatch):
         ch.verify_iso(2, fam(1, (2,)), fam(1, (2,)))
     assert enumerated == []
     with pytest.raises(SizeMismatch):
-        ch.class_product(fam(1, (1,)), fam(2, (1,), ()))  # another k
+        ch.level_terms(fam(1, (1,)), fam(2, (1,), ()))  # another k
     with pytest.raises(SizeMismatch):
-        ch.class_product(fam(1, (1,)), fam(1, (2,)))  # another size
+        ch.level_terms(fam(1, (1,)), fam(1, (2,)))  # another size
 
 
 def test_kpartial_refusals():

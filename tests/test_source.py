@@ -40,10 +40,10 @@ def test_every_divmod_is_in_exact_quotient():
     assert [place.partition(":")[0] for place in found] == ["errors.exact_quotient"], found
 
 
-def test_center_reads_the_tables_only_through_level_terms_group_terms_and_has_character_table():
+def test_center_reads_the_tables_only_through_level_terms_and_has_character_table():
     # every character-route fault test patches characters.level_terms, the
-    # universal levels' reader, or characters.group_terms, the group route's;
-    # a center read of any other table accessor would bypass those tests.
+    # one reader of the packed sum, which both character routes call; a
+    # center read of any other table accessor would bypass those tests.
     # characters is imported once, as ch, and only its attributes are read
     tree = ast.parse((PACKAGE / "center.py").read_text(encoding="utf-8"))
     imports = [
@@ -58,7 +58,7 @@ def test_center_reads_the_tables_only_through_level_terms_group_terms_and_has_ch
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "ch"
     }
-    assert read == {"level_terms", "group_terms", "has_character_table"}
+    assert read == {"level_terms", "has_character_table"}
 
 
 def test_only_immutable_refuses_writes_and_only_of_sets_slots():
