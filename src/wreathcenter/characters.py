@@ -166,7 +166,6 @@ def wreath_dim(irrep: PartitionFamily) -> int:
     return exact_quotient(num, den, "induced dimension")
 
 
-@cache
 def _sk_chi(k: int) -> list[list[int]]:
     """sk_chi[s][r]: the S_k irreducible of slot s at the S_k class of slot r.
 

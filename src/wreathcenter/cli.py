@@ -40,8 +40,6 @@ from .families import (
     parse_family,
 )
 
-CACHE_ENV = "WREATH_CACHE"
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BUDGET = 2
@@ -362,9 +360,8 @@ def _cmd_product(args):
     if args.command == "poly" and not all(fam.is_proper() for fam in given):
         raise UsageError("poly requires proper families (no 1-parts in the all-ones component)")
     options = {"budget": args.max_group_size, "verify_representative": args.verify_representative}
-    path = args.cache or os.environ.get(CACHE_ENV)
     try:
-        vector = _cached_vector(args, Cache(path), left, right, options)
+        vector = _cached_vector(args, Cache(args.cache), left, right, options)
     except OSError as exc:
         raise UsageError(f"unusable cache: {exc}") from exc
     if args.command == "poly":

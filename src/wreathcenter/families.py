@@ -24,9 +24,9 @@ terms a route has checked, and compares its terms in any order.
 Per label this module keeps the label itself (`_LABELS`), `big_z`, the orbit
 size |C_fam| at stage |fam| (`_orbit_size`, an exact quotient checked when
 first computed, which takes no factorial of |fam|), the proper part
-(`_proper_family`) and the text form (`format_family`), and per (k, n)
-`group_order`, each for the life of the process; README "What a process
-keeps" lists every memo of the package, its key and what bounds it.
+(`_proper_family`) and the text form (`format_family`), each for the life
+of the process; README "What a process keeps" lists every memo of the
+package, its key, what bounds it and the caller that reads a key twice.
 `class_size` and `partial_class_size` read the orbit size and still check
 the size on every call.
 """
@@ -234,9 +234,8 @@ def big_z(fam: PartitionFamily) -> int:
     return z
 
 
-@cache
 def group_order(k: int, n: int) -> int:
-    """Order of the group of k-block permutations of [kn]: (k!)^n * n!, computed once per (k, n)."""
+    """Order of the group of k-block permutations of [kn]: (k!)^n * n!."""
     check_group(k, n)
     return factorial(k) ** n * factorial(n)
 

@@ -55,8 +55,8 @@ def is_proper(a: Partition) -> bool:
 
 
 def proper_part(a: Partition) -> Partition:
-    """The partition `a` with all 1-parts removed."""
-    return tuple(p for p in a if p != 1)
+    """The partition `a` with all 1-parts removed: they are its tail."""
+    return a[: len(a) - a.count(1)]
 
 
 def pad_to(a: Partition, n: int) -> Partition:

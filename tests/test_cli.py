@@ -132,11 +132,10 @@ def test_budget_exit_code(capsys):
     assert "budget-exceeded" in err
 
 
-def test_group_product_over_budget_reports_its_class(capsys, monkeypatch):
+def test_group_product_over_budget_reports_its_class(capsys):
     # |C_(2,1,1,1,1)| = 15 at n = 6, the S_6 table has 11 ** 2 entries, and
     # the projection from (2) * (3,3) counts 28 members at stage 8: no route
     # fits, and the smallest count, the class, is reported
-    monkeypatch.delenv("WREATH_CACHE", raising=False)
     pair = ["--left", "{[1]:[2,1,1,1,1]}", "--right", "{[1]:[3,3]}"]
     code, out, err = call(capsys, "multiply", "--k", "1", "--n", "6", *pair, "--max-group-size", "10")
     assert (code, out) == (2, "")
@@ -422,16 +421,6 @@ def test_a_table_built_before_the_first_product_counts_as_built():
     assert loaded_on_first_use(product) == repr(
         ["wreathcenter.answers", "wreathcenter.blockperm", "wreathcenter.center", "wreathcenter.characters"]
     )
-
-
-def test_cache_env_var(capsys, tmp_path, monkeypatch):
-    cache = tmp_path / "envcache"
-    monkeypatch.setenv("WREATH_CACHE", str(cache))
-    code, out, _ = call(
-        capsys, "poly", "--k", "1", "--left", "{[1]:[2]}", "--right", "{[1]:[2]}"
-    )
-    assert code == 0
-    assert cache.exists()
 
 
 TRANSPOSITIONS_N4 = [
@@ -770,7 +759,6 @@ def mislabel_one_22_product(monkeypatch):
 
 
 def test_verify_representative_recounts_poly_and_universal(capsys, monkeypatch):
-    monkeypatch.delenv("WREATH_CACHE", raising=False)
     pair = ["--k", "1", "--left", "{[1]:[2]}", "--right", "{[1]:[2]}"]
     for command in ("poly", "universal"):
         mislabel_one_22_product(monkeypatch)
@@ -794,9 +782,9 @@ def test_unusable_cache_path_is_a_usage_error(capsys, tmp_path, monkeypatch):
         assert code == 1
         assert out == ""
         assert err.startswith("error: usage; ")
-    # commands that never read the cache never open it
+    # only --cache names a cache: a directory in WREATH_CACHE is never opened
     monkeypatch.setenv("WREATH_CACHE", str(tmp_path))
-    code, out, _ = call(capsys, "classes", "--k", "1", "--n", "2")
+    code, out, _ = call(capsys, "poly", "--k", "1", "--left", "{[1]:[2]}", "--right", "{[1]:[2]}")
     assert code == 0
     assert out
 

@@ -34,6 +34,14 @@ def test_is_proper():
 def test_proper_part():
     assert pt.proper_part((6, 6, 3, 1, 1)) == (6, 6, 3)
     assert pt.proper_part(()) == ()
+    assert pt.proper_part((1,)) == ()
+    assert pt.proper_part((1, 1, 1)) == ()
+    assert pt.proper_part((4, 3, 2)) == (4, 3, 2)
+    assert pt.proper_part((3, 2) + (1,) * 10**4) == (3, 2)
+    # the slice keeps what dropping every 1-part keeps, on every partition of n <= 12
+    for n in range(13):
+        for a in pt.partitions_of(n):
+            assert pt.proper_part(a) == tuple(p for p in a if p != 1)
 
 
 def test_pad_to():

@@ -1,4 +1,5 @@
 import ast
+import re
 from importlib import import_module
 from pathlib import Path
 
@@ -199,3 +200,30 @@ def test_every_public_name_loads_as_the_object_of_its_module():
     # the moved names are one object wherever they are read
     assert bp.DEFAULT_BUDGET is errors.DEFAULT_BUDGET
     assert kp.partial_class_size is families.partial_class_size
+
+
+def test_readme_lists_every_memo_with_the_reason_it_is_kept():
+    # a memo is a function decorated with functools.cache or lru_cache, or a
+    # module-level dict that starts empty; each has its row in README "What a
+    # process keeps", and each row names the reader that makes it pay
+    memos = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    if getattr(target, "id", getattr(target, "attr", None)) in ("cache", "lru_cache"):
+                        memos.add(f"{path.stem}.{node.name}")
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict) and not node.value.keys:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                memos.update(f"{path.stem}.{target.id}" for target in targets)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## What a process keeps", 1)[1].split("\n## ", 1)[0]
+    # cells split at the pipes that are not escaped as \|
+    rows = [re.split(r"(?<!\\)\|", line.strip()[1:-1]) for line in section.splitlines() if line.startswith("| `")]
+    listed = [name for cells in rows for name in re.findall(r"`([\w.]+)`", cells[0])]
+    assert len(listed) == len(set(listed)), listed
+    assert set(listed) == memos
+    assert all(len(cells) == 5 and cells[4].strip() for cells in rows), rows
